@@ -172,10 +172,11 @@ class ExprContext:
         return _Parser(self, text).parse()
 
 
-class _Parser:
-    def __init__(self, ctx: ExprContext, text: str):
-        self.ctx = ctx
-        self.text = text
+class _Cursor:
+    """The token cursor of both recursive-descent parsers; ``parse`` reads
+    one ``expr`` and requires the input to end there."""
+
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -189,12 +190,18 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self) -> Expr:
+    def parse(self):
         e = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
         return e
+
+
+class _Parser(_Cursor):
+    def __init__(self, ctx: ExprContext, text: str):
+        super().__init__(text)
+        self.ctx = ctx
 
     def expr(self) -> Expr:
         parts = [self.term()]
@@ -407,30 +414,12 @@ def _parse_dist(spec: str) -> poisson.DiscreteDist:
 # -- series mini-parser for `invert --series` ---------------------------------------------
 
 
-class _SeriesParser:
+class _SeriesParser(_Cursor):
     """Tiny closed grammar over t: rationals, t, exp(), log(), + - * ^."""
 
     def __init__(self, text: str, order: int):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        super().__init__(text)
         self.order = order
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Series:
-        s = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-        return s
 
     def expr(self) -> Series:
         negate = False
@@ -710,7 +699,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv, namespace=defaults)
     try:
         return args.fn(args)
-    except (UmbralError, ValueError, KeyError) as exc:
+    except (UmbralError, ValueError, KeyError, ZeroDivisionError, OverflowError,
+            RecursionError) as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ParseError):
             err["offset"] = exc.offset

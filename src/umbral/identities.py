@@ -30,7 +30,7 @@ from .combinatorics import (
 )
 from .core import IntPower, Product, Sum, Workspace
 from .errors import UnknownIdentity
-from .inversion import cross_check, dot_moment
+from .inversion import cross_check
 from .ops import (
     alpha_bar,
     bell_umbra,
@@ -228,16 +228,19 @@ def _chk_abel(params):
         a = _random_atom(ws, stream, "a")
         b = _random_atom(ws, stream, "b")
         g = _random_atom(ws, stream, "g")
+        # per k: E[a (a + (-k).g)^{k-1}] and the moments of b + k.g'
+        first, second = [None], [None]
+        for k in range(1, ws.order + 1):
+            w = dot(ws, -k, g)
+            first.append(ws.eval(Product((a.ref(),
+                                          IntPower(Sum((a.ref(), w.ref())), k - 1)))))
+            v = dot(ws, k, g)
+            second.append(ws.moments_of(Sum((b.ref(), v.ref()))))
         for n in range(ws.order + 1):
             lhs = ws.eval(a + b, n)
             rhs = ws.eval(b, n)  # k = 0 term
             for k in range(1, n + 1):
-                w = dot(ws, -k, g)
-                first = ws.eval(Product((a.ref(),
-                                         IntPower(Sum((a.ref(), w.ref())), k - 1))))
-                v = dot(ws, k, g)
-                second = ws.eval(Sum((b.ref(), v.ref())), n - k)
-                rhs = rhs + comb(n, k) * first * second
+                rhs = rhs + comb(n, k) * first[k] * second[k][n - k]
             if lhs != rhs:
                 return _fail("Abel expansion of (a+b)^n failed",
                              trial=trial, n=n, lhs=str(lhs), rhs=str(rhs))
@@ -651,9 +654,11 @@ def _chk_lemma1(params):
         bar = alpha_bar(ws, a)
         a1 = a.moments[1].constant()
         tri = bell_triangle(a.moments[1:], ws.order)
+        # E[(k.bar)^m] is m! [t^m] gf(bar)^k
+        powers = [bar.egf.pow_int(k) for k in range(ws.order + 1)]
         for n in range(1, ws.order + 1):
             for k in range(1, n + 1):
-                rhs = Poly.const(comb(n, k) * a1 ** k) * dot_moment(ws, bar, k, n - k)
+                rhs = Poly.const(comb(n, k) * a1 ** k) * powers[k].egf_moment(n - k)
                 if tri[n][k] != rhs:
                     return _fail("B_{n,k}(a) != C(n,k) a_1^k E[(k.bar)^{n-k}]",
                                  trial=trial, n=n, k=k,
@@ -665,12 +670,14 @@ def _chk_remark4(params):
     ws = _ws(params)
     bern = ws.define("bern", [Poly.const(bernoulli_number(k))
                               for k in range(ws.order + 1)])
-    ks = [params["k"]] if "k" in params else None
+    ks = [params["k"]] if "k" in params else range(ws.order + 1)
+    # E[(-k.bern)^m] is m! [t^m] gf(bern)^{-k}
+    powers = {k: bern.egf.pow_int(-k) for k in ks}
     for n in range(ws.order + 1):
-        for k in (ks or range(n + 1)):
+        for k in ks:
             if k > n:
-                continue
-            rhs = comb(n, k) * dot_moment(ws, bern, -k, n - k)
+                break
+            rhs = comb(n, k) * powers[k].egf_moment(n - k)
             if rhs != stirling("second", n, k):
                 return _fail("S(n,k) != C(n,k) E[(-k.bern)^{n-k}]",
                              n=n, k=k, lhs=str(stirling("second", n, k)),

@@ -134,16 +134,25 @@ def cross_check(ws: Workspace, alpha: Atom, order: int = None) -> InversionRepor
 
     bar = alpha_bar(ws, alpha)
     a1 = alpha.moments[1].constant()
+    # built once per k: the multiples k.bar and the Abel factors
+    # E[chi (chi + w)^{k-1}] with w = (-k).bar, uncorrelated with k.bar
+    mult = [dot(ws, k, bar) for k in range(order + 1)]
+    abel_first = [ONE]
+    for k in range(1, order + 1):
+        w = dot(ws, -k, bar)
+        abel_first.append(
+            ws.eval(Product((chi.ref(), IntPower(Sum((chi.ref(), w.ref())), k - 1)))))
     pb_ok = True
     abel_ok = True
     for n in range(order + 1):
         # partial-Bell expansion of chi^n (the positive multiple k.bar,
-        # matching the B_{n,k} identity the expansion comes from)
+        # matching the B_{n,k} identity the expansion comes from), with
+        # E[(k.bar)^{n-k}] read off the generating function [gf(bar)]^k
         total = Poly.const(0)
         for k in range(n + 1):
             term = (Poly.const(comb(n, k) * a1 ** k)
                     * gamma.moments[k]
-                    * dot_moment(ws, bar, k, n - k))
+                    * mult[k].egf.egf_moment(n - k))
             total = total + term
         if total != chi_m[n]:
             pb_ok = False
@@ -151,11 +160,7 @@ def cross_check(ws: Workspace, alpha: Atom, order: int = None) -> InversionRepor
         # n >= 1 and 1 for n = 0)
         total = Poly.const(1 if n == 0 else 0)
         for k in range(1, n + 1):
-            w = dot(ws, -k, bar)       # the inverse point multiple of k.bar
-            v = dot(ws, k, bar)        # a fresh k.bar, uncorrelated with w
-            first = ws.eval(Product((chi.ref(), IntPower(Sum((chi.ref(), w.ref())), k - 1))))
-            second = v.moments[n - k]
-            total = total + comb(n, k) * first * second
+            total = total + comb(n, k) * abel_first[k] * mult[k].moments[n - k]
         if total != chi_m[n]:
             abel_ok = False
 

@@ -91,30 +91,9 @@ def _wrap_name(name: str) -> str:
 # -- point product -------------------------------------------------------------
 
 
-def dot(ws: Workspace, left, alpha: Atom) -> Atom:
-    """The point multiple left.alpha.
-
-    ``left`` may be an integer (negative means the inverse multiple), an
-    indeterminate name or Poly, or an umbra.  Moments follow the
-    falling-factorial Bell expansion; the generating function is f^n,
-    exp(p*log f) or g(log f) respectively.
-    """
-    n = ws.order
-    f = alpha.egf
+def _bell_transform(weights, alpha: Atom, n: int) -> list:
+    """The moments sum_{i<=k} w_i B_{k,i}(a_1, a_2, ...) for k = 0..n."""
     tri = bell_triangle(alpha.moments[1:], n)
-    if isinstance(left, Atom):
-        weights = [falling_factorial_moment(left, i) for i in range(n + 1)]
-        egf = left.egf.compose(f.log())
-        name = f"{_wrap_name(left.name)}.{_wrap_name(alpha.name)}"
-    elif isinstance(left, int):
-        weights = [Poly.const(falling_factorial(left, i)) for i in range(n + 1)]
-        egf = f.pow_int(left)
-        name = f"{left}.{_wrap_name(alpha.name)}"
-    else:
-        p = _scale_arg(ws, left)
-        weights = [falling_factorial(p, i) for i in range(n + 1)]
-        egf = f.log().scalar_mul(p).exp()
-        name = f"{_scale_name(p)}.{_wrap_name(alpha.name)}"
     moments = []
     for k in range(n + 1):
         acc = ZERO
@@ -123,7 +102,36 @@ def dot(ws: Workspace, left, alpha: Atom) -> Atom:
             if w and b:
                 acc = acc + w * b
         moments.append(acc)
-    return ws._register(name, moments, egf)
+    return moments
+
+
+def dot(ws: Workspace, left, alpha: Atom) -> Atom:
+    """The point multiple left.alpha.
+
+    ``left`` may be an integer (negative means the inverse multiple), an
+    indeterminate name or Poly, or an umbra.  Moments follow the
+    falling-factorial Bell expansion.  The generating function is computed
+    independently of them: f^p for a scalar multiplier p (an integer or a
+    Poly, by :meth:`Series.pow_int`), and g(log f) for an umbra with
+    generating function g.
+    """
+    if isinstance(left, Atom):
+        weights = [falling_factorial_moment(left, i) for i in range(ws.order + 1)]
+        return ws._register(f"{_wrap_name(left.name)}.{_wrap_name(alpha.name)}",
+                            _bell_transform(weights, alpha, ws.order),
+                            left.egf.compose(alpha.egf.log()))
+    if isinstance(left, int):
+        return _scalar_multiple(ws, left, alpha, f"{left}.{_wrap_name(alpha.name)}")
+    p = _scale_arg(ws, left)
+    return _scalar_multiple(ws, p, alpha, f"{_scale_name(p)}.{_wrap_name(alpha.name)}")
+
+
+def _scalar_multiple(ws: Workspace, p, alpha: Atom, name: str) -> Atom:
+    """p.alpha for an integer or Poly p: moments sum_i (p)_i B_{k,i}(a),
+    generating function f^p."""
+    weights = [Poly.coerce(falling_factorial(p, i)) for i in range(ws.order + 1)]
+    return ws._register(name, _bell_transform(weights, alpha, ws.order),
+                        alpha.egf.pow_int(p))
 
 
 # -- point power ----------------------------------------------------------------
@@ -149,9 +157,9 @@ def point_power(ws: Workspace, alpha: Atom, n: int) -> Atom:
 
 def inverse_umbra(ws: Workspace, alpha: Atom) -> Atom:
     """The additive inverse: alpha + inverse(alpha) is similar to the
-    augmentation, so the generating function is 1/f."""
-    egf = alpha.egf.pow_int(-1)
-    return ws._register(f"inv({alpha.name})", egf.moments(), egf)
+    augmentation, so the generating function is 1/f.  It is the point
+    multiple (-1).alpha, so its moments come from the same Bell expansion."""
+    return _scalar_multiple(ws, -1, alpha, f"inv({alpha.name})")
 
 
 # -- Bell umbrae ---------------------------------------------------------------------
@@ -185,7 +193,6 @@ def partition_umbra(ws: Workspace, alpha: Atom, scale=None) -> Atom:
     is exp(f - 1); the scaled form weights B_{n,k} by c^k under
     exp(c (f - 1))."""
     n = ws.order
-    tri = bell_triangle(alpha.moments[1:], n)
     fm1 = alpha.egf - Series.one(n)
     if scale is None:
         weights = [ONE] * (n + 1)
@@ -196,32 +203,16 @@ def partition_umbra(ws: Workspace, alpha: Atom, scale=None) -> Atom:
         weights = [c ** i for i in range(n + 1)]
         egf = fm1.scalar_mul(c).exp()
         name = f"{_scale_name(c)}.part({alpha.name})"
-    moments = []
-    for k in range(n + 1):
-        acc = ZERO
-        for i in range(k + 1):
-            w, b = weights[i], tri[k][i]
-            if w and b:
-                acc = acc + w * b
-        moments.append(acc)
-    return ws._register(name, moments, egf)
+    return ws._register(name, _bell_transform(weights, alpha, n), egf)
 
 
 def composition_umbra(ws: Workspace, gamma: Atom, alpha: Atom) -> Atom:
     """The composition umbra of gamma and alpha: moments
     sum_k g_k B_{n,k}(a), generating function g(f - 1)."""
     n = ws.order
-    tri = bell_triangle(alpha.moments[1:], n)
-    moments = []
-    for k in range(n + 1):
-        acc = ZERO
-        for i in range(k + 1):
-            g, b = gamma.moments[i], tri[k][i]
-            if g and b:
-                acc = acc + g * b
-        moments.append(acc)
     egf = gamma.egf.compose(alpha.egf - Series.one(n))
-    return ws._register(f"comp({gamma.name},{alpha.name})", moments, egf)
+    return ws._register(f"comp({gamma.name},{alpha.name})",
+                        _bell_transform(gamma.moments, alpha, n), egf)
 
 
 # -- the shifted-moment umbra -----------------------------------------------------------

@@ -19,8 +19,11 @@ draws from the three substreams ``Stream(chunk_seed).derive(t)`` for t = 1
 each consumed in sample order within the chunk.  Poisson draws use
 sequential inversion: the CDF table is built by the
 p_{k+1} = p_k * lam/(k+1) recurrence and a uniform is inverted against it.
-Everything downstream is a pure function of (model, n, seed), whatever the
-thread count or chunk schedule.
+Its start, exp(-lam), loses precision above lam = 708 and underflows
+above 745, so a rate above ``POISSON_PART`` is split into equal parts whose
+counts are summed: Poisson additivity, x.beta + y.beta' ~ (x + y).beta
+(see ``_poisson_counts``).  Everything downstream is a pure function of
+(model, n, seed).
 
 Jump and parameter distributions are restricted to finite rational support
 so every predicted moment is a finite exact sum.
@@ -34,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import bell_triangle, stirling
+from .combinatorics import bell_triangle
 from .errors import InvalidDistribution
 from .poly import Poly
 from .prng import GOLDEN, MASK, Stream
@@ -42,6 +45,8 @@ from .prng import GOLDEN, MASK, Stream
 CHUNK = 1 << 16
 Z_TOLERANCE = 8.0
 MAX_ORDER_CAP = 6
+POISSON_PART = 500
+MAX_RATE = 100_000
 
 _U64 = np.uint64
 
@@ -54,6 +59,15 @@ def _uniform_block(seed: int, count: int) -> np.ndarray:
     z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
     z = z ^ (z >> _U64(31))
     return (z >> _U64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _rate(lam) -> Fraction:
+    """A Poisson rate: positive, and at most MAX_RATE because the sampler
+    draws ceil(lam / POISSON_PART) uniforms per count."""
+    lam = Fraction(lam)
+    if not 0 < lam <= MAX_RATE:
+        raise InvalidDistribution(f"Poisson rate must lie in (0, {MAX_RATE}]")
+    return lam
 
 
 # -- distributions ----------------------------------------------------------------
@@ -82,9 +96,9 @@ class DiscreteDist:
     def point_mass(value) -> "DiscreteDist":
         return DiscreteDist((Fraction(value),), (Fraction(1),))
 
-    def require_nonnegative(self, what: str):
-        if any(v < 0 for v in self.values):
-            raise InvalidDistribution(f"{what} values must be nonnegative")
+    def require_rates(self, what: str):
+        if not all(0 <= v <= MAX_RATE for v in self.values):
+            raise InvalidDistribution(f"{what} values must lie in [0, {MAX_RATE}]")
 
     def moment(self, j: int) -> Fraction:
         return sum(p * v ** j for v, p in zip(self.values, self.probs))
@@ -107,9 +121,7 @@ class PoissonModel:
     lam: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        if self.lam <= 0:
-            raise InvalidDistribution("Poisson rate must be positive")
+        object.__setattr__(self, "lam", _rate(self.lam))
 
     def describe(self) -> str:
         return f"poisson({self.lam})"
@@ -121,9 +133,7 @@ class CompoundModel:
     jumps: DiscreteDist
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        if self.lam <= 0:
-            raise InvalidDistribution("Poisson rate must be positive")
+        object.__setattr__(self, "lam", _rate(self.lam))
 
     def describe(self) -> str:
         return f"compound({self.lam}; jumps {self.jumps.spec()})"
@@ -134,7 +144,7 @@ class RandomizedModel:
     param: DiscreteDist
 
     def __post_init__(self):
-        self.param.require_nonnegative("parameter")
+        self.param.require_rates("parameter")
 
     def describe(self) -> str:
         return f"randomized(param {self.param.spec()})"
@@ -146,47 +156,31 @@ class RandomizedCompoundModel:
     jumps: DiscreteDist
 
     def __post_init__(self):
-        self.param.require_nonnegative("parameter")
+        self.param.require_rates("parameter")
 
     def describe(self) -> str:
         return (f"randomized_compound(param {self.param.spec()}; "
                 f"jumps {self.jumps.spec()})")
 
 
-Model = (PoissonModel, CompoundModel, RandomizedModel, RandomizedCompoundModel)
-
-
 # -- exact predictions -----------------------------------------------------------------
 
 
 def exact_moments(model, max_order: int) -> list:
-    """Exact rational moments E[X^k] for k = 0..max_order."""
-    out = [Fraction(1)]
-    if isinstance(model, PoissonModel):
-        for k in range(1, max_order + 1):
-            out.append(sum(stirling("second", k, j) * model.lam ** j
-                           for j in range(k + 1)))
-    elif isinstance(model, RandomizedModel):
-        for k in range(1, max_order + 1):
-            out.append(sum(stirling("second", k, j) * model.param.moment(j)
-                           for j in range(k + 1)))
-    elif isinstance(model, (CompoundModel, RandomizedCompoundModel)):
-        jm = [Poly.const(model.jumps.moment(j)) for j in range(1, max_order + 1)]
-        tri = bell_triangle(jm, max_order)
-        if isinstance(model, CompoundModel):
-            weights = [model.lam ** j for j in range(max_order + 1)]
-        else:
-            weights = [model.param.moment(j) for j in range(max_order + 1)]
-        for k in range(1, max_order + 1):
-            acc = Fraction(0)
-            for j in range(k + 1):
-                b = tri[k][j]
-                if b:
-                    acc += weights[j] * b.constant()
-            out.append(acc)
+    """Exact rational moments E[X^k] = sum_j E[L^j] B_{k,j}(jump moments)
+    for k = 0..max_order, with L the (possibly random) rate; the
+    uncompounded models have unit jumps, where B_{k,j}(1, 1, ...) = S(k,j)."""
+    orders = range(max_order + 1)
+    if isinstance(model, (PoissonModel, CompoundModel)):
+        weights = [model.lam ** j for j in orders]
+    elif isinstance(model, (RandomizedModel, RandomizedCompoundModel)):
+        weights = [model.param.moment(j) for j in orders]
     else:
         raise TypeError(f"unknown model: {model!r}")
-    return out
+    jumps = getattr(model, "jumps", DiscreteDist.point_mass(1))
+    tri = bell_triangle([Poly.const(jumps.moment(j)) for j in orders[1:]], max_order)
+    return [sum((w * b.constant() for w, b in zip(weights, tri[k])), Fraction(0))
+            for k in orders]
 
 
 # -- sampling ---------------------------------------------------------------------------
@@ -206,8 +200,24 @@ def _poisson_cdf(lam: float) -> np.ndarray:
     return np.array(cdf)
 
 
-def _invert_poisson(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+def _poisson_counts(lam: float, u: np.ndarray, stream: Stream, mask=None) -> np.ndarray:
+    """Poisson(lam) counts at the positions ``mask`` selects (all when None)
+    of the uniforms ``u``, which came from ``stream``.  A rate above
+    POISSON_PART is split into equal parts; part j >= 1 inverts the same
+    positions of the substream ``stream.derive(j)``."""
+    parts = max(1, math.ceil(lam / POISSON_PART))
+    cdf = _poisson_cdf(lam / parts)
+    counts = np.searchsorted(cdf, u if mask is None else u[mask],
+                             side="right").astype(np.int64)
+    for j in range(1, parts):
+        extra = _uniform_block(stream.derive(j).seed, len(u))
+        counts += np.searchsorted(cdf, extra if mask is None else extra[mask], side="right")
+    return counts
+
+
+def _draw_index(dist: DiscreteDist, u: np.ndarray) -> np.ndarray:
+    return np.minimum(np.searchsorted(dist.cdf_array(), u, side="right"),
+                      len(dist.values) - 1)
 
 
 def _segment_sums(jump_values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -218,36 +228,26 @@ def _segment_sums(jump_values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def _sample_chunk(model, chunk_seed: int, count: int) -> np.ndarray:
     s = Stream(chunk_seed)
-    u_main = _uniform_block(s.derive(1).seed, count)
-    if isinstance(model, PoissonModel):
-        return _invert_poisson(_poisson_cdf(float(model.lam)), u_main).astype(np.float64)
-    if isinstance(model, CompoundModel):
-        counts = _invert_poisson(_poisson_cdf(float(model.lam)), u_main)
-        total = int(counts.sum())
-        u_jump = _uniform_block(s.derive(3).seed, total)
-        jv = model.jumps.value_array()[
-            np.minimum(np.searchsorted(model.jumps.cdf_array(), u_jump, side="right"),
-                       len(model.jumps.values) - 1)]
-        return _segment_sums(jv, counts)
-    if isinstance(model, (RandomizedModel, RandomizedCompoundModel)):
-        pidx = np.minimum(
-            np.searchsorted(model.param.cdf_array(), u_main, side="right"),
-            len(model.param.values) - 1)
-        u_count = _uniform_block(s.derive(2).seed, count)
+    main = s.derive(1)
+    u_main = _uniform_block(main.seed, count)
+    if isinstance(model, (PoissonModel, CompoundModel)):
+        counts = _poisson_counts(float(model.lam), u_main, main)
+    elif isinstance(model, (RandomizedModel, RandomizedCompoundModel)):
+        pidx = _draw_index(model.param, u_main)
+        count_stream = s.derive(2)
+        u_count = _uniform_block(count_stream.seed, count)
         counts = np.zeros(count, dtype=np.int64)
         for i, v in enumerate(model.param.values):
             mask = pidx == i
             if mask.any():
-                counts[mask] = _invert_poisson(_poisson_cdf(float(v)), u_count[mask])
-        if isinstance(model, RandomizedModel):
-            return counts.astype(np.float64)
-        total = int(counts.sum())
-        u_jump = _uniform_block(s.derive(3).seed, total)
-        jv = model.jumps.value_array()[
-            np.minimum(np.searchsorted(model.jumps.cdf_array(), u_jump, side="right"),
-                       len(model.jumps.values) - 1)]
-        return _segment_sums(jv, counts)
-    raise TypeError(f"unknown model: {model!r}")
+                counts[mask] = _poisson_counts(float(v), u_count, count_stream, mask)
+    else:
+        raise TypeError(f"unknown model: {model!r}")
+    if isinstance(model, (PoissonModel, RandomizedModel)):
+        return counts.astype(np.float64)
+    u_jump = _uniform_block(s.derive(3).seed, int(counts.sum()))
+    jumps = model.jumps.value_array()[_draw_index(model.jumps, u_jump)]
+    return _segment_sums(jumps, counts)
 
 
 def sample(model, n: int, seed: int) -> np.ndarray:

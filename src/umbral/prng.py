@@ -7,7 +7,7 @@ finalizer below.  Outputs are a pure function of (seed, index), which gives
 splittable substreams: derive an independent stream as
 ``Stream(seed).derive(tag)`` without consuming state from the parent.  All
 sampling in the package flows through this generator, so results depend only
-on the documented seeds, never on thread count or call order.
+on the documented seeds.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ class Stream:
         return Stream(mix64(self.seed ^ mix64(tag ^ 0xD6E8FEB86659FD93)))
 
     # -- convenience draws -------------------------------------------------
-
-    def uniform(self) -> float:
-        """53-bit uniform in [0, 1)."""
-        return (self.next_u64() >> 11) * 2.0 ** -53
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] (modulo reduction; spans here are

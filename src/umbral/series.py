@@ -132,34 +132,48 @@ class Series:
         c = Poly.coerce(c)
         return Series(self.order, [c * a for a in self.coeffs])
 
-    def pow_int(self, n: int) -> "Series":
-        """Integer power; negative exponents require a unital series."""
-        if n < 0:
-            if not self.is_unital():
-                raise NegativePowerOfDeltaSeries(
-                    "negative power needs constant term 1")
-            return self._reciprocal().pow_int(-n)
-        result = Series.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+    def pow_int(self, p) -> "Series":
+        """f^p by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
 
-    def _reciprocal(self) -> "Series":
-        # c_0 = 1, so b_n = -sum_{j=1..n} a_j b_{n-j} needs no division
-        a = self.coeffs
-        b = [ONE]
-        for n in range(1, self.order + 1):
+            m a_0 b_m = sum_{k=1..m} ((p+1) k - m) a_k b_{m-k},  b = f^p,
+
+        the t^(m-1) coefficient of f (f^p)' = p f' f^p, in one O(N^2) pass.
+        For unital f, p may be any integer, rational or ``Poly``.  Otherwise
+        p must be a nonnegative integer: the t-valuation is shifted out and a
+        constant lowest coefficient divided out; a non-constant one has no
+        reciprocal, so that case multiplies p times.
+        """
+        n = self.order
+        if p == 0:
+            return Series.one(n)
+        if self.is_unital():
+            v, shift, c0 = 0, 0, Fraction(1)
+        elif not isinstance(p, int):
+            raise DomainError("non-integer power needs constant term 1")
+        elif p < 0:
+            raise NegativePowerOfDeltaSeries("negative power needs constant term 1")
+        else:
+            v = next((k for k, c in enumerate(self.coeffs) if c), n + 1)
+            shift = v * p
+            if shift > n:
+                return Series.zero(n)
+            if not self.coeffs[v].is_constant():
+                result = self
+                for _ in range(p - 1):
+                    result = result * self
+                return result
+            c0 = self.coeffs[v].constant()
+        a = self.coeffs[v:]
+        qk = [(p + 1) * k for k in range(len(a))]
+        b = [ONE if c0 == 1 else Poly.const(c0 ** p)]
+        for m in range(1, n - shift + 1):
             acc = ZERO
-            for j in range(1, n + 1):
-                if a[j] and b[n - j]:
-                    acc = acc + a[j] * b[n - j]
-            b.append(-acc)
-        return Series(self.order, b)
+            for k in range(1, m + 1):
+                if a[k] and b[m - k]:
+                    # weight a_k, which usually has fewer terms than b_{m-k}
+                    acc = acc + a[k] * (qk[k] - m) * b[m - k]
+            b.append(acc / (c0 * m))
+        return Series(n, [ZERO] * shift + b)
 
     # -- exp / log -------------------------------------------------------------
 
@@ -243,14 +257,6 @@ class Series:
     def mul_t(self) -> "Series":
         """Multiply by t at fixed order (the top coefficient falls off)."""
         return Series(self.order, (ZERO,) + self.coeffs[:-1])
-
-    def div_t(self) -> "Series":
-        """Divide a delta series by t; the order drops by one."""
-        if not self.is_delta():
-            raise DomainError("division by t requires a delta series")
-        if self.order == 0:
-            return Series.zero(0)
-        return Series(self.order - 1, self.coeffs[1:])
 
     def truncate(self, order: int) -> "Series":
         if order > self.order:

@@ -206,6 +206,19 @@ def test_error_reporting():
     assert code == 2 and json.loads(err)["error"] == "InvalidDistribution"
 
 
+@pytest.mark.parametrize("argv", [
+    ("mc", "--model", "poisson", "--lambda", "1/0"),
+    ("mc", "--model", "poisson", "--lambda", "1e400"),
+    ("mc", "--model", "compound", "--lambda", "1", "--jumps", "1e400:1",
+     "--n", "10"),
+    ("eval", "E[" + "(" * 3000 + "u" + ")" * 3000 + "]"),
+])
+def test_bad_inputs_exit_2_with_json_error(argv):
+    code, out, err = run(*argv)
+    assert code == 2 and not out
+    assert set(json.loads(err)) == {"error", "message"}
+
+
 def test_text_format():
     code, out, _ = run("--format", "text", "bell", "-n", "6")
     assert code == 0 and "bell: 203" in out

@@ -9,7 +9,9 @@ from umbral.combinatorics import (
     stirling,
 )
 from umbral.core import Workspace
+from umbral import ops
 from umbral.errors import (
+    CoherenceError,
     NonUnitLinearMoment,
     UndeclaredIndeterminate,
     ZeroMomentReciprocal,
@@ -330,3 +332,49 @@ def test_every_constructor_produces_coherent_atoms():
         alpha_bar(ws, a), scale_atom(ws, Fraction(1, 2), a),
     ):
         assert_coherent(atom)
+
+
+# -- the coherence check still bites -----------------------------------------------------------
+
+
+SCALAR_MULTIPLES = {
+    "3.a": lambda ws, a: dot(ws, 3, a),
+    "-2.a": lambda ws, a: dot(ws, -2, a),
+    "x.a": lambda ws, a: dot(ws, "x", a),
+    "inv(a)": lambda ws, a: inverse_umbra(ws, a),
+}
+
+
+@pytest.mark.parametrize("build", SCALAR_MULTIPLES.values(), ids=SCALAR_MULTIPLES)
+def test_corrupted_power_routine_is_caught(monkeypatch, build):
+    # one wrong coefficient on the generating-function route
+    power = Series.pow_int
+
+    def corrupted(self, p):
+        out = power(self, p)
+        coeffs = list(out.coeffs)
+        coeffs[2] = coeffs[2] + 1
+        return Series(out.order, coeffs)
+
+    ws = fresh()
+    a = random_umbra(ws, Stream(31), "a")
+    assert_coherent(build(ws, a))
+    monkeypatch.setattr(Series, "pow_int", corrupted)
+    with pytest.raises(CoherenceError):
+        build(ws, a)
+
+
+@pytest.mark.parametrize("build", SCALAR_MULTIPLES.values(), ids=SCALAR_MULTIPLES)
+def test_corrupted_falling_factorial_is_caught(monkeypatch, build):
+    # one wrong Bell-expansion weight on the moment route
+    falling = ops.falling_factorial
+
+    def corrupted(value, i):
+        out = falling(value, i)
+        return out + 1 if i == 2 else out
+
+    ws = fresh()
+    a = random_umbra(ws, Stream(32), "a")
+    monkeypatch.setattr(ops, "falling_factorial", corrupted)
+    with pytest.raises(CoherenceError):
+        build(ws, a)

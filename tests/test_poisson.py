@@ -110,3 +110,21 @@ def test_point_mass_jump_zero_counts():
 def test_bell_number_predictions_for_unit_poisson():
     assert [int(v) for v in exact_moments(PoissonModel(1), 6)] == \
         [bell_number(k) for k in range(7)]
+
+
+@pytest.mark.parametrize("model", [
+    PoissonModel(800),
+    RandomizedModel(DiscreteDist((1, 800), (HALF, HALF))),
+])
+def test_rates_beyond_exp_underflow(model):
+    # exp(-800) underflows, so the sampler splits the rate into parts
+    comp = compare(model, 20000, 31, max_order=4)
+    assert comp.passed, comp.rows
+    assert np.array_equal(sample(model, 20000, 31), sample(model, 20000, 31))
+
+
+def test_rate_cap():
+    with pytest.raises(InvalidDistribution):
+        PoissonModel(10 ** 6)
+    with pytest.raises(InvalidDistribution):
+        RandomizedModel(DiscreteDist((1, 10 ** 6), (HALF, HALF)))

@@ -218,6 +218,65 @@ def test_power_additivity(f, n, m):
     assert f.pow_int(n) * f.pow_int(m) == f.pow_int(n + m)
 
 
+def x_series_strategy(order, unital=False):
+    """Series whose coefficients are r + s*x with small rationals r, s."""
+    x = Poly.var("x")
+
+    def build(pairs):
+        coeffs = [r + x * s for r, s in pairs]
+        if unital:
+            coeffs[0] = Poly.const(1)
+        return Series(order, coeffs)
+    return st.lists(st.tuples(rationals, rationals),
+                    min_size=order + 1, max_size=order + 1).map(build)
+
+
+def power_by_products(f, n):
+    """f^n for n >= 0 by n - 1 plain series products."""
+    out = Series.one(f.order)
+    for _ in range(n):
+        out = out * f
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(series_strategy(6, unital=True), x_series_strategy(6, unital=True)),
+       st.integers(min_value=-6, max_value=6))
+def test_pow_int_of_unital_series_matches_products(f, n):
+    if n >= 0:
+        assert f.pow_int(n) == power_by_products(f, n)
+    else:
+        assert f.pow_int(n) * power_by_products(f, -n) == Series.one(6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(series_strategy(6, delta=True), series_strategy(6),
+                 x_series_strategy(6)),
+       st.integers(min_value=0, max_value=6))
+def test_pow_int_of_other_series_matches_products(f, n):
+    # delta series (shifted t-valuation), constant terms other than 0 and 1,
+    # and x-carrying lowest coefficients
+    assert f.pow_int(n) == power_by_products(f, n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(series_strategy(6, unital=True), x_series_strategy(6, unital=True)),
+       st.sampled_from([Poly.var("x"), Poly.var("y") * 2 - 1,
+                        Poly.var("x") * Poly.var("y"), Poly.const(Fraction(-1, 3))]))
+def test_pow_int_poly_exponent_matches_exp_log(f, p):
+    assert f.pow_int(p) == f.log().scalar_mul(p).exp()
+
+
+def test_pow_int_domain():
+    x = Poly.var("x")
+    with pytest.raises(DomainError):
+        Series.make([2, 1], 4).pow_int(x)
+    with pytest.raises(NegativePowerOfDeltaSeries):
+        Series.make([2, 1], 4).pow_int(-2)
+    assert Series.t(4).pow_int(5) == Series.zero(4)
+    assert Series.zero(4).pow_int(0) == Series.one(4)
+
+
 @settings(max_examples=15, deadline=None)
 @given(series_strategy(8, unital=True), st.integers(min_value=0, max_value=4))
 def test_exp_x_log_specializes_to_integer_powers(f, n):
