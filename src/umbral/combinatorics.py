@@ -76,7 +76,7 @@ def _coerced(a) -> tuple:
     return tuple(Poly.coerce(v) for v in a)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # keyed by moment tuples: bounded for long sessions
 def _bell_triangle_cached(a: tuple, max_n: int) -> tuple:
     """Rows B[n][k] for 0 <= k <= n <= max_n from a = (a_1, a_2, ...).
 

@@ -5,12 +5,15 @@ m_0..m_N (each a :class:`~umbral.poly.Poly`, m_0 = 1) together with its
 generating function as a :class:`~umbral.series.Series`; the two are kept
 coherent (k! * c_k = m_k) by every registration path.
 
-Evaluation follows the two defining rules exactly:
+Evaluation follows the defining rules exactly:
 
 * powers of expressions are expanded into a normal form (a polynomial in
   atom symbols) *before* moments are substituted;
 * within a monomial, powers of distinct atoms evaluate independently and
-  multiply, while powers of one atom merge first.
+  multiply, while powers of one atom merge first;
+* blocks of a normal form (maximal sets of monomials linked through shared
+  atoms) are uncorrelated: their gfs multiply, so their moments combine by
+  binomial convolution, E[(A+B)^k] = sum_i C(k,i) E[A^i] E[B^(k-i)].
 
 Distinct atoms are therefore uncorrelated by construction, and similarity
 (equal moment sequences) is decidable only up to the truncation order.
@@ -19,7 +22,9 @@ Distinct atoms are therefore uncorrelated by construction, and similarity
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import count
+from math import comb
 
 from .errors import (
     BadZerothMoment,
@@ -27,7 +32,7 @@ from .errors import (
     OrderExceeded,
     UndeclaredIndeterminate,
 )
-from .poly import ONE, ZERO, Poly
+from .poly import ONE, ZERO, Poly, _mono_mul
 from .series import Series, factorial
 
 DEFAULT_ORDER = 12
@@ -219,17 +224,6 @@ class Atom:
 # (uid, power) pairs -- to its Poly coefficient.
 
 
-def _mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    powers = dict(m1)
-    for uid, p in m2:
-        powers[uid] = powers.get(uid, 0) + p
-    return tuple(sorted(powers.items()))
-
-
 def _nf_add(a, b):
     out = dict(a)
     for m, c in b.items():
@@ -286,6 +280,36 @@ def _expand(e: Expr) -> dict:
     if isinstance(e, IntPower):
         return _nf_pow(_expand(e.child), e.power)
     raise TypeError(f"unknown expression node: {e!r}")
+
+
+def _blocks(nf: dict) -> list:
+    """Split a normal form into blocks: maximal sets of monomials linked
+    through shared atoms (union-find over atom uids).  The constant
+    monomial is a block of its own; the zero form is one empty block."""
+    root: dict = {}
+
+    def find(u):
+        while root.setdefault(u, u) != u:
+            u = root[u]
+        return u
+
+    for mono in nf:
+        for uid, _ in mono[1:]:
+            root[find(uid)] = find(mono[0][0])
+    blocks: dict = {}
+    for mono, c in nf.items():
+        blocks.setdefault(find(mono[0][0]) if mono else None, {})[mono] = c
+    return list(blocks.values()) or [nf]
+
+
+def _convolve(a: list, b: list, k: int) -> Poly:
+    """E[(A+B)^k] from the moments of uncorrelated A and B."""
+    return sum((comb(k, i) * a[i] * b[k - i] for i in range(k + 1)), ZERO)
+
+
+def _fold(moments: list, n: int) -> list:
+    """Moments 0..n of a sum of uncorrelated blocks, from each block's."""
+    return reduce(lambda a, b: [_convolve(a, b, k) for k in range(n + 1)], moments)
 
 
 # -- workspace ------------------------------------------------------------------------
@@ -349,7 +373,7 @@ class Workspace:
         """Materialize an expression as a fresh atom (its own symbol, with
         the expression's moments); correlation with the inputs is severed."""
         expr = as_expr(expr)
-        moments = [self.eval(expr, k) for k in range(self.order + 1)]
+        moments = self.moments_of(expr)
         return self._register(name or f"<{expr!r}>", moments,
                               Series.from_moments(moments))
 
@@ -379,21 +403,37 @@ class Workspace:
         return total
 
     def eval(self, expr, k: int = 1) -> Poly:
-        """E[expr^k] as a Poly over the declared indeterminates."""
+        """E[expr^k] as a Poly over the declared indeterminates: a single
+        block is expanded to the k-th power, several are convolved."""
         if k < 0 or k > self.order:
             raise OrderExceeded(f"power {k} outside order {self.order}")
         nf = _expand(as_expr(expr))
+        blocks = _blocks(nf)
+        if len(blocks) > 1:
+            try:
+                *rest, last = [self._powers(b, k) for b in blocks]
+                return _convolve(_fold(rest, k), last, k)
+            except OrderExceeded:
+                pass  # the full expansion below decides, and names, any overflow
         return self._apply(_nf_pow(nf, k))
 
-    def moments_of(self, expr) -> list:
-        nf = _expand(as_expr(expr))
+    def _powers(self, nf: dict, n: int) -> list:
+        """E[nf^k] for k = 0..n by repeated multiplication."""
         out = []
         acc = {(): ONE}
-        for k in range(self.order + 1):
+        for k in range(n + 1):
             if k:
                 acc = _nf_mul(acc, nf)
             out.append(self._apply(acc))
         return out
+
+    def moments_of(self, expr) -> list:
+        """E[expr^k] for k = 0..order: each block's moments, convolved."""
+        nf = _expand(as_expr(expr))
+        try:
+            return _fold([self._powers(b, self.order) for b in _blocks(nf)], self.order)
+        except OrderExceeded:
+            return self._powers(nf, self.order)  # decides, and names, any overflow
 
     def gf_of(self, expr) -> Series:
         """The generating function: sum_k E[expr^k] t^k / k!."""

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umbral.cli import ExprContext, main, parse_series, render
 from umbral.core import Workspace
@@ -204,6 +205,8 @@ def test_error_reporting():
     code, _, err = run("mc", "--model", "compound", "--lambda", "1",
                        "--jumps", "1:1/2,2:1/3", "--n", "10")
     assert code == 2 and json.loads(err)["error"] == "InvalidDistribution"
+    code, _, err = run("eval", "E[u^2 + u']", "-k", "8")
+    assert json.loads(err)["message"] == "moment 16 of u exceeds order 12"
 
 
 @pytest.mark.parametrize("argv", [
@@ -212,11 +215,33 @@ def test_error_reporting():
     ("mc", "--model", "compound", "--lambda", "1", "--jumps", "1e400:1",
      "--n", "10"),
     ("eval", "E[" + "(" * 3000 + "u" + ")" * 3000 + "]"),
+    ("eval", "E[u^2 + u']", "-k", "8"),
 ])
 def test_bad_inputs_exit_2_with_json_error(argv):
     code, out, err = run(*argv)
     assert code == 2 and not out
     assert set(json.loads(err)) == {"error", "message"}
+
+
+# Each digit ends in a space: numbers stay below 4, so expansions stay small.
+_TOKENS = ["u", "eps", "a", "x", "bell", "inv", "E", "'", ".", "^", "^.",
+           "+", "-", "*", "(", ")", "[", "]", ",", "0 ", "1 ", "2 ", "3 "]
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=st.one_of(st.lists(st.sampled_from(_TOKENS), max_size=10).map("".join),
+                      st.text(max_size=12)),
+       command=st.sampled_from(["eval", "gf"]),
+       k=st.integers(-1, 5))
+def test_cli_fuzz_never_tracebacks(text, command, k):
+    argv = ["--order", "4", command] + (["-k", str(k)] if command == "eval" else [])
+    code, out, err = run(*argv, "--", text)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert "error" in json.loads(err)
+    else:
+        json.loads(out)
 
 
 def test_text_format():

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from umbral.combinatorics import (
+    _bell_triangle_cached,
     bell_number,
     bell_triangle,
     bernoulli_number,
@@ -145,3 +146,8 @@ def test_bell_triangle_shape():
         assert tri[n][n] == 1
         for k in range(1, n + 1):
             assert tri[n][k] == stirling("second", n, k)
+
+
+def test_bell_triangle_cache_is_bounded():
+    # keyed by moment tuples, so an unbounded cache grows with every new umbra
+    assert _bell_triangle_cached.cache_info().maxsize is not None

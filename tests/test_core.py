@@ -2,8 +2,17 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from umbral.core import Product, ScalarMul, Sum, Workspace
+from umbral.core import (
+    IntPower,
+    Product,
+    ScalarMul,
+    Sum,
+    Workspace,
+    _expand,
+    _nf_pow,
+)
 from umbral.errors import BadZerothMoment, CoherenceError, OrderExceeded
 from umbral.poly import ONE, Poly
 from umbral.prng import Stream
@@ -188,3 +197,72 @@ def test_atom_of_materializes_and_severs():
         assert both.moments[k] == ws.eval(a + g, k)
     # severed: multiplying by a behaves as an uncorrelated product
     assert ws.eval(both * a, 1) == both.moments[1] * a.moments[1]
+
+
+# -- blockwise evaluation against the full expansion ----------------------------
+
+_LEAVES = st.one_of(
+    st.tuples(st.sampled_from(["atom", "clone"]), st.integers(0, 3)),
+    st.sampled_from([("u",), ("eps",), ("one",)]),
+)
+
+
+def _branches(children):
+    return st.one_of(
+        st.tuples(st.sampled_from(["sum", "prod"]),
+                  st.lists(children, min_size=2, max_size=3)),
+        st.tuples(st.just("pow"), children, st.integers(0, 3)),
+        st.tuples(st.just("smul"),
+                  st.one_of(st.fractions(-3, 3, max_denominator=4),
+                            st.sampled_from(["x", 0])),
+                  children),
+    )
+
+
+def _build(ws, atoms, node):
+    kind = node[0]
+    if kind in ("atom", "clone"):
+        atom = atoms[node[1] % len(atoms)]
+        return (ws.clone(atom) if kind == "clone" else atom).ref()
+    if kind in ("u", "eps"):
+        return getattr(ws, kind).ref()
+    if kind == "one":
+        return Product(())
+    if kind in ("sum", "prod"):
+        parts = [_build(ws, atoms, c) for c in node[1]]
+        return Sum(parts) if kind == "sum" else Product(parts)
+    if kind == "pow":
+        return IntPower(_build(ws, atoms, node[1]), node[2])
+    coeff = ws.var("x") if node[1] == "x" else node[1]
+    return ScalarMul(coeff, _build(ws, atoms, node[2]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(moments=st.lists(st.lists(st.fractions(-2, 2, max_denominator=3),
+                                 min_size=6, max_size=6),
+                        min_size=2, max_size=4),
+       terms=st.lists(st.recursive(_LEAVES, _branches, max_leaves=5),
+                      min_size=1, max_size=4))
+def test_blockwise_evaluation_matches_full_expansion(moments, terms):
+    ws = fresh(order=6)
+    atoms = [ws.define(f"a{i}", [ONE] + m) for i, m in enumerate(moments)]
+    e = Sum([_build(ws, atoms, t) for t in terms])
+    nf = _expand(e)
+    expected = []
+    for k in range(ws.order + 1):
+        try:
+            expected.append(ws._apply(_nf_pow(nf, k)))
+        except OrderExceeded as exc:
+            expected.append(str(exc))
+    if any(isinstance(v, str) for v in expected):
+        with pytest.raises(OrderExceeded):
+            ws.moments_of(e)
+    else:
+        assert ws.moments_of(e) == expected
+    for k, want in enumerate(expected):
+        if isinstance(want, str):
+            with pytest.raises(OrderExceeded) as exc:
+                ws.eval(e, k)
+            assert str(exc.value) == want
+        else:
+            assert ws.eval(e, k) == want
