@@ -53,7 +53,7 @@ from .core import (
     Sum,
     Workspace,
 )
-from .errors import ParseError, UmbralError, UnknownAtom
+from .errors import ParseError, UmbralError, UnknownAtom, UsageError
 from .identities import check as check_identity, check_all, list_identities
 from .poly import Poly
 from .series import Series
@@ -615,6 +615,13 @@ def _cmd_mc(args) -> int:
 # -- argparse wiring ------------------------------------------------------------------------------
 
 
+class _ArgParser(argparse.ArgumentParser):
+    """Raises usage errors so that ``main`` reports them as JSON."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--order", type=int, default=argparse.SUPPRESS,
@@ -625,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed override")
-    ap = argparse.ArgumentParser(
+    ap = _ArgParser(
         prog="umbral",
         parents=[common],
         description="exact umbral-calculus engine: evaluation, identity "
@@ -696,8 +703,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     defaults = argparse.Namespace(order=None, workspace=None, format="json",
                                   seed=None)
-    args = ap.parse_args(argv, namespace=defaults)
     try:
+        args = ap.parse_args(argv, namespace=defaults)
         return args.fn(args)
     except (UmbralError, ValueError, KeyError, ZeroDivisionError, OverflowError,
             RecursionError) as exc:

@@ -346,10 +346,9 @@ class Workspace:
         if egf.order != self.order:
             raise ValueError("generating function order disagrees with workspace")
         for k, m in enumerate(moments):
-            if egf.coeffs[k] * factorial(k) != m:
-                raise CoherenceError(
-                    f"atom {name!r}: moment {k} = {m} but k![t^k]gf = "
-                    f"{egf.coeffs[k] * factorial(k)}")
+            gf_moment = egf.coeffs[k] * factorial(k)
+            if gf_moment != m:
+                raise CoherenceError(name, k, m, gf_moment, self.order)
         atom = Atom(next(self._uids), name, moments, egf, tag)
         self._atoms[atom.uid] = atom
         return atom

@@ -48,7 +48,15 @@ class NonUnitLinearMoment(UmbralError):
 
 class CoherenceError(UmbralError):
     """Internal consistency failure: an atom's stored moments disagree with
-    its stored generating function."""
+    its stored generating function.  ``moment`` is the k-th stored moment,
+    ``gf_moment`` is k! times the t^k coefficient of the generating
+    function, and ``order`` is the workspace truncation order."""
+
+    def __init__(self, atom, k, moment, gf_moment, order):
+        super().__init__(
+            f"atom {atom!r}: moment {k} = {moment} but k![t^k]gf = {gf_moment}")
+        self.atom, self.k, self.order = atom, k, order
+        self.moment, self.gf_moment = moment, gf_moment
 
 
 class UnknownIdentity(UmbralError):
@@ -61,6 +69,10 @@ class UnknownAtom(UmbralError):
 
 class InvalidDistribution(UmbralError):
     """Discrete distribution with non-positive weights or mass != 1."""
+
+
+class UsageError(UmbralError):
+    """Command-line arguments that the CLI parser rejects."""
 
 
 class ParseError(UmbralError):

@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .combinatorics import bell_triangle
 from .core import Atom, IntPower, Product, Sum, Workspace
 from .errors import NonUnitLinearMoment
-from .ops import alpha_bar, composition_umbra, dot, falling_factorial
+from .ops import _bell_transform, alpha_bar, composition_umbra, dot, falling_factorial
 from .poly import ONE, Poly
 from .series import Series
 
@@ -36,22 +35,18 @@ def _a1_reciprocal(alpha: Atom) -> Fraction:
     return Fraction(1) / a1.constant()
 
 
-def dot_moment(ws: Workspace, bar: Atom, mult: int, m: int) -> Poly:
+def dot_moment(bar: Atom, mult: int, m: int) -> Poly:
     """E[(mult.bar)^m] via the generating-function route: m! times the t^m
-    coefficient of [gf(bar)]^mult (mult may be negative)."""
-    return bar.egf.pow_int(mult).egf_moment(m)
+    coefficient of [gf(bar)]^mult (mult may be negative), with gf(bar)
+    truncated at t^m first."""
+    return bar.egf.truncate(m).pow_int(mult).egf_moment(m)
 
 
-def dot_moment_formula(ws: Workspace, bar: Atom, mult: int, m: int) -> Poly:
+def dot_moment_formula(bar: Atom, mult: int, m: int) -> Poly:
     """The same moment through the falling-factorial Bell expansion; used
     as the in-module cross-check of the generating-function route."""
-    tri = bell_triangle(bar.moments[1:], m)
-    total = Poly.const(0)
-    for i in range(m + 1):
-        w = falling_factorial(mult, i)
-        if w and tri[m][i]:
-            total = total + tri[m][i] * w
-    return total
+    weights = [Poly.coerce(falling_factorial(mult, i)) for i in range(m + 1)]
+    return _bell_transform(weights, bar, m)[m]
 
 
 def revert_umbral(ws: Workspace, alpha: Atom) -> Atom:
@@ -66,7 +61,7 @@ def revert_umbral(ws: Workspace, alpha: Atom) -> Atom:
     moments = [ONE]
     scale = inv_a1
     for k in range(1, ws.order + 1):
-        moments.append(dot_moment(ws, bar, -k, k - 1) * scale)
+        moments.append(dot_moment(bar, -k, k - 1) * scale)
         scale *= inv_a1
     return ws._register(f"lag({alpha.name})", moments, Series.from_moments(moments))
 

@@ -224,9 +224,13 @@ class Series:
     def revert(self) -> "Series":
         """Compositional inverse of a delta series with invertible c_1.
 
-        Triangular coefficient solving: with w known up to t^{k-1}, the t^k
-        coefficient of self(w(t)) is linear in w_k with leading factor c_1,
-        so each w_k is determined by one division.
+        Triangular coefficient solving: the t^m coefficient of self(w(t)) is
+        c_1 w_m + sum_{j=2..m} c_j P[j][m] with P[j][m] = [t^m] w^j, so each
+        w_m is determined by one division.  The power table is filled one
+        column at a time: for j >= 2, P[j][m] = sum_{i=1..m-j+1} w_i
+        P[j-1][m-i] reads only w_1..w_{m-1} and earlier columns.  That is
+        O(N^3) coefficient products in all, where recomposing the series
+        for every coefficient was O(N^4).
         """
         if not self.is_delta():
             raise DomainError("reversion requires a delta series")
@@ -236,13 +240,20 @@ class Series:
         if not c1 or not c1.is_constant():
             raise NotInvertible("linear coefficient has no reciprocal")
         c1 = c1.constant()
-        n = self.order
-        if n == 0:
-            return Series.zero(0)
+        n, c = self.order, self.coeffs
         w = [ZERO, ONE / c1] + [ZERO] * (n - 1)
-        for k in range(2, n + 1):
-            composite = self.compose(Series(n, w))
-            w[k] = -composite.coeffs[k] / c1
+        powers = [None, w] + [[ZERO] * (n + 1) for _ in range(n - 1)]
+        for m in range(2, n + 1):
+            acc = ZERO
+            for j in range(2, m + 1):
+                prev, entry = powers[j - 1], ZERO
+                for i in range(1, m - j + 2):
+                    if w[i] and prev[m - i]:
+                        entry = entry + w[i] * prev[m - i]
+                powers[j][m] = entry
+                if c[j] and entry:
+                    acc = acc + c[j] * entry
+            w[m] = -acc / c1
         return Series(n, w)
 
     # -- calculus helpers ------------------------------------------------------

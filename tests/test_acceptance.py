@@ -146,7 +146,7 @@ def test_criterion_5_stirling_bernoulli():
     bern = ws.define("bern", [Poly.const(bernoulli_number(k)) for k in range(11)])
     for n in range(11):
         for k in range(n + 1):
-            rhs = comb(n, k) * dot_moment(ws, bern, -k, n - k)
+            rhs = comb(n, k) * dot_moment(bern, -k, n - k)
             assert rhs == stirling("second", n, k), (n, k)
     _report(5, "S(n,k) via the Bernoulli umbra, all 0 <= k <= n <= 10", started)
 

@@ -216,11 +216,21 @@ def test_error_reporting():
      "--n", "10"),
     ("eval", "E[" + "(" * 3000 + "u" + ")" * 3000 + "]"),
     ("eval", "E[u^2 + u']", "-k", "8"),
+    ("eval", "-u"),
+    ("bell",),
 ])
 def test_bad_inputs_exit_2_with_json_error(argv):
     code, out, err = run(*argv)
     assert code == 2 and not out
     assert set(json.loads(err)) == {"error", "message"}
+
+
+def test_usage_errors_are_json_but_help_is_text():
+    code, _, err = run("bell")
+    assert code == 2 and json.loads(err) == {
+        "error": "UsageError", "message": "the following arguments are required: -n"}
+    code, out, err = run("bell", "--help")
+    assert code == 0 and out.startswith("usage: umbral bell") and not err
 
 
 # Each digit ends in a space: numbers stay below 4, so expansions stay small.

@@ -170,6 +170,18 @@ def test_register_rejects_incoherent_atoms():
         ws._register("broken", [ONE, ONE, ONE], Series.one(2))
 
 
+def test_coherence_error_names_the_disagreement():
+    ws = fresh(order=3)
+    egf = Series.exp_t(3)
+    moments = [ONE, ONE, Poly.const(5), ONE]
+    with pytest.raises(CoherenceError) as info:
+        ws._register("broken", moments, egf)
+    exc = info.value
+    assert (exc.atom, exc.k, exc.order) == ("broken", 2, 3)
+    assert exc.moment == 5 and exc.gf_moment == 1
+    assert str(exc) == "atom 'broken': moment 2 = 5 but k![t^k]gf = 1"
+
+
 def test_workspace_json_round_trip():
     ws = fresh(order=5)
     s = Stream(23)

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umbral.core import Workspace
 from umbral.errors import NonUnitLinearMoment
@@ -99,7 +100,7 @@ def test_normalized_case_drops_the_a1_division():
     bar = alpha_bar(ws, a)
     gamma = revert_umbral(ws, a)
     for k in range(1, ws.order + 1):
-        assert gamma.moments[k] == dot_moment(ws, bar, -k, k - 1)
+        assert gamma.moments[k] == dot_moment(bar, -k, k - 1)
 
 
 def test_dual_route_negative_dot_moments_agree():
@@ -109,8 +110,36 @@ def test_dual_route_negative_dot_moments_agree():
     bar = alpha_bar(ws, a)
     for mult in (-3, -1, 2):
         for m in range(ws.order):
-            assert dot_moment(ws, bar, mult, m) == \
-                dot_moment_formula(ws, bar, mult, m)
+            assert dot_moment(bar, mult, m) == \
+                dot_moment_formula(bar, mult, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4),
+                min_size=8, max_size=8),
+       st.integers(min_value=-6, max_value=6),
+       st.integers(min_value=0, max_value=8))
+def test_dot_moment_reads_the_untruncated_power(moments, mult, m):
+    bar = fresh(order=8).define("bar", [1] + moments)
+    assert dot_moment(bar, mult, m) == \
+        bar.egf.pow_int(mult).coeffs[m] * factorial(m)
+
+
+def test_corrupted_reversion_is_caught(monkeypatch):
+    # one wrong coefficient on the brute-reversion route
+    revert = Series.revert
+
+    def corrupted(self):
+        out = revert(self)
+        coeffs = list(out.coeffs)
+        coeffs[3] = coeffs[3] + 1
+        return Series(out.order, coeffs)
+
+    ws = fresh(order=6)
+    a = random_umbra(ws, Stream(61), "a")
+    assert cross_check(ws, a).agree
+    monkeypatch.setattr(Series, "revert", corrupted)
+    assert not cross_check(ws, a).agree
 
 
 def test_bar_normalization_identity_when_g1_is_one():
@@ -124,7 +153,7 @@ def test_bar_normalization_identity_when_g1_is_one():
     gbar = alpha_bar(ws, gamma)
     fbar = alpha_bar(ws, a)
     for k in range(1, ws.order):
-        assert k * gbar.moments[k - 1] == dot_moment(ws, fbar, -k, k - 1)
+        assert k * gbar.moments[k - 1] == dot_moment(fbar, -k, k - 1)
 
 
 def test_requires_invertible_linear_moment():

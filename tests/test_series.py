@@ -287,6 +287,35 @@ def test_exp_x_log_specializes_to_integer_powers(f, n):
     assert specialized == f.pow_int(n)
 
 
+# -- reversion against recomposition ------------------------------------------------------
+
+
+def revert_by_recomposition(h):
+    """The reversion of h by recomposing the whole series for every
+    coefficient: w_k = -[t^k] h(w) / c_1 with w known below t^k."""
+    n, c1 = h.order, h.coeffs[1].constant()
+    w = [Poly(), Poly.const(1 / c1)] + [Poly()] * (n - 1)
+    for k in range(2, n + 1):
+        w[k] = -h.compose(Series(n, w)).coeffs[k] / c1
+    return Series(n, w)
+
+
+def x_delta_series_strategy(order):
+    """Delta series with a nonzero rational c_1 and coefficients r + s*x above."""
+    def build(args):
+        c1, s = args
+        return Series(order, [0, c1] + list(s.coeffs[2:]))
+    return st.tuples(rationals.filter(bool), x_series_strategy(order)).map(build)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.one_of(series_strategy(n, delta=True, first_nonzero=True),
+                        x_delta_series_strategy(n))))
+def test_revert_matches_recomposition(h):
+    assert h.revert() == revert_by_recomposition(h)
+
+
 # -- serialization ----------------------------------------------------------------------------
 
 
