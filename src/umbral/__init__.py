@@ -31,17 +31,6 @@ from .ops import (
     point_power,
     scale_atom,
 )
-from .poisson import (
-    CompoundModel,
-    DiscreteDist,
-    MomentComparison,
-    PoissonModel,
-    RandomizedCompoundModel,
-    RandomizedModel,
-    compare,
-    exact_moments,
-    sample,
-)
 from .poly import Poly
 from .series import Series
 
@@ -60,3 +49,16 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The Monte Carlo lab needs numpy, which costs more to import than the rest
+# of the package; its names load it on first use.
+_POISSON = {"CompoundModel", "DiscreteDist", "MomentComparison", "PoissonModel",
+            "RandomizedCompoundModel", "RandomizedModel", "compare",
+            "exact_moments", "sample"}
+
+
+def __getattr__(name):
+    if name in _POISSON:
+        from . import poisson
+        return getattr(poisson, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

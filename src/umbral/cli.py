@@ -36,7 +36,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import inversion, ops, poisson
+from . import inversion, ops
 from .combinatorics import (
     bell_number,
     complete_bell,
@@ -400,7 +400,8 @@ def _parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
-def _parse_dist(spec: str) -> poisson.DiscreteDist:
+def _parse_dist(spec: str):
+    from .poisson import DiscreteDist
     values, probs = [], []
     for part in spec.split(","):
         v, _, p = part.partition(":")
@@ -408,7 +409,7 @@ def _parse_dist(spec: str) -> poisson.DiscreteDist:
             raise ValueError(f"distribution entries are value:prob, got {part!r}")
         values.append(_parse_rational(v))
         probs.append(_parse_rational(p))
-    return poisson.DiscreteDist(tuple(values), tuple(probs))
+    return DiscreteDist(tuple(values), tuple(probs))
 
 
 # -- series mini-parser for `invert --series` ---------------------------------------------
@@ -597,6 +598,7 @@ def _cmd_bellpoly(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    from . import poisson  # imports numpy, which no exact command needs
     lam = _parse_rational(args.lam) if args.lam else Fraction(1)
     if args.model == "poisson":
         model = poisson.PoissonModel(lam)

@@ -91,7 +91,7 @@ def _bell_triangle_cached(a: tuple, max_n: int) -> tuple:
         h_pow = h_pow * h
         inv_kfact = Fraction(1, factorial(k))
         for n in range(k, max_n + 1):
-            rows[n][k] = h_pow.coeffs[n] * (factorial(n) * inv_kfact)
+            rows[n][k] = Poly.coerce(h_pow.coeffs[n] * (factorial(n) * inv_kfact))
     return tuple(tuple(r) for r in rows)
 
 

@@ -33,7 +33,7 @@ from .errors import (
     UndeclaredIndeterminate,
 )
 from .poly import ONE, ZERO, Poly, _mono_mul
-from .series import Series, factorial
+from .series import Series
 
 DEFAULT_ORDER = 12
 
@@ -346,7 +346,7 @@ class Workspace:
         if egf.order != self.order:
             raise ValueError("generating function order disagrees with workspace")
         for k, m in enumerate(moments):
-            gf_moment = egf.coeffs[k] * factorial(k)
+            gf_moment = egf.egf_moment(k)
             if gf_moment != m:
                 raise CoherenceError(name, k, m, gf_moment, self.order)
         atom = Atom(next(self._uids), name, moments, egf, tag)

@@ -37,7 +37,7 @@ from .ops import (
     composition_umbra,
     dot,
     exponential_umbral_moment,
-    falling_factorial,
+    falling_factorials,
     inverse_umbra,
     partition_umbra,
     point_power,
@@ -107,11 +107,12 @@ def _recover_from_int_dot(ws, n_int, q):
     is the only term containing a_k and enters with factor n, so recovery is
     triangular."""
     rec = [ONE]
+    weights = falling_factorials(n_int, ws.order)
     for k in range(1, ws.order + 1):
         tri = bell_triangle(tuple(rec[1:]) + (ZERO,), k)
         acc = ZERO
         for i in range(1, k + 1):
-            w = falling_factorial(n_int, i)
+            w = weights[i]
             if w and tri[k][i]:
                 acc = acc + tri[k][i] * w
         rec.append((q[k] - acc) / n_int)

@@ -22,7 +22,7 @@ from math import comb
 
 from .core import Atom, IntPower, Product, Sum, Workspace
 from .errors import NonUnitLinearMoment
-from .ops import _bell_transform, alpha_bar, composition_umbra, dot, falling_factorial
+from .ops import _bell_transform, alpha_bar, composition_umbra, dot, falling_factorials
 from .poly import ONE, Poly
 from .series import Series
 
@@ -45,8 +45,7 @@ def dot_moment(bar: Atom, mult: int, m: int) -> Poly:
 def dot_moment_formula(bar: Atom, mult: int, m: int) -> Poly:
     """The same moment through the falling-factorial Bell expansion; used
     as the in-module cross-check of the generating-function route."""
-    weights = [Poly.coerce(falling_factorial(mult, i)) for i in range(m + 1)]
-    return _bell_transform(weights, bar, m)[m]
+    return _bell_transform(falling_factorials(mult, m), bar, m)[m]
 
 
 def revert_umbral(ws: Workspace, alpha: Atom) -> Atom:

@@ -37,17 +37,14 @@ from .series import Series
 # -- falling factorials ------------------------------------------------------
 
 
-def falling_factorial(value, i: int):
-    """(value)_i = value (value-1) ... (value-i+1); works for integers,
-    rationals and Poly arguments."""
-    if isinstance(value, Poly):
-        out = ONE
-        for j in range(i):
-            out = out * (value - j)
-        return out
-    out = Fraction(1)
-    for j in range(i):
-        out *= value - j
+def falling_factorials(value, n: int) -> list:
+    """[(value)_0, ..., (value)_n] as Polys, where (value)_i = value
+    (value-1) ... (value-i+1), by one running product; value is an integer,
+    a rational or a Poly."""
+    value = Poly.coerce(value)
+    out = [ONE]
+    for j in range(n):
+        out.append(out[-1] * (value - j))
     return out
 
 
@@ -129,7 +126,7 @@ def dot(ws: Workspace, left, alpha: Atom) -> Atom:
 def _scalar_multiple(ws: Workspace, p, alpha: Atom, name: str) -> Atom:
     """p.alpha for an integer or Poly p: moments sum_i (p)_i B_{k,i}(a),
     generating function f^p."""
-    weights = [Poly.coerce(falling_factorial(p, i)) for i in range(ws.order + 1)]
+    weights = falling_factorials(p, ws.order)
     return ws._register(name, _bell_transform(weights, alpha, ws.order),
                         alpha.egf.pow_int(p))
 

@@ -256,11 +256,11 @@ def sample(model, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError("need at least one sample")
     master = Stream(seed)
-    chunks = []
+    out = np.empty(n)  # filled in place: no chunk list to concatenate
     for c in range((n + CHUNK - 1) // CHUNK):
         size = min(CHUNK, n - c * CHUNK)
-        chunks.append(_sample_chunk(model, master.at(c), size))
-    return np.concatenate(chunks)
+        out[c * CHUNK:c * CHUNK + size] = _sample_chunk(model, master.at(c), size)
+    return out
 
 
 # -- moment comparison --------------------------------------------------------------------

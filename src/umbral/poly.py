@@ -1,9 +1,11 @@
 """Sparse multivariate polynomials over exact rationals.
 
-This is the coefficient ring for everything else in the package: series
-coefficients, umbra moments, identity-check values.  The zero-variable case
-is an exact rational wrapped in a ``Poly``, so one code path serves scalar
-and polynomial umbrae.
+This is the coefficient ring for umbra moments, identity-check values and
+the coefficients of series that carry an indeterminate; a series whose
+coefficients are all rational holds plain ``Fraction`` values instead (see
+:mod:`umbral.series`).  ``Poly`` arithmetic mixes freely with ``int`` and
+``Fraction`` operands, and a constant operand costs one ``Fraction``
+operation per term.
 
 A polynomial is a dict mapping a monomial to a nonzero ``Fraction``.  A
 monomial is a tuple of ``(variable, exponent)`` pairs, sorted by variable
@@ -57,12 +59,12 @@ class Poly:
 
     @staticmethod
     def const(value) -> "Poly":
-        q = Fraction(value)
-        return Poly({(): q} if q else {})
+        q = value if type(value) is Fraction else Fraction(value)
+        return _poly({(): q} if q else {})
 
     @staticmethod
     def var(name: str) -> "Poly":
-        return Poly({((name, 1),): Fraction(1)})
+        return _poly({((name, 1),): Fraction(1)})
 
     @staticmethod
     def coerce(value) -> "Poly":
@@ -73,57 +75,66 @@ class Poly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Rat):
-            other = Poly.const(other)
-        elif not isinstance(other, Poly):
+        # the smaller term map is merged into a copy of the larger, so a
+        # constant operand costs one Fraction addition
+        if type(other) is Poly:
+            a, b = self.terms, other.terms
+            if len(a) < len(b):
+                a, b = b, a
+        elif isinstance(other, Rat):
+            if not other:
+                return self
+            a, b = self.terms, {(): other if type(other) is Fraction else Fraction(other)}
+        else:
             return NotImplemented
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
+        terms = dict(a)
+        for m, c in b.items():
             s = terms.get(m, 0) + c
             if s:
                 terms[m] = s
             else:
-                terms.pop(m, None)
-        return Poly(terms)
+                del terms[m]
+        return _poly(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, Rat):
-            other = Poly.const(other)
-        elif not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        if type(other) is Poly or isinstance(other, Rat):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return Poly.coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, Rat):
+        # a constant factor q (rational or constant Poly) scales termwise
+        if type(other) is Poly:
+            a, b = self.terms, other.terms
+            if len(b) == 1 and () in b:
+                q = b[()]
+            elif len(a) == 1 and () in a:
+                a, q = b, a[()]
+            else:
+                terms: dict = {}
+                for m1, c1 in a.items():
+                    for m2, c2 in b.items():
+                        m = _mono_mul(m1, m2)
+                        s = terms.get(m, 0) + c1 * c2
+                        if s:
+                            terms[m] = s
+                        else:
+                            del terms[m]
+                return _poly(terms)
+        elif isinstance(other, Rat):
             if not other:
-                return Poly()
-            q = Fraction(other)
-            return Poly({m: c * q for m, c in self.terms.items()})
-        if not isinstance(other, Poly):
+                return _poly({})
+            a, q = self.terms, other
+        else:
             return NotImplemented
-        # fast paths: constants multiply coefficientwise
-        if other.is_constant():
-            return self * other.constant()
-        if self.is_constant():
-            return other * self.constant()
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                s = terms.get(m, 0) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
-        return Poly(terms)
+        return _poly({m: c * q for m, c in a.items()})
 
     __rmul__ = __mul__
 
@@ -203,16 +214,16 @@ class Poly:
                 terms[mono] = s
             else:
                 del terms[mono]
-        return Poly(terms)
+        return _poly(terms)
 
     # -- comparison, hashing, rendering --------------------------------------
 
     def __eq__(self, other):
+        if type(other) is Poly:
+            return self.terms == other.terms
         if isinstance(other, Rat):
             return self.is_constant() and self.constant() == other
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.terms == other.terms
+        return NotImplemented
 
     def __hash__(self):
         h = self._hash
@@ -259,6 +270,14 @@ class Poly:
             mono = _parse_mono(mono_str)
             terms[mono] = Fraction(coeff)
         return Poly({m: c for m, c in terms.items() if c})
+
+
+def _poly(terms: dict) -> Poly:
+    """A Poly that takes over ``terms``, a dict just built (no copy)."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "terms", terms)
+    object.__setattr__(p, "_hash", None)
+    return p
 
 
 def _parse_mono(text: str) -> Monomial:

@@ -1,10 +1,11 @@
-"""Truncated power series with exact polynomial coefficients.
+"""Truncated power series with exact rational or polynomial coefficients.
 
 A ``Series`` of order N stores ordinary coefficients c_0..c_N of
-sum_k c_k t^k.  The exponential point of view enters only at the moment
-boundary: the k-th EGF moment is k! * c_k (``egf_moment`` /
-``from_moments``).  All arithmetic is exact and truncation-stable; binary
-operations demand equal orders rather than silently re-truncating.
+sum_k c_k t^k, all ``Fraction`` or all ``Poly`` (see :class:`Series`).  The
+exponential point of view enters only at the moment boundary: the k-th EGF
+moment is k! * c_k (``egf_moment`` / ``from_moments``).  All arithmetic is
+exact and truncation-stable; binary operations demand equal orders rather
+than silently re-truncating.
 
 Terminology used throughout: a series is *unital* when c_0 = 1 and *delta*
 when c_0 = 0.
@@ -22,7 +23,7 @@ from .errors import (
     OrderExceeded,
     OrderMismatch,
 )
-from .poly import ONE, ZERO, Poly
+from .poly import Poly
 
 
 @lru_cache(maxsize=None)
@@ -30,13 +31,38 @@ def factorial(n: int) -> int:
     return 1 if n <= 1 else n * factorial(n - 1)
 
 
+def _rational(c):
+    """c as a ``Fraction`` if it is rational, else None."""
+    if type(c) is Poly:
+        return c.constant() if c.is_constant() else None
+    return c if type(c) is Fraction else Fraction(c)
+
+
+def _ring(coeffs) -> tuple:
+    """All coefficients as ``Fraction`` if they are all rational, else all
+    as ``Poly``."""
+    out = []
+    for c in coeffs:
+        q = _rational(c)
+        if q is None:
+            return tuple(map(Poly.coerce, coeffs))
+        out.append(q)
+    return tuple(out)
+
+
 class Series:
+    """A truncated power series.  The constructor picks the coefficient
+    ring: ``coeffs`` is a tuple of ``Fraction`` when every coefficient is
+    rational and of ``Poly`` otherwise, so equal series have equal
+    ``coeffs``.  Each kernel is one code path over either ring (a rational
+    times a ``Poly`` is a ``Poly``); ``egf_moment`` is a ``Poly`` either way."""
+
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        coeffs = tuple(Poly.coerce(c) for c in coeffs)
+        coeffs = _ring(tuple(coeffs))
         if len(coeffs) != order + 1:
             raise ValueError(f"need exactly {order + 1} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "order", order)
@@ -50,10 +76,10 @@ class Series:
     @staticmethod
     def make(coeffs, order: int) -> "Series":
         """Series with the given leading coefficients, zero-padded to order."""
-        coeffs = [Poly.coerce(c) for c in coeffs]
+        coeffs = list(coeffs)
         if len(coeffs) > order + 1:
             raise ValueError("more coefficients than the order admits")
-        coeffs += [ZERO] * (order + 1 - len(coeffs))
+        coeffs += [0] * (order + 1 - len(coeffs))
         return Series(order, coeffs)
 
     @staticmethod
@@ -62,11 +88,11 @@ class Series:
 
     @staticmethod
     def one(order: int) -> "Series":
-        return Series.make([ONE], order)
+        return Series.make([1], order)
 
     @staticmethod
     def t(order: int) -> "Series":
-        return Series.make([ZERO, ONE], order)
+        return Series.make([0, 1], order)
 
     @staticmethod
     def exp_t(order: int) -> "Series":
@@ -87,7 +113,7 @@ class Series:
     # -- predicates ------------------------------------------------------------
 
     def is_unital(self) -> bool:
-        return self.coeffs[0] == ONE
+        return self.coeffs[0] == 1
 
     def is_delta(self) -> bool:
         return not self.coeffs[0]
@@ -121,7 +147,7 @@ class Series:
         a, b = self.coeffs, other.coeffs
         out = []
         for k in range(n + 1):
-            acc = ZERO
+            acc = 0
             for i in range(k + 1):
                 if a[i] and b[k - i]:
                     acc = acc + a[i] * b[k - i]
@@ -129,7 +155,6 @@ class Series:
         return Series(n, out)
 
     def scalar_mul(self, c) -> "Series":
-        c = Poly.coerce(c)
         return Series(self.order, [c * a for a in self.coeffs])
 
     def pow_int(self, p) -> "Series":
@@ -157,23 +182,23 @@ class Series:
             shift = v * p
             if shift > n:
                 return Series.zero(n)
-            if not self.coeffs[v].is_constant():
+            c0 = _rational(self.coeffs[v])
+            if c0 is None:
                 result = self
                 for _ in range(p - 1):
                     result = result * self
                 return result
-            c0 = self.coeffs[v].constant()
         a = self.coeffs[v:]
         qk = [(p + 1) * k for k in range(len(a))]
-        b = [ONE if c0 == 1 else Poly.const(c0 ** p)]
+        b = [1 if c0 == 1 else c0 ** p]
         for m in range(1, n - shift + 1):
-            acc = ZERO
+            acc = 0
             for k in range(1, m + 1):
                 if a[k] and b[m - k]:
                     # weight a_k, which usually has fewer terms than b_{m-k}
                     acc = acc + a[k] * (qk[k] - m) * b[m - k]
             b.append(acc / (c0 * m))
-        return Series(n, [ZERO] * shift + b)
+        return Series(n, [0] * shift + b)
 
     # -- exp / log -------------------------------------------------------------
 
@@ -182,13 +207,13 @@ class Series:
         if not self.is_delta():
             raise DomainError("exp requires constant term 0")
         h = self.coeffs
-        g = [ONE]
+        g = [1]
         for n in range(1, self.order + 1):
-            acc = ZERO
+            acc = 0
             for j in range(1, n + 1):
                 if h[j] and g[n - j]:
                     acc = acc + h[j] * g[n - j] * j
-            g.append(acc / n)
+            g.append(acc * Fraction(1, n))
         return Series(self.order, g)
 
     def log(self) -> "Series":
@@ -196,7 +221,7 @@ class Series:
         if not self.is_unital():
             raise DomainError("log requires constant term 1")
         f = self.coeffs
-        l = [ZERO]
+        l = [0]
         for n in range(1, self.order + 1):
             acc = f[n] * n
             for j in range(1, n):
@@ -236,17 +261,16 @@ class Series:
             raise DomainError("reversion requires a delta series")
         if self.order < 1:
             raise NotInvertible("no linear coefficient at order 0")
-        c1 = self.coeffs[1]
-        if not c1 or not c1.is_constant():
+        c1 = _rational(self.coeffs[1])
+        if not c1:
             raise NotInvertible("linear coefficient has no reciprocal")
-        c1 = c1.constant()
         n, c = self.order, self.coeffs
-        w = [ZERO, ONE / c1] + [ZERO] * (n - 1)
-        powers = [None, w] + [[ZERO] * (n + 1) for _ in range(n - 1)]
+        w = [0, 1 / c1] + [0] * (n - 1)
+        powers = [None, w] + [[0] * (n + 1) for _ in range(n - 1)]
         for m in range(2, n + 1):
-            acc = ZERO
+            acc = 0
             for j in range(2, m + 1):
-                prev, entry = powers[j - 1], ZERO
+                prev, entry = powers[j - 1], 0
                 for i in range(1, m - j + 2):
                     if w[i] and prev[m - i]:
                         entry = entry + w[i] * prev[m - i]
@@ -267,7 +291,7 @@ class Series:
 
     def mul_t(self) -> "Series":
         """Multiply by t at fixed order (the top coefficient falls off)."""
-        return Series(self.order, (ZERO,) + self.coeffs[:-1])
+        return Series(self.order, (0,) + self.coeffs[:-1])
 
     def truncate(self, order: int) -> "Series":
         if order > self.order:
@@ -280,7 +304,7 @@ class Series:
         """k! * c_k, the k-th moment under the EGF reading."""
         if k < 0 or k > self.order:
             raise OrderExceeded(f"moment {k} outside order {self.order}")
-        return self.coeffs[k] * factorial(k)
+        return Poly.coerce(self.coeffs[k] * factorial(k))
 
     def moments(self) -> list:
         return [self.egf_moment(k) for k in range(self.order + 1)]
@@ -306,7 +330,8 @@ class Series:
     # -- JSON -----------------------------------------------------------------------
 
     def to_json(self):
-        return {"order": self.order, "coeffs": [c.to_json() for c in self.coeffs]}
+        return {"order": self.order,
+                "coeffs": [Poly.coerce(c).to_json() for c in self.coeffs]}
 
     @staticmethod
     def from_json(data) -> "Series":

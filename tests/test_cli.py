@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import umbral
 from umbral.cli import ExprContext, main, parse_series, render
 from umbral.core import Workspace
 from umbral.errors import ParseError, UnknownAtom
@@ -175,6 +180,34 @@ def test_mc_command():
     code, out, _ = run("mc", "--model", "randomized", "--param", "1:1/2,2:1/2",
                        "--n", "30000", "--seed", "9", "--max-order", "3")
     assert code == 0 and json.loads(out)["pass"]
+
+
+EXACT_COMMANDS = [
+    ["eval", "E[(3.u)^2]"], ["gf", "bell", "--order", "6"],
+    ["check", "thm2_bell_recursion"], ["invert", "--series", "t*exp(-t)"],
+    ["bell", "-n", "5"], ["stirling", "--kind", "second", "-n", "4", "-k", "2"],
+    ["bellpoly", "-n", "3", "--moments", "1,1,1"], ["--format", "text", "bell", "-n", "6"],
+]
+
+
+def test_exact_commands_leave_numpy_unimported(tmp_path):
+    # numpy serves the Monte Carlo lab only, and importing it costs more
+    # than importing the rest of the package
+    argvs = EXACT_COMMANDS + [
+        ["define", "a", "1,1,2,6", "--workspace", str(tmp_path / "ws.json")]]
+    script = (
+        "import umbral, umbral.cli, sys; assert 'numpy' not in sys.modules\n"
+        "import contextlib, io\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert umbral.cli.main(argv) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n")
+    src = str(Path(umbral.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_workspace_file_round_trip(tmp_path):

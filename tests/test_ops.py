@@ -367,14 +367,60 @@ def test_corrupted_power_routine_is_caught(monkeypatch, build):
 @pytest.mark.parametrize("build", SCALAR_MULTIPLES.values(), ids=SCALAR_MULTIPLES)
 def test_corrupted_falling_factorial_is_caught(monkeypatch, build):
     # one wrong Bell-expansion weight on the moment route
-    falling = ops.falling_factorial
+    falling = ops.falling_factorials
 
-    def corrupted(value, i):
-        out = falling(value, i)
-        return out + 1 if i == 2 else out
+    def corrupted(value, n):
+        out = falling(value, n)
+        out[2] = out[2] + 1
+        return out
 
     ws = fresh()
     a = random_umbra(ws, Stream(32), "a")
-    monkeypatch.setattr(ops, "falling_factorial", corrupted)
+    monkeypatch.setattr(ops, "falling_factorials", corrupted)
     with pytest.raises(CoherenceError):
         build(ws, a)
+
+
+def ring_inputs(ws, stream, ring):
+    """Two atoms and a Bell scale, all rational or all carrying x, so each
+    corrupted kernel is caught on rational and on Poly coefficients."""
+    if ring == "scalar":
+        return random_umbra(ws, stream, "a"), random_umbra(ws, stream, "g"), None
+    x = Poly.var("x")
+    a = ws.define("ax", [ONE] + [stream.rational() + x * stream.rational()
+                                 for _ in range(ws.order)])
+    g = ws.define("gx", [ONE] + [stream.rational() * x for _ in range(ws.order)])
+    return a, g, "x"
+
+
+def corrupt(method):
+    """``method`` with one wrong coefficient (t^2) in its result."""
+    def corrupted(self, *args):
+        out = method(self, *args)
+        coeffs = list(out.coeffs)
+        coeffs[2] = coeffs[2] + 1
+        return Series(out.order, coeffs)
+    return corrupted
+
+
+EXP_BUILT = {
+    "bell(c)": lambda ws, a, g, c: bell_umbra(ws, c),
+    "part(a)": lambda ws, a, g, c: partition_umbra(ws, a),
+}
+COMPOSE_BUILT = {
+    "comp(g,a)": lambda ws, a, g, c: composition_umbra(ws, g, a),
+    "g.a": lambda ws, a, g, c: dot(ws, g, a),
+}
+
+
+@pytest.mark.parametrize("ring", ["scalar", "x-carrying"])
+@pytest.mark.parametrize("method, build", [("exp", b) for b in EXP_BUILT.values()]
+                         + [("compose", b) for b in COMPOSE_BUILT.values()],
+                         ids=list(EXP_BUILT) + list(COMPOSE_BUILT))
+def test_corrupted_exp_and_compose_are_caught(monkeypatch, method, build, ring):
+    ws = fresh()
+    inputs = ring_inputs(ws, Stream(33), ring)
+    assert_coherent(build(ws, *inputs))
+    monkeypatch.setattr(Series, method, corrupt(getattr(Series, method)))
+    with pytest.raises(CoherenceError):
+        build(ws, *inputs)

@@ -66,7 +66,7 @@ def test_power_by_convolution_oracle():
     direct = e.pow_int(3)
     oracle = e * e * e
     assert direct == oracle
-    assert [direct.coeffs[k].constant() for k in range(9)] == \
+    assert [Poly.coerce(direct.coeffs[k]).constant() for k in range(9)] == \
         [Fraction(3 ** k, factorial(k)) for k in range(9)]
 
 
@@ -96,7 +96,7 @@ def test_exp_of_expm1_gives_bell_coefficients():
     for n in range(10):
         bell.append(sum(comb(n, k) * bell[k] for k in range(n + 1)))
     g = Series.expm1_t(4).exp()
-    assert [c.constant() for c in g.coeffs] == \
+    assert [Poly.coerce(c).constant() for c in g.coeffs] == \
         [Fraction(bell[k], factorial(k)) for k in range(5)]
     assert g.coeffs[3] == Fraction(5, 6) and g.coeffs[4] == Fraction(5, 8)
 
@@ -177,7 +177,7 @@ def test_revert_round_trips(h):
 @given(series_strategy(8, unital=True))
 def test_compose_with_reversion_oracle(g):
     h = g - Series.one(8)
-    if not h.coeffs[1] or not h.coeffs[1].is_constant():
+    if not h.coeffs[1] or not Poly.coerce(h.coeffs[1]).is_constant():
         h = h + Series.t(8)
     w = h.revert()
     assert (Series.one(8) + h).compose(w) == Series.one(8) + Series.t(8)
@@ -283,7 +283,7 @@ def test_exp_x_log_specializes_to_integer_powers(f, n):
     # coefficients of exp(x log f) are polynomials in x; at x = n they
     # agree with the n-th power coefficientwise
     powered = f.log().scalar_mul(Poly.var("x")).exp()
-    specialized = Series(8, [c.subs({"x": n}) for c in powered.coeffs])
+    specialized = Series(8, [Poly.coerce(c).subs({"x": n}) for c in powered.coeffs])
     assert specialized == f.pow_int(n)
 
 
@@ -293,7 +293,7 @@ def test_exp_x_log_specializes_to_integer_powers(f, n):
 def revert_by_recomposition(h):
     """The reversion of h by recomposing the whole series for every
     coefficient: w_k = -[t^k] h(w) / c_1 with w known below t^k."""
-    n, c1 = h.order, h.coeffs[1].constant()
+    n, c1 = h.order, Poly.coerce(h.coeffs[1]).constant()
     w = [Poly(), Poly.const(1 / c1)] + [Poly()] * (n - 1)
     for k in range(2, n + 1):
         w[k] = -h.compose(Series(n, w)).coeffs[k] / c1
@@ -324,3 +324,104 @@ def test_json_round_trip():
     data = s.to_json()
     assert data["order"] == 3
     assert Series.from_json(data) == s
+
+
+# -- the coefficient ring ---------------------------------------------------------------------
+
+x, y = Poly.var("x"), Poly.var("y")
+
+
+@settings(max_examples=30, deadline=None)
+@given(series_strategy(5))
+def test_constant_polys_give_the_scalar_ring(s):
+    lifted = Series(5, [Poly.const(c) for c in s.coeffs])
+    assert all(type(c) is Fraction for c in lifted.coeffs)
+    assert lifted == s and hash(lifted) == hash(s)
+    assert lifted.to_json() == s.to_json() and str(lifted) == str(s)
+    mixed = Series(5, list(s.coeffs[:5]) + [x])
+    assert all(type(c) is Poly for c in mixed.coeffs)
+    assert mixed.coeffs[:5] == tuple(Poly.const(c) for c in s.coeffs[:5])
+
+
+def lift(s, d):
+    """s with d_k * y added to its coefficients from t^2 on; c_0 and c_1
+    stay rational because pow_int and revert divide by them."""
+    return Series(s.order, list(s.coeffs[:2]) + [c + dk * y for c, dk in zip(s.coeffs[2:], d)])
+
+
+def at_y0(s):
+    return Series(s.order, [Poly.coerce(c).subs({"y": 0}) for c in s.coeffs])
+
+
+def unital(f):
+    return f - Series.make([f.coeffs[0] - 1], f.order)
+
+
+def delta(f):
+    """f with c_0 = 0 and, where c_1 = 0, c_1 = 1 (keeps the operand
+    reversible)."""
+    h = f - Series.make([f.coeffs[0]], f.order)
+    return h if h.coeffs[1] else h + Series.t(f.order)
+
+
+RING_KERNELS = {
+    "add": lambda f, g, p: f + g,
+    "sub": lambda f, g, p: f - g,
+    "mul": lambda f, g, p: f * g,
+    "scalar_mul": lambda f, g, p: f.scalar_mul(Fraction(p, 3)),
+    "scalar_mul_x": lambda f, g, p: f.scalar_mul(x * p + 1),
+    "pow_int_unital": lambda f, g, p: unital(f).pow_int(p),
+    "pow_int_other": lambda f, g, p: f.pow_int(abs(p)),
+    # t-valuation >= 2: the lifted lowest coefficient carries y, so the Poly
+    # ring multiplies where the rational ring runs the recurrence
+    "pow_int_valuation": lambda f, g, p: (f - Series.make(f.coeffs[:2], f.order)).pow_int(abs(p)),
+    "pow_int_rational": lambda f, g, p: unital(f).pow_int(Fraction(p, 2)),
+    "pow_int_poly": lambda f, g, p: unital(f).pow_int(x * p + 1),
+    "exp": lambda f, g, p: delta(f).exp(),
+    "log": lambda f, g, p: unital(f).log(),
+    "compose": lambda f, g, p: f.compose(delta(g)),
+    "revert": lambda f, g, p: delta(f).revert(),
+    "derivative": lambda f, g, p: f.derivative(),
+    "mul_t": lambda f, g, p: f.mul_t(),
+    "truncate": lambda f, g, p: f.truncate(abs(p)),
+}
+
+nonzero_rationals = rationals.filter(bool)
+
+
+@pytest.mark.parametrize("kernel", RING_KERNELS.values(), ids=RING_KERNELS)
+@settings(max_examples=20, deadline=None)
+@given(series_strategy(6), series_strategy(6),
+       st.lists(nonzero_rationals, min_size=5, max_size=5),
+       st.integers(min_value=-3, max_value=4))
+def test_scalar_ring_matches_the_lifted_poly_ring(kernel, f, g, d, p):
+    # y := 0 commutes with every kernel, so the rational computation must
+    # agree with the Poly computation on inputs that carry y
+    lf, lg = lift(f, d), lift(g, d[::-1])
+    assert type(lf.coeffs[0]) is Poly and type(f.coeffs[0]) is Fraction
+    assert at_y0(kernel(lf, lg, p)) == kernel(f, g, p)
+
+
+def convolve(a, b):
+    """Truncated product of two Poly coefficient lists."""
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Poly()) for k in range(len(a))]
+
+
+def compose_by_horner(g, h):
+    """g(h(t)) on Poly coefficient lists, for h with h_0 = 0."""
+    acc = [g[-1]] + [Poly()] * (len(g) - 1)
+    for k in range(len(g) - 2, -1, -1):
+        acc = convolve(acc, h)
+        acc[0] = acc[0] + g[k]
+    return acc
+
+
+@settings(max_examples=30, deadline=None)
+@given(series_strategy(6), x_series_strategy(6))
+def test_mixed_rings_match_poly_arithmetic(s, xs):
+    a, b = [Poly.const(c) for c in s.coeffs], [Poly.coerce(c) for c in xs.coeffs]
+    assert s * xs == xs * s == Series(6, convolve(a, b))
+    assert s.compose(delta(xs)) == \
+        Series(6, compose_by_horner(a, [Poly.coerce(c) for c in delta(xs).coeffs]))
+    assert xs.compose(delta(s)) == \
+        Series(6, compose_by_horner(b, [Poly.const(c) for c in delta(s).coeffs]))
