@@ -2,11 +2,11 @@
 complete Bell polynomials, exponential polynomials, Bernoulli numbers, and a
 brute-force set-partition enumerator used as the independent oracle.
 
-Partial Bell polynomials are computed through the generating-function route
-(coefficient of [f(t)-1]^k / k! with f assembled from the arguments as an
-EGF); the enumerator provides the definitional weighted-partition sum to
-check against.  Memoization uses ``lru_cache``, which is safe under
-concurrent readers.
+Partial Bell polynomials come from Comtet's recurrence, which reads no
+series (so the moment route of :mod:`umbral.ops` shares no kernel with the
+generating-function route); the enumerator provides the definitional
+weighted-partition sum to check against.  Memoization uses ``lru_cache``,
+which is safe under concurrent readers.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .errors import TooLarge
 from .poly import ONE, ZERO, Poly
@@ -78,26 +78,37 @@ def _coerced(a) -> tuple:
 
 @lru_cache(maxsize=1024)  # keyed by moment tuples: bounded for long sessions
 def _bell_triangle_cached(a: tuple, max_n: int) -> tuple:
-    """Rows B[n][k] for 0 <= k <= n <= max_n from a = (a_1, a_2, ...).
-
-    Row n is a tuple of length n+1; B[0][0] = 1 and B[n][0] = 0 for n >= 1.
-    """
-    padded = list(a[:max_n]) + [ZERO] * (max_n - len(a))
-    h = Series(max_n, [ZERO] + [padded[j - 1] / factorial(j) for j in range(1, max_n + 1)])
-    rows = [[ZERO] * (n + 1) for n in range(max_n + 1)]
-    rows[0][0] = ONE
-    h_pow = Series.one(max_n)
-    for k in range(1, max_n + 1):
-        h_pow = h_pow * h
-        inv_kfact = Fraction(1, factorial(k))
-        for n in range(k, max_n + 1):
-            rows[n][k] = Poly.coerce(h_pow.coeffs[n] * (factorial(n) * inv_kfact))
-    return tuple(tuple(r) for r in rows)
+    """(rows, D) with B_{n,k}(a) = rows[n][k] / D^n, 0 <= k <= n <= max_n, by
+    Comtet's recurrence B_{n,k} = sum_{i=1..n-k+1} C(n-1,i-1) a_i B_{n-i,k-1}
+    (Advanced Combinatorics, 1974, 3.3).  Rational a runs on the integers
+    D^i a_i, D the lcm of the denominators (B_{n,k} has weight n); a that
+    carries an indeterminate runs the same loop over Poly with D = 1."""
+    a = list(a[:max_n]) + [ZERO] * (max_n - len(a))
+    d = 1
+    if all(p.is_constant() for p in a):
+        q = [p.constant() for p in a]
+        d = lcm(*(v.denominator for v in q))
+        a = [(v * d ** i).numerator for i, v in enumerate(q, 1)]
+    rows = [(1,)]
+    for n in range(1, max_n + 1):
+        ca = [comb(n - 1, i) * a[i] for i in range(n)]
+        row = [0]
+        for k in range(1, n + 1):
+            acc = 0
+            for i in range(n - k + 1):
+                b = rows[n - 1 - i][k - 1]
+                if ca[i] and b:
+                    acc = acc + ca[i] * b
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows), d
 
 
 def bell_triangle(a, max_n: int) -> tuple:
     """All partial Bell polynomial values B_{n,k}(a_1,..) up to n = max_n."""
-    return _bell_triangle_cached(_coerced(a), max_n)
+    rows, d = _bell_triangle_cached(_coerced(a), max_n)
+    return tuple(tuple(Poly.coerce(b if d == 1 else Fraction(b, d ** n)) for b in row)
+                 for n, row in enumerate(rows))
 
 
 def partial_bell(n: int, k: int, a) -> Poly:
@@ -117,11 +128,7 @@ def complete_bell(n: int, a) -> Poly:
         return ONE
     if len(a) < n:
         raise IndexError(f"complete_bell({n}) needs {n} arguments")
-    row = bell_triangle(_coerced(a)[:n], n)[n]
-    total = ZERO
-    for k in range(1, n + 1):
-        total = total + row[k]
-    return total
+    return sum(bell_triangle(_coerced(a)[:n], n)[n], ZERO)
 
 
 @lru_cache(maxsize=None)

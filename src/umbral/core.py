@@ -354,7 +354,9 @@ class Workspace:
         return atom
 
     def define(self, name: str, moments) -> Atom:
-        """Register a named umbra from its moment sequence (m_0 must be 1)."""
+        """Register a named umbra from its moment sequence (m_0 must be 1);
+        its series is built from them, so registration compares them with
+        themselves."""
         moments = [Poly.coerce(m) for m in moments]
         if not moments or moments[0] != ONE:
             raise BadZerothMoment("an umbra's zeroth moment must be 1")
@@ -370,7 +372,9 @@ class Workspace:
 
     def atom_of(self, expr, name: str = None) -> Atom:
         """Materialize an expression as a fresh atom (its own symbol, with
-        the expression's moments); correlation with the inputs is severed."""
+        the expression's moments); correlation with the inputs is severed.
+        The series is built from the moments, so registration compares the
+        sequence with itself."""
         expr = as_expr(expr)
         moments = self.moments_of(expr)
         return self._register(name or f"<{expr!r}>", moments,

@@ -53,7 +53,9 @@ def revert_umbral(ws: Workspace, alpha: Atom) -> Atom:
 
     Its generating function g satisfies g(f(t)-1) = 1 + t up to the
     workspace order, i.e. the composition umbra of (gamma, alpha) has
-    moment sequence (1, 1, 0, 0, ...).
+    moment sequence (1, 1, 0, 0, ...).  The series is built from the
+    moments, so registration compares the sequence with itself; the check
+    of this route is :func:`cross_check` against :func:`revert_oracle`.
     """
     inv_a1 = _a1_reciprocal(alpha)
     bar = alpha_bar(ws, alpha)
@@ -67,7 +69,8 @@ def revert_umbral(ws: Workspace, alpha: Atom) -> Atom:
 
 def revert_oracle(ws: Workspace, alpha: Atom) -> Atom:
     """The same umbra by brute series reversion of f - 1 (no moment
-    formula involved)."""
+    formula involved).  The moments are read off the series, so
+    registration compares the sequence with itself."""
     _a1_reciprocal(alpha)
     g = Series.one(ws.order) + (alpha.egf - Series.one(ws.order)).revert()
     return ws._register(f"lagrev({alpha.name})", g.moments(), g)

@@ -21,8 +21,9 @@ need no separate code path.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .combinatorics import bell_number, bell_triangle, stirling
+from .combinatorics import _bell_triangle_cached, bell_number, stirling
 from .core import Atom, Workspace
 from .errors import (
     NonUnitLinearMoment,
@@ -89,16 +90,26 @@ def _wrap_name(name: str) -> str:
 
 
 def _bell_transform(weights, alpha: Atom, n: int) -> list:
-    """The moments sum_{i<=k} w_i B_{k,i}(a_1, a_2, ...) for k = 0..n."""
-    tri = bell_triangle(alpha.moments[1:], n)
+    """The moments m_k = sum_{i<=k} w_i B_{k,i}(a_1, a_2, ...) for k = 0..n,
+    as m_k = (sum_i u_i P_{k,i}) / (E D^k) from the triangle's rows P over
+    D^k and rational weights over one denominator, w_i = u_i / E: one
+    ``Fraction`` per moment.  Poly weights (E = 1) or rows (D = 1) give a
+    Poly sum, divided once per k."""
+    rows, d = _bell_triangle_cached(alpha.moments[1:], n)
+    e = 1
+    if all(w.is_constant() for w in weights):
+        q = [w.constant() for w in weights]
+        e = lcm(*(v.denominator for v in q))
+        weights = [v.numerator * (e // v.denominator) for v in q]
     moments = []
-    for k in range(n + 1):
-        acc = ZERO
-        for i in range(k + 1):
-            w, b = weights[i], tri[k][i]
+    for row in rows:
+        acc = 0
+        for w, b in zip(weights, row):
             if w and b:
                 acc = acc + w * b
-        moments.append(acc)
+        moments.append(Poly.const(Fraction(acc, e)) if type(acc) is int
+                       else acc if e == 1 else acc / e)
+        e *= d
     return moments
 
 
@@ -135,7 +146,9 @@ def _scalar_multiple(ws: Workspace, p, alpha: Atom, name: str) -> Atom:
 
 
 def point_power(ws: Workspace, alpha: Atom, n: int) -> Atom:
-    """The umbra whose k-th moment is a_k^n (componentwise moment power)."""
+    """The umbra whose k-th moment is a_k^n (componentwise moment power).
+    No series route differs from the moment formula, so registration
+    compares the sequence with itself."""
     if n >= 0:
         moments = [m ** n for m in alpha.moments]
     else:
@@ -172,14 +185,8 @@ def bell_umbra(ws: Workspace, scale=None) -> Atom:
         moments = [Poly.const(bell_number(k)) for k in range(n + 1)]
         return ws._register("bell", moments, expm1.exp(), tag="bell")
     c = _scale_arg(ws, scale)
-    moments = []
-    for k in range(n + 1):
-        acc = ZERO
-        for i in range(k + 1):
-            s = stirling("second", k, i)
-            if s:
-                acc = acc + (c ** i) * s
-        moments.append(acc)
+    # S(n,k) = B_{n,k}(1, 1, ...): the Bell transform of the unit umbra
+    moments = _bell_transform([c ** i for i in range(n + 1)], ws.u, n)
     egf = expm1.scalar_mul(c).exp()
     return ws._register(f"bell({c})", moments, egf)
 
@@ -219,10 +226,12 @@ def alpha_bar(ws: Workspace, alpha: Atom) -> Atom:
     """The umbra encoding (f(t) - 1)/(a_1 t): its n-th moment is
     a_{n+1} / (a_1 (n+1)).
 
-    The top moment would need a moment of alpha beyond the truncation
-    order; it is fixed to zero by convention and nothing at order <= N
-    consumes it (the generating-function identity f - 1 = a_1 t e^{bar t}
-    only reads coefficients 0..N-1 of the result).
+    The generating function is read off alpha's series, not the moments:
+    (f - 1)/(a_1 t) has coefficient c_{n+1}/a_1 at t^n.  The top moment
+    would need a moment of alpha beyond the truncation order; it is fixed
+    to zero by convention and nothing at order <= N consumes it (the
+    generating-function identity f - 1 = a_1 t e^{bar t} only reads
+    coefficients 0..N-1 of the result).
     """
     a1 = alpha.moments[1]
     if not a1 or not a1.is_constant():
@@ -236,7 +245,8 @@ def alpha_bar(ws: Workspace, alpha: Atom) -> Atom:
             moments.append(alpha.moments[k + 1] * (inv_a1 * Fraction(1, k + 1)))
         else:
             moments.append(ZERO)
-    return ws._register(f"bar({alpha.name})", moments, Series.from_moments(moments))
+    egf = Series(n, [c * inv_a1 for c in alpha.egf.coeffs[1:]] + [0])
+    return ws._register(f"bar({alpha.name})", moments, egf)
 
 
 # -- exponential umbral polynomials ------------------------------------------------------

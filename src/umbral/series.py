@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import (
     DomainError,
@@ -167,6 +168,11 @@ class Series:
         p must be a nonnegative integer: the t-valuation is shifted out and a
         constant lowest coefficient divided out; a non-constant one has no
         reciprocal, so that case multiplies p times.
+
+        Rational f and p with a_0 = 1 run on the integer coefficients d^k a_k
+        of f(dt), d the lcm of the denominators; for integer p the division
+        by m is then exact, and b_m is the result over d^m.  A ``Poly`` f or
+        p keeps d = 1, where scaling would only enlarge the coefficients.
         """
         n = self.order
         if p == 0:
@@ -188,7 +194,10 @@ class Series:
                 for _ in range(p - 1):
                     result = result * self
                 return result
-        a = self.coeffs[v:]
+        a, d = self.coeffs[v:], 1
+        if c0 == 1 and type(a[0]) is Fraction and type(p) is not Poly:
+            d = lcm(*(c.denominator for c in a))
+            a = [c.numerator * (d ** k // c.denominator) for k, c in enumerate(a)]
         qk = [(p + 1) * k for k in range(len(a))]
         b = [1 if c0 == 1 else c0 ** p]
         for m in range(1, n - shift + 1):
@@ -197,7 +206,9 @@ class Series:
                 if a[k] and b[m - k]:
                     # weight a_k, which usually has fewer terms than b_{m-k}
                     acc = acc + a[k] * (qk[k] - m) * b[m - k]
-            b.append(acc / (c0 * m))
+            b.append(acc // m if type(acc) is int else acc / (c0 * m))
+        if d != 1:
+            b = [Fraction(c, d ** m) for m, c in enumerate(b)]
         return Series(n, [0] * shift + b)
 
     # -- exp / log -------------------------------------------------------------

@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umbral.combinatorics import (
     _bell_triangle_cached,
@@ -16,6 +17,7 @@ from umbral.combinatorics import (
     stirling,
     weighted_partition_sum,
 )
+from umbral import combinatorics, core, identities, inversion, ops, poly, series
 from umbral.errors import TooLarge
 from umbral.poly import ONE, Poly
 from umbral.prng import Stream
@@ -93,6 +95,26 @@ def test_partial_bell_matches_partition_oracle():
             assert partial_bell(n, k, a) == weighted_partition_sum(n, k, a)
 
 
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+moment = st.one_of(rationals, st.just(Fraction(0)),
+                   st.builds(lambda r, s: r + s * x, rationals, rationals))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(moment, min_size=1, max_size=8))
+def test_bell_triangle_matches_partition_oracle(a):
+    # zeros, signs, unequal denominators and x-carrying moments all go
+    # through the one recurrence, with and without a common denominator
+    a = [Poly.coerce(v) for v in a]
+    n_max = len(a)
+    tri = bell_triangle(a, n_max)
+    assert tri[0] == (ONE,)
+    for n in range(1, n_max + 1):
+        assert tri[n][0] == 0
+        for k in range(1, n + 1):
+            assert tri[n][k] == weighted_partition_sum(n, k, a)
+
+
 def test_complete_bell():
     ones = [ONE] * 12
     for n in range(13):
@@ -148,6 +170,20 @@ def test_bell_triangle_shape():
             assert tri[n][k] == stirling("second", n, k)
 
 
+# caches keyed by integers alone, bounded by the orders a session asks for
+KEYED_BY_INTEGERS = {"factorial", "_stirling2", "_stirling1_signed", "bell_number",
+                     "exponential_poly", "_bernoulli_egf", "enumerate_partitions"}
+
+
 def test_bell_triangle_cache_is_bounded():
-    # keyed by moment tuples, so an unbounded cache grows with every new umbra
+    # keyed by moment tuples, so an unbounded cache grows with every new umbra;
+    # so would any other cache keyed by moments or series
     assert _bell_triangle_cached.cache_info().maxsize is not None
+    seen = set()
+    for module in (poly, series, combinatorics, core, ops, inversion, identities):
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                seen.add(name)
+                if name not in KEYED_BY_INTEGERS:
+                    assert value.cache_info().maxsize is not None, name
+    assert "_bell_triangle_cached" in seen

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -83,3 +85,18 @@ def test_full_catalog_passes_at_defaults():
     failures = [c.id for c in cases if not c.passed]
     assert failures == []
     assert [c.id for c in cases] == EXPECTED_IDS
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+def test_catalog_output_matches_committed_digests():
+    # every entry at its default seed renders, byte for byte, the JSON whose
+    # digest the benchmark committed for seed 0
+    golden = json.loads(GOLDEN.read_text())["catalog"]
+    cases = check_all()
+    assert len(cases) == len(EXPECTED_IDS)
+    for case in cases:
+        key = f"{case.id}:{case.params['seed']}:{case.params['n']}:{case.params['trials']}"
+        text = json.dumps(case.to_json(), indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == golden[key], case.id

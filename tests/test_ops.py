@@ -8,8 +8,8 @@ from umbral.combinatorics import (
     exponential_poly,
     stirling,
 )
-from umbral.core import Workspace
-from umbral import ops
+from umbral.core import Atom, Workspace
+from umbral import combinatorics, ops
 from umbral.errors import (
     CoherenceError,
     NonUnitLinearMoment,
@@ -393,12 +393,13 @@ def ring_inputs(ws, stream, ring):
     return a, g, "x"
 
 
-def corrupt(method):
-    """``method`` with one wrong coefficient (t^2) in its result."""
+def corrupt(method, double=False):
+    """``method`` with one wrong coefficient (t^2) in its result: one added,
+    or doubled, which leaves a zero coefficient zero."""
     def corrupted(self, *args):
         out = method(self, *args)
         coeffs = list(out.coeffs)
-        coeffs[2] = coeffs[2] + 1
+        coeffs[2] = coeffs[2] * 2 if double else coeffs[2] + 1
         return Series(out.order, coeffs)
     return corrupted
 
@@ -411,16 +412,71 @@ COMPOSE_BUILT = {
     "comp(g,a)": lambda ws, a, g, c: composition_umbra(ws, g, a),
     "g.a": lambda ws, a, g, c: dot(ws, g, a),
 }
+# compose forms the powers of f - 1 with Series.__mul__; the moment route's
+# Bell triangle must not, or a wrong product corrupts both routes alike.  The
+# product is corrupted by doubling: adding one would also set the t^2
+# coefficients of (f - 1)^k, k >= 3, which only compose reads, and be caught
+# through them whatever the triangle does.
+MUL_BUILT = {"mul:comp(g,a)": COMPOSE_BUILT["comp(g,a)"]}
 
 
 @pytest.mark.parametrize("ring", ["scalar", "x-carrying"])
 @pytest.mark.parametrize("method, build", [("exp", b) for b in EXP_BUILT.values()]
-                         + [("compose", b) for b in COMPOSE_BUILT.values()],
-                         ids=list(EXP_BUILT) + list(COMPOSE_BUILT))
+                         + [("compose", b) for b in COMPOSE_BUILT.values()]
+                         + [("__mul__", b) for b in MUL_BUILT.values()],
+                         ids=list(EXP_BUILT) + list(COMPOSE_BUILT) + list(MUL_BUILT))
 def test_corrupted_exp_and_compose_are_caught(monkeypatch, method, build, ring):
     ws = fresh()
     inputs = ring_inputs(ws, Stream(33), ring)
     assert_coherent(build(ws, *inputs))
-    monkeypatch.setattr(Series, method, corrupt(getattr(Series, method)))
+    monkeypatch.setattr(Series, method, corrupt(getattr(Series, method),
+                                                double=method == "__mul__"))
+    # a triangle cached before the corruption would hide a shared kernel
+    combinatorics._bell_triangle_cached.cache_clear()
     with pytest.raises(CoherenceError):
         build(ws, *inputs)
+
+
+BELL_BUILT = {
+    "3.a": lambda ws, a, g, c: dot(ws, 3, a),
+    "inv(a)": lambda ws, a, g, c: inverse_umbra(ws, a),
+    "part(a)": lambda ws, a, g, c: partition_umbra(ws, a),
+    "comp(g,a)": lambda ws, a, g, c: composition_umbra(ws, g, a),
+}
+
+
+@pytest.mark.parametrize("ring", ["scalar", "x-carrying"])
+@pytest.mark.parametrize("build", BELL_BUILT.values(), ids=BELL_BUILT)
+def test_corrupted_bell_triangle_is_caught(monkeypatch, build, ring):
+    # one wrong Bell-triangle entry on the moment route
+    triangle = ops._bell_triangle_cached
+
+    def corrupted(a, max_n):
+        rows, d = triangle(a, max_n)
+        rows = [list(r) for r in rows]
+        rows[3][2] = rows[3][2] + 1
+        return rows, d
+
+    ws = fresh()
+    inputs = ring_inputs(ws, Stream(34), ring)
+    assert_coherent(build(ws, *inputs))
+    monkeypatch.setattr(ops, "_bell_triangle_cached", corrupted)
+    with pytest.raises(CoherenceError):
+        build(ws, *inputs)
+
+
+@pytest.mark.parametrize("ring", ["scalar", "x-carrying"])
+def test_alpha_bar_reads_the_series(ring):
+    # bar's generating function comes from alpha's series, so a series that
+    # disagrees with alpha's moments in one coefficient is caught
+    ws, s = fresh(), Stream(35)
+    a = random_umbra(ws, s, "a", nonzero_first=True)
+    if ring == "x-carrying":
+        x = Poly.var("x")
+        a = ws.define("ax", a.moments[:2] + tuple(m + x * s.rational() for m in a.moments[2:]))
+    assert_coherent(alpha_bar(ws, a))
+    coeffs = list(a.egf.coeffs)
+    coeffs[3] = coeffs[3] + 1
+    bad = Atom(a.uid, a.name, a.moments, Series(a.egf.order, coeffs))
+    with pytest.raises(CoherenceError):
+        alpha_bar(ws, bad)
