@@ -5,12 +5,15 @@ m_0..m_N (each a :class:`~umbral.poly.Poly`, m_0 = 1) together with its
 generating function as a :class:`~umbral.series.Series`; the two are kept
 coherent (k! * c_k = m_k) by every registration path.
 
-Evaluation follows the defining rules exactly:
+An expression is a polynomial in one ring, over the declared indeterminates
+and one symbol per atom, and E acts on that ring linearly (Rota and Taylor,
+SIAM J. Math. Anal. 1994).  Evaluation follows the defining rules exactly:
 
-* powers of expressions are expanded into a normal form (a polynomial in
-  atom symbols) *before* moments are substituted;
+* an expression is expanded into its normal form, a :class:`~umbral.poly.Poly`
+  in that ring, *before* moments are substituted;
 * within a monomial, powers of distinct atoms evaluate independently and
-  multiply, while powers of one atom merge first;
+  multiply, while powers of one atom merge first; the indeterminates are
+  scalars to E and multiply the result;
 * blocks of a normal form (maximal sets of monomials linked through shared
   atoms) are uncorrelated: their gfs multiply, so their moments combine by
   binomial convolution, E[(A+B)^k] = sum_i C(k,i) E[A^i] E[B^(k-i)].
@@ -32,7 +35,7 @@ from .errors import (
     OrderExceeded,
     UndeclaredIndeterminate,
 )
-from .poly import ONE, ZERO, Poly, _mono_mul
+from .poly import ONE, ZERO, Poly
 from .series import Series
 
 DEFAULT_ORDER = 12
@@ -220,86 +223,63 @@ class Atom:
 
 # -- normal forms ------------------------------------------------------------------
 
-# A normal form maps a monomial in atom symbols -- a sorted tuple of
-# (uid, power) pairs -- to its Poly coefficient.
+# A normal form is one Poly over the indeterminates and one symbol per atom.
+# An atom's symbol is a NUL byte and its zero-padded uid: no identifier starts
+# with NUL, so the symbol never names an indeterminate, and a monomial lists
+# its atom factors first, in uid order, then its indeterminates.
 
 
-def _nf_add(a, b):
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m, ZERO) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
+def _symbol(uid: int) -> str:
+    return f"\0{uid:012d}"
 
 
-def _nf_mul(a, b):
-    out: dict = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = _mono_mul(m1, m2)
-            s = out.get(m, ZERO) + c1 * c2
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-    return out
+def _is_atom(var: str) -> bool:
+    return var[0] == "\0"
 
 
-def _nf_pow(a, n: int):
-    result = {(): ONE}
-    base = a
-    while n:
-        if n & 1:
-            result = _nf_mul(result, base)
-        n >>= 1
-        if n:
-            base = _nf_mul(base, base)
-    return result
+def _nf_mul(a: Poly, b: Poly) -> Poly:
+    """The product of two normal forms (a named call, so a tracer can count it)."""
+    return a * b
 
 
-def _expand(e: Expr) -> dict:
+def _expand(e: Expr) -> Poly:
     if isinstance(e, AtomRef):
-        return {((e.atom.uid, 1),): ONE}
+        return Poly.var(_symbol(e.atom.uid))
     if isinstance(e, Sum):
-        out: dict = {}
-        for p in e.parts:
-            out = _nf_add(out, _expand(p))
-        return out
+        return sum(map(_expand, e.parts), ZERO)
     if isinstance(e, Product):
-        out = {(): ONE}
-        for p in e.parts:
-            out = _nf_mul(out, _expand(p))
-        return out
+        return reduce(_nf_mul, map(_expand, e.parts), ONE)
     if isinstance(e, ScalarMul):
-        if not e.coeff:
-            return {}
-        return {m: e.coeff * c for m, c in _expand(e.child).items()}
+        return _expand(e.child) * e.coeff
     if isinstance(e, IntPower):
-        return _nf_pow(_expand(e.child), e.power)
+        return _expand(e.child) ** e.power
     raise TypeError(f"unknown expression node: {e!r}")
 
 
-def _blocks(nf: dict) -> list:
+def _blocks(nf: Poly) -> list:
     """Split a normal form into blocks: maximal sets of monomials linked
-    through shared atoms (union-find over atom uids).  The constant
-    monomial is a block of its own; the zero form is one empty block."""
+    through shared atoms (union-find over atom symbols).  The atom-free
+    monomials are a block of their own; the zero form is one empty block."""
     root: dict = {}
 
-    def find(u):
-        while root.setdefault(u, u) != u:
-            u = root[u]
-        return u
+    def find(v):
+        while root.setdefault(v, v) != v:
+            v = root[v]
+        return v
 
-    for mono in nf:
-        for uid, _ in mono[1:]:
-            root[find(uid)] = find(mono[0][0])
+    def key(mono):
+        return find(mono[0][0]) if mono and _is_atom(mono[0][0]) else None
+
+    for mono in nf.terms:
+        first = key(mono)
+        for v, _ in mono[1:]:
+            if not _is_atom(v):
+                break
+            root[find(v)] = first
     blocks: dict = {}
-    for mono, c in nf.items():
-        blocks.setdefault(find(mono[0][0]) if mono else None, {})[mono] = c
-    return list(blocks.values()) or [nf]
+    for mono, c in nf.terms.items():
+        blocks.setdefault(key(mono), {})[mono] = c
+    return [Poly(b) for b in blocks.values()] or [nf]
 
 
 def _convolve(a: list, b: list, k: int) -> Poly:
@@ -322,6 +302,9 @@ class Workspace:
     def __init__(self, order: int = DEFAULT_ORDER, indeterminates=("x", "y")):
         if order < 0:
             raise ValueError("order must be nonnegative")
+        for v in indeterminates:
+            if not (isinstance(v, str) and v.isidentifier()):
+                raise ValueError(f"indeterminate name {v!r} is not an identifier")
         self.order = order
         self.indeterminates = tuple(indeterminates)
         self._uids = count(1)
@@ -350,16 +333,21 @@ class Workspace:
             if gf_moment != m:
                 raise CoherenceError(name, k, m, gf_moment, self.order)
         atom = Atom(next(self._uids), name, moments, egf, tag)
-        self._atoms[atom.uid] = atom
+        self._atoms[_symbol(atom.uid)] = atom
         return atom
 
     def define(self, name: str, moments) -> Atom:
-        """Register a named umbra from its moment sequence (m_0 must be 1);
-        its series is built from them, so registration compares them with
-        themselves."""
+        """Register a named umbra from its moment sequence (m_0 must be 1,
+        and every variable a declared indeterminate); its series is built
+        from them, so registration compares them with themselves."""
         moments = [Poly.coerce(m) for m in moments]
         if not moments or moments[0] != ONE:
             raise BadZerothMoment("an umbra's zeroth moment must be 1")
+        undeclared = set().union(*(m.variables() for m in moments))
+        undeclared -= set(self.indeterminates)
+        if undeclared:
+            raise UndeclaredIndeterminate(
+                f"indeterminate {min(undeclared)!r} not declared")
         atom = self._register(name, moments, Series.from_moments(moments))
         self._by_name[name] = atom
         if name not in self._defined:
@@ -391,15 +379,20 @@ class Workspace:
 
     # -- evaluation --------------------------------------------------------------
 
-    def _apply(self, nf: dict) -> Poly:
+    def _apply(self, nf: Poly) -> Poly:
+        """Substitute moments for the atom powers of each monomial, in uid
+        order, and multiply what remains of it (its indeterminates) back."""
         total = ZERO
-        for mono, coeff in nf.items():
-            val = coeff
-            for uid, p in mono:
+        for mono, val in nf.terms.items():
+            for i, (v, p) in enumerate(mono):
+                if not _is_atom(v):
+                    val = val * Poly({mono[i:]: Fraction(1)})
+                    break
+                atom = self._atoms[v]
                 if p > self.order:
                     raise OrderExceeded(
-                        f"moment {p} of {self._atoms[uid].name} exceeds order {self.order}")
-                val = val * self._atoms[uid].moments[p]
+                        f"moment {p} of {atom.name} exceeds order {self.order}")
+                val = atom.moments[p] * val
                 if not val:
                     break
             total = total + val
@@ -418,12 +411,12 @@ class Workspace:
                 return _convolve(_fold(rest, k), last, k)
             except OrderExceeded:
                 pass  # the full expansion below decides, and names, any overflow
-        return self._apply(_nf_pow(nf, k))
+        return self._apply(nf ** k)
 
-    def _powers(self, nf: dict, n: int) -> list:
+    def _powers(self, nf: Poly, n: int) -> list:
         """E[nf^k] for k = 0..n by repeated multiplication."""
         out = []
-        acc = {(): ONE}
+        acc = ONE
         for k in range(n + 1):
             if k:
                 acc = _nf_mul(acc, nf)

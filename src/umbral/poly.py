@@ -16,6 +16,8 @@ name, with all exponents >= 1; the empty tuple is the constant monomial.
 '2*x*y + x^2 + y^2'
 >>> (x + 1).subs({"x": 2})
 Poly('3')
+>>> len((x + y) ** 2)
+3
 """
 
 from __future__ import annotations
@@ -161,6 +163,10 @@ class Poly:
 
     def __bool__(self):
         return bool(self.terms)
+
+    def __len__(self):
+        """The number of terms."""
+        return len(self.terms)
 
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and () in self.terms)

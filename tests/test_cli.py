@@ -251,8 +251,18 @@ def test_error_reporting():
     ("eval", "E[u^2 + u']", "-k", "8"),
     ("eval", "-u"),
     ("bell",),
+    # a dict stands for a workspace file with that content
+    ("--workspace", {"order": 3, "indeterminates": ["x"],
+                     "umbrae": {"a": ["1", {"z": "1"}, "2", "3"]}}, "eval", "E[a]"),
+    ("--workspace", {"order": 3, "indeterminates": ["x y"], "umbrae": {}}, "eval", "u"),
+    ("--workspace", {"order": 3, "indeterminates": ["1x"], "umbrae": {}}, "eval", "u"),
 ])
-def test_bad_inputs_exit_2_with_json_error(argv):
+def test_bad_inputs_exit_2_with_json_error(argv, tmp_path):
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            argv[i] = str(tmp_path / "ws.json")
+            Path(argv[i]).write_text(json.dumps(arg))
     code, out, err = run(*argv)
     assert code == 2 and not out
     assert set(json.loads(err)) == {"error", "message"}

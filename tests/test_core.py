@@ -11,7 +11,6 @@ from umbral.core import (
     Sum,
     Workspace,
     _expand,
-    _nf_pow,
 )
 from umbral.errors import BadZerothMoment, CoherenceError, OrderExceeded
 from umbral.poly import ONE, Poly
@@ -143,6 +142,21 @@ def test_order_exceeded():
     assert ws.eval(a ** 2, 2) == 1
 
 
+def test_zero_factor_is_read_in_uid_order():
+    # a monomial's atom factors are read in uid order and the first zero
+    # moment ends it, so a later factor's power beyond the order goes unread
+    ws = fresh(order=12)
+    for i in range(6):
+        ws.define(f"filler{i}", [ONE] * 13)
+    z = ws.define("z", [ONE, Poly()] + [ONE] * 11)
+    b = ws.define("b", [ONE] * 13)
+    assert (z.uid, b.uid) == (9, 10)
+    assert ws.eval(z * b ** 20) == 0
+    assert ws.eval(ws.eps * ws.u ** 20) == 0
+    with pytest.raises(OrderExceeded):
+        ws.eval(b ** 20 * b)
+
+
 def test_empty_product_is_unit():
     ws = fresh()
     assert ws.eval(Product(()), 0) == 1
@@ -263,7 +277,7 @@ def test_blockwise_evaluation_matches_full_expansion(moments, terms):
     expected = []
     for k in range(ws.order + 1):
         try:
-            expected.append(ws._apply(_nf_pow(nf, k)))
+            expected.append(ws._apply(nf ** k))
         except OrderExceeded as exc:
             expected.append(str(exc))
     if any(isinstance(v, str) for v in expected):

@@ -465,18 +465,27 @@ def test_corrupted_bell_triangle_is_caught(monkeypatch, build, ring):
         build(ws, *inputs)
 
 
-@pytest.mark.parametrize("ring", ["scalar", "x-carrying"])
-def test_alpha_bar_reads_the_series(ring):
-    # bar's generating function comes from alpha's series, so a series that
+def assert_reads_the_series(ring, build):
+    # build's generating function comes from alpha's series, so a series that
     # disagrees with alpha's moments in one coefficient is caught
     ws, s = fresh(), Stream(35)
     a = random_umbra(ws, s, "a", nonzero_first=True)
     if ring == "x-carrying":
         x = Poly.var("x")
         a = ws.define("ax", a.moments[:2] + tuple(m + x * s.rational() for m in a.moments[2:]))
-    assert_coherent(alpha_bar(ws, a))
+    assert_coherent(build(ws, a))
     coeffs = list(a.egf.coeffs)
     coeffs[3] = coeffs[3] + 1
     bad = Atom(a.uid, a.name, a.moments, Series(a.egf.order, coeffs))
     with pytest.raises(CoherenceError):
-        alpha_bar(ws, bad)
+        build(ws, bad)
+
+
+@pytest.mark.parametrize("ring", ["scalar", "x-carrying"])
+def test_alpha_bar_reads_the_series(ring):
+    assert_reads_the_series(ring, alpha_bar)
+
+
+@pytest.mark.parametrize("ring", ["scalar", "x-carrying"])
+def test_scale_atom_reads_the_series(ring):
+    assert_reads_the_series(ring, lambda ws, a: scale_atom(ws, Fraction(3, 2), a))

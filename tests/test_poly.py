@@ -1,7 +1,9 @@
+import doctest
 from fractions import Fraction
 
 import pytest
 
+from umbral import poly
 from umbral.poly import ONE, ZERO, Poly
 
 x = Poly.var("x")
@@ -68,3 +70,8 @@ def test_hash_consistency():
     assert hash(x + y) == hash(y + x)
     d = {x + y: 1}
     assert d[y + x] == 1
+
+
+def test_module_docstring_examples():
+    result = doctest.testmod(poly)
+    assert result.attempted and not result.failed
