@@ -19,7 +19,10 @@ negation); ``n.a`` / ``x.a`` / ``b.a`` are point multiples, ``a^.n`` the
 point power, primes produce clones (stable within a session: ``a'`` always
 names the same clone).  A bare indeterminate is a scalar factor.  Construct
 descriptors are cached per session, so ``2.a`` twice denotes one auxiliary
-umbra, as the notation intends.
+umbra, as the notation intends.  A descriptor is the constructor plus its
+operands, an umbra operand by identity (its uid, never its name or moments):
+``3.g`` and ``a.g`` stay distinct even when ``a`` has uid 3, and ``a'`` and
+``a''`` are two clones.
 
 Subcommands: eval, gf, define, check, invert, bell, stirling, bellpoly, mc.
 Global flags: --order, --workspace, --format {json,text}, --seed.  The
@@ -44,6 +47,7 @@ from .combinatorics import (
     stirling,
 )
 from .core import (
+    Atom,
     AtomRef,
     Expr,
     IntPower,
@@ -99,7 +103,14 @@ def _tokenize(text: str):
 # -- parser / session context ------------------------------------------------------
 
 
-_FUNCS = {"inv", "bell", "part", "comp", "bar"}
+# grammar function -> name of its constructor in ``ops``: names, looked up per
+# call, so that no table holds a function that perfbench/tracer.py replaces
+_FUNCS = {"inv": "inverse_umbra", "bell": "bell_umbra", "part": "partition_umbra",
+          "comp": "composition_umbra", "bar": "alpha_bar"}
+
+
+def _clone(ws: Workspace, base: Atom, primes: int) -> Atom:
+    return ws._register(base.name + "'" * primes, base.moments, base.egf, base.tag)
 
 
 class ExprContext:
@@ -109,62 +120,28 @@ class ExprContext:
 
     def __init__(self, ws: Workspace):
         self.ws = ws
-        self._cache: dict = {}
+        self._built: dict = {}
+        self._exprs: dict = {}
 
-    # construction memoization ------------------------------------------------
-
-    def _memo(self, key, builder):
-        atom = self._cache.get(key)
+    def build(self, fn, *args) -> Atom:
+        """``fn(ws, *args)``, called once per descriptor: the constructor's
+        name plus its operands, an umbra operand keyed by its uid."""
+        key = (fn.__name__,) + tuple(
+            ("atom", a.uid) if isinstance(a, Atom) else a for a in args)
+        atom = self._built.get(key)
         if atom is None:
-            atom = builder()
-            self._cache[key] = atom
+            atom = self._built[key] = fn(self.ws, *args)
         return atom
 
-    def clone_atom(self, base, k: int):
-        if k == 0:
-            return base
-        return self._memo(("clone", base.uid, k), lambda: self.ws._register(
-            base.name + "'" * k, base.moments, base.egf, base.tag))
-
-    def dot_atom(self, left, alpha):
-        if isinstance(left, int):
-            key = ("dot-i", left, alpha.uid)
-        elif isinstance(left, str):
-            key = ("dot-v", left, alpha.uid)
-        else:
-            key = ("dot-u", left.uid, alpha.uid)
-        return self._memo(key, lambda: ops.dot(self.ws, left, alpha))
-
-    def pp_atom(self, alpha, n: int):
-        return self._memo(("pp", alpha.uid, n),
-                          lambda: ops.point_power(self.ws, alpha, n))
-
-    def inv_atom(self, alpha):
-        return self._memo(("inv", alpha.uid),
-                          lambda: ops.inverse_umbra(self.ws, alpha))
-
-    def bell_atom(self, scale=None):
-        key = ("bell", str(scale) if scale is not None else None)
-        return self._memo(key, lambda: ops.bell_umbra(self.ws, scale))
-
-    def part_atom(self, alpha):
-        return self._memo(("part", alpha.uid),
-                          lambda: ops.partition_umbra(self.ws, alpha))
-
-    def comp_atom(self, gamma, alpha):
-        return self._memo(("comp", gamma.uid, alpha.uid),
-                          lambda: ops.composition_umbra(self.ws, gamma, alpha))
-
-    def bar_atom(self, alpha):
-        return self._memo(("bar", alpha.uid),
-                          lambda: ops.alpha_bar(self.ws, alpha))
-
-    def expr_atom(self, expr: Expr):
+    def expr_atom(self, expr: Expr) -> Atom:
         """Materialize a non-atomic expression, keyed by its rendering."""
         if isinstance(expr, AtomRef):
             return expr.atom
-        return self._memo(("expr", render(expr)),
-                          lambda: self.ws.atom_of(expr, render(expr)))
+        text = render(expr)
+        atom = self._exprs.get(text)
+        if atom is None:
+            atom = self._exprs[text] = self.ws.atom_of(expr, text)
+        return atom
 
     # parsing ---------------------------------------------------------------------
 
@@ -209,7 +186,7 @@ class _Parser(_Cursor):
             op = self.take()[0]
             t = self.term()
             if op == "-":
-                t = AtomRef(self.ctx.inv_atom(self.ctx.expr_atom(t)))
+                t = AtomRef(self.ctx.build(ops.inverse_umbra, self.ctx.expr_atom(t)))
             parts.append(t)
         return parts[0] if len(parts) == 1 else Sum(parts)
 
@@ -230,7 +207,7 @@ class _Parser(_Cursor):
         if tok[0] == "^.":
             self.take()
             p = int(self.take("uint")[1])
-            return AtomRef(self.ctx.pp_atom(self.ctx.expr_atom(base), p))
+            return AtomRef(self.ctx.build(ops.point_power, self.ctx.expr_atom(base), p))
         return base
 
     def base(self) -> Expr:
@@ -239,8 +216,8 @@ class _Parser(_Cursor):
             self.take()
             self.take(".")
             inner = self.base()
-            return AtomRef(self.ctx.dot_atom(int(tok[1]),
-                                             self.ctx.expr_atom(inner)))
+            return AtomRef(self.ctx.build(ops.dot, int(tok[1]),
+                                          self.ctx.expr_atom(inner)))
         if tok[0] == "(":
             self.take()
             e = self.expr()
@@ -252,7 +229,7 @@ class _Parser(_Cursor):
 
     def _resolve(self, name: str):
         if name == "bell":
-            return self.ctx.bell_atom()
+            return self.ctx.build(ops.bell_umbra)
         return self.ctx.ws.lookup(name)
 
     def ident_base(self) -> Expr:
@@ -271,11 +248,11 @@ class _Parser(_Cursor):
             inner = self.ctx.expr_atom(self.base())
             ws = self.ctx.ws
             if name in ws.indeterminates:
-                return AtomRef(self.ctx.dot_atom(name, inner))
+                return AtomRef(self.ctx.build(ops.dot, name, inner))
             atom = self._resolve(name)
             if atom is None:
                 raise UnknownAtom(f"unknown umbra {name!r}")
-            return AtomRef(self.ctx.dot_atom(atom, inner))
+            return AtomRef(self.ctx.build(ops.dot, atom, inner))
         # a bare name: clone-decorated umbra, or an indeterminate scalar
         primes = 0
         while self.peek()[0] == "'":
@@ -284,7 +261,7 @@ class _Parser(_Cursor):
         ws = self.ctx.ws
         atom = self._resolve(name)
         if atom is not None:
-            return AtomRef(self.ctx.clone_atom(atom, primes))
+            return AtomRef(self.ctx.build(_clone, atom, primes) if primes else atom)
         if name in ws.indeterminates:
             if primes:
                 raise ParseError("indeterminates cannot be cloned", tok[2])
@@ -295,28 +272,16 @@ class _Parser(_Cursor):
         self.take("(")
         if name == "bell":
             tok = self.take()
-            if tok[0] == "uint":
-                scale = int(tok[1])
-            elif tok[0] == "ident":
-                scale = tok[1]
-            else:
+            if tok[0] not in ("uint", "ident"):
                 raise ParseError("bell() takes an indeterminate or integer", tok[2])
-            self.take(")")
-            return AtomRef(self.ctx.bell_atom(scale))
-        first = self.ctx.expr_atom(self.expr())
-        if name == "comp":
-            self.take(",")
-            second = self.ctx.expr_atom(self.expr())
-            self.take(")")
-            return AtomRef(self.ctx.comp_atom(first, second))
+            args = [int(tok[1]) if tok[0] == "uint" else tok[1]]
+        else:
+            args = [self.ctx.expr_atom(self.expr())]
+            if name == "comp":
+                self.take(",")
+                args.append(self.ctx.expr_atom(self.expr()))
         self.take(")")
-        if name == "inv":
-            return AtomRef(self.ctx.inv_atom(first))
-        if name == "part":
-            return AtomRef(self.ctx.part_atom(first))
-        if name == "bar":
-            return AtomRef(self.ctx.bar_atom(first))
-        raise ParseError(f"unknown function {name!r}", 0)
+        return AtomRef(self.ctx.build(getattr(ops, _FUNCS[name]), *args))
 
 
 # -- renderer ----------------------------------------------------------------------
@@ -487,8 +452,8 @@ def _load_workspace(args) -> Workspace:
     if args.workspace and os.path.exists(args.workspace):
         with open(args.workspace) as fh:
             data = json.load(fh)
-        if args.order is not None:
-            data["order"] = args.order
+        if args.order is not None and isinstance(data, dict):
+            data["order"] = args.order  # anything else is refused by from_json
         return Workspace.from_json(data)
     return Workspace(order=_order(args))
 
@@ -520,7 +485,7 @@ def _cmd_define(args) -> int:
         raise UmbralError("define needs --workspace FILE to update")
     if os.path.exists(args.workspace):
         with open(args.workspace) as fh:
-            data = json.load(fh)
+            data = Workspace.from_json(json.load(fh)).to_json()  # validates
     else:
         data = {"order": _order(args), "indeterminates": ["x", "y"], "umbrae": {}}
     moments = [m.strip() for m in args.moments.split(",")]

@@ -456,10 +456,28 @@ class Workspace:
 
     @staticmethod
     def from_json(data) -> "Workspace":
-        ws = Workspace(order=data.get("order", DEFAULT_ORDER),
-                       indeterminates=tuple(data.get("indeterminates", ("x", "y"))))
-        for name, moments in data.get("umbrae", {}).items():
-            parsed = [Poly.from_json(m) for m in moments]
+        """Read an object whose ``order`` is an int, whose ``indeterminates``
+        is a list and whose ``umbrae`` maps names to moment lists;
+        ``ValueError`` names the first field of any other shape."""
+        if not isinstance(data, dict):
+            raise ValueError("a workspace is a JSON object")
+        order = data.get("order", DEFAULT_ORDER)
+        indeterminates = data.get("indeterminates", ["x", "y"])
+        umbrae = data.get("umbrae", {})
+        if type(order) is not int:
+            raise ValueError(f"workspace order {order!r} is not an integer")
+        if not isinstance(indeterminates, list):
+            raise ValueError("workspace indeterminates is not a list")
+        if not isinstance(umbrae, dict):
+            raise ValueError("workspace umbrae is not an object")
+        ws = Workspace(order=order, indeterminates=tuple(indeterminates))
+        for name, moments in umbrae.items():
+            if not isinstance(moments, list):
+                raise ValueError(f"workspace umbra {name!r} is not a list of moments")
+            try:
+                parsed = [Poly.from_json(m) for m in moments]
+            except ValueError as exc:
+                raise ValueError(f"workspace umbra {name!r}: {exc}") from None
             if len(parsed) < ws.order + 1:
                 parsed += [ZERO] * (ws.order + 1 - len(parsed))
             ws.define(name, parsed[: ws.order + 1])

@@ -87,6 +87,17 @@ def _random_atom(ws, stream, name, nonzero_first=False):
     return ws.define(name, moments)
 
 
+def _trials(params, names, nonzero_first=False):
+    """Per trial, ``(trial, ws, stream, *atoms)``: a fresh workspace and one
+    random umbra per name, drawn in order from the entry's stream, which
+    the trial goes on drawing from."""
+    stream = Stream(params["seed"])
+    for trial in range(params["trials"]):
+        ws = _ws(params)
+        yield (trial, ws, stream,
+               *[_random_atom(ws, stream, name, nonzero_first) for name in names])
+
+
 def _strs(values) -> list:
     return [str(v) for v in values]
 
@@ -120,11 +131,7 @@ def _recover_from_int_dot(ws, n_int, q):
 
 
 def _chk_prop1(params):
-    stream = Stream(params["seed"])
-    for trial in range(params["trials"]):
-        ws = _ws(params)
-        a = _random_atom(ws, stream, "a")
-        b = _random_atom(ws, stream, "b")
+    for trial, ws, stream, a, b in _trials(params, "ab"):
         c = stream.rational()
         n_int = stream.randint(1, 3)
         m_int = stream.randint(1, 3)
@@ -167,12 +174,8 @@ def _chk_prop1(params):
 
 
 def _chk_cor1(params):
-    stream = Stream(params["seed"])
-    for trial in range(params["trials"]):
-        ws = _ws(params)
+    for trial, ws, stream, a, b in _trials(params, "ab"):
         x, y = ws.var("x"), ws.var("y")
-        a = _random_atom(ws, stream, "a")
-        b = _random_atom(ws, stream, "b")
         c = stream.rational()
         xa = dot(ws, "x", a)
         # (i) cancellation: q_k(x) at x = 1 returns a_k
@@ -206,10 +209,7 @@ def _chk_cor1(params):
 
 
 def _chk_thm1(params):
-    stream = Stream(params["seed"])
-    for trial in range(params["trials"]):
-        ws = _ws(params)
-        a = _random_atom(ws, stream, "a")
+    for trial, ws, _, a in _trials(params, "a"):
         q = dot(ws, "x", a).moments
         for k in range(ws.order + 1):
             lhs = q[k].subs({"x": Poly.var("x") + Poly.var("y")})
@@ -223,12 +223,7 @@ def _chk_thm1(params):
 
 
 def _chk_abel(params):
-    stream = Stream(params["seed"])
-    for trial in range(params["trials"]):
-        ws = _ws(params)
-        a = _random_atom(ws, stream, "a")
-        b = _random_atom(ws, stream, "b")
-        g = _random_atom(ws, stream, "g")
+    for trial, ws, _, a, b, g in _trials(params, "abg"):
         # per k: E[a (a + (-k).g)^{k-1}] and the moments of b + k.g'
         first, second = [None], [None]
         for k in range(1, ws.order + 1):
@@ -249,12 +244,7 @@ def _chk_abel(params):
 
 
 def _chk_cor2(params):
-    stream = Stream(params["seed"])
-    for trial in range(params["trials"]):
-        ws = _ws(params)
-        a = _random_atom(ws, stream, "a")
-        b = _random_atom(ws, stream, "b")
-        g = _random_atom(ws, stream, "g")
+    for trial, ws, _, a, b, g in _trials(params, "abg"):
         lhs = dot(ws, ws.atom_of(a + b, "a+b"), g)
         rhs = Sum((dot(ws, a, g).ref(), dot(ws, b, ws.clone(g)).ref()))
         if not ws.similar(lhs, rhs):
@@ -285,12 +275,7 @@ def _chk_remark1(params):
 
 
 def _chk_cor3(params):
-    stream = Stream(params["seed"])
-    for trial in range(params["trials"]):
-        ws = _ws(params)
-        a = _random_atom(ws, stream, "a")
-        b = _random_atom(ws, stream, "b")
-        g = _random_atom(ws, stream, "g")
+    for trial, ws, _, a, b, g in _trials(params, "abg"):
         lhs = dot(ws, b, dot(ws, g, a))
         rhs = dot(ws, dot(ws, b, g), a)
         if not ws.similar(lhs, rhs):
@@ -300,10 +285,7 @@ def _chk_cor3(params):
 
 
 def _chk_prop5(params):
-    stream = Stream(params["seed"])
-    for trial in range(params["trials"]):
-        ws = _ws(params)
-        a = _random_atom(ws, stream, "a")
+    for trial, ws, _, a in _trials(params, "a"):
         inv = inverse_umbra(ws, a)
         if inv.egf != a.egf.pow_int(-1):
             return _fail("gf of inverse is not 1/f", trial=trial)
@@ -314,10 +296,7 @@ def _chk_prop5(params):
 
 
 def _chk_prop6(params):
-    stream = Stream(params["seed"])
-    for trial in range(params["trials"]):
-        ws = _ws(params)
-        a = _random_atom(ws, stream, "a")
+    for trial, ws, stream, a in _trials(params, "a"):
         n_int = stream.randint(1, 3)
         neg = dot(ws, -n_int, a)
         if neg.egf != a.egf.pow_int(-n_int):
@@ -328,11 +307,7 @@ def _chk_prop6(params):
 
 
 def _chk_eq10(params):
-    stream = Stream(params["seed"])
-    for trial in range(params["trials"]):
-        ws = _ws(params)
-        a = _random_atom(ws, stream, "a")
-        b = _random_atom(ws, stream, "b")
+    for trial, ws, stream, a, b in _trials(params, "ab"):
         for n_int in (0, 2, 3):
             pp = point_power(ws, a, n_int)
             if pp.moments != tuple(m ** n_int for m in a.moments):
@@ -359,10 +334,7 @@ def _chk_eq10(params):
 
 
 def _chk_eq11(params):
-    stream = Stream(params["seed"])
-    for trial in range(params["trials"]):
-        ws = _ws(params)
-        a = _random_atom(ws, stream, "a")
+    for trial, ws, _, a in _trials(params, "a"):
         for n_int in (0, 1, 2, 3, -2):
             if dot(ws, n_int, a).egf != a.egf.pow_int(n_int):
                 return _fail("gf of n.a is not f^n", trial=trial, n=n_int)
@@ -503,10 +475,7 @@ def _chk_dobinski_polynomial(params):
 
 
 def _chk_eq22_1(params):
-    stream = Stream(params["seed"])
-    for trial in range(params["trials"]):
-        ws = _ws(params)
-        a = _random_atom(ws, stream, "a")
+    for trial, ws, _, a in _trials(params, "a"):
         ab = dot(ws, a, bell_umbra(ws))
         for n in range(ws.order + 1):
             direct = exponential_umbral_moment(a, n)
@@ -517,10 +486,7 @@ def _chk_eq22_1(params):
 
 
 def _chk_eq22_3(params):
-    stream = Stream(params["seed"])
-    for trial in range(params["trials"]):
-        ws = _ws(params)
-        a = _random_atom(ws, stream, "a")
+    for trial, ws, _, a in _trials(params, "a"):
         lhs = dot(ws, a, bell_umbra(ws)).egf
         rhs = a.egf.compose(Series.expm1_t(ws.order))
         if lhs != rhs:
@@ -530,10 +496,7 @@ def _chk_eq22_3(params):
 
 
 def _chk_eq24(params):
-    stream = Stream(params["seed"])
-    for trial in range(params["trials"]):
-        ws = _ws(params)
-        a = _random_atom(ws, stream, "a")
+    for trial, ws, _, a in _trials(params, "a"):
         psi = partition_umbra(ws, a)
         rhs = (a.egf - Series.one(ws.order)).exp()
         if psi.egf != rhs:
@@ -543,11 +506,8 @@ def _chk_eq24(params):
 
 
 def _chk_eq_somma(params):
-    stream = Stream(params["seed"])
     x, y = Poly.var("x"), Poly.var("y")
-    for trial in range(params["trials"]):
-        ws = _ws(params)
-        a = _random_atom(ws, stream, "a")
+    for trial, ws, _, a in _trials(params, "a"):
         lhs = partition_umbra(ws, a, x + y)
         rhs = Sum((partition_umbra(ws, a, "x").ref(),
                    partition_umbra(ws, ws.clone(a), "y").ref()))
@@ -559,10 +519,7 @@ def _chk_eq_somma(params):
 
 
 def _chk_thm6(params):
-    stream = Stream(params["seed"])
-    for trial in range(params["trials"]):
-        ws = _ws(params)
-        a = _random_atom(ws, stream, "a")
+    for trial, ws, _, a in _trials(params, "a"):
         psi = partition_umbra(ws, a)
         a2 = ws.clone(a)
         for n in range(ws.order):
@@ -575,10 +532,7 @@ def _chk_thm6(params):
 
 
 def _chk_eq28(params):
-    stream = Stream(params["seed"])
-    for trial in range(params["trials"]):
-        ws = _ws(params)
-        a = _random_atom(ws, stream, "a")
+    for trial, ws, _, a in _trials(params, "a"):
         xpsi = partition_umbra(ws, a, "x")
         alt = dot(ws, "x", partition_umbra(ws, a))
         if not ws.similar(xpsi, alt):
@@ -602,11 +556,7 @@ def _chk_thm7(params):
     # powers of chi read through the shifted composition moments
     # E[g chi^i] = sum_m g_{m+1} B_{i,m}(a): the left factor g stays
     # correlated with the g inside chi.
-    stream = Stream(params["seed"])
-    for trial in range(params["trials"]):
-        ws = _ws(params)
-        a = _random_atom(ws, stream, "a")
-        g = _random_atom(ws, stream, "g")
+    for trial, ws, _, a, g in _trials(params, "ag"):
         chi = composition_umbra(ws, g, a)
         tri = bell_triangle(a.moments[1:], ws.order)
         for n in range(ws.order):
@@ -625,11 +575,7 @@ def _chk_thm7(params):
 
 
 def _chk_eq30(params):
-    stream = Stream(params["seed"])
-    for trial in range(params["trials"]):
-        ws = _ws(params)
-        a = _random_atom(ws, stream, "a")
-        g = _random_atom(ws, stream, "g")
+    for trial, ws, _, a, g in _trials(params, "ag"):
         chi = composition_umbra(ws, g, a)
         alt = dot(ws, g, partition_umbra(ws, a))
         if not ws.similar(chi, alt):
@@ -648,10 +594,7 @@ def _chk_eq30(params):
 
 
 def _chk_lemma1(params):
-    stream = Stream(params["seed"])
-    for trial in range(params["trials"]):
-        ws = _ws(params)
-        a = _random_atom(ws, stream, "a", nonzero_first=True)
+    for trial, ws, _, a in _trials(params, "a", nonzero_first=True):
         bar = alpha_bar(ws, a)
         a1 = a.moments[1].constant()
         tri = bell_triangle(a.moments[1:], ws.order)

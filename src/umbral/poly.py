@@ -267,10 +267,13 @@ class Poly:
 
     @staticmethod
     def from_json(data) -> "Poly":
-        if isinstance(data, str):
+        """Read a rational string, an int or a term map of rational strings;
+        ``ValueError`` for any other shape."""
+        if isinstance(data, str) or type(data) is int:
             return Poly.const(Fraction(data))
-        if isinstance(data, Rat):
-            return Poly.const(data)
+        if not (isinstance(data, dict) and all(isinstance(c, str) for c in data.values())):
+            raise ValueError(f"a moment is a rational string, an int or a term "
+                             f"map of rational strings, not {data!r}")
         terms = {}
         for mono_str, coeff in data.items():
             mono = _parse_mono(mono_str)

@@ -80,11 +80,20 @@ def test_corpus_round_trips(ctx):
 
 
 def test_same_descriptor_resolves_to_one_atom(ctx):
-    assert ctx.parse("2.a") == ctx.parse("2.a")
-    assert ctx.parse("a'") == ctx.parse("a'")
-    assert ctx.parse("inv(2.b)") == ctx.parse("inv(2.b)")
+    for text in ["2.a", "a'", "inv(2.b)", "x.a", "b.a", "a^.2", "part(a)",
+                 "comp(g,a)", "bar(a)", "bell", "bell(x)", "bell(3)", "2.(a+b)"]:
+        assert ctx.parse(text) == ctx.parse(text), text
     # a clone differs from its base
     assert ctx.parse("a'") != ctx.parse("a")
+
+
+def test_distinct_descriptors_stay_distinct(ctx):
+    # an umbra operand is keyed by identity, never confused with an integer
+    assert ctx.ws.lookup("a").uid == 3
+    assert ctx.parse("3.g") != ctx.parse("a.g")
+    assert ctx.parse("bell(3)") != ctx.parse("3.bell")
+    assert ctx.parse("a'") != ctx.parse("a''")
+    assert ctx.parse("a''") == ctx.parse("a''")
 
 
 def test_parser_examples(ctx):
@@ -251,16 +260,24 @@ def test_error_reporting():
     ("eval", "E[u^2 + u']", "-k", "8"),
     ("eval", "-u"),
     ("bell",),
-    # a dict stands for a workspace file with that content
+    # a dict or a list stands for a workspace file with that content
     ("--workspace", {"order": 3, "indeterminates": ["x"],
                      "umbrae": {"a": ["1", {"z": "1"}, "2", "3"]}}, "eval", "E[a]"),
     ("--workspace", {"order": 3, "indeterminates": ["x y"], "umbrae": {}}, "eval", "u"),
     ("--workspace", {"order": 3, "indeterminates": ["1x"], "umbrae": {}}, "eval", "u"),
+    # workspace files of the wrong shape
+    ("--workspace", {"umbrae": {"a": ["1", [1]]}}, "eval", "u"),
+    ("--workspace", {"order": "3"}, "eval", "u"),
+    ("--workspace", {"indeterminates": 5}, "eval", "u"),
+    ("--workspace", {"umbrae": ["a"]}, "eval", "u"),
+    ("--workspace", ["a"], "eval", "u"),
+    ("--workspace", {"umbrae": {"a": "12"}}, "eval", "E[a]"),
+    ("--workspace", {"umbrae": ["a"]}, "define", "c", "1,2"),
 ])
 def test_bad_inputs_exit_2_with_json_error(argv, tmp_path):
     argv = list(argv)
     for i, arg in enumerate(argv):
-        if isinstance(arg, dict):
+        if isinstance(arg, (dict, list)):
             argv[i] = str(tmp_path / "ws.json")
             Path(argv[i]).write_text(json.dumps(arg))
     code, out, err = run(*argv)

@@ -90,13 +90,16 @@ def test_full_catalog_passes_at_defaults():
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
-def test_catalog_output_matches_committed_digests():
-    # every entry at its default seed renders, byte for byte, the JSON whose
-    # digest the benchmark committed for seed 0
+@pytest.mark.parametrize("seed", [0, 1])
+def test_catalog_output_matches_committed_digests(seed):
+    # every entry at seed default ^ seed renders, byte for byte, the JSON whose
+    # digest the benchmark committed for that seed; seed 0 is `check all`, and
+    # seed 1 checks the verdicts on trial draws other than the default ones
     golden = json.loads(GOLDEN.read_text())["catalog"]
-    cases = check_all()
-    assert len(cases) == len(EXPECTED_IDS)
-    for case in cases:
+    entries = list_identities()
+    assert [e["id"] for e in entries] == EXPECTED_IDS
+    for entry in entries:
+        case = check(entry["id"], {"seed": entry["defaults"]["seed"] ^ seed})
         key = f"{case.id}:{case.params['seed']}:{case.params['n']}:{case.params['trials']}"
         text = json.dumps(case.to_json(), indent=2, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == golden[key], case.id
