@@ -17,7 +17,7 @@ from .combinatorics import (
     partial_bell,
     stirling,
 )
-from .core import Atom, AtomRef, Expr, IntPower, Product, ScalarMul, Sum, Workspace
+from .core import Atom, Expr, IntPower, Product, ScalarMul, Sum, Workspace
 from .identities import IdentityCase, check, check_all, list_identities
 from .inversion import InversionReport, cross_check, revert_oracle, revert_umbral
 from .ops import (
@@ -35,7 +35,7 @@ from .poly import Poly
 from .series import Series
 
 __all__ = [
-    "Atom", "AtomRef", "CompoundModel", "DiscreteDist", "Expr",
+    "Atom", "CompoundModel", "DiscreteDist", "Expr",
     "IdentityCase", "IntPower", "InversionReport", "MomentComparison",
     "PartitionWeight", "PoissonModel", "Poly", "Product",
     "RandomizedCompoundModel", "RandomizedModel", "ScalarMul", "Series",

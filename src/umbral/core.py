@@ -3,7 +3,9 @@
 An :class:`Atom` is a named symbol carrying a finite moment sequence
 m_0..m_N (each a :class:`~umbral.poly.Poly`, m_0 = 1) together with its
 generating function as a :class:`~umbral.series.Series`; the two are kept
-coherent (k! * c_k = m_k) by every registration path.
+coherent (k! * c_k = m_k) by every registration path.  An atom is itself an
+expression, the leaf of the tree, so ``a + b``, ``a * b ** 2`` and
+``Sum((a, b))`` all work directly.
 
 An expression is a polynomial in one ring, over the declared indeterminates
 and one symbol per atom, and E acts on that ring linearly (Rota and Taylor,
@@ -45,7 +47,22 @@ DEFAULT_ORDER = 12
 
 
 class Expr:
+    """An immutable expression node; two nodes are equal when they have the
+    same type and equal fields."""
+
     __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError("immutable")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._fields() == self._fields()
+
+    def __hash__(self):
+        return hash((type(self), self._fields()))
 
     def __add__(self, other):
         return Sum((self, as_expr(other)))
@@ -58,31 +75,32 @@ class Expr:
         return Product((self, as_expr(other)))
 
     def __rmul__(self, other):
-        if isinstance(other, (Atom, Expr)):
-            return Product((as_expr(other), self))
+        if isinstance(other, Expr):
+            return Product((other, self))
         return ScalarMul(Poly.coerce(other), self)
 
     def __pow__(self, p: int):
         return IntPower(self, p)
 
 
-class AtomRef(Expr):
-    __slots__ = ("atom",)
+class Atom(Expr):
+    """A registered umbra: unique symbol, moments, generating function.  An
+    atom is its own symbol, so equality is identity: a clone has equal
+    moments but is a different umbra."""
 
-    def __init__(self, atom: "Atom"):
-        object.__setattr__(self, "atom", atom)
+    __slots__ = ("uid", "name", "moments", "egf")
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
+    def __init__(self, uid: int, name: str, moments, egf: Series):
+        object.__setattr__(self, "uid", uid)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "moments", tuple(moments))
+        object.__setattr__(self, "egf", egf)
 
-    def __eq__(self, other):
-        return isinstance(other, AtomRef) and other.atom.uid == self.atom.uid
-
-    def __hash__(self):
-        return hash(("ref", self.atom.uid))
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __repr__(self):
-        return self.atom.name
+        return self.name
 
 
 class Sum(Expr):
@@ -90,15 +108,6 @@ class Sum(Expr):
 
     def __init__(self, parts):
         object.__setattr__(self, "parts", tuple(as_expr(p) for p in parts))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Sum) and other.parts == self.parts
-
-    def __hash__(self):
-        return hash(("sum", self.parts))
 
     def __repr__(self):
         return "(" + " + ".join(map(repr, self.parts)) + ")"
@@ -112,15 +121,6 @@ class Product(Expr):
     def __init__(self, parts=()):
         object.__setattr__(self, "parts", tuple(as_expr(p) for p in parts))
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Product) and other.parts == self.parts
-
-    def __hash__(self):
-        return hash(("prod", self.parts))
-
     def __repr__(self):
         return "(" + " * ".join(map(repr, self.parts)) + ")" if self.parts else "1"
 
@@ -131,16 +131,6 @@ class ScalarMul(Expr):
     def __init__(self, coeff, child):
         object.__setattr__(self, "coeff", Poly.coerce(coeff))
         object.__setattr__(self, "child", as_expr(child))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, ScalarMul)
-                and other.coeff == self.coeff and other.child == self.child)
-
-    def __hash__(self):
-        return hash(("smul", self.coeff, self.child))
 
     def __repr__(self):
         return f"({self.coeff})*{self.child!r}"
@@ -155,16 +145,6 @@ class IntPower(Expr):
         object.__setattr__(self, "child", as_expr(child))
         object.__setattr__(self, "power", power)
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, IntPower)
-                and other.child == self.child and other.power == self.power)
-
-    def __hash__(self):
-        return hash(("pow", self.child, self.power))
-
     def __repr__(self):
         return f"{self.child!r}^{self.power}"
 
@@ -172,53 +152,11 @@ class IntPower(Expr):
 def as_expr(x) -> Expr:
     if isinstance(x, Expr):
         return x
-    if isinstance(x, Atom):
-        return AtomRef(x)
     raise TypeError(f"not an umbral expression: {x!r}")
 
 
 #: the multiplicative unit as an expression
 ONE_EXPR = Product(())
-
-
-# -- atoms -----------------------------------------------------------------------
-
-
-class Atom:
-    """A registered umbra: unique symbol, moments, generating function."""
-
-    __slots__ = ("uid", "name", "moments", "egf", "tag")
-
-    def __init__(self, uid: int, name: str, moments, egf: Series, tag: str = ""):
-        object.__setattr__(self, "uid", uid)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "moments", tuple(moments))
-        object.__setattr__(self, "egf", egf)
-        object.__setattr__(self, "tag", tag)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Atom is immutable")
-
-    def ref(self) -> AtomRef:
-        return AtomRef(self)
-
-    def __add__(self, other):
-        return AtomRef(self) + other
-
-    def __radd__(self, other):
-        return as_expr(other) + AtomRef(self)
-
-    def __mul__(self, other):
-        return AtomRef(self) * other
-
-    def __rmul__(self, other):
-        return AtomRef(self).__rmul__(other)
-
-    def __pow__(self, p: int):
-        return IntPower(AtomRef(self), p)
-
-    def __repr__(self):
-        return f"<umbra {self.name}#{self.uid}>"
 
 
 # -- normal forms ------------------------------------------------------------------
@@ -243,8 +181,8 @@ def _nf_mul(a: Poly, b: Poly) -> Poly:
 
 
 def _expand(e: Expr) -> Poly:
-    if isinstance(e, AtomRef):
-        return Poly.var(_symbol(e.atom.uid))
+    if isinstance(e, Atom):
+        return Poly.var(_symbol(e.uid))
     if isinstance(e, Sum):
         return sum(map(_expand, e.parts), ZERO)
     if isinstance(e, Product):
@@ -312,16 +250,14 @@ class Workspace:
         self._by_name: dict = {}
         self._defined: list = []  # user-defined names, for serialization
         n = order + 1
-        self.eps = self._register(
-            "eps", [ONE] + [ZERO] * (n - 1), Series.one(order), tag="eps")
-        self.u = self._register(
-            "u", [ONE] * n, Series.exp_t(order), tag="u")
+        self.eps = self._register("eps", [ONE] + [ZERO] * (n - 1), Series.one(order))
+        self.u = self._register("u", [ONE] * n, Series.exp_t(order))
         self._by_name["eps"] = self.eps
         self._by_name["u"] = self.u
 
     # -- registration ---------------------------------------------------------
 
-    def _register(self, name: str, moments, egf: Series, tag: str = "") -> Atom:
+    def _register(self, name: str, moments, egf: Series) -> Atom:
         moments = tuple(Poly.coerce(m) for m in moments)
         if len(moments) != self.order + 1:
             raise ValueError(
@@ -332,7 +268,7 @@ class Workspace:
             gf_moment = egf.egf_moment(k)
             if gf_moment != m:
                 raise CoherenceError(name, k, m, gf_moment, self.order)
-        atom = Atom(next(self._uids), name, moments, egf, tag)
+        atom = Atom(next(self._uids), name, moments, egf)
         self._atoms[_symbol(atom.uid)] = atom
         return atom
 
@@ -356,7 +292,7 @@ class Workspace:
 
     def clone(self, atom: Atom) -> Atom:
         """A fresh atom with the same moments, uncorrelated with the source."""
-        return self._register(atom.name + "'", atom.moments, atom.egf, atom.tag)
+        return self._register(atom.name + "'", atom.moments, atom.egf)
 
     def atom_of(self, expr, name: str = None) -> Atom:
         """Materialize an expression as a fresh atom (its own symbol, with

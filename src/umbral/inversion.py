@@ -17,22 +17,19 @@ of the composition umbra's powers, whose moments must come out
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
 from .core import Atom, IntPower, Product, Sum, Workspace
-from .errors import NonUnitLinearMoment
-from .ops import _bell_transform, alpha_bar, composition_umbra, dot, falling_factorials
+from .ops import (
+    _a1_reciprocal,
+    _bell_transform,
+    alpha_bar,
+    composition_umbra,
+    dot,
+    falling_factorials,
+)
 from .poly import ONE, Poly
 from .series import Series
-
-
-def _a1_reciprocal(alpha: Atom) -> Fraction:
-    a1 = alpha.moments[1]
-    if not a1 or not a1.is_constant():
-        raise NonUnitLinearMoment(
-            f"first moment of {alpha.name} has no reciprocal")
-    return Fraction(1) / a1.constant()
 
 
 def dot_moment(bar: Atom, mult: int, m: int) -> Poly:
@@ -89,6 +86,12 @@ class InversionReport:
     partial_bell_expansion_ok: bool = True
     abel_expansion_ok: bool = True
 
+    @property
+    def ok(self) -> bool:
+        """Both routes agree and all three expansions check out."""
+        return (self.agree and self.chi_ok and self.partial_bell_expansion_ok
+                and self.abel_expansion_ok)
+
     def to_json(self) -> dict:
         return {
             "order": self.order,
@@ -138,7 +141,7 @@ def cross_check(ws: Workspace, alpha: Atom, order: int = None) -> InversionRepor
     for k in range(1, order + 1):
         w = dot(ws, -k, bar)
         abel_first.append(
-            ws.eval(Product((chi.ref(), IntPower(Sum((chi.ref(), w.ref())), k - 1)))))
+            ws.eval(Product((chi, IntPower(Sum((chi, w)), k - 1)))))
     pb_ok = True
     abel_ok = True
     for n in range(order + 1):

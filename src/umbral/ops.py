@@ -51,9 +51,7 @@ def falling_factorials(value, n: int) -> list:
 
 def falling_factorial_moment(beta: Atom, i: int) -> Poly:
     """E[(beta)_i] via the signed-Stirling expansion of the falling
-    factorial.  The Bell scalar umbra short-circuits to 1."""
-    if beta.tag == "bell":
-        return ONE
+    factorial."""
     total = ZERO
     for j in range(i + 1):
         s = stirling("first_signed", i, j)
@@ -183,7 +181,7 @@ def bell_umbra(ws: Workspace, scale=None) -> Atom:
     expm1 = Series.expm1_t(n)
     if scale is None:
         moments = [Poly.const(bell_number(k)) for k in range(n + 1)]
-        return ws._register("bell", moments, expm1.exp(), tag="bell")
+        return ws._register("bell", moments, expm1.exp())
     c = _scale_arg(ws, scale)
     # S(n,k) = B_{n,k}(1, 1, ...): the Bell transform of the unit umbra
     moments = _bell_transform([c ** i for i in range(n + 1)], ws.u, n)
@@ -222,6 +220,16 @@ def composition_umbra(ws: Workspace, gamma: Atom, alpha: Atom) -> Atom:
 # -- the shifted-moment umbra -----------------------------------------------------------
 
 
+def _a1_reciprocal(alpha: Atom) -> Fraction:
+    """1/a_1, or ``NonUnitLinearMoment`` when the first moment of alpha is
+    zero or carries an indeterminate."""
+    a1 = alpha.moments[1]
+    if not a1 or not a1.is_constant():
+        raise NonUnitLinearMoment(
+            f"first moment of {alpha.name} has no reciprocal")
+    return Fraction(1) / a1.constant()
+
+
 def alpha_bar(ws: Workspace, alpha: Atom) -> Atom:
     """The umbra encoding (f(t) - 1)/(a_1 t): its n-th moment is
     a_{n+1} / (a_1 (n+1)).
@@ -233,11 +241,7 @@ def alpha_bar(ws: Workspace, alpha: Atom) -> Atom:
     generating-function identity f - 1 = a_1 t e^{bar t} only reads
     coefficients 0..N-1 of the result).
     """
-    a1 = alpha.moments[1]
-    if not a1 or not a1.is_constant():
-        raise NonUnitLinearMoment(
-            f"first moment of {alpha.name} has no reciprocal")
-    inv_a1 = Fraction(1) / a1.constant()
+    inv_a1 = _a1_reciprocal(alpha)
     n = ws.order
     moments = [ONE]
     for k in range(1, n + 1):

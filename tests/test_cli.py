@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import umbral
+import umbral.inversion
 from umbral.cli import ExprContext, main, parse_series, render
 from umbral.core import Workspace
 from umbral.errors import ParseError, UnknownAtom
@@ -172,6 +174,39 @@ def test_invert_command():
     assert code == 0 and doc["agree"] and doc["chi_ok"]
     assert doc["gamma_moments_umbral"][:5] == ["1", "1", "2", "9", "64"]
     assert doc["chi_moments"][:3] == ["1", "1", "0"]
+
+
+def test_check_reports_an_engine_fault_as_a_failed_check(monkeypatch):
+    # a series kernel that is wrong at p = 3 makes registration of 3.a raise
+    # CoherenceError: a failed check (exit 1), not a usage error (exit 2),
+    # and `check all` goes on to the other entries
+    pow_int = Series.pow_int
+
+    def faulty(self, p):
+        out = pow_int(self, p)
+        return out + Series.t(out.order) if p == 3 else out
+
+    monkeypatch.setattr(Series, "pow_int", faulty)
+    code, out, err = run("check", "eq11_gf_power")
+    [case] = json.loads(out)
+    assert code == 1 and err == "" and not case["pass"]
+    assert set(case["witness"]) == {"statement", "atom", "k", "moment", "gf_moment", "order"}
+    assert case["witness"]["atom"] == "3.a" and case["witness"]["k"] == "1"
+    code, out, err = run("check", "all", "--trials", "1", "-n", "4")
+    assert code == 1 and err == "" and len(json.loads(out)) == 31
+
+
+@pytest.mark.parametrize("flag", ["partial_bell_expansion_ok", "abel_expansion_ok"])
+def test_invert_exit_status_reads_every_check(monkeypatch, flag):
+    cross_check = umbral.inversion.cross_check
+
+    def broken(ws, alpha):
+        return dataclasses.replace(cross_check(ws, alpha), **{flag: False})
+
+    monkeypatch.setattr(umbral.inversion, "cross_check", broken)
+    code, out, _ = run("invert", "--series", "t*exp(-t)", "--order", "6")
+    doc = json.loads(out)
+    assert code == 1 and doc["agree"] and doc["chi_ok"] and not doc[flag]
 
 
 def test_invert_unital_input_accepted():

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import umbral
 from umbral.core import (
     IntPower,
     Product,
@@ -91,7 +92,7 @@ def test_gf_of_sum_factorizes_over_disjoint_supports():
     a = random_umbra(ws, s, "a")
     g = random_umbra(ws, s, "g")
     assert ws.gf_of(a + g) == a.egf * g.egf
-    e1 = Sum((a.ref(), a.ref()))     # correlated: same atom twice
+    e1 = Sum((a, a))     # correlated: same atom twice
     assert ws.gf_of(e1) != a.egf * a.egf or a.moments[1] == 0
 
 
@@ -101,7 +102,7 @@ def test_linearity():
     a = random_umbra(ws, s, "a")
     g = random_umbra(ws, s, "g")
     c = Poly.var("x") + 2
-    lhs = ws.eval(Sum((ScalarMul(c, a.ref()), g.ref())), 1)
+    lhs = ws.eval(Sum((ScalarMul(c, a), g)), 1)
     assert lhs == c * a.moments[1] + g.moments[1]
 
 
@@ -111,7 +112,7 @@ def test_scalar_multiples_scale_moments_geometrically():
     a = random_umbra(ws, s, "a")
     c = Fraction(3, 2)
     for k in range(ws.order + 1):
-        assert ws.eval(ScalarMul(Poly.const(c), a.ref()), k) == \
+        assert ws.eval(ScalarMul(Poly.const(c), a), k) == \
             c ** k * a.moments[k]
 
 
@@ -174,8 +175,51 @@ def test_clone_independence_of_labels():
     assert ws.eval(c3 * c3 ** 2, 1) == a.moments[3]
     assert ws.eval(c1 * c2 ** 2, 1) == a.moments[1] * a.moments[2]
     assert ws.eval(c2 * c3 ** 2, 1) == a.moments[1] * a.moments[2]
-    assert ws.eval(Sum((c1.ref(), c2.ref())), 4) == \
-        ws.eval(Sum((c3.ref(), a.ref())), 4)
+    assert ws.eval(Sum((c1, c2)), 4) == \
+        ws.eval(Sum((c3, a)), 4)
+
+
+def test_atoms_and_nodes_are_immutable():
+    ws = fresh(order=1)
+    a, b = ws.define("a", [1, 2]), ws.define("b", [1, 3])
+    nodes = [a, Sum((a, b)), Product((a, b)), ScalarMul(2, a), IntPower(a, 2)]
+    for node in nodes:
+        for field in node.__slots__ + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(node, field, None)
+
+
+def test_expression_equality_is_by_type_and_fields():
+    ws = fresh(order=1)
+    a, b = ws.define("a", [1, 2]), ws.define("b", [1, 3])
+    assert a + b == Sum((a, b))
+    assert Sum((a, b)) != Product((a, b))
+    assert Sum((a, b)) != Sum((b, a))
+    assert a * b == Product((a, b)) and 2 * a == ScalarMul(2, a)
+    assert a ** 2 == IntPower(a, 2) != IntPower(a, 3)
+    assert repr(a + b) == "(a + b)" and repr(a) == "a"
+    pairs = [(Sum((a, b)), a + b), (Product((a, b)), a * b),
+             (ScalarMul(2, a), a * 2), (IntPower(a, 2), a ** 2)]
+    for x, y in pairs:
+        assert x is not y and x == y and hash(x) == hash(y)
+    assert len({node for pair in pairs for node in pair}) == len(pairs)
+
+
+def test_an_atom_is_its_own_symbol():
+    # a clone has the moments of its source but is a different umbra
+    ws = fresh(order=1)
+    a = ws.define("a", [1, 2])
+    c = ws.clone(a)
+    assert c.moments == a.moments
+    assert c != a and not c == a and a == a
+    assert Sum((a, c)) != Sum((a, a))
+    assert len({a, c, a}) == 2
+
+
+def test_package_exports_resolve():
+    namespace = {}
+    exec("from umbral import *", namespace)
+    assert set(umbral.__all__) <= set(namespace)
 
 
 def test_register_rejects_incoherent_atoms():
@@ -249,9 +293,9 @@ def _build(ws, atoms, node):
     kind = node[0]
     if kind in ("atom", "clone"):
         atom = atoms[node[1] % len(atoms)]
-        return (ws.clone(atom) if kind == "clone" else atom).ref()
+        return (ws.clone(atom) if kind == "clone" else atom)
     if kind in ("u", "eps"):
-        return getattr(ws, kind).ref()
+        return getattr(ws, kind)
     if kind == "one":
         return Product(())
     if kind in ("sum", "prod"):

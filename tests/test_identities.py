@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from umbral.core import Workspace
 from umbral.errors import UnknownIdentity
 from umbral.identities import check, check_all, list_identities
 
@@ -103,3 +104,22 @@ def test_catalog_output_matches_committed_digests(seed):
         key = f"{case.id}:{case.params['seed']}:{case.params['n']}:{case.params['trials']}"
         text = json.dumps(case.to_json(), indent=2, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == golden[key], case.id
+
+
+def test_catalog_registrations_match_committed_digest(monkeypatch):
+    # a passing case renders no draws, so the digests above cannot see the
+    # order of the random umbrae; this pins every atom `check all` registers,
+    # by name and moments, in registration order
+    seen = []
+    register = Workspace._register
+
+    def recording(self, name, moments, egf):
+        atom = register(self, name, moments, egf)
+        seen.append(name + "\t" + ",".join(map(str, atom.moments)))
+        return atom
+
+    monkeypatch.setattr(Workspace, "_register", recording)
+    assert all(c.passed for c in check_all())
+    assert len(seen) == 1782
+    digest = hashlib.sha256("\n".join(seen).encode()).hexdigest()
+    assert digest[:16] == "6a9e39f6ecdc8b72"
