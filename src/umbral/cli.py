@@ -363,8 +363,10 @@ def _parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
-def _parse_dist(spec: str):
+def _parse_dist(spec, option: str):
     from .poisson import DiscreteDist
+    if spec is None:
+        raise UsageError(f"this model needs {option}")
     values, probs = [], []
     for part in spec.split(","):
         v, _, p = part.partition(":")
@@ -566,12 +568,12 @@ def _cmd_mc(args) -> int:
     if args.model == "poisson":
         model = poisson.PoissonModel(lam)
     elif args.model == "compound":
-        model = poisson.CompoundModel(lam, _parse_dist(args.jumps))
+        model = poisson.CompoundModel(lam, _parse_dist(args.jumps, "--jumps"))
     elif args.model == "randomized":
-        model = poisson.RandomizedModel(_parse_dist(args.param))
+        model = poisson.RandomizedModel(_parse_dist(args.param, "--param"))
     else:
-        model = poisson.RandomizedCompoundModel(_parse_dist(args.param),
-                                                _parse_dist(args.jumps))
+        model = poisson.RandomizedCompoundModel(_parse_dist(args.param, "--param"),
+                                                _parse_dist(args.jumps, "--jumps"))
     comp = poisson.compare(model, args.n, args.seed or 0, args.max_order)
     _emit(comp.to_json(), args.format)
     return 0 if comp.passed else 1
@@ -671,8 +673,8 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv, namespace=defaults)
         return args.fn(args)
-    except (UmbralError, ValueError, KeyError, ZeroDivisionError, OverflowError,
-            RecursionError) as exc:
+    except (UmbralError, ValueError, KeyError, IndexError, ZeroDivisionError,
+            OverflowError, RecursionError) as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ParseError):
             err["offset"] = exc.offset

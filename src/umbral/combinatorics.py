@@ -5,7 +5,9 @@ brute-force set-partition enumerator used as the independent oracle.
 Partial Bell polynomials come from Comtet's recurrence, which reads no
 series (so the moment route of :mod:`umbral.ops` shares no kernel with the
 generating-function route); the enumerator provides the definitional
-weighted-partition sum to check against.  Memoization uses ``lru_cache``,
+weighted-partition sum to check against.  ``bell_transform`` is the one
+weighted sum sum_i w_i B_{k,i}(a) of the moment route, and only this module
+reads the triangle's integer format.  Memoization uses ``lru_cache``,
 which is safe under concurrent readers.
 """
 
@@ -17,7 +19,7 @@ from functools import lru_cache
 from math import comb, lcm
 
 from .errors import TooLarge
-from .poly import ONE, ZERO, Poly
+from .poly import ZERO, Poly, rationals
 from .series import Series, factorial
 
 ENUMERATION_CAP = 12
@@ -83,10 +85,10 @@ def _bell_triangle_cached(a: tuple, max_n: int) -> tuple:
     (Advanced Combinatorics, 1974, 3.3).  Rational a runs on the integers
     D^i a_i, D the lcm of the denominators (B_{n,k} has weight n); a that
     carries an indeterminate runs the same loop over Poly with D = 1."""
-    a = list(a[:max_n]) + [ZERO] * (max_n - len(a))
+    a = list(a[:max_n]) + [0] * (max_n - len(a))
     d = 1
-    if all(p.is_constant() for p in a):
-        q = [p.constant() for p in a]
+    q = rationals(a)
+    if q is not None:
         d = lcm(*(v.denominator for v in q))
         a = [(v * d ** i).numerator for i, v in enumerate(q, 1)]
     rows = [(1,)]
@@ -102,6 +104,29 @@ def _bell_triangle_cached(a: tuple, max_n: int) -> tuple:
             row.append(acc)
         rows.append(tuple(row))
     return tuple(rows), d
+
+
+def bell_transform(weights, a, n: int) -> list:
+    """m_k = sum_{i<=k} w_i B_{k,i}(a_1, a_2, ...) for k = 0..n; a lists a_1
+    first.  With rational weights w_i = u_i / E, m_k is the integer sum_i u_i
+    P_{k,i} over E D^k, P the triangle's rows over D^k: a ``Fraction``.
+    Indeterminates (E = 1 or D = 1) give a ``Poly``, or 0 for an empty sum."""
+    rows, d = _bell_triangle_cached(tuple(a), n)
+    e = 1
+    q = rationals(weights)
+    if q is not None:
+        e = lcm(*(v.denominator for v in q))
+        weights = [v.numerator * (e // v.denominator) for v in q]
+    moments = []
+    for row in rows:
+        acc = 0
+        for w, b in zip(weights, row):
+            if w and b:
+                acc = acc + w * b
+        moments.append(Fraction(acc, e) if type(acc) is int
+                       else acc if e == 1 else acc / e)
+        e *= d
+    return moments
 
 
 def bell_triangle(a, max_n: int) -> tuple:
@@ -124,11 +149,9 @@ def complete_bell(n: int, a) -> Poly:
     """Y_n(a_1,...,a_n) = sum_{k=1..n} B_{n,k}; Y_0 = 1."""
     if n < 0:
         raise IndexError("complete_bell needs n >= 0")
-    if n == 0:
-        return ONE
     if len(a) < n:
         raise IndexError(f"complete_bell({n}) needs {n} arguments")
-    return sum(bell_triangle(_coerced(a)[:n], n)[n], ZERO)
+    return Poly.coerce(bell_transform([1] * (n + 1), a[:n], n)[n])
 
 
 @lru_cache(maxsize=None)

@@ -19,15 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
+from .combinatorics import bell_transform
 from .core import Atom, IntPower, Product, Sum, Workspace
-from .ops import (
-    _a1_reciprocal,
-    _bell_transform,
-    alpha_bar,
-    composition_umbra,
-    dot,
-    falling_factorials,
-)
+from .ops import a1_reciprocal, alpha_bar, composition_umbra, dot, falling_factorials
 from .poly import ONE, Poly
 from .series import Series
 
@@ -42,7 +36,7 @@ def dot_moment(bar: Atom, mult: int, m: int) -> Poly:
 def dot_moment_formula(bar: Atom, mult: int, m: int) -> Poly:
     """The same moment through the falling-factorial Bell expansion; used
     as the in-module cross-check of the generating-function route."""
-    return _bell_transform(falling_factorials(mult, m), bar, m)[m]
+    return Poly.coerce(bell_transform(falling_factorials(mult, m), bar.moments[1:], m)[m])
 
 
 def revert_umbral(ws: Workspace, alpha: Atom) -> Atom:
@@ -54,7 +48,7 @@ def revert_umbral(ws: Workspace, alpha: Atom) -> Atom:
     moments, so registration compares the sequence with itself; the check
     of this route is :func:`cross_check` against :func:`revert_oracle`.
     """
-    inv_a1 = _a1_reciprocal(alpha)
+    inv_a1 = a1_reciprocal(alpha)
     bar = alpha_bar(ws, alpha)
     moments = [ONE]
     scale = inv_a1
@@ -68,7 +62,7 @@ def revert_oracle(ws: Workspace, alpha: Atom) -> Atom:
     """The same umbra by brute series reversion of f - 1 (no moment
     formula involved).  The moments are read off the series, so
     registration compares the sequence with itself."""
-    _a1_reciprocal(alpha)
+    a1_reciprocal(alpha)
     g = Series.one(ws.order) + (alpha.egf - Series.one(ws.order)).revert()
     return ws._register(f"lagrev({alpha.name})", g.moments(), g)
 

@@ -15,15 +15,15 @@ where L_i is (n)_i for an integer multiplier, the falling-factorial
 polynomial for an indeterminate one, and E[(b)_i] (expanded through signed
 Stirling numbers) for an umbral one.  The same formula with a negative
 integer is the binomial series of [f(t)]^{-n}, so inverse point multiples
-need no separate code path.
+need no separate code path.  The scaled Bell, partition and composition
+umbrae weight the same sum, :func:`umbral.combinatorics.bell_transform`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
-from .combinatorics import _bell_triangle_cached, bell_number, stirling
+from .combinatorics import bell_number, bell_transform, stirling
 from .core import Atom, Workspace
 from .errors import (
     NonUnitLinearMoment,
@@ -31,7 +31,7 @@ from .errors import (
     UndeclaredIndeterminate,
     ZeroMomentReciprocal,
 )
-from .poly import ONE, ZERO, Poly
+from .poly import ONE, ZERO, Poly, rational
 from .series import Series
 
 
@@ -39,11 +39,10 @@ from .series import Series
 
 
 def falling_factorials(value, n: int) -> list:
-    """[(value)_0, ..., (value)_n] as Polys, where (value)_i = value
-    (value-1) ... (value-i+1), by one running product; value is an integer,
-    a rational or a Poly."""
-    value = Poly.coerce(value)
-    out = [ONE]
+    """[(value)_0, ..., (value)_n], where (value)_i = value (value-1) ...
+    (value-i+1), by one running product in the value's own type: ints for
+    an integer, Fractions for a Fraction, Polys for a Poly."""
+    out = [value ** 0]
     for j in range(n):
         out.append(out[-1] * (value - j))
     return out
@@ -87,30 +86,6 @@ def _wrap_name(name: str) -> str:
 # -- point product -------------------------------------------------------------
 
 
-def _bell_transform(weights, alpha: Atom, n: int) -> list:
-    """The moments m_k = sum_{i<=k} w_i B_{k,i}(a_1, a_2, ...) for k = 0..n,
-    as m_k = (sum_i u_i P_{k,i}) / (E D^k) from the triangle's rows P over
-    D^k and rational weights over one denominator, w_i = u_i / E: one
-    ``Fraction`` per moment.  Poly weights (E = 1) or rows (D = 1) give a
-    Poly sum, divided once per k."""
-    rows, d = _bell_triangle_cached(alpha.moments[1:], n)
-    e = 1
-    if all(w.is_constant() for w in weights):
-        q = [w.constant() for w in weights]
-        e = lcm(*(v.denominator for v in q))
-        weights = [v.numerator * (e // v.denominator) for v in q]
-    moments = []
-    for row in rows:
-        acc = 0
-        for w, b in zip(weights, row):
-            if w and b:
-                acc = acc + w * b
-        moments.append(Poly.const(Fraction(acc, e)) if type(acc) is int
-                       else acc if e == 1 else acc / e)
-        e *= d
-    return moments
-
-
 def dot(ws: Workspace, left, alpha: Atom) -> Atom:
     """The point multiple left.alpha.
 
@@ -124,7 +99,7 @@ def dot(ws: Workspace, left, alpha: Atom) -> Atom:
     if isinstance(left, Atom):
         weights = [falling_factorial_moment(left, i) for i in range(ws.order + 1)]
         return ws._register(f"{_wrap_name(left.name)}.{_wrap_name(alpha.name)}",
-                            _bell_transform(weights, alpha, ws.order),
+                            bell_transform(weights, alpha.moments[1:], ws.order),
                             left.egf.compose(alpha.egf.log()))
     if isinstance(left, int):
         return _scalar_multiple(ws, left, alpha, f"{left}.{_wrap_name(alpha.name)}")
@@ -136,7 +111,7 @@ def _scalar_multiple(ws: Workspace, p, alpha: Atom, name: str) -> Atom:
     """p.alpha for an integer or Poly p: moments sum_i (p)_i B_{k,i}(a),
     generating function f^p."""
     weights = falling_factorials(p, ws.order)
-    return ws._register(name, _bell_transform(weights, alpha, ws.order),
+    return ws._register(name, bell_transform(weights, alpha.moments[1:], ws.order),
                         alpha.egf.pow_int(p))
 
 
@@ -152,10 +127,11 @@ def point_power(ws: Workspace, alpha: Atom, n: int) -> Atom:
     else:
         moments = []
         for k, m in enumerate(alpha.moments):
-            if not m or not m.is_constant():
+            q = rational(m)
+            if not q:
                 raise ZeroMomentReciprocal(
                     f"moment {k} of {alpha.name} has no reciprocal")
-            moments.append(Poly.const(Fraction(1) / m.constant()) ** (-n))
+            moments.append((1 / q) ** -n)
     return ws._register(f"{_wrap_name(alpha.name)}^.{n}", moments,
                         Series.from_moments(moments))
 
@@ -184,7 +160,7 @@ def bell_umbra(ws: Workspace, scale=None) -> Atom:
         return ws._register("bell", moments, expm1.exp())
     c = _scale_arg(ws, scale)
     # S(n,k) = B_{n,k}(1, 1, ...): the Bell transform of the unit umbra
-    moments = _bell_transform([c ** i for i in range(n + 1)], ws.u, n)
+    moments = bell_transform([c ** i for i in range(n + 1)], ws.u.moments[1:], n)
     egf = expm1.scalar_mul(c).exp()
     return ws._register(f"bell({c})", moments, egf)
 
@@ -195,17 +171,14 @@ def partition_umbra(ws: Workspace, alpha: Atom, scale=None) -> Atom:
     is exp(f - 1); the scaled form weights B_{n,k} by c^k under
     exp(c (f - 1))."""
     n = ws.order
-    fm1 = alpha.egf - Series.one(n)
     if scale is None:
-        weights = [ONE] * (n + 1)
-        egf = fm1.exp()
-        name = f"part({alpha.name})"
+        c, name = 1, f"part({alpha.name})"
     else:
         c = _scale_arg(ws, scale)
-        weights = [c ** i for i in range(n + 1)]
-        egf = fm1.scalar_mul(c).exp()
         name = f"{_scale_name(c)}.part({alpha.name})"
-    return ws._register(name, _bell_transform(weights, alpha, n), egf)
+    weights = [c ** i for i in range(n + 1)]
+    egf = (alpha.egf - Series.one(n)).scalar_mul(c).exp()
+    return ws._register(name, bell_transform(weights, alpha.moments[1:], n), egf)
 
 
 def composition_umbra(ws: Workspace, gamma: Atom, alpha: Atom) -> Atom:
@@ -214,20 +187,20 @@ def composition_umbra(ws: Workspace, gamma: Atom, alpha: Atom) -> Atom:
     n = ws.order
     egf = gamma.egf.compose(alpha.egf - Series.one(n))
     return ws._register(f"comp({gamma.name},{alpha.name})",
-                        _bell_transform(gamma.moments, alpha, n), egf)
+                        bell_transform(gamma.moments, alpha.moments[1:], n), egf)
 
 
 # -- the shifted-moment umbra -----------------------------------------------------------
 
 
-def _a1_reciprocal(alpha: Atom) -> Fraction:
+def a1_reciprocal(alpha: Atom) -> Fraction:
     """1/a_1, or ``NonUnitLinearMoment`` when the first moment of alpha is
     zero or carries an indeterminate."""
-    a1 = alpha.moments[1]
-    if not a1 or not a1.is_constant():
+    a1 = rational(alpha.moments[1])
+    if not a1:
         raise NonUnitLinearMoment(
             f"first moment of {alpha.name} has no reciprocal")
-    return Fraction(1) / a1.constant()
+    return 1 / a1
 
 
 def alpha_bar(ws: Workspace, alpha: Atom) -> Atom:
@@ -241,7 +214,7 @@ def alpha_bar(ws: Workspace, alpha: Atom) -> Atom:
     generating-function identity f - 1 = a_1 t e^{bar t} only reads
     coefficients 0..N-1 of the result).
     """
-    inv_a1 = _a1_reciprocal(alpha)
+    inv_a1 = a1_reciprocal(alpha)
     n = ws.order
     moments = [ONE]
     for k in range(1, n + 1):

@@ -37,9 +37,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import bell_triangle
+from .combinatorics import bell_transform
 from .errors import InvalidDistribution
-from .poly import Poly
 from .prng import GOLDEN, MASK, Stream
 
 CHUNK = 1 << 16
@@ -178,9 +177,7 @@ def exact_moments(model, max_order: int) -> list:
     else:
         raise TypeError(f"unknown model: {model!r}")
     jumps = getattr(model, "jumps", DiscreteDist.point_mass(1))
-    tri = bell_triangle([Poly.const(jumps.moment(j)) for j in orders[1:]], max_order)
-    return [sum((w * b.constant() for w, b in zip(weights, tri[k])), Fraction(0))
-            for k in orders]
+    return bell_transform(weights, [jumps.moment(j) for j in orders[1:]], max_order)
 
 
 # -- sampling ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ operation per term.
 A polynomial is a dict mapping a monomial to a nonzero ``Fraction``.  A
 monomial is a tuple of ``(variable, exponent)`` pairs, sorted by variable
 name, with all exponents >= 1; the empty tuple is the constant monomial.
+``rational`` and ``rationals`` decide whether values are rational.
 
 >>> x, y = Poly.var("x"), Poly.var("y")
 >>> str((x + y) ** 2)
@@ -304,3 +305,25 @@ def _parse_mono(text: str) -> Monomial:
 
 ZERO = Poly()
 ONE = Poly.const(1)
+
+
+def rational(c):
+    """c as a ``Fraction`` if it is an int, a ``Fraction`` or a constant
+    ``Poly``; else None."""
+    if type(c) is Fraction:
+        return c
+    if type(c) is Poly:
+        return c.constant() if c.is_constant() else None
+    return Fraction(c) if isinstance(c, int) else None
+
+
+def rationals(values):
+    """Every value as a ``Fraction``, or None as soon as one is not
+    rational."""
+    out = []
+    for c in values:
+        q = rational(c)
+        if q is None:
+            return None
+        out.append(q)
+    return out

@@ -24,7 +24,7 @@ from .errors import (
     OrderExceeded,
     OrderMismatch,
 )
-from .poly import Poly
+from .poly import Poly, rational, rationals
 
 
 @lru_cache(maxsize=None)
@@ -32,23 +32,11 @@ def factorial(n: int) -> int:
     return 1 if n <= 1 else n * factorial(n - 1)
 
 
-def _rational(c):
-    """c as a ``Fraction`` if it is rational, else None."""
-    if type(c) is Poly:
-        return c.constant() if c.is_constant() else None
-    return c if type(c) is Fraction else Fraction(c)
-
-
 def _ring(coeffs) -> tuple:
     """All coefficients as ``Fraction`` if they are all rational, else all
     as ``Poly``."""
-    out = []
-    for c in coeffs:
-        q = _rational(c)
-        if q is None:
-            return tuple(map(Poly.coerce, coeffs))
-        out.append(q)
-    return tuple(out)
+    q = rationals(coeffs)
+    return tuple(map(Poly.coerce, coeffs)) if q is None else tuple(q)
 
 
 class Series:
@@ -188,7 +176,7 @@ class Series:
             shift = v * p
             if shift > n:
                 return Series.zero(n)
-            c0 = _rational(self.coeffs[v])
+            c0 = rational(self.coeffs[v])
             if c0 is None:
                 result = self
                 for _ in range(p - 1):
@@ -272,7 +260,7 @@ class Series:
             raise DomainError("reversion requires a delta series")
         if self.order < 1:
             raise NotInvertible("no linear coefficient at order 0")
-        c1 = _rational(self.coeffs[1])
+        c1 = rational(self.coeffs[1])
         if not c1:
             raise NotInvertible("linear coefficient has no reciprocal")
         n, c = self.order, self.coeffs

@@ -308,6 +308,17 @@ def test_error_reporting():
     ("--workspace", ["a"], "eval", "u"),
     ("--workspace", {"umbrae": {"a": "12"}}, "eval", "E[a]"),
     ("--workspace", {"umbrae": ["a"]}, "define", "c", "1,2"),
+    # indices outside the combinatorial kernels' domains
+    ("stirling", "-n", "2", "-k", "5"),
+    ("stirling", "-n", "-1", "-k", "0"),
+    ("bell", "-n", "-1"),
+    ("bellpoly", "-n", "3", "-k", "5", "--moments", "1"),
+    ("bellpoly", "-n", "0", "-k", "0", "--moments", "1"),
+    ("bellpoly", "-n", "3", "--moments", "1"),
+    # a model without the distribution it needs
+    ("mc", "--model", "compound", "--lambda", "1"),
+    ("mc", "--model", "randomized"),
+    ("mc", "--model", "randomized_compound", "--param", "1:1"),
 ])
 def test_bad_inputs_exit_2_with_json_error(argv, tmp_path):
     argv = list(argv)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from umbral.combinatorics import (
     _bell_triangle_cached,
     bell_number,
+    bell_transform,
     bell_triangle,
     bernoulli_number,
     complete_bell,
@@ -19,7 +20,7 @@ from umbral.combinatorics import (
 )
 from umbral import combinatorics, core, identities, inversion, ops, poly, series
 from umbral.errors import TooLarge
-from umbral.poly import ONE, Poly
+from umbral.poly import ONE, ZERO, Poly
 from umbral.prng import Stream
 
 x = Poly.var("x")
@@ -115,7 +116,28 @@ def test_bell_triangle_matches_partition_oracle(a):
             assert tri[n][k] == weighted_partition_sum(n, k, a)
 
 
+weight = st.one_of(st.integers(-4, 4), rationals, rationals.map(Poly.const),
+                   moment.map(Poly.coerce))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(moment, max_size=7), st.data())
+def test_bell_transform_matches_partition_oracle(a, data):
+    # m_k = sum_i w_i B_{k,i}(a) for weights given as ints, Fractions,
+    # constant Polys and x-carrying Polys, over rational or x-carrying a
+    n = len(a)
+    w = data.draw(st.lists(weight, min_size=n + 1, max_size=n + 1))
+    m = bell_transform(w, a, n)
+    assert len(m) == n + 1
+    for k in range(n + 1):
+        assert m[k] == sum((w[i] * weighted_partition_sum(k, i, a)
+                            for i in range(k + 1)), ZERO)
+    if all(Poly.coerce(v).is_constant() for v in w + a):
+        assert all(type(v) is Fraction for v in m)
+
+
 def test_complete_bell():
+    assert complete_bell(0, []) == 1
     ones = [ONE] * 12
     for n in range(13):
         assert complete_bell(n, ones) == bell_number(n)

@@ -1,5 +1,7 @@
+import ast
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,6 +222,18 @@ def test_package_exports_resolve():
     namespace = {}
     exec("from umbral import *", namespace)
     assert set(umbral.__all__) <= set(namespace)
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a name with a leading underscore is read only inside its own module
+    found = []
+    for path in sorted(Path(umbral.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("umbral")):
+                found += [f"{path.name}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []
 
 
 def test_register_rejects_incoherent_atoms():

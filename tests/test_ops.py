@@ -437,10 +437,14 @@ def test_corrupted_exp_and_compose_are_caught(monkeypatch, method, build, ring):
         build(ws, *inputs)
 
 
+# every caller of combinatorics.bell_transform; the unscaled Bell umbra
+# keeps its closed form, so bell(c) is scaled on both rings
 BELL_BUILT = {
     "3.a": lambda ws, a, g, c: dot(ws, 3, a),
     "inv(a)": lambda ws, a, g, c: inverse_umbra(ws, a),
     "part(a)": lambda ws, a, g, c: partition_umbra(ws, a),
+    "x.part(a)": lambda ws, a, g, c: partition_umbra(ws, a, "x"),
+    "bell(c)": lambda ws, a, g, c: bell_umbra(ws, c or Fraction(3, 2)),
     "comp(g,a)": lambda ws, a, g, c: composition_umbra(ws, g, a),
 }
 
@@ -449,7 +453,7 @@ BELL_BUILT = {
 @pytest.mark.parametrize("build", BELL_BUILT.values(), ids=BELL_BUILT)
 def test_corrupted_bell_triangle_is_caught(monkeypatch, build, ring):
     # one wrong Bell-triangle entry on the moment route
-    triangle = ops._bell_triangle_cached
+    triangle = combinatorics._bell_triangle_cached
 
     def corrupted(a, max_n):
         rows, d = triangle(a, max_n)
@@ -460,7 +464,7 @@ def test_corrupted_bell_triangle_is_caught(monkeypatch, build, ring):
     ws = fresh()
     inputs = ring_inputs(ws, Stream(34), ring)
     assert_coherent(build(ws, *inputs))
-    monkeypatch.setattr(ops, "_bell_triangle_cached", corrupted)
+    monkeypatch.setattr(combinatorics, "_bell_triangle_cached", corrupted)
     with pytest.raises(CoherenceError):
         build(ws, *inputs)
 

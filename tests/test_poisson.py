@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from umbral.combinatorics import bell_number
+from umbral.combinatorics import bell_number, bell_triangle
 from umbral.errors import InvalidDistribution
 from umbral.poisson import (
     CompoundModel,
@@ -16,6 +16,7 @@ from umbral.poisson import (
     exact_moments,
     sample,
 )
+from umbral.poly import Poly
 
 HALF = Fraction(1, 2)
 
@@ -33,6 +34,34 @@ def test_discrete_dist_validation():
         PoissonModel(0)
     d = DiscreteDist((HALF, 2), (Fraction(2, 3), Fraction(1, 3)))
     assert d.moment(2) == Fraction(2, 3) * Fraction(1, 4) + Fraction(1, 3) * 4
+
+
+def _hand_bell_sum(model, max_order):
+    """E[X^k] = sum_j E[L^j] B_{k,j}(jump moments), summed by hand over the
+    entries of ``bell_triangle``."""
+    orders = range(max_order + 1)
+    if isinstance(model, (PoissonModel, CompoundModel)):
+        weights = [model.lam ** j for j in orders]
+    else:
+        weights = [model.param.moment(j) for j in orders]
+    jumps = getattr(model, "jumps", DiscreteDist.point_mass(1))
+    tri = bell_triangle([Poly.const(jumps.moment(j)) for j in orders[1:]], max_order)
+    return [sum((w * b.constant() for w, b in zip(weights, tri[k])), Fraction(0))
+            for k in orders]
+
+
+# the four models of the Monte Carlo benchmark
+BENCH_JUMPS = DiscreteDist((1, 2), (HALF, HALF))
+BENCH_MODELS = [PoissonModel(1), CompoundModel(1, BENCH_JUMPS),
+                RandomizedModel(BENCH_JUMPS),
+                RandomizedCompoundModel(BENCH_JUMPS, BENCH_JUMPS)]
+
+
+@pytest.mark.parametrize("model", BENCH_MODELS, ids=lambda m: m.describe())
+def test_exact_moments_match_hand_bell_sum(model):
+    got = exact_moments(model, 6)
+    assert got == _hand_bell_sum(model, 6)
+    assert all(type(v) is Fraction for v in got)
 
 
 def test_exact_predictions():
