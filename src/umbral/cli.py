@@ -498,7 +498,13 @@ def _cmd_define(args) -> int:
     return 0
 
 
+def _positive(value, option: str):
+    if value is not None and value < 1:  # a vacuous check would exit 0
+        raise UsageError(f"{option} must be at least 1, not {value}")
+
+
 def _cmd_check(args) -> int:
+    _positive(args.trials, "--trials")
     overrides = {}
     if args.trials is not None:
         overrides["trials"] = args.trials
@@ -563,6 +569,8 @@ def _cmd_bellpoly(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    _positive(args.n, "--n")
+    _positive(args.max_order, "--max-order")
     from . import poisson  # imports numpy, which no exact command needs
     lam = _parse_rational(args.lam) if args.lam else Fraction(1)
     if args.model == "poisson":

@@ -20,7 +20,7 @@ from math import comb, lcm
 
 from .errors import TooLarge
 from .poly import ZERO, Poly, rationals
-from .series import Series, factorial
+from .series import Series
 
 ENUMERATION_CAP = 12
 
@@ -171,8 +171,8 @@ def exponential_poly(n: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def _bernoulli_egf(order: int) -> Series:
-    # reciprocal of (e^t - 1)/t, whose coefficients are 1/(k+1)!
-    base = Series(order, [Fraction(1, factorial(k + 1)) for k in range(order + 1)])
+    # reciprocal of (e^t - 1)/t, whose moments are 1/(k+1)
+    base = Series.from_moments([Fraction(1, k + 1) for k in range(order + 1)])
     return base.pow_int(-1)
 
 

@@ -630,10 +630,8 @@ def _chk_remark4(params):
 def _chk_thm8(params):
     stream = Stream(params["seed"])
     ws = _ws(params, indets=())
-    # the classical test case f - 1 = t e^{-t}
-    f = Series.one(ws.order) + Series(
-        ws.order,
-        [Fraction((-1) ** k, factorial(k)) for k in range(ws.order + 1)]).mul_t()
+    # the classical test case f - 1 = t e^{-t}, whose k-th moment is k (-1)^(k-1)
+    f = Series.from_moments([1] + [k * (-1) ** (k - 1) for k in range(1, ws.order + 1)])
     tree = ws._register("tree", f.moments(), f)
     rep = cross_check(ws, tree)
     expect = [Fraction(k ** (k - 1)) for k in range(1, ws.order + 1)]

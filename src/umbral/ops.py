@@ -215,14 +215,9 @@ def alpha_bar(ws: Workspace, alpha: Atom) -> Atom:
     coefficients 0..N-1 of the result).
     """
     inv_a1 = a1_reciprocal(alpha)
-    n = ws.order
-    moments = [ONE]
-    for k in range(1, n + 1):
-        if k < n:
-            moments.append(alpha.moments[k + 1] * (inv_a1 * Fraction(1, k + 1)))
-        else:
-            moments.append(ZERO)
-    egf = Series(n, [c * inv_a1 for c in alpha.egf.coeffs[1:]] + [0])
+    moments = [ONE] + [m * (inv_a1 * Fraction(1, k))
+                       for k, m in enumerate(alpha.moments[2:], 2)] + [ZERO]
+    egf = Series(ws.order, [c * inv_a1 for c in alpha.egf.coeffs[1:]] + [0])
     return ws._register(f"bar({alpha.name})", moments, egf)
 
 
@@ -249,11 +244,6 @@ def scale_atom(ws: Workspace, c, alpha: Atom) -> Atom:
     """The umbra c*alpha with moments c^k a_k (the substitution t -> ct in
     the generating function)."""
     c = Poly.coerce(c)
-    moments = []
-    coeffs = []
-    power = ONE
-    for k in range(ws.order + 1):
-        moments.append(power * alpha.moments[k])
-        coeffs.append(power * alpha.egf.coeffs[k])
-        power = power * c
-    return ws._register(f"({c})*{alpha.name}", moments, Series(ws.order, coeffs))
+    powers = [c ** k for k in range(ws.order + 1)]
+    return ws._register(f"({c})*{alpha.name}", [w * m for w, m in zip(powers, alpha.moments)],
+                        Series.from_moments([w * m for w, m in zip(powers, alpha.egf.moments())]))

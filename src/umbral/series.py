@@ -1,29 +1,28 @@
 """Truncated power series with exact rational or polynomial coefficients.
 
-A ``Series`` of order N stores ordinary coefficients c_0..c_N of
-sum_k c_k t^k, all ``Fraction`` or all ``Poly`` (see :class:`Series`).  The
-exponential point of view enters only at the moment boundary: the k-th EGF
-moment is k! * c_k (``egf_moment`` / ``from_moments``).  All arithmetic is
-exact and truncation-stable; binary operations demand equal orders rather
-than silently re-truncating.
+A ``Series`` of order N is sum_k c_k t^k, held by its EGF moments M_k = k! c_k
+(see :class:`Series`), where every kernel is a recurrence with integer
+binomial weights and no division: :func:`convolve` for products,
+:func:`miller` for exp, log and powers, full products h^k for composition
+and reversion.  A rational series runs on the integers d^k M_k, d the lcm of
+its moment denominators, and each moment of a result costs one ``Fraction``.
+The constructor takes ordinary coefficients, and ``coeffs``, ``str`` and JSON
+give them back.  Binary operations demand equal orders.  A series is
+*unital* when c_0 = 1 and *delta* when c_0 = 0.
 
-Terminology used throughout: a series is *unital* when c_0 = 1 and *delta*
-when c_0 = 0.
+>>> e = Series.exp_t(3)
+>>> e.moments(), str(e)
+([Poly('1'), Poly('1'), Poly('1'), Poly('1')], '1 + (1)*t^1 + (1/2)*t^2 + (1/6)*t^3')
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import comb, lcm
 
-from .errors import (
-    DomainError,
-    NegativePowerOfDeltaSeries,
-    NotInvertible,
-    OrderExceeded,
-    OrderMismatch,
-)
+from .errors import (DomainError, NegativePowerOfDeltaSeries, NotInvertible,
+                     OrderExceeded, OrderMismatch)
 from .poly import Poly, rational, rationals
 
 
@@ -32,21 +31,66 @@ def factorial(n: int) -> int:
     return 1 if n <= 1 else n * factorial(n - 1)
 
 
-def _ring(coeffs) -> tuple:
-    """All coefficients as ``Fraction`` if they are all rational, else all
-    as ``Poly``."""
-    q = rationals(coeffs)
-    return tuple(map(Poly.coerce, coeffs)) if q is None else tuple(q)
+def _ring(values) -> tuple:
+    """All values as ``Fraction`` if all are rational, else as ``Poly``."""
+    q = rationals(values)
+    return tuple(map(Poly.coerce, values)) if q is None else tuple(q)
+
+
+# -- kernels: on ints (a scaled rational series) or Fraction and Poly values
+# alike; a weight multiplies the first factor, which usually has fewer terms.
+
+
+def _lift(ms, d: int, e: int = 1) -> list:
+    """The integers e d^k M_k of rational moments (den M_k divides e d^k)."""
+    return [q.numerator * (e * d ** k // q.denominator) for k, q in enumerate(ms)]
+
+
+def convolve(a, b) -> list:
+    """The moments of a product, c_n = sum_k C(n,k) a_k b_{n-k} for
+    n < len(a)."""
+    n = len(a) - 1
+    va, vb = (next((k for k, c in enumerate(s) if c), n + 1) for s in (a, b))
+    return [0] * min(va + vb, n + 1) + [
+        sum(comb(m, k) * a[k] * b[m - k] for k in range(va, m - vb + 1) if a[k] and b[m - k])
+        for m in range(va + vb, n + 1)]
+
+
+def miller(a, r, q=1, log=False) -> list:
+    """J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7) in moment
+    coordinates: for a_0 = 1, X_0 = 1 and
+    X_m = sum_{k=1..m} (r C(m-1,k-1) - q C(m-1,k)) a_k X_{m-k} is f^(r/q);
+    (r, q) = (1, 0) on a delta series is exp f.  With ``log``, X_0 = 0 and
+    a_m is added to X_m: (r, q) = (0, 1) is log f.  A ``Poly`` r keeps the
+    two sums apart, so it costs one ``Poly`` product per m, not per term."""
+    split, x = type(r) is Poly, [0 if log else 1]
+    for m in range(1, len(a)):
+        row, s1, s2 = [comb(m - 1, k) for k in range(m + 1)], 0, 0
+        for k in range(1, m + 1):
+            if a[k] and x[m - k]:
+                if split:
+                    term = a[k] * x[m - k]
+                    s1, s2 = s1 + term * row[k - 1], s2 + term * row[k]
+                elif w := r * row[k - 1] - q * row[k]:
+                    s1 += w * a[k] * x[m - k]
+        xm = r * s1 - q * s2 if split else s1
+        x.append(a[m] + xm if log else xm)
+    return x
+
+
+def _scaled_down(xs, d: int, e: int = 1) -> "Series":
+    """The series with moments x_k / (e d^k), one ``Fraction`` per int x_k."""
+    scales = [e * d ** k for k in range(len(xs))]
+    return Series.from_moments([Fraction(x, s) if type(x) is int else
+                                (x * Fraction(1, s) if s > 1 else x) for x, s in zip(xs, scales)])
 
 
 class Series:
-    """A truncated power series.  The constructor picks the coefficient
-    ring: ``coeffs`` is a tuple of ``Fraction`` when every coefficient is
-    rational and of ``Poly`` otherwise, so equal series have equal
-    ``coeffs``.  Each kernel is one code path over either ring (a rational
-    times a ``Poly`` is a ``Poly``); ``egf_moment`` is a ``Poly`` either way."""
+    """A truncated power series held by its moments M_k = k! c_k: all
+    ``Fraction`` when all are rational, else all ``Poly``, so equal series
+    have equal moments; ``egf_moment`` is a ``Poly`` either way."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "_m")
 
     def __init__(self, order: int, coeffs):
         if order < 0:
@@ -55,12 +99,10 @@ class Series:
         if len(coeffs) != order + 1:
             raise ValueError(f"need exactly {order + 1} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_m", tuple(c * factorial(k) for k, c in enumerate(coeffs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
-
-    # -- constructors --------------------------------------------------------
 
     @staticmethod
     def make(coeffs, order: int) -> "Series":
@@ -68,8 +110,7 @@ class Series:
         coeffs = list(coeffs)
         if len(coeffs) > order + 1:
             raise ValueError("more coefficients than the order admits")
-        coeffs += [0] * (order + 1 - len(coeffs))
-        return Series(order, coeffs)
+        return Series(order, coeffs + [0] * (order + 1 - len(coeffs)))
 
     @staticmethod
     def zero(order: int) -> "Series":
@@ -85,8 +126,8 @@ class Series:
 
     @staticmethod
     def exp_t(order: int) -> "Series":
-        """The exponential series: c_k = 1/k!."""
-        return Series(order, [Fraction(1, factorial(k)) for k in range(order + 1)])
+        """The exponential series: every moment is 1."""
+        return Series.from_moments([1] * (order + 1))
 
     @staticmethod
     def expm1_t(order: int) -> "Series":
@@ -96,227 +137,187 @@ class Series:
     @staticmethod
     def from_moments(moments) -> "Series":
         """Series whose k-th EGF moment is moments[k]; order = len - 1."""
-        return Series(len(moments) - 1,
-                      [Poly.coerce(m) / factorial(k) for k, m in enumerate(moments)])
-
-    # -- predicates ------------------------------------------------------------
+        moments = _ring(tuple(moments))
+        if not moments:
+            raise ValueError("order must be nonnegative")
+        s = object.__new__(Series)
+        object.__setattr__(s, "order", len(moments) - 1)
+        object.__setattr__(s, "_m", moments)
+        return s
 
     def is_unital(self) -> bool:
-        return self.coeffs[0] == 1
+        return self._m[0] == 1
 
     def is_delta(self) -> bool:
-        return not self.coeffs[0]
+        return not self._m[0]
 
     def _same_order(self, other: "Series"):
         if self.order != other.order:
             raise OrderMismatch(f"orders differ: {self.order} != {other.order}")
 
-    # -- ring operations ---------------------------------------------------------
+    def _scaled(self):
+        """(d, the integers d^k M_k) on the rational ring, else (1, M)."""
+        d = lcm(*(q.denominator for q in self._m)) if type(self._m[0]) is Fraction else 0
+        return (d, _lift(self._m, d)) if d else (1, list(self._m))
 
     def __add__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
         self._same_order(other)
-        return Series(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return Series.from_moments([a + b for a, b in zip(self._m, other._m)])
 
     def __sub__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        self._same_order(other)
-        return Series(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + (-other) if isinstance(other, Series) else NotImplemented
 
     def __neg__(self):
-        return Series(self.order, [-a for a in self.coeffs])
+        return Series.from_moments([-a for a in self._m])
 
     def __mul__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
         self._same_order(other)
-        n = self.order
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(n + 1):
-            acc = 0
-            for i in range(k + 1):
-                if a[i] and b[k - i]:
-                    acc = acc + a[i] * b[k - i]
-            out.append(acc)
-        return Series(n, out)
+        a, b, d, e = self._m, other._m, 1, 1
+        if type(a[0]) is Fraction and type(b[0]) is Fraction:
+            d, ea, eb = lcm(*(q.denominator for q in a + b)), a[0].denominator, b[0].denominator
+            a, b, e = _lift(a, d, ea), _lift(b, d, eb), ea * eb
+        elif sum(map(len, map(Poly.coerce, b))) < sum(map(len, map(Poly.coerce, a))):
+            a, b = b, a
+        return _scaled_down(convolve(a, b), d, e)
 
     def scalar_mul(self, c) -> "Series":
-        return Series(self.order, [c * a for a in self.coeffs])
+        return Series.from_moments([c * a for a in self._m])
 
     def pow_int(self, p) -> "Series":
-        """f^p by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
-
-            m a_0 b_m = sum_{k=1..m} ((p+1) k - m) a_k b_{m-k},  b = f^p,
-
-        the t^(m-1) coefficient of f (f^p)' = p f' f^p, in one O(N^2) pass.
-        For unital f, p may be any integer, rational or ``Poly``.  Otherwise
-        p must be a nonnegative integer: the t-valuation is shifted out and a
-        constant lowest coefficient divided out; a non-constant one has no
-        reciprocal, so that case multiplies p times.
-
-        Rational f and p with a_0 = 1 run on the integer coefficients d^k a_k
-        of f(dt), d the lcm of the denominators; for integer p the division
-        by m is then exact, and b_m is the result over d^m.  A ``Poly`` f or
-        p keeps d = 1, where scaling would only enlarge the coefficients.
-        """
-        n = self.order
-        if p == 0:
-            return Series.one(n)
-        if self.is_unital():
-            v, shift, c0 = 0, 0, Fraction(1)
-        elif not isinstance(p, int):
-            raise DomainError("non-integer power needs constant term 1")
-        elif p < 0:
-            raise NegativePowerOfDeltaSeries("negative power needs constant term 1")
-        else:
-            v = next((k for k, c in enumerate(self.coeffs) if c), n + 1)
-            shift = v * p
-            if shift > n:
-                return Series.zero(n)
-            c0 = rational(self.coeffs[v])
-            if c0 is None:
-                result = self
-                for _ in range(p - 1):
-                    result = result * self
-                return result
-        a, d = self.coeffs[v:], 1
-        if c0 == 1 and type(a[0]) is Fraction and type(p) is not Poly:
-            d = lcm(*(c.denominator for c in a))
-            a = [c.numerator * (d ** k // c.denominator) for k, c in enumerate(a)]
-        qk = [(p + 1) * k for k in range(len(a))]
-        b = [1 if c0 == 1 else c0 ** p]
-        for m in range(1, n - shift + 1):
-            acc = 0
-            for k in range(1, m + 1):
-                if a[k] and b[m - k]:
-                    # weight a_k, which usually has fewer terms than b_{m-k}
-                    acc = acc + a[k] * (qk[k] - m) * b[m - k]
-            b.append(acc // m if type(acc) is int else acc / (c0 * m))
-        if d != 1:
-            b = [Fraction(c, d ** m) for m, c in enumerate(b)]
-        return Series(n, [0] * shift + b)
-
-    # -- exp / log -------------------------------------------------------------
+        """f^p.  For unital f, p may be any integer, rational or ``Poly``:
+        :func:`miller` in one O(N^2) pass, a rational p = r/q on q^(k-1) a_k,
+        a ``Poly`` p on a rational f on ints that pack the powers of p.
+        Otherwise p must be a nonnegative integer: repeated squaring."""
+        if not self.is_unital():
+            if not isinstance(p, int):
+                raise DomainError("non-integer power needs constant term 1")
+            if p < 0:
+                raise NegativePowerOfDeltaSeries("negative power needs constant term 1")
+            result, base = Series.one(self.order), self
+            while p:
+                result, base, p = result * base if p & 1 else result, base * base, p >> 1
+            return result
+        q = rational(p)
+        r, q = (p, 1) if q is None else (q.numerator, q.denominator)
+        d, a = self._scaled()
+        if q != 1:
+            a = a[:1] + [x * q ** k for k, x in enumerate(a[1:])]
+        if type(r) is Poly and type(a[0]) is int:
+            # Kronecker substitution: run with p = 2^b, b past the bit length
+            # of the sum of |p-coefficients| of X_m (the recurrence on |a_k|
+            # bounds it); the base-2^b digits of X_m + h (1 + 2^b + ...),
+            # h = 2^(b-1), are then the p-coefficients plus h
+            b = max(miller([abs(x) for x in a], 1, -1)).bit_length() + 1
+            h, powers, out = 1 << (b - 1), [r ** i for i in range(len(a))], []
+            for m, v in enumerate(miller(a, 1 << b)):
+                v += h * sum(1 << (b * i) for i in range(m + 1))
+                out.append(sum((powers[i] * Fraction((v >> (b * i) & (2 * h - 1)) - h, d ** m)
+                                for i in range(m + 1)), Poly()))
+            return Series.from_moments(out)
+        return _scaled_down(miller(a, r, q), d * q)
 
     def exp(self) -> "Series":
-        """exp of a delta series, via n*g_n = sum j*h_j*g_{n-j}."""
+        """exp of a delta series."""
         if not self.is_delta():
             raise DomainError("exp requires constant term 0")
-        h = self.coeffs
-        g = [1]
-        for n in range(1, self.order + 1):
-            acc = 0
-            for j in range(1, n + 1):
-                if h[j] and g[n - j]:
-                    acc = acc + h[j] * g[n - j] * j
-            g.append(acc * Fraction(1, n))
-        return Series(self.order, g)
+        d, a = self._scaled()
+        return _scaled_down(miller(a, 1, 0), d)
 
     def log(self) -> "Series":
         """log of a unital series; inverse of :meth:`exp` up to truncation."""
         if not self.is_unital():
             raise DomainError("log requires constant term 1")
-        f = self.coeffs
-        l = [0]
-        for n in range(1, self.order + 1):
-            acc = f[n] * n
-            for j in range(1, n):
-                if l[j] and f[n - j]:
-                    acc = acc - l[j] * f[n - j] * j
-            l.append(acc / n)
-        return Series(self.order, l)
-
-    # -- composition and reversion ------------------------------------------------
+        d, a = self._scaled()
+        return _scaled_down(miller(a, 0, 1, log=True), d)
 
     def compose(self, inner: "Series") -> "Series":
-        """self(inner(t)) for a delta inner series, exactly truncated."""
+        """self(inner(t)) for a delta inner series: sum_k G_k Q_k[n] / k!, the
+        powers Q_k = h Q_{k-1} full products (never the Bell triangle's
+        divided-power recurrence), every k! put into one denominator N!."""
         self._same_order(inner)
         if not inner.is_delta():
             raise DomainError("composition requires a delta inner series")
-        result = Series.make([self.coeffs[0]], self.order)
-        h_pow = Series.one(self.order)
-        for k in range(1, self.order + 1):
-            h_pow = h_pow * inner
-            c = self.coeffs[k]
-            if c:
-                result = result + h_pow.scalar_mul(c)
-        return result
+        n, (d, h), g = self.order, inner._scaled(), self._m
+        e = lcm(*(q.denominator for q in g)) if type(g[0]) is Fraction else 1
+        g = _lift(g, 1, e) if type(g[0]) is Fraction else g
+        nf = factorial(n)
+        out, power = [g[0] * nf] + [0] * n, [1] + [0] * n
+        for k in range(1, n + 1):
+            power = convolve(h, power)
+            if g[k]:
+                c = g[k] * (nf // factorial(k))
+                for m in range(k, n + 1):
+                    if power[m]:
+                        out[m] += c * power[m]
+        return _scaled_down(out, d, e * nf)
 
     def revert(self) -> "Series":
-        """Compositional inverse of a delta series with invertible c_1.
-
-        Triangular coefficient solving: the t^m coefficient of self(w(t)) is
-        c_1 w_m + sum_{j=2..m} c_j P[j][m] with P[j][m] = [t^m] w^j, so each
-        w_m is determined by one division.  The power table is filled one
-        column at a time: for j >= 2, P[j][m] = sum_{i=1..m-j+1} w_i
-        P[j-1][m-i] reads only w_1..w_{m-1} and earlier columns.  That is
-        O(N^3) coefficient products in all, where recomposing the series
-        for every coefficient was O(N^4).
-        """
+        """Compositional inverse of a delta series with invertible c_1: w,
+        the inverse of k = f / c_1 (on the integers d^(j-1) K_j), solves
+        sum_{j=1..m} K_j P[j][m] / j! = 0 for m >= 2, where the moments
+        P[j][m] of w^j = w w^(j-1) fill one column at a time and read only
+        w_1..w_{m-1}: O(N^3) products.  Then w_m is divided by d^(m-1) c_1^m."""
         if not self.is_delta():
             raise DomainError("reversion requires a delta series")
         if self.order < 1:
             raise NotInvertible("no linear coefficient at order 0")
-        c1 = rational(self.coeffs[1])
+        c1 = rational(self._m[1])
         if not c1:
             raise NotInvertible("linear coefficient has no reciprocal")
-        n, c = self.order, self.coeffs
-        w = [0, 1 / c1] + [0] * (n - 1)
+        n, k = self.order, [m / c1 for m in self._m]
+        d = lcm(*(q.denominator for q in k)) if type(k[1]) is Fraction else 1
+        k = [0] + _lift(k[1:], d) if type(k[1]) is Fraction else k
+        w = [0, 1] + [0] * (n - 1)
         powers = [None, w] + [[0] * (n + 1) for _ in range(n - 1)]
         for m in range(2, n + 1):
-            acc = 0
+            row, fm, acc = [comb(m, i) for i in range(m + 1)], factorial(m), 0
             for j in range(2, m + 1):
                 prev, entry = powers[j - 1], 0
                 for i in range(1, m - j + 2):
                     if w[i] and prev[m - i]:
-                        entry = entry + w[i] * prev[m - i]
+                        entry += row[i] * w[i] * prev[m - i]
                 powers[j][m] = entry
-                if c[j] and entry:
-                    acc = acc + c[j] * entry
-            w[m] = -acc / c1
-        return Series(n, w)
-
-    # -- calculus helpers ------------------------------------------------------
+                if k[j] and entry:
+                    acc += k[j] * (fm // factorial(j)) * entry
+            w[m] = -acc // fm if type(acc) is int else acc * Fraction(-1, fm)
+        return Series.from_moments([x * d / (d * c1) ** m for m, x in enumerate(w)])
 
     def derivative(self) -> "Series":
-        """Formal d/dt; the order drops by one."""
-        if self.order == 0:
-            return Series.zero(0)
-        return Series(self.order - 1,
-                      [self.coeffs[k] * k for k in range(1, self.order + 1)])
+        """Formal d/dt, a shift of the moments; the order drops by one."""
+        return Series.from_moments(self._m[1:] or (0,))
 
     def mul_t(self) -> "Series":
         """Multiply by t at fixed order (the top coefficient falls off)."""
-        return Series(self.order, (0,) + self.coeffs[:-1])
+        return Series.from_moments([0] + [a * k for k, a in enumerate(self._m[:-1], 1)])
 
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise OrderExceeded(f"cannot extend order {self.order} to {order}")
-        return Series(order, self.coeffs[: order + 1])
-
-    # -- moments ----------------------------------------------------------------
+        return Series.from_moments(self._m[: order + 1])
 
     def egf_moment(self, k: int) -> Poly:
-        """k! * c_k, the k-th moment under the EGF reading."""
+        """The k-th moment M_k = k! c_k."""
         if k < 0 or k > self.order:
             raise OrderExceeded(f"moment {k} outside order {self.order}")
-        return Poly.coerce(self.coeffs[k] * factorial(k))
+        return Poly.coerce(self._m[k])
 
     def moments(self) -> list:
-        return [self.egf_moment(k) for k in range(self.order + 1)]
+        return list(map(Poly.coerce, self._m))
 
-    # -- comparison and rendering -------------------------------------------------
+    @property
+    def coeffs(self) -> tuple:
+        """The ordinary coefficients c_k = M_k / k!."""
+        return tuple(m * Fraction(1, factorial(k)) for k, m in enumerate(self._m))
 
     def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self._m == other._m if isinstance(other, Series) else NotImplemented
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash(self._m)
 
     def __str__(self):
         parts = [str(c) if k == 0 else f"({c})*t^{k}"
@@ -325,8 +326,6 @@ class Series:
 
     def __repr__(self):
         return f"Series(order={self.order}, {self})"
-
-    # -- JSON -----------------------------------------------------------------------
 
     def to_json(self):
         return {"order": self.order,

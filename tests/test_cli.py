@@ -319,6 +319,12 @@ def test_error_reporting():
     ("mc", "--model", "compound", "--lambda", "1"),
     ("mc", "--model", "randomized"),
     ("mc", "--model", "randomized_compound", "--param", "1:1"),
+    # counts that would make a vacuous check
+    ("check", "prop1_i_v", "--trials", "0"),
+    ("check", "prop1_i_v", "--trials", "-3"),
+    ("mc", "--model", "poisson", "--max-order", "-1", "--n", "10"),
+    ("mc", "--model", "poisson", "--max-order", "0", "--n", "10"),
+    ("mc", "--model", "poisson", "--n", "0"),
 ])
 def test_bad_inputs_exit_2_with_json_error(argv, tmp_path):
     argv = list(argv)

@@ -9,7 +9,7 @@ from umbral.combinatorics import (
     stirling,
 )
 from umbral.core import Atom, Workspace
-from umbral import combinatorics, ops
+from umbral import combinatorics, ops, series
 from umbral.errors import (
     CoherenceError,
     NonUnitLinearMoment,
@@ -393,13 +393,12 @@ def ring_inputs(ws, stream, ring):
     return a, g, "x"
 
 
-def corrupt(method, double=False):
-    """``method`` with one wrong coefficient (t^2) in its result: one added,
-    or doubled, which leaves a zero coefficient zero."""
+def corrupt(method):
+    """``method`` with one wrong coefficient (t^2) in its result."""
     def corrupted(self, *args):
         out = method(self, *args)
         coeffs = list(out.coeffs)
-        coeffs[2] = coeffs[2] * 2 if double else coeffs[2] + 1
+        coeffs[2] = coeffs[2] + 1
         return Series(out.order, coeffs)
     return corrupted
 
@@ -412,25 +411,36 @@ COMPOSE_BUILT = {
     "comp(g,a)": lambda ws, a, g, c: composition_umbra(ws, g, a),
     "g.a": lambda ws, a, g, c: dot(ws, g, a),
 }
-# compose forms the powers of f - 1 with Series.__mul__; the moment route's
-# Bell triangle must not, or a wrong product corrupts both routes alike.  The
-# product is corrupted by doubling: adding one would also set the t^2
-# coefficients of (f - 1)^k, k >= 3, which only compose reads, and be caught
-# through them whatever the triangle does.
+# compose forms the powers of f - 1 with series.convolve, the product kernel
+# behind Series.__mul__; the moment route's Bell triangle must not, or a wrong
+# product corrupts both routes alike.  The product is corrupted by doubling:
+# adding one would also set the t^2 moments of (f - 1)^k, k >= 3, which only
+# compose reads, and be caught through them whatever the triangle does.
 MUL_BUILT = {"mul:comp(g,a)": COMPOSE_BUILT["comp(g,a)"]}
+
+
+def corrupt_convolve(convolve):
+    """``convolve`` with its t^2 moment doubled."""
+    def corrupted(a, b):
+        out = convolve(a, b)
+        out[2] = out[2] * 2
+        return out
+    return corrupted
 
 
 @pytest.mark.parametrize("ring", ["scalar", "x-carrying"])
 @pytest.mark.parametrize("method, build", [("exp", b) for b in EXP_BUILT.values()]
                          + [("compose", b) for b in COMPOSE_BUILT.values()]
-                         + [("__mul__", b) for b in MUL_BUILT.values()],
+                         + [("convolve", b) for b in MUL_BUILT.values()],
                          ids=list(EXP_BUILT) + list(COMPOSE_BUILT) + list(MUL_BUILT))
 def test_corrupted_exp_and_compose_are_caught(monkeypatch, method, build, ring):
     ws = fresh()
     inputs = ring_inputs(ws, Stream(33), ring)
     assert_coherent(build(ws, *inputs))
-    monkeypatch.setattr(Series, method, corrupt(getattr(Series, method),
-                                                double=method == "__mul__"))
+    if method == "convolve":
+        monkeypatch.setattr(series, method, corrupt_convolve(series.convolve))
+    else:
+        monkeypatch.setattr(Series, method, corrupt(getattr(Series, method)))
     # a triangle cached before the corruption would hide a shared kernel
     combinatorics._bell_triangle_cached.cache_clear()
     with pytest.raises(CoherenceError):

@@ -425,3 +425,96 @@ def test_mixed_rings_match_poly_arithmetic(s, xs):
         Series(6, compose_by_horner(a, [Poly.coerce(c) for c in delta(xs).coeffs]))
     assert xs.compose(delta(s)) == \
         Series(6, compose_by_horner(b, [Poly.const(c) for c in delta(s).coeffs]))
+
+
+# -- the ordinary-coefficient boundary --------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(series_strategy(6), x_series_strategy(6)))
+def test_coefficients_and_moments_round_trip(s):
+    assert Series(6, s.coeffs) == s
+    assert Series.from_moments(s.moments()) == s
+    assert s.moments() == [s.egf_moment(k) for k in range(7)]
+
+
+PINNED = [
+    (Series.exp_t(3), "1 + (1)*t^1 + (1/2)*t^2 + (1/6)*t^3",
+     {"order": 3, "coeffs": ["1", "1", "1/2", "1/6"]}),
+    (Series(3, [1, x, Fraction(-2, 3), 0]), "1 + (x)*t^1 + (-2/3)*t^2",
+     {"order": 3, "coeffs": ["1", {"x": "1"}, "-2/3", "0"]}),
+    (Series.expm1_t(3).scalar_mul(x).exp(),
+     "1 + (x)*t^1 + (1/2*x + 1/2*x^2)*t^2 + (1/6*x + 1/2*x^2 + 1/6*x^3)*t^3",
+     {"order": 3, "coeffs": ["1", {"x": "1"}, {"x": "1/2", "x^2": "1/2"},
+                             {"x": "1/6", "x^2": "1/2", "x^3": "1/6"}]}),
+    (Series.make([1, Fraction(1, 2), 3], 4).pow_int(-1),
+     "1 + (-1/2)*t^1 + (-11/4)*t^2 + (23/8)*t^3 + (109/16)*t^4",
+     {"order": 4, "coeffs": ["1", "-1/2", "-11/4", "23/8", "109/16"]}),
+]
+
+
+@pytest.mark.parametrize("s, text, data", PINNED)
+def test_rendering_is_pinned(s, text, data):
+    assert str(s) == text
+    assert s.to_json() == data
+
+
+big_unital = st.lists(st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=97),
+                     min_size=10, max_size=10).map(lambda c: Series(10, [1] + c))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.one_of(series_strategy(10, unital=True), x_series_strategy(10, unital=True),
+                 big_unital),
+       st.sampled_from([x, x + 1, x / 2]))
+def test_pow_int_poly_exponent_matches_exp_log_at_order_10(f, p):
+    # on a rational series the Poly exponent runs on packed ints (Kronecker
+    # substitution; large moments stress the digit bound), on a Poly series
+    # as miller's split sums.  exp and log run miller too, so this is not an
+    # independent oracle: test_sympy_oracle checks the rational case
+    assert f.pow_int(p) == f.log().scalar_mul(p).exp()
+
+
+# -- no float anywhere -----------------------------------------------------------------------
+
+
+def reversible(f):
+    """f with c_0 = 0 and c_1 = 1."""
+    return f - Series.make(f.coeffs[:2], f.order) + Series.t(f.order)
+
+
+FLOAT_OPS = {
+    "mul": lambda f, g: f * g,
+    "add": lambda f, g: f + g,
+    "scalar_mul": lambda f, g: f.scalar_mul(3),
+    "pow_int": lambda f, g: unital(f).pow_int(-2),
+    "pow_int_other": lambda f, g: f.pow_int(2),
+    "pow_int_fraction": lambda f, g: unital(f).pow_int(Fraction(-1, 3)),
+    "pow_int_poly": lambda f, g: unital(f).pow_int(x / 2 + 1),
+    "exp": lambda f, g: delta(f).exp(),
+    "log": lambda f, g: unital(f).log(),
+    "compose": lambda f, g: f.compose(delta(g)),
+    "revert": lambda f, g: reversible(f).revert(),
+    "derivative": lambda f, g: f.derivative(),
+    "mul_t": lambda f, g: f.mul_t(),
+    "truncate": lambda f, g: f.truncate(2),
+    "from_moments": lambda f, g: Series.from_moments(f.moments()),
+}
+
+
+def values(s):
+    """Every number a series exposes, and every Poly term among them."""
+    for v in list(s.coeffs) + s.moments() + [s.egf_moment(k) for k in range(s.order + 1)]:
+        yield from (v.terms.values() if type(v) is Poly else [v])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(series_strategy(5), x_series_strategy(5)),
+       st.one_of(series_strategy(5), x_series_strategy(5)),
+       st.lists(st.sampled_from(sorted(FLOAT_OPS)), min_size=1, max_size=3))
+def test_no_float_appears(f, g, ops):
+    for name in ops:
+        f = FLOAT_OPS[name](f, g)
+        if f.order < g.order:
+            f = Series(g.order, list(f.coeffs) + [0] * (g.order - f.order))
+        assert all(type(v) is Fraction for v in values(f)), name
