@@ -505,6 +505,7 @@ def _positive(value, option: str):
 
 def _cmd_check(args) -> int:
     _positive(args.trials, "--trials")
+    _positive(args.n, "-n")
     overrides = {}
     if args.trials is not None:
         overrides["trials"] = args.trials
@@ -681,8 +682,8 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv, namespace=defaults)
         return args.fn(args)
-    except (UmbralError, ValueError, KeyError, IndexError, ZeroDivisionError,
-            OverflowError, RecursionError) as exc:
+    except (UmbralError, OSError, ValueError, KeyError, IndexError,
+            ZeroDivisionError, OverflowError, RecursionError) as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ParseError):
             err["offset"] = exc.offset

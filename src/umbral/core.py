@@ -17,8 +17,9 @@ SIAM J. Math. Anal. 1994).  Evaluation follows the defining rules exactly:
   multiply, while powers of one atom merge first; the indeterminates are
   scalars to E and multiply the result;
 * blocks of a normal form (maximal sets of monomials linked through shared
-  atoms) are uncorrelated: their gfs multiply, so their moments combine by
-  binomial convolution, E[(A+B)^k] = sum_i C(k,i) E[A^i] E[B^(k-i)].
+  atoms) are uncorrelated: their gfs multiply, so a sum's blocks fold by the
+  series product, whose moments are the binomial convolution
+  E[(A+B)^k] = sum_i C(k,i) E[A^i] E[B^(k-i)].
 
 Distinct atoms are therefore uncorrelated by construction, and similarity
 (equal moment sequences) is decidable only up to the truncation order.
@@ -29,7 +30,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import count
-from math import comb
 
 from .errors import (
     BadZerothMoment,
@@ -220,14 +220,9 @@ def _blocks(nf: Poly) -> list:
     return [Poly(b) for b in blocks.values()] or [nf]
 
 
-def _convolve(a: list, b: list, k: int) -> Poly:
-    """E[(A+B)^k] from the moments of uncorrelated A and B."""
-    return sum((comb(k, i) * a[i] * b[k - i] for i in range(k + 1)), ZERO)
-
-
-def _fold(moments: list, n: int) -> list:
-    """Moments 0..n of a sum of uncorrelated blocks, from each block's."""
-    return reduce(lambda a, b: [_convolve(a, b, k) for k in range(n + 1)], moments)
+def _fold(block_moments: list) -> Series:
+    """The gf of a sum of uncorrelated blocks: the product of theirs."""
+    return reduce(Series.__mul__, map(Series.from_moments, block_moments))
 
 
 # -- workspace ------------------------------------------------------------------------
@@ -336,15 +331,14 @@ class Workspace:
 
     def eval(self, expr, k: int = 1) -> Poly:
         """E[expr^k] as a Poly over the declared indeterminates: a single
-        block is expanded to the k-th power, several are convolved."""
+        block is expanded to the k-th power, several multiply as series."""
         if k < 0 or k > self.order:
             raise OrderExceeded(f"power {k} outside order {self.order}")
         nf = _expand(as_expr(expr))
         blocks = _blocks(nf)
         if len(blocks) > 1:
             try:
-                *rest, last = [self._powers(b, k) for b in blocks]
-                return _convolve(_fold(rest, k), last, k)
+                return _fold([self._powers(b, k) for b in blocks]).egf_moment(k)
             except OrderExceeded:
                 pass  # the full expansion below decides, and names, any overflow
         return self._apply(nf ** k)
@@ -360,10 +354,10 @@ class Workspace:
         return out
 
     def moments_of(self, expr) -> list:
-        """E[expr^k] for k = 0..order: each block's moments, convolved."""
+        """E[expr^k] for k = 0..order: the product of the blocks' series."""
         nf = _expand(as_expr(expr))
         try:
-            return _fold([self._powers(b, self.order) for b in _blocks(nf)], self.order)
+            return _fold([self._powers(b, self.order) for b in _blocks(nf)]).moments()
         except OrderExceeded:
             return self._powers(nf, self.order)  # decides, and names, any overflow
 

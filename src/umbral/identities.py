@@ -23,13 +23,14 @@ from math import comb
 
 from .combinatorics import (
     bell_number,
+    bell_transform,
     bell_triangle,
     exponential_poly,
     bernoulli_number,
     stirling,
 )
 from .core import IntPower, Product, Sum, Workspace
-from .errors import CoherenceError, UnknownIdentity
+from .errors import CoherenceError, UnknownIdentity, UsageError
 from .inversion import cross_check
 from .ops import (
     alpha_bar,
@@ -116,16 +117,11 @@ _OK = (True, None)
 def _recover_from_int_dot(ws, n_int, q):
     """Invert q_k = sum_i (n)_i B_{k,i}(a) for the source moments a; B_{k,1}
     is the only term containing a_k and enters with factor n, so recovery is
-    triangular."""
+    triangular: the Bell transform with a_k = 0 sums the other terms."""
     rec = [ONE]
     weights = falling_factorials(n_int, ws.order)
     for k in range(1, ws.order + 1):
-        tri = bell_triangle(tuple(rec[1:]) + (ZERO,), k)
-        acc = ZERO
-        for i in range(1, k + 1):
-            w = weights[i]
-            if w and tri[k][i]:
-                acc = acc + tri[k][i] * w
+        acc = bell_transform(weights[:k + 1], rec[1:] + [ZERO], k)[k]
         rec.append((q[k] - acc) / n_int)
     return rec
 
@@ -253,7 +249,9 @@ def _chk_cor2(params):
 
 
 def _chk_remark1(params):
-    # designed counterexample: passes by exhibiting dissimilarity
+    # designed counterexample: passes by exhibiting dissimilarity, from k = 2
+    if params["n"] < 2:
+        raise UsageError(f"n must be at least 2 for this counterexample, not {params['n']}")
     ws = _ws(params)
     a, b, g = bell_umbra(ws), bell_umbra(ws), bell_umbra(ws)
     lhs = dot(ws, a, ws.atom_of(Sum((b, g)), "b+g"))

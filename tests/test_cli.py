@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import umbral
+import umbral.identities
 import umbral.inversion
 from umbral.cli import ExprContext, main, parse_series, render
 from umbral.core import Workspace
@@ -155,17 +156,24 @@ def test_eval_and_gf_commands():
     assert doc["gf"]["coeffs"][3] == "5/6"
 
 
-def test_check_command_exit_codes():
+def test_check_command_exit_codes(monkeypatch):
     code, out, _ = run("check", "thm2_bell_recursion")
     assert code == 0 and json.loads(out)[0]["pass"]
     code, out, _ = run("check", "remark1_left_dist_counterexample")
     doc = json.loads(out)
     assert code == 0 and doc[0]["designed_counterexample"]
-    # an impossible parameterization fails and flips the exit status
-    code, out, _ = run("check", "remark1_left_dist_counterexample", "-n", "0")
-    assert code == 1
+    # an impossible parameterization is a usage error, not a failed check
+    code, out, err = run("check", "remark1_left_dist_counterexample", "-n", "1")
+    assert code == 2 and not out and "UsageError" in err
     code, _, err = run("check", "does_not_exist")
     assert code == 2 and "UnknownIdentity" in err
+    # a failed identity flips the exit status: prop1 (i) inverts n.a with
+    # the falling factorials of n + 1
+    real = umbral.identities.falling_factorials
+    monkeypatch.setattr(umbral.identities, "falling_factorials",
+                        lambda value, n: real(value + 1, n))
+    code, out, _ = run("check", "prop1_i_v")
+    assert code == 1 and not json.loads(out)[0]["pass"]
 
 
 def test_invert_command():
@@ -325,6 +333,12 @@ def test_error_reporting():
     ("mc", "--model", "poisson", "--max-order", "-1", "--n", "10"),
     ("mc", "--model", "poisson", "--max-order", "0", "--n", "10"),
     ("mc", "--model", "poisson", "--n", "0"),
+    ("check", "thm1_binomial_type", "-n", "0"),
+    ("check", "remark1_left_dist_counterexample", "-n", "1"),
+    ("check", "all", "-n", "1"),
+    # workspace paths the filesystem refuses: a directory, a missing parent
+    ("eval", "E[u]", "--workspace", "."),
+    ("define", "a", "1,2", "--workspace", "no-such-dir/ws.json"),
 ])
 def test_bad_inputs_exit_2_with_json_error(argv, tmp_path):
     argv = list(argv)

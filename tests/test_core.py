@@ -321,9 +321,15 @@ def _build(ws, atoms, node):
     return ScalarMul(coeff, _build(ws, atoms, node[2]))
 
 
+_RATIONALS = st.fractions(-2, 2, max_denominator=3)
+# a moment is rational or q + q'x, so blocks fold in both rings and across them
+_MOMENTS = st.one_of(
+    _RATIONALS.map(Poly.const),
+    st.builds(lambda q, r: Poly.const(q) + r * Poly.var("x"), _RATIONALS, _RATIONALS))
+
+
 @settings(max_examples=40, deadline=None)
-@given(moments=st.lists(st.lists(st.fractions(-2, 2, max_denominator=3),
-                                 min_size=6, max_size=6),
+@given(moments=st.lists(st.lists(_MOMENTS, min_size=6, max_size=6),
                         min_size=2, max_size=4),
        terms=st.lists(st.recursive(_LEAVES, _branches, max_leaves=5),
                       min_size=1, max_size=4))
@@ -343,6 +349,7 @@ def test_blockwise_evaluation_matches_full_expansion(moments, terms):
             ws.moments_of(e)
     else:
         assert ws.moments_of(e) == expected
+        assert ws.gf_of(e) == Series.from_moments(expected)
     for k, want in enumerate(expected):
         if isinstance(want, str):
             with pytest.raises(OrderExceeded) as exc:

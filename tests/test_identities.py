@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
+import umbral.identities
 from umbral.core import Workspace
-from umbral.errors import UnknownIdentity
+from umbral.errors import UnknownIdentity, UsageError
 from umbral.identities import check, check_all, list_identities
 
 EXPECTED_IDS = [
@@ -72,11 +73,18 @@ def test_determinism_byte_identical():
     assert a == b
 
 
-def test_failure_carries_witness():
-    # shrink the designed counterexample's search space to force a miss:
-    # at order 0 every umbra looks alike, so the dissimilarity cannot be
-    # exhibited and the entry reports failure with a witness
-    case = check("remark1_left_dist_counterexample", {"n": 0})
+def test_failure_carries_witness(monkeypatch):
+    # below order 2 the designed counterexample cannot exist, so asking for
+    # it is a usage error rather than a failed identity
+    for n in (0, 1):
+        with pytest.raises(UsageError):
+            check("remark1_left_dist_counterexample", {"n": n})
+    # an engine defect makes an identity fail, and the entry says where:
+    # prop1 (i) inverts n.a with the falling factorials of n + 1
+    real = umbral.identities.falling_factorials
+    monkeypatch.setattr(umbral.identities, "falling_factorials",
+                        lambda value, n: real(value + 1, n))
+    case = check("prop1_i_v")
     assert not case.passed
     assert case.witness is not None and "statement" in case.witness
 
