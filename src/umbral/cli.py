@@ -47,6 +47,7 @@ from .combinatorics import (
     stirling,
 )
 from .core import (
+    DEFAULT_ORDER,
     Atom,
     Expr,
     IntPower,
@@ -462,7 +463,7 @@ def _order(args) -> int:
     if args.order is not None:
         return args.order
     env = os.environ.get(DEFAULT_ORDER_ENV)
-    return int(env) if env else 12
+    return int(env) if env else DEFAULT_ORDER
 
 
 def _cmd_eval(args) -> int:
@@ -487,9 +488,9 @@ def _cmd_define(args) -> int:
         with open(args.workspace) as fh:
             data = Workspace.from_json(json.load(fh)).to_json()  # validates
     else:
-        data = {"order": _order(args), "indeterminates": ["x", "y"], "umbrae": {}}
+        data = Workspace(order=_order(args)).to_json()
     moments = [m.strip() for m in args.moments.split(",")]
-    data.setdefault("umbrae", {})[args.name] = moments
+    data["umbrae"][args.name] = moments
     ws = Workspace.from_json(data)  # validates
     with open(args.workspace, "w") as fh:
         json.dump(ws.to_json(), fh, indent=2, sort_keys=True)
@@ -601,7 +602,7 @@ class _ArgParser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--order", type=int, default=argparse.SUPPRESS,
-                        help=f"truncation order (default 12; env {DEFAULT_ORDER_ENV})")
+                        help=f"truncation order (default {DEFAULT_ORDER}; env {DEFAULT_ORDER_ENV})")
     common.add_argument("--workspace", default=argparse.SUPPRESS,
                         help="workspace JSON file")
     common.add_argument("--format", choices=("json", "text"),

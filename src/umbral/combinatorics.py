@@ -7,8 +7,11 @@ series (so the moment route of :mod:`umbral.ops` shares no kernel with the
 generating-function route); the enumerator provides the definitional
 weighted-partition sum to check against.  ``bell_transform`` is the one
 weighted sum sum_i w_i B_{k,i}(a) of the moment route, and only this module
-reads the triangle's integer format.  Memoization uses ``lru_cache``,
-which is safe under concurrent readers.
+reads the triangle's integer format.  Both Stirling kinds come from one
+row loop, and no kernel's recursion depth grows with n: ``bell_number``
+calls itself on smaller n in increasing order, so each call finds the ones
+before it cached, and the enumerator's walk stops at ``ENUMERATION_CAP``.
+Memoization uses ``lru_cache``, which is safe under concurrent readers.
 """
 
 from __future__ import annotations
@@ -28,33 +31,25 @@ ENUMERATION_CAP = 12
 # -- Stirling numbers ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _stirling2(n: int, k: int) -> int:
-    if n == k:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
-
-
-@lru_cache(maxsize=None)
-def _stirling1_signed(n: int, k: int) -> int:
-    if n == k:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    return _stirling1_signed(n - 1, k - 1) - (n - 1) * _stirling1_signed(n - 1, k)
+@lru_cache(maxsize=128)
+def _stirling_row(second: bool, n: int) -> tuple:
+    """Row n of S(n, k) if ``second``, else of the signed s(n, k): row m from
+    row m - 1 by S(m,j) = j S(m-1,j) + S(m-1,j-1) and
+    s(m,j) = s(m-1,j-1) - (m-1) s(m-1,j), in one loop from row 0."""
+    row = (1,)
+    for m in range(1, n + 1):
+        up = row + (0,)  # up[-1] = 0 stands for the j - 1 = -1 entry
+        row = tuple((j if second else 1 - m) * up[j] + up[j - 1] for j in range(m + 1))
+    return row
 
 
 def stirling(kind: str, n: int, k: int) -> int:
     """Stirling number of the given kind ('second' or 'first_signed')."""
     if n < 0 or k < 0 or k > n:
         raise IndexError(f"stirling({kind}, {n}, {k}) outside 0 <= k <= n")
-    if kind == "second":
-        return _stirling2(n, k)
-    if kind == "first_signed":
-        return _stirling1_signed(n, k)
-    raise ValueError(f"unknown Stirling kind: {kind!r}")
+    if kind not in ("second", "first_signed"):
+        raise ValueError(f"unknown Stirling kind: {kind!r}")
+    return _stirling_row(kind == "second", n)[k]
 
 
 # -- Bell numbers --------------------------------------------------------------
@@ -162,7 +157,7 @@ def exponential_poly(n: int) -> Poly:
     x = Poly.var("x")
     total = Poly.const(1) if n == 0 else ZERO
     for k in range(1, n + 1):
-        total = total + (x ** k) * _stirling2(n, k)
+        total = total + (x ** k) * stirling("second", n, k)
     return total
 
 

@@ -19,7 +19,8 @@ SIAM J. Math. Anal. 1994).  Evaluation follows the defining rules exactly:
 * blocks of a normal form (maximal sets of monomials linked through shared
   atoms) are uncorrelated: their gfs multiply, so a sum's blocks fold by the
   series product, whose moments are the binomial convolution
-  E[(A+B)^k] = sum_i C(k,i) E[A^i] E[B^(k-i)].
+  E[(A+B)^k] = sum_i C(k,i) E[A^i] E[B^(k-i)]; ``eval`` reads moment k of
+  that fold and ``moments_of`` reads all of them.
 
 Distinct atoms are therefore uncorrelated by construction, and similarity
 (equal moment sequences) is decidable only up to the truncation order.
@@ -220,11 +221,6 @@ def _blocks(nf: Poly) -> list:
     return [Poly(b) for b in blocks.values()] or [nf]
 
 
-def _fold(block_moments: list) -> Series:
-    """The gf of a sum of uncorrelated blocks: the product of theirs."""
-    return reduce(Series.__mul__, map(Series.from_moments, block_moments))
-
-
 # -- workspace ------------------------------------------------------------------------
 
 
@@ -330,18 +326,15 @@ class Workspace:
         return total
 
     def eval(self, expr, k: int = 1) -> Poly:
-        """E[expr^k] as a Poly over the declared indeterminates: a single
-        block is expanded to the k-th power, several multiply as series."""
+        """E[expr^k] as a Poly over the declared indeterminates: moment k
+        of the block fold."""
         if k < 0 or k > self.order:
             raise OrderExceeded(f"power {k} outside order {self.order}")
         nf = _expand(as_expr(expr))
-        blocks = _blocks(nf)
-        if len(blocks) > 1:
-            try:
-                return _fold([self._powers(b, k) for b in blocks]).egf_moment(k)
-            except OrderExceeded:
-                pass  # the full expansion below decides, and names, any overflow
-        return self._apply(nf ** k)
+        try:
+            return self._fold(nf, k).egf_moment(k)
+        except OrderExceeded:
+            return self._apply(nf ** k)  # decides, and names, any overflow
 
     def _powers(self, nf: Poly, n: int) -> list:
         """E[nf^k] for k = 0..n by repeated multiplication."""
@@ -353,11 +346,16 @@ class Workspace:
             out.append(self._apply(acc))
         return out
 
+    def _fold(self, nf: Poly, n: int) -> Series:
+        """The gf of nf to order n: its uncorrelated blocks' gfs multiply."""
+        return reduce(Series.__mul__, (Series.from_moments(self._powers(b, n))
+                                       for b in _blocks(nf)))
+
     def moments_of(self, expr) -> list:
         """E[expr^k] for k = 0..order: the product of the blocks' series."""
         nf = _expand(as_expr(expr))
         try:
-            return _fold([self._powers(b, self.order) for b in _blocks(nf)]).moments()
+            return self._fold(nf, self.order).moments()
         except OrderExceeded:
             return self._powers(nf, self.order)  # decides, and names, any overflow
 

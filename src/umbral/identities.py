@@ -554,16 +554,12 @@ def _chk_thm7(params):
     # correlated with the g inside chi.
     for trial, ws, _, a, g in _trials(params, "ag"):
         chi = composition_umbra(ws, g, a)
-        tri = bell_triangle(a.moments[1:], ws.order)
+        shifted = bell_transform(g.moments[1:], a.moments[1:], ws.order)
         for n in range(ws.order):
             lhs = chi.moments[n + 1]
             rhs = ZERO
             for i in range(n + 1):
-                shifted = ZERO
-                for m in range(i + 1):
-                    if tri[i][m]:
-                        shifted = shifted + g.moments[m + 1] * tri[i][m]
-                rhs = rhs + comb(n, i) * a.moments[n - i + 1] * shifted
+                rhs = rhs + comb(n, i) * a.moments[n - i + 1] * shifted[i]
             if lhs != rhs:
                 return _fail("composition-umbra recursion failed", trial=trial,
                              n=n, lhs=str(lhs), rhs=str(rhs))

@@ -195,8 +195,8 @@ def composition_umbra(ws: Workspace, gamma: Atom, alpha: Atom) -> Atom:
 
 def a1_reciprocal(alpha: Atom) -> Fraction:
     """1/a_1, or ``NonUnitLinearMoment`` when the first moment of alpha is
-    zero or carries an indeterminate."""
-    a1 = rational(alpha.moments[1])
+    zero, carries an indeterminate or lies beyond the order."""
+    a1 = rational(alpha.moments[1]) if len(alpha.moments) > 1 else None
     if not a1:
         raise NonUnitLinearMoment(
             f"first moment of {alpha.name} has no reciprocal")

@@ -18,6 +18,8 @@ MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+NUM_MAX = 9  # small random rationals: numerators in [-NUM_MAX, NUM_MAX],
+DENS = (1, 2, 3, 4)  # denominators drawn from DENS
 
 
 def mix64(z: int) -> int:
@@ -58,15 +60,13 @@ class Stream:
         tiny relative to 2^64, so the bias is negligible and deterministic)."""
         return lo + self.next_u64() % (hi - lo + 1)
 
-    def rational(self, num_lo: int = -9, num_hi: int = 9, dens=(1, 2, 3, 4)) -> Fraction:
-        """Small random rational: numerator in [num_lo, num_hi], denominator
-        drawn from ``dens``."""
-        num = self.randint(num_lo, num_hi)
-        den = dens[self.next_u64() % len(dens)]
-        return Fraction(num, den)
+    def rational(self) -> Fraction:
+        """Small random rational: numerator in [-NUM_MAX, NUM_MAX],
+        denominator drawn from ``DENS``."""
+        num = self.randint(-NUM_MAX, NUM_MAX)
+        return Fraction(num, DENS[self.next_u64() % len(DENS)])
 
-    def nonzero_rational(self, num_hi: int = 9, dens=(1, 2, 3, 4)) -> Fraction:
-        num = self.randint(1, num_hi)
+    def nonzero_rational(self) -> Fraction:
+        num = self.randint(1, NUM_MAX)
         sign = -1 if self.next_u64() & 1 else 1
-        den = dens[self.next_u64() % len(dens)]
-        return Fraction(sign * num, den)
+        return Fraction(sign * num, DENS[self.next_u64() % len(DENS)])

@@ -18,17 +18,11 @@ give them back.  Binary operations demand equal orders.  A series is
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 from .errors import (DomainError, NegativePowerOfDeltaSeries, NotInvertible,
                      OrderExceeded, OrderMismatch)
 from .poly import Poly, rational, rationals
-
-
-@lru_cache(maxsize=None)
-def factorial(n: int) -> int:
-    return 1 if n <= 1 else n * factorial(n - 1)
 
 
 def _ring(values) -> tuple:

@@ -142,6 +142,8 @@ def test_bell_and_stirling_commands():
     assert code == 0 and json.loads(out)["value"] == "7"
     code, out, _ = run("stirling", "--kind", "first_signed", "-n", "3", "-k", "1")
     assert json.loads(out)["value"] == "2"
+    code, out, _ = run("stirling", "-n", "1200", "-k", "1199")
+    assert code == 0 and json.loads(out)["value"] == "719400"
     code, out, _ = run("bellpoly", "-n", "3", "-k", "2", "--moments", "1,2")
     assert json.loads(out)["partial_bell"] == "6"
     code, out, _ = run("bellpoly", "-n", "3", "--moments", "1,1,1")

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +47,12 @@ def test_stirling_diagonal_and_bounds():
         stirling("second", -1, 0)
     with pytest.raises(ValueError):
         stirling("third", 3, 1)
+    # past the default recursion limit: the rows are built by a loop
+    assert stirling("second", 1200, 2) == 2 ** 1199 - 1
+    assert stirling("second", 1200, 1199) == comb(1200, 2)
+    assert stirling("first_signed", 1200, 1) == -series.factorial(1199)
+    assert stirling("first_signed", 1200, 1199) == -comb(1200, 2)
+    assert series.factorial(1200) == prod(range(1, 1201))
 
 
 def test_stirling_first_by_falling_factorial_expansion():

@@ -158,6 +158,14 @@ def test_zero_factor_is_read_in_uid_order():
     assert ws.eval(ws.eps * ws.u ** 20) == 0
     with pytest.raises(OrderExceeded):
         ws.eval(b ** 20 * b)
+    # at k = 2 the k-th power reaches w's zero moment before b^26, though
+    # the first power already overflows: the fold falls back to nf^k itself
+    ws = fresh(order=12)
+    w = ws.define("w", [ONE, ONE] + [Poly()] * 11)
+    b = ws.define("b", [ONE] * 13)
+    assert ws.eval(w * b ** 13, 2) == 0
+    with pytest.raises(OrderExceeded, match="^moment 13 of b exceeds order 12$"):
+        ws.eval(w * b ** 13, 1)
 
 
 def test_empty_product_is_unit():

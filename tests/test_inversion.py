@@ -163,6 +163,11 @@ def test_requires_invertible_linear_moment():
         revert_umbral(ws, a)
     with pytest.raises(NonUnitLinearMoment):
         revert_oracle(ws, a)
+    # an order-0 workspace has no first moment to invert
+    ws = fresh(order=0)
+    for build in (revert_umbral, revert_oracle, alpha_bar):
+        with pytest.raises(NonUnitLinearMoment):
+            build(ws, ws.u)
 
 
 def test_report_serializes():
