@@ -73,19 +73,31 @@ def _coerced(a) -> tuple:
     return tuple(Poly.coerce(v) for v in a)
 
 
+def _lifted(values, graded: bool) -> tuple:
+    """(D, the values D^i v_i, i = 1, 2, ..., if ``graded``, else D v_i), D
+    the lcm of every coefficient denominator: ints when every value is
+    rational, else ``Poly`` values with int coefficients."""
+    q = rationals(values)
+    values = values if q is None else q
+    d = lcm(*(c.denominator for v in values
+              for c in (v.terms.values() if type(v) is Poly else (v,))))
+    out = []
+    for i, v in enumerate(values, 1):
+        s = d ** i if graded else d
+        out.append(Poly({m: c.numerator * (s // c.denominator) for m, c in v.terms.items()})
+                   if type(v) is Poly else v.numerator * (s // v.denominator))
+    return d, out
+
+
 @lru_cache(maxsize=1024)  # keyed by moment tuples: bounded for long sessions
 def _bell_triangle_cached(a: tuple, max_n: int) -> tuple:
     """(rows, D) with B_{n,k}(a) = rows[n][k] / D^n, 0 <= k <= n <= max_n, by
     Comtet's recurrence B_{n,k} = sum_{i=1..n-k+1} C(n-1,i-1) a_i B_{n-i,k-1}
-    (Advanced Combinatorics, 1974, 3.3).  Rational a runs on the integers
-    D^i a_i, D the lcm of the denominators (B_{n,k} has weight n); a that
-    carries an indeterminate runs the same loop over Poly with D = 1."""
-    a = list(a[:max_n]) + [0] * (max_n - len(a))
-    d = 1
-    q = rationals(a)
-    if q is not None:
-        d = lcm(*(v.denominator for v in q))
-        a = [(v * d ** i).numerator for i, v in enumerate(q, 1)]
+    (Advanced Combinatorics, 1974, 3.3), run on D^i a_i, D the lcm of every
+    coefficient denominator (B_{n,k} has weight n): integers for rational
+    a, and ``Poly`` values with int coefficients for a that carries an
+    indeterminate."""
+    d, a = _lifted(list(a[:max_n]) + [0] * (max_n - len(a)), True)
     rows = [(1,)]
     for n in range(1, max_n + 1):
         ca = [comb(n - 1, i) * a[i] for i in range(n)]
@@ -103,23 +115,18 @@ def _bell_triangle_cached(a: tuple, max_n: int) -> tuple:
 
 def bell_transform(weights, a, n: int) -> list:
     """m_k = sum_{i<=k} w_i B_{k,i}(a_1, a_2, ...) for k = 0..n; a lists a_1
-    first.  With rational weights w_i = u_i / E, m_k is the integer sum_i u_i
-    P_{k,i} over E D^k, P the triangle's rows over D^k: a ``Fraction``.
-    Indeterminates (E = 1 or D = 1) give a ``Poly``, or 0 for an empty sum."""
+    first.  With weights w_i = u_i / E, m_k is sum_i u_i P_{k,i} over E D^k,
+    P the triangle's rows over D^k: a ``Fraction`` when u and P are
+    integers, else a ``Poly`` (0 for an empty sum)."""
     rows, d = _bell_triangle_cached(tuple(a), n)
-    e = 1
-    q = rationals(weights)
-    if q is not None:
-        e = lcm(*(v.denominator for v in q))
-        weights = [v.numerator * (e // v.denominator) for v in q]
+    e, weights = _lifted(weights, False)
     moments = []
     for row in rows:
         acc = 0
         for w, b in zip(weights, row):
             if w and b:
                 acc = acc + w * b
-        moments.append(Fraction(acc, e) if type(acc) is int
-                       else acc if e == 1 else acc / e)
+        moments.append(Fraction(acc, e) if type(acc) is int else acc * Fraction(1, e))
         e *= d
     return moments
 
@@ -127,7 +134,7 @@ def bell_transform(weights, a, n: int) -> list:
 def bell_triangle(a, max_n: int) -> tuple:
     """All partial Bell polynomial values B_{n,k}(a_1,..) up to n = max_n."""
     rows, d = _bell_triangle_cached(_coerced(a), max_n)
-    return tuple(tuple(Poly.coerce(b if d == 1 else Fraction(b, d ** n)) for b in row)
+    return tuple(tuple(Poly.coerce(b * Fraction(1, d ** n)) for b in row)
                  for n, row in enumerate(rows))
 
 

@@ -20,7 +20,8 @@ SIAM J. Math. Anal. 1994).  Evaluation follows the defining rules exactly:
   atoms) are uncorrelated: their gfs multiply, so a sum's blocks fold by the
   series product, whose moments are the binomial convolution
   E[(A+B)^k] = sum_i C(k,i) E[A^i] E[B^(k-i)]; ``eval`` reads moment k of
-  that fold and ``moments_of`` reads all of them.
+  that fold (of one block, E[nf^k] alone) and ``moments_of`` reads all of
+  them.
 
 Distinct atoms are therefore uncorrelated by construction, and similarity
 (equal moment sequences) is decidable only up to the truncation order.
@@ -327,14 +328,17 @@ class Workspace:
 
     def eval(self, expr, k: int = 1) -> Poly:
         """E[expr^k] as a Poly over the declared indeterminates: moment k
-        of the block fold."""
+        of the block fold, or E applied to nf^k when there is one block."""
         if k < 0 or k > self.order:
             raise OrderExceeded(f"power {k} outside order {self.order}")
         nf = _expand(as_expr(expr))
-        try:
-            return self._fold(nf, k).egf_moment(k)
-        except OrderExceeded:
-            return self._apply(nf ** k)  # decides, and names, any overflow
+        blocks = _blocks(nf)
+        if len(blocks) > 1:
+            try:
+                return self._fold(blocks, k).egf_moment(k)
+            except OrderExceeded:
+                pass
+        return self._apply(nf ** k)  # also decides, and names, any overflow
 
     def _powers(self, nf: Poly, n: int) -> list:
         """E[nf^k] for k = 0..n by repeated multiplication."""
@@ -346,16 +350,17 @@ class Workspace:
             out.append(self._apply(acc))
         return out
 
-    def _fold(self, nf: Poly, n: int) -> Series:
-        """The gf of nf to order n: its uncorrelated blocks' gfs multiply."""
+    def _fold(self, blocks: list, n: int) -> Series:
+        """The gf to order n of a normal form split into ``blocks``: the
+        uncorrelated blocks' gfs multiply."""
         return reduce(Series.__mul__, (Series.from_moments(self._powers(b, n))
-                                       for b in _blocks(nf)))
+                                       for b in blocks))
 
     def moments_of(self, expr) -> list:
         """E[expr^k] for k = 0..order: the product of the blocks' series."""
         nf = _expand(as_expr(expr))
         try:
-            return self._fold(nf, self.order).moments()
+            return self._fold(_blocks(nf), self.order).moments()
         except OrderExceeded:
             return self._powers(nf, self.order)  # decides, and names, any overflow
 

@@ -241,9 +241,9 @@ def exponential_umbral_moment(alpha: Atom, n: int) -> Poly:
 
 
 def scale_atom(ws: Workspace, c, alpha: Atom) -> Atom:
-    """The umbra c*alpha with moments c^k a_k (the substitution t -> ct in
-    the generating function)."""
+    """The umbra c*alpha with moments c^k a_k; its generating function is
+    alpha's composed with ct, the substitution t -> ct."""
     c = Poly.coerce(c)
     powers = [c ** k for k in range(ws.order + 1)]
     return ws._register(f"({c})*{alpha.name}", [w * m for w, m in zip(powers, alpha.moments)],
-                        Series.from_moments([w * m for w, m in zip(powers, alpha.egf.moments())]))
+                        alpha.egf.compose(Series.make([0, c], ws.order)))

@@ -12,6 +12,11 @@ monomial is a tuple of ``(variable, exponent)`` pairs, sorted by variable
 name, with all exponents >= 1; the empty tuple is the constant monomial.
 ``rational`` and ``rationals`` decide whether values are rational.
 
+The series kernels and the Bell triangle lift their ``Poly`` values to int
+coefficients over one common denominator, so their coefficient products are
+int products, and divide once at the end: no ``Poly`` they return holds an
+int coefficient.
+
 >>> x, y = Poly.var("x"), Poly.var("y")
 >>> str((x + y) ** 2)
 '2*x*y + x^2 + y^2'

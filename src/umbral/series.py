@@ -4,8 +4,10 @@ A ``Series`` of order N is sum_k c_k t^k, held by its EGF moments M_k = k! c_k
 (see :class:`Series`), where every kernel is a recurrence with integer
 binomial weights and no division: :func:`convolve` for products,
 :func:`miller` for exp, log and powers, full products h^k for composition
-and reversion.  A rational series runs on the integers d^k M_k, d the lcm of
-its moment denominators, and each moment of a result costs one ``Fraction``.
+and reversion.  A series runs on d^k M_k, d the lcm of every coefficient
+denominator of its moments: integers on the rational ring, ``Poly`` values
+with int coefficients on the other, so every coefficient product in a kernel
+is an int product, and each coefficient of a result costs one ``Fraction``.
 The constructor takes ordinary coefficients, and ``coeffs``, ``str`` and JSON
 give them back.  Binary operations demand equal orders.  A series is
 *unital* when c_0 = 1 and *delta* when c_0 = 0.
@@ -31,13 +33,27 @@ def _ring(values) -> tuple:
     return tuple(map(Poly.coerce, values)) if q is None else tuple(q)
 
 
-# -- kernels: on ints (a scaled rational series) or Fraction and Poly values
-# alike; a weight multiplies the first factor, which usually has fewer terms.
+# -- kernels: on ints and int-coefficient Poly values (a scaled series) or
+# Fraction and Poly values alike; a weight multiplies the first factor, which
+# usually has fewer terms.
+
+
+def _denominator(ms) -> int:
+    """The lcm of every coefficient denominator of rational or ``Poly`` values."""
+    return lcm(*(c.denominator for q in ms
+                 for c in (q.terms.values() if type(q) is Poly else (q,))))
 
 
 def _lift(ms, d: int, e: int = 1) -> list:
-    """The integers e d^k M_k of rational moments (den M_k divides e d^k)."""
-    return [q.numerator * (e * d ** k // q.denominator) for k, q in enumerate(ms)]
+    """e d^k M_k for moments whose coefficient denominators divide e d^k:
+    an int for a rational M_k, a ``Poly`` with int coefficients for a
+    ``Poly`` M_k."""
+    out = []
+    for k, q in enumerate(ms):
+        s = e * d ** k
+        out.append(Poly({m: c.numerator * (s // c.denominator) for m, c in q.terms.items()})
+                   if type(q) is Poly else q.numerator * (s // q.denominator))
+    return out
 
 
 def convolve(a, b) -> list:
@@ -73,10 +89,12 @@ def miller(a, r, q=1, log=False) -> list:
 
 
 def _scaled_down(xs, d: int, e: int = 1) -> "Series":
-    """The series with moments x_k / (e d^k), one ``Fraction`` per int x_k."""
+    """The series with moments x_k / (e d^k): one ``Fraction`` per int x_k,
+    one ``Fraction`` product per coefficient of a ``Poly`` x_k, so no int
+    coefficient leaves the module."""
     scales = [e * d ** k for k in range(len(xs))]
-    return Series.from_moments([Fraction(x, s) if type(x) is int else
-                                (x * Fraction(1, s) if s > 1 else x) for x, s in zip(xs, scales)])
+    return Series.from_moments([Fraction(x, s) if type(x) is int else x * Fraction(1, s)
+                                for x, s in zip(xs, scales)])
 
 
 class Series:
@@ -150,9 +168,10 @@ class Series:
             raise OrderMismatch(f"orders differ: {self.order} != {other.order}")
 
     def _scaled(self):
-        """(d, the integers d^k M_k) on the rational ring, else (1, M)."""
-        d = lcm(*(q.denominator for q in self._m)) if type(self._m[0]) is Fraction else 0
-        return (d, _lift(self._m, d)) if d else (1, list(self._m))
+        """(d, d^k M_k), d the lcm of every coefficient denominator: ints on
+        the rational ring, int-coefficient ``Poly`` values on the other."""
+        d = _denominator(self._m)
+        return d, _lift(self._m, d)
 
     def __add__(self, other):
         if not isinstance(other, Series):
@@ -170,21 +189,20 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._same_order(other)
-        a, b, d, e = self._m, other._m, 1, 1
-        if type(a[0]) is Fraction and type(b[0]) is Fraction:
-            d, ea, eb = lcm(*(q.denominator for q in a + b)), a[0].denominator, b[0].denominator
-            a, b, e = _lift(a, d, ea), _lift(b, d, eb), ea * eb
-        elif sum(map(len, map(Poly.coerce, b))) < sum(map(len, map(Poly.coerce, a))):
+        a, b = self._m, other._m
+        if sum(len(q) for q in b if type(q) is Poly) < sum(len(q) for q in a if type(q) is Poly):
             a, b = b, a
-        return _scaled_down(convolve(a, b), d, e)
+        d, ea, eb = _denominator(a + b), _denominator(a[:1]), _denominator(b[:1])
+        return _scaled_down(convolve(_lift(a, d, ea), _lift(b, d, eb)), d, ea * eb)
 
     def scalar_mul(self, c) -> "Series":
         return Series.from_moments([c * a for a in self._m])
 
     def pow_int(self, p) -> "Series":
         """f^p.  For unital f, p may be any integer, rational or ``Poly``:
-        :func:`miller` in one O(N^2) pass, a rational p = r/q on q^(k-1) a_k,
-        a ``Poly`` p on a rational f on ints that pack the powers of p.
+        :func:`miller` in one O(N^2) pass, p = r/q on q^(k-1) a_k (r an int,
+        or a ``Poly`` with int coefficients on a ``Poly`` f), a ``Poly`` p on
+        a rational f on ints that pack the powers of p.
         Otherwise p must be a nonnegative integer: repeated squaring."""
         if not self.is_unital():
             if not isinstance(p, int):
@@ -195,9 +213,14 @@ class Series:
             while p:
                 result, base, p = result * base if p & 1 else result, base * base, p >> 1
             return result
-        q = rational(p)
-        r, q = (p, 1) if q is None else (q.numerator, q.denominator)
-        d, a = self._scaled()
+        q, (d, a) = rational(p), self._scaled()
+        if q is not None:
+            r, q = q.numerator, q.denominator
+        elif type(a[0]) is int:
+            r, q = p, 1
+        else:  # p = r/q with int coefficients in r
+            q = _denominator([p])
+            r = _lift([p], 1, q)[0]
         if q != 1:
             a = a[:1] + [x * q ** k for k, x in enumerate(a[1:])]
         if type(r) is Poly and type(a[0]) is int:
@@ -235,9 +258,8 @@ class Series:
         self._same_order(inner)
         if not inner.is_delta():
             raise DomainError("composition requires a delta inner series")
-        n, (d, h), g = self.order, inner._scaled(), self._m
-        e = lcm(*(q.denominator for q in g)) if type(g[0]) is Fraction else 1
-        g = _lift(g, 1, e) if type(g[0]) is Fraction else g
+        n, (d, h), e = self.order, inner._scaled(), _denominator(self._m)
+        g = _lift(self._m, 1, e)
         nf = factorial(n)
         out, power = [g[0] * nf] + [0] * n, [1] + [0] * n
         for k in range(1, n + 1):

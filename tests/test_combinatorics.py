@@ -107,6 +107,13 @@ moment = st.one_of(rationals, st.just(Fraction(0)),
                    st.builds(lambda r, s: r + s * x, rationals, rationals))
 
 
+def fraction_coefficients(values) -> bool:
+    """Every value is a ``Fraction`` or a ``Poly`` of ``Fraction``
+    coefficients: no int coefficient of a lifted kernel escapes."""
+    return all(type(c) is Fraction for v in values
+               for c in (v.terms.values() if type(v) is Poly else (v,)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(moment, min_size=1, max_size=8))
 def test_bell_triangle_matches_partition_oracle(a):
@@ -120,6 +127,7 @@ def test_bell_triangle_matches_partition_oracle(a):
         assert tri[n][0] == 0
         for k in range(1, n + 1):
             assert tri[n][k] == weighted_partition_sum(n, k, a)
+    assert all(map(fraction_coefficients, tri))
 
 
 weight = st.one_of(st.integers(-4, 4), rationals, rationals.map(Poly.const),
@@ -138,6 +146,7 @@ def test_bell_transform_matches_partition_oracle(a, data):
     for k in range(n + 1):
         assert m[k] == sum((w[i] * weighted_partition_sum(k, i, a)
                             for i in range(k + 1)), ZERO)
+    assert fraction_coefficients(m)
     if all(Poly.coerce(v).is_constant() for v in w + a):
         assert all(type(v) is Fraction for v in m)
 

@@ -168,6 +168,20 @@ def test_zero_factor_is_read_in_uid_order():
         ws.eval(w * b ** 13, 1)
 
 
+def test_one_block_is_applied_once(monkeypatch):
+    # a fold needs each block's lower powers; one block needs only E[nf^k]
+    ws = fresh()
+    s = Stream(6)
+    a, g = random_umbra(ws, s, "a"), random_umbra(ws, s, "g")
+    apply, calls = Workspace._apply, []
+    monkeypatch.setattr(Workspace, "_apply",
+                        lambda self, nf: calls.append(nf) or apply(self, nf))
+    k = 4
+    assert ws.eval(a * g + a ** 2, k) == sum(
+        comb(k, j) * a.moments[2 * k - j] * g.moments[j] for j in range(k + 1))
+    assert len(calls) == 1
+
+
 def test_empty_product_is_unit():
     ws = fresh()
     assert ws.eval(Product(()), 0) == 1

@@ -410,6 +410,8 @@ EXP_BUILT = {
 COMPOSE_BUILT = {
     "comp(g,a)": lambda ws, a, g, c: composition_umbra(ws, g, a),
     "g.a": lambda ws, a, g, c: dot(ws, g, a),
+    # the series of c*a is a's composed with ct; its moments never compose
+    "c*a": lambda ws, a, g, c: scale_atom(ws, Fraction(3, 2) if c is None else Poly.var(c), a),
 }
 # compose forms the powers of f - 1 with series.convolve, the product kernel
 # behind Series.__mul__; the moment route's Bell triangle must not, or a wrong
