@@ -2,12 +2,12 @@
 
 A ``Series`` of order N is sum_k c_k t^k, held by its EGF moments M_k = k! c_k
 (see :class:`Series`), where every kernel is a recurrence with integer
-binomial weights and no division: :func:`convolve` for products,
-:func:`miller` for exp, log and powers, full products h^k for composition
-and reversion.  A series runs on d^k M_k, d the lcm of every coefficient
-denominator of its moments: integers on the rational ring, ``Poly`` values
-with int coefficients on the other, so every coefficient product in a kernel
-is an int product, and each coefficient of a result costs one ``Fraction``.
+binomial weights: :func:`convolve` for products, :func:`miller` for exp, log
+and powers, full products h^k for composition and reversion (one exact ``//``
+per reversion step).  Every kernel lifts both rings alike, to d^k M_k with d
+the lcm of all coefficient denominators: ints, or ``Poly`` values with int
+coefficients, so every coefficient product in a kernel is an int product, and
+each coefficient of a result costs one ``Fraction``.
 The constructor takes ordinary coefficients, and ``coeffs``, ``str`` and JSON
 give them back.  Binary operations demand equal orders.  A series is
 *unital* when c_0 = 1 and *delta* when c_0 = 0.
@@ -20,6 +20,7 @@ give them back.  Binary operations demand equal orders.  A series is
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, lcm
 
 from .errors import (DomainError, NegativePowerOfDeltaSeries, NotInvertible,
@@ -200,9 +201,9 @@ class Series:
 
     def pow_int(self, p) -> "Series":
         """f^p.  For unital f, p may be any integer, rational or ``Poly``:
-        :func:`miller` in one O(N^2) pass, p = r/q on q^(k-1) a_k (r an int,
-        or a ``Poly`` with int coefficients on a ``Poly`` f), a ``Poly`` p on
-        a rational f on ints that pack the powers of p.
+        :func:`miller` in one O(N^2) pass on q^(k-1) a_k, p lifted to r/q on
+        both rings (r an int, or a ``Poly`` with int coefficients); a ``Poly``
+        r on a rational f runs on ints that pack the powers of r (Kronecker).
         Otherwise p must be a nonnegative integer: repeated squaring."""
         if not self.is_unital():
             if not isinstance(p, int):
@@ -213,28 +214,25 @@ class Series:
             while p:
                 result, base, p = result * base if p & 1 else result, base * base, p >> 1
             return result
-        q, (d, a) = rational(p), self._scaled()
-        if q is not None:
-            r, q = q.numerator, q.denominator
-        elif type(a[0]) is int:
-            r, q = p, 1
-        else:  # p = r/q with int coefficients in r
-            q = _denominator([p])
-            r = _lift([p], 1, q)[0]
+        c, (d, a) = rational(p), self._scaled()
+        p = p if c is None else c
+        q = _denominator([p])
+        r = _lift([p], 1, q)[0]  # p = r/q: r an int, or a Poly with int coefficients
         if q != 1:
             a = a[:1] + [x * q ** k for k, x in enumerate(a[1:])]
         if type(r) is Poly and type(a[0]) is int:
-            # Kronecker substitution: run with p = 2^b, b past the bit length
-            # of the sum of |p-coefficients| of X_m (the recurrence on |a_k|
-            # bounds it); the base-2^b digits of X_m + h (1 + 2^b + ...),
-            # h = 2^(b-1), are then the p-coefficients plus h
-            b = max(miller([abs(x) for x in a], 1, -1)).bit_length() + 1
-            h, powers, out = 1 << (b - 1), [r ** i for i in range(len(a))], []
-            for m, v in enumerate(miller(a, 1 << b)):
+            # Kronecker substitution: run with r = 2^b, b past the bit length
+            # of the sum of |r-coefficients| of X_m (the recurrence on |a_k|
+            # with -q bounds it); the base-2^b digits of X_m + h (1 + 2^b + ...),
+            # h = 2^(b-1), are then the r-coefficients plus h
+            b = max(miller([abs(x) for x in a], 1, -q)).bit_length() + 1
+            h, out = 1 << (b - 1), []
+            powers = list(accumulate([r] * (len(a) - 1), Poly.__mul__, initial=Poly({(): 1})))
+            for m, v in enumerate(miller(a, 1 << b, q)):
                 v += h * sum(1 << (b * i) for i in range(m + 1))
-                out.append(sum((powers[i] * Fraction((v >> (b * i) & (2 * h - 1)) - h, d ** m)
+                out.append(sum((powers[i] * ((v >> (b * i) & (2 * h - 1)) - h)
                                 for i in range(m + 1)), Poly()))
-            return Series.from_moments(out)
+            return _scaled_down(out, d * q)
         return _scaled_down(miller(a, r, q), d * q)
 
     def exp(self) -> "Series":
@@ -273,10 +271,11 @@ class Series:
 
     def revert(self) -> "Series":
         """Compositional inverse of a delta series with invertible c_1: w,
-        the inverse of k = f / c_1 (on the integers d^(j-1) K_j), solves
-        sum_{j=1..m} K_j P[j][m] / j! = 0 for m >= 2, where the moments
+        the inverse of k = f / c_1 (lifted to d^(j-1) K_j on both rings),
+        solves sum_{j=1..m} K_j P[j][m] / j! = 0 for m >= 2, where the moments
         P[j][m] of w^j = w w^(j-1) fill one column at a time and read only
-        w_1..w_{m-1}: O(N^3) products.  Then w_m is divided by d^(m-1) c_1^m."""
+        w_1..w_{m-1}: O(N^3) products.  The division by m! is an exact ``//``,
+        as P[j][m] / j! = B_{m,j}(w).  Then w_m is divided by d^(m-1) c_1^m."""
         if not self.is_delta():
             raise DomainError("reversion requires a delta series")
         if self.order < 1:
@@ -285,8 +284,7 @@ class Series:
         if not c1:
             raise NotInvertible("linear coefficient has no reciprocal")
         n, k = self.order, [m / c1 for m in self._m]
-        d = lcm(*(q.denominator for q in k)) if type(k[1]) is Fraction else 1
-        k = [0] + _lift(k[1:], d) if type(k[1]) is Fraction else k
+        k = [0] + _lift(k[1:], d := _denominator(k))
         w = [0, 1] + [0] * (n - 1)
         powers = [None, w] + [[0] * (n + 1) for _ in range(n - 1)]
         for m in range(2, n + 1):
@@ -299,7 +297,7 @@ class Series:
                 powers[j][m] = entry
                 if k[j] and entry:
                     acc += k[j] * (fm // factorial(j)) * entry
-            w[m] = -acc // fm if type(acc) is int else acc * Fraction(-1, fm)
+            w[m] = -acc // fm
         return Series.from_moments([x * d / (d * c1) ** m for m, x in enumerate(w)])
 
     def derivative(self) -> "Series":

@@ -186,6 +186,19 @@ def test_invert_command():
     assert doc["chi_moments"][:3] == ["1", "1", "0"]
 
 
+def test_invert_command_on_an_x_carrying_umbra(tmp_path):
+    # the workspace route reverts a series whose moments carry x
+    wsf = tmp_path / "ws.json"
+    moments = ["1", "2"] + [{"1": f"1/{k}", "x": "1"} for k in range(2, 11)]
+    wsf.write_text(json.dumps({"order": 10, "indeterminates": ["x"], "umbrae": {"a": moments}}))
+    code, out, _ = run("--workspace", str(wsf), "invert", "--name", "a")
+    doc = json.loads(out)
+    assert code == 0
+    assert all(doc[k] for k in ("agree", "chi_ok", "partial_bell_expansion_ok",
+                                "abel_expansion_ok"))
+    assert isinstance(doc["gamma_moments_umbral"][2], dict)  # carries x
+
+
 def test_check_reports_an_engine_fault_as_a_failed_check(monkeypatch):
     # a series kernel that is wrong at p = 3 makes registration of 3.a raise
     # CoherenceError: a failed check (exit 1), not a usage error (exit 2),

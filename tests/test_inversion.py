@@ -125,8 +125,17 @@ def test_dot_moment_reads_the_untruncated_power(moments, mult, m):
         bar.egf.pow_int(mult).coeffs[m] * factorial(m)
 
 
-def test_corrupted_reversion_is_caught(monkeypatch):
-    # one wrong coefficient on the brute-reversion route
+def x_carrying_umbra(ws, stream, name):
+    x = Poly.var("x")
+    moments = [ONE, Poly.const(stream.nonzero_rational())]
+    moments += [stream.rational() + stream.rational() * x for _ in range(ws.order - 1)]
+    return ws.define(name, moments)
+
+
+@pytest.mark.parametrize("umbra", [random_umbra, x_carrying_umbra],
+                         ids=["scalar", "x-carrying"])
+def test_corrupted_reversion_is_caught(monkeypatch, umbra):
+    # one wrong coefficient on the brute-reversion route, on either ring
     revert = Series.revert
 
     def corrupted(self):
@@ -135,8 +144,8 @@ def test_corrupted_reversion_is_caught(monkeypatch):
         coeffs[3] = coeffs[3] + 1
         return Series(out.order, coeffs)
 
-    ws = fresh(order=6)
-    a = random_umbra(ws, Stream(61), "a")
+    ws = Workspace(order=6, indeterminates=("x",))
+    a = umbra(ws, Stream(61), "a")
     assert cross_check(ws, a).agree
     monkeypatch.setattr(Series, "revert", corrupted)
     assert not cross_check(ws, a).agree

@@ -11,6 +11,7 @@ from umbral.errors import (
     OrderMismatch,
 )
 from umbral.poly import Poly
+from umbral.prng import Stream
 from umbral.series import Series, factorial
 
 rationals = st.fractions(
@@ -154,6 +155,11 @@ def test_revert_identity_and_tree():
     w = h.revert()
     assert [w.egf_moment(k).constant() for k in range(1, order + 1)] == \
         [k ** (k - 1) for k in range(1, order + 1)]
+    # an x-carrying series (c_1 = 2, moments q + q'x) past the sizes the
+    # round-trip property draws: the Poly ring runs the same lifted path
+    s, x = Stream(15), Poly.var("x")
+    h = Series.from_moments([0, 2] + [s.rational() + s.rational() * x for _ in range(19)])
+    assert h.revert().compose(h) == Series.t(20) == h.compose(h.revert())
 
 
 def test_revert_needs_invertible_linear_term():
@@ -262,7 +268,8 @@ def test_pow_int_of_other_series_matches_products(f, n):
 @settings(max_examples=20, deadline=None)
 @given(st.one_of(series_strategy(6, unital=True), x_series_strategy(6, unital=True)),
        st.sampled_from([Poly.var("x"), Poly.var("y") * 2 - 1,
-                        Poly.var("x") * Poly.var("y"), Poly.const(Fraction(-1, 3))]))
+                        Poly.var("x") * Poly.var("y"), Poly.const(Fraction(-1, 3)),
+                        Poly.var("x") * Poly.var("y") / 3 + Fraction(1, 2)]))
 def test_pow_int_poly_exponent_matches_exp_log(f, p):
     assert f.pow_int(p) == f.log().scalar_mul(p).exp()
 
