@@ -12,10 +12,10 @@ monomial is a tuple of ``(variable, exponent)`` pairs, sorted by variable
 name, with all exponents >= 1; the empty tuple is the constant monomial.
 ``rational`` and ``rationals`` decide whether values are rational.
 
-The series kernels and the Bell triangle lift their ``Poly`` values to int
-coefficients over one common denominator, so their products are int products;
-``//`` by an int, the one int-only operator, is reversion's exact step.  They
-divide once at the end, so no ``Poly`` they return holds an int coefficient.
+The series kernels pack ``Poly`` moments into ints (see :mod:`umbral.series`)
+and the Bell triangle lifts its ``Poly`` values to int coefficients over one
+common denominator, so their products are int products.  Both divide once at
+the end, so no ``Poly`` they return holds an int coefficient.
 
 >>> x, y = Poly.var("x"), Poly.var("y")
 >>> str((x + y) ** 2)
@@ -151,10 +151,6 @@ class Poly:
         if isinstance(other, Poly):
             other = other.constant()
         return self * (Fraction(1) / Fraction(other))
-
-    def __floordiv__(self, other: int):
-        """Each coefficient floor-divided by an int."""
-        return _poly({m: q for m, c in self.terms.items() if (q := c // other)})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

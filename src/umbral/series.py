@@ -1,13 +1,15 @@
 """Truncated power series with exact rational or polynomial coefficients.
 
 A ``Series`` of order N is sum_k c_k t^k, held by its EGF moments M_k = k! c_k
-(see :class:`Series`), where every kernel is a recurrence with integer
+(see :class:`Series`).  Every kernel is a recurrence on ints with integer
 binomial weights: :func:`convolve` for products, :func:`miller` for exp, log
-and powers, full products h^k for composition and reversion (one exact ``//``
-per reversion step).  Every kernel lifts both rings alike, to d^k M_k with d
-the lcm of all coefficient denominators: ints, or ``Poly`` values with int
-coefficients, so every coefficient product in a kernel is an int product, and
-each coefficient of a result costs one ``Fraction``.
+and powers, :func:`compose` and :func:`revert` on full products h^k (one
+exact ``//`` per reversion step).  A kernel lifts its operands to d^k M_k
+over one denominator d, one int moment list per monomial (:func:`_lift`).
+A rational series has the constant monomial alone and its list runs as it
+is.  The lists of a series that carries an indeterminate pack into one int
+per moment by Kronecker substitution (:func:`_run`), and each result moment
+is unpacked once, so each coefficient of a result costs one ``Fraction``.
 The constructor takes ordinary coefficients, and ``coeffs``, ``str`` and JSON
 give them back.  Binary operations demand equal orders.  A series is
 *unital* when c_0 = 1 and *delta* when c_0 = 0.
@@ -20,8 +22,9 @@ give them back.  Binary operations demand equal orders.  A series is
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import comb, factorial, lcm
+from operator import mul
 
 from .errors import (DomainError, NegativePowerOfDeltaSeries, NotInvertible,
                      OrderExceeded, OrderMismatch)
@@ -34,37 +37,30 @@ def _ring(values) -> tuple:
     return tuple(map(Poly.coerce, values)) if q is None else tuple(q)
 
 
-# -- kernels: on ints and int-coefficient Poly values (a scaled series) or
-# Fraction and Poly values alike; a weight multiplies the first factor, which
-# usually has fewer terms.
-
-
-def _denominator(ms) -> int:
-    """The lcm of every coefficient denominator of rational or ``Poly`` values."""
-    return lcm(*(c.denominator for q in ms
-                 for c in (q.terms.values() if type(q) is Poly else (q,))))
-
-
-def _lift(ms, d: int, e: int = 1) -> list:
-    """e d^k M_k for moments whose coefficient denominators divide e d^k:
-    an int for a rational M_k, a ``Poly`` with int coefficients for a
-    ``Poly`` M_k."""
-    out = []
-    for k, q in enumerate(ms):
-        s = e * d ** k
-        out.append(Poly({m: c.numerator * (s // c.denominator) for m, c in q.terms.items()})
-                   if type(q) is Poly else q.numerator * (s // q.denominator))
-    return out
+# -- kernels: recurrences on ints, lifted rational moments or the Kronecker
+# images of lifted Poly moments (see _run); a weight multiplies the first
+# factor, which is usually the smaller.  Each kernel's docstring proves the
+# digit bounds that _run needs: a majorant of the 1-norm (sum of |c|) and of
+# the degree in each indeterminate of every result moment.
 
 
 def convolve(a, b) -> list:
     """The moments of a product, c_n = sum_k C(n,k) a_k b_{n-k} for
-    n < len(a)."""
-    n = len(a) - 1
-    va, vb = (next((k for k, c in enumerate(s) if c), n + 1) for s in (a, b))
-    return [0] * min(va + vb, n + 1) + [
-        sum(comb(m, k) * a[k] * b[m - k] for k in range(va, m - vb + 1) if a[k] and b[m - k])
-        for m in range(va + vb, n + 1)]
+    n < len(a).  Bounds: the weights are nonnegative and the 1-norm is
+    submultiplicative, so ``convolve`` on 1-norms bounds each 1-norm; c_n
+    has degree at most max_{j+k<=n} (deg a_j + deg b_k)."""
+    n, ka = len(a) - 1, [k for k, c in enumerate(a) if c]
+    vb = next((k for k, c in enumerate(b) if c), n + 1)
+    out = [0] * min((ka[0] if ka else n + 1) + vb, n + 1)
+    for m in range(len(out), n + 1):
+        s = 0
+        for k in ka:
+            if k > m - vb:
+                break
+            if b[m - k]:
+                s += comb(m, k) * a[k] * b[m - k]
+        out.append(s)
+    return out
 
 
 def miller(a, r, q=1, log=False) -> list:
@@ -72,30 +68,167 @@ def miller(a, r, q=1, log=False) -> list:
     coordinates: for a_0 = 1, X_0 = 1 and
     X_m = sum_{k=1..m} (r C(m-1,k-1) - q C(m-1,k)) a_k X_{m-k} is f^(r/q);
     (r, q) = (1, 0) on a delta series is exp f.  With ``log``, X_0 = 0 and
-    a_m is added to X_m: (r, q) = (0, 1) is log f.  A ``Poly`` r keeps the
-    two sums apart, so it costs one ``Poly`` product per m, not per term."""
-    split, x = type(r) is Poly, [0 if log else 1]
+    a_m is added to X_m: (r, q) = (0, 1) is log f.  Bounds, for q >= 0:
+    a weight has 1-norm at most |r| C(m-1,k-1) + q C(m-1,k), so by
+    induction on m ``miller`` on |a_k| and |r| with -q bounds the 1-norm of
+    X_m; X_m is a sum of products r^i a_(k_1) ... a_(k_j), i <= j and
+    k_1 + ... + k_j = m, k_i >= 1, so its degree is at most
+    :func:`_slope` (deg a, m) + m deg r."""
+    x = [0 if log else 1]
     for m in range(1, len(a)):
-        row, s1, s2 = [comb(m - 1, k) for k in range(m + 1)], 0, 0
+        row, s = [comb(m - 1, k) for k in range(m + 1)], 0
         for k in range(1, m + 1):
-            if a[k] and x[m - k]:
-                if split:
-                    term = a[k] * x[m - k]
-                    s1, s2 = s1 + term * row[k - 1], s2 + term * row[k]
-                elif w := r * row[k - 1] - q * row[k]:
-                    s1 += w * a[k] * x[m - k]
-        xm = r * s1 - q * s2 if split else s1
-        x.append(a[m] + xm if log else xm)
+            if a[k] and x[m - k] and (w := r * row[k - 1] - q * row[k]):
+                s += w * a[k] * x[m - k]
+        x.append(a[m] + s if log else s)
     return x
 
 
-def _scaled_down(xs, d: int, e: int = 1) -> "Series":
-    """The series with moments x_k / (e d^k): one ``Fraction`` per int x_k,
-    one ``Fraction`` product per coefficient of a ``Poly`` x_k, so no int
-    coefficient leaves the module."""
+def compose(g, h) -> list:
+    """N! sum_k g_k H_k[m] / k!, the moments of N! g(h) for a delta h,
+    N = len(g) - 1: the powers H_k = h H_{k-1} are full products (never the
+    Bell triangle's divided-power recurrence).  Bounds: every weight is
+    nonnegative, so ``compose`` on 1-norms bounds each 1-norm; H_k[m] is a
+    sum of products h_(k_1) ... h_(k_k) with k_1 + ... + k_k = m, so moment
+    m has degree at most max deg g + :func:`_slope` (deg h, N)."""
+    n = len(g) - 1
+    nf = factorial(n)
+    out, power = [g[0] * nf] + [0] * n, [1] + [0] * n
+    for k in range(1, n + 1):
+        power = convolve(h, power)
+        if g[k]:
+            c = g[k] * (nf // factorial(k))
+            for m in range(k, n + 1):
+                if power[m]:
+                    out[m] += c * power[m]
+    return out
+
+
+def revert(k) -> list:
+    """The moments w of the compositional inverse of a series with moments
+    K_0 = 0, K_1 = 1: w_1 = 1 and sum_{j=1..m} K_j P[j][m] / j! = 0 for
+    m >= 2, where the moments P[j][m] of w^j = w w^(j-1) fill one column at
+    a time and read only w_1..w_{m-1}: O(N^3) products.  The division by m!
+    is exact, as P[j][m] / j! = B_{m,j}(w) has integer coefficients in the
+    w's.  Bounds: w_m = -sum_{j>=2} K_j P[j][m] / j! and P has nonnegative
+    weights, so by induction on m the (nonnegative) reversion w' of the
+    majorant t - sum_{j>=2} |K_j| t^j, ``revert`` on 0, 1, -|K_2|, -|K_3|,
+    ..., bounds the 1-norm of w_m.  w_m is a sum of products of K_j, j >= 2,
+    with sum (j - 1) = m - 1, so its degree is at most :func:`_slope` at
+    m - 1 of deg K_1, deg K_2, ... (K_j at index j - 1)."""
+    n = len(k) - 1
+    w = [0, 1] + [0] * (n - 1)
+    powers = [None, w] + [[0] * (n + 1) for _ in range(n - 1)]
+    for m in range(2, n + 1):
+        row, fm, acc = [comb(m, i) for i in range(m + 1)], factorial(m), 0
+        for j in range(2, m + 1):
+            prev, entry = powers[j - 1], 0
+            for i in range(1, m - j + 2):
+                if w[i] and prev[m - i]:
+                    entry += row[i] * w[i] * prev[m - i]
+            powers[j][m] = entry
+            if k[j] and entry:
+                acc += k[j] * (fm // factorial(j)) * entry
+        w[m] = -acc // fm
+    return w
+
+
+# -- lifting, packing and scaling back
+
+
+def _planes(ms) -> dict:
+    """The moments as one rational moment list per monomial, so moment k is
+    the sum of plane[k] times its monomial: the constant plane alone for
+    rational moments (a ``Series`` never mixes the two)."""
+    if type(ms[0]) is not Poly:
+        return {(): ms}
+    planes: dict = {}
+    for k, q in enumerate(ms):
+        for m, c in q.terms.items():
+            planes.setdefault(m, [0] * len(ms))[k] = c
+    return planes
+
+
+def _denominator(*lists) -> int:
+    """The lcm of the denominators of every rational in the lists."""
+    return lcm(*(q.denominator for ms in lists for q in ms))
+
+
+def _lift(planes, d: int, e: int = 1) -> dict:
+    """e d^k M_k in every plane, an int when the denominator of M_k divides
+    e d^k."""
+    return {m: [q.numerator * (e * d ** k // q.denominator) for k, q in enumerate(p)]
+            for m, p in planes.items()}
+
+
+def _degrees(planes, v: str) -> list:
+    """The degree in v of every moment of lifted planes (0 for a zero moment)."""
+    exps = [dict(m).get(v, 0) for m in planes]
+    return [max((i for i, c in zip(exps, col) if c), default=0)
+            for col in zip(*planes.values())]
+
+
+def _slope(degrees, n: int) -> int:
+    """floor(n max_k deg_k / k) over k >= 1: the degree bound of a product
+    of moments whose indices k_i >= 1 sum to at most n, as
+    sum deg_(k_i) <= sum k_i max_k deg_k / k."""
+    return max((n * i // k for k, i in enumerate(degrees) if k), default=0)
+
+
+def _unpack(v: int, b: int, n: int) -> list:
+    """The n balanced base-2^b digits of v, each in [-2^(b-1), 2^(b-1)),
+    lowest first."""
+    h, out = 1 << b - 1, []
+    for _ in range(n):
+        out.append((v + h & 2 * h - 1) - h)
+        v = v - out[-1] >> b
+    return out
+
+
+def _run(kernel, groups, degree, d, e=1, majorant=None) -> "Series":
+    """The series with moments x_m / (e d^m), x = kernel(*args), one
+    argument, a list of ints, per group of lifted planes.
+
+    When every group is rational, its constant plane is the argument.
+    Otherwise each moment packs into one int by Kronecker substitution: the
+    indeterminates v_1 < v_2 < ... get mixed-radix slots of R_i = D_i + 1
+    digits, v_i -> 2^(b s_i) with s_i = R_1 ... R_(i-1).  That map is a ring
+    homomorphism from Z[v_1, v_2, ...] into Z, and it takes an exact
+    quotient by an int to the quotient of the images, so the kernel on the
+    images gives the images of its results, whatever the size of the values
+    in between.  A result is read back from its image when each of its
+    coefficients c has |c| < 2^(b-1) and its degree in each v_i is at most
+    D_i.  So ``majorant`` (the kernel itself by default) on the 1-norms of
+    the arguments' moments must bound the 1-norm of every result moment,
+    and ``degree``, given each group's degree in v_i, must bound its degree
+    in v_i; each kernel's docstring proves both."""
+    variables = sorted({v for g in groups for m in g for v, _ in m})
+    if not variables:
+        return _scaled_down(kernel(*(g[()] for g in groups)), d, e)
+    norms = ([sum(map(abs, c)) for c in zip(*g.values())] for g in groups)
+    b = max((majorant or kernel)(*norms)).bit_length() + 1
+    radix = [degree(*(_degrees(g, v) for g in groups)) + 1 for v in variables]
+    slot = dict(zip(variables, accumulate(radix[:-1], mul, initial=1)))
+    args = []
+    for g in groups:
+        shifts = [b * sum(i * slot[v] for v, i in m) for m in g]
+        args.append([sum(c << s for c, s in zip(col, shifts) if c) for col in zip(*g.values())])
+    monomials = [tuple((v, i) for v, i in zip(variables, reversed(es)) if i)
+                 for es in product(*map(range, reversed(radix)))]
+    return _scaled_down(kernel(*args), d, e, (b, monomials))
+
+
+def _scaled_down(xs, d, e=1, packing=None) -> "Series":
+    """The series with moments x_k / (e d^k): one ``Fraction`` per int x_k
+    or, with ``packing`` = (b, monomials), per nonzero digit of x_k (see
+    :func:`_run`), so no int coefficient leaves the module."""
     scales = [e * d ** k for k in range(len(xs))]
-    return Series.from_moments([Fraction(x, s) if type(x) is int else x * Fraction(1, s)
-                                for x, s in zip(xs, scales)])
+    if packing is None:
+        return Series.from_moments([Fraction(x, s) for x, s in zip(xs, scales)])
+    b, monomials = packing
+    return Series.from_moments([
+        Poly({m: Fraction(c, s) for m, c in zip(monomials, _unpack(x, b, len(monomials))) if c})
+        for x, s in zip(xs, scales)])
 
 
 class Series:
@@ -169,10 +302,11 @@ class Series:
             raise OrderMismatch(f"orders differ: {self.order} != {other.order}")
 
     def _scaled(self):
-        """(d, d^k M_k), d the lcm of every coefficient denominator: ints on
-        the rational ring, int-coefficient ``Poly`` values on the other."""
-        d = _denominator(self._m)
-        return d, _lift(self._m, d)
+        """(d, the planes of d^k M_k), d the lcm of every coefficient
+        denominator."""
+        planes = _planes(self._m)
+        d = _denominator(*planes.values())
+        return d, _lift(planes, d)
 
     def __add__(self, other):
         if not isinstance(other, Series):
@@ -190,21 +324,22 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._same_order(other)
-        a, b = self._m, other._m
-        if sum(len(q) for q in b if type(q) is Poly) < sum(len(q) for q in a if type(q) is Poly):
-            a, b = b, a
-        d, ea, eb = _denominator(a + b), _denominator(a[:1]), _denominator(b[:1])
-        return _scaled_down(convolve(_lift(a, d, ea), _lift(b, d, eb)), d, ea * eb)
+        a, b = _planes(self._m), _planes(other._m)
+        d = _denominator(*a.values(), *b.values())
+        ea, eb = (_denominator(*(p[:1] for p in g.values())) for g in (a, b))
+        return _run(convolve, [_lift(a, d, ea), _lift(b, d, eb)],
+                    lambda da, db: max(i + max(db[:len(db) - k]) for k, i in enumerate(da)),
+                    d, ea * eb)
 
     def scalar_mul(self, c) -> "Series":
         return Series.from_moments([c * a for a in self._m])
 
     def pow_int(self, p) -> "Series":
         """f^p.  For unital f, p may be any integer, rational or ``Poly``:
-        :func:`miller` in one O(N^2) pass on q^(k-1) a_k, p lifted to r/q on
-        both rings (r an int, or a ``Poly`` with int coefficients); a ``Poly``
-        r on a rational f runs on ints that pack the powers of r (Kronecker).
-        Otherwise p must be a nonnegative integer: repeated squaring."""
+        :func:`miller` in one O(N^2) pass on q^(k-1) a_k, p lifted to r/q
+        (r an int, or a ``Poly`` with int coefficients that packs like a
+        moment).  Otherwise p must be a nonnegative integer: repeated
+        squaring."""
         if not self.is_unital():
             if not isinstance(p, int):
                 raise DomainError("non-integer power needs constant term 1")
@@ -214,68 +349,47 @@ class Series:
             while p:
                 result, base, p = result * base if p & 1 else result, base * base, p >> 1
             return result
-        c, (d, a) = rational(p), self._scaled()
-        p = p if c is None else c
-        q = _denominator([p])
-        r = _lift([p], 1, q)[0]  # p = r/q: r an int, or a Poly with int coefficients
-        if q != 1:
-            a = a[:1] + [x * q ** k for k, x in enumerate(a[1:])]
-        if type(r) is Poly and type(a[0]) is int:
-            # Kronecker substitution: run with r = 2^b, b past the bit length
-            # of the sum of |r-coefficients| of X_m (the recurrence on |a_k|
-            # with -q bounds it); the base-2^b digits of X_m + h (1 + 2^b + ...),
-            # h = 2^(b-1), are then the r-coefficients plus h
-            b = max(miller([abs(x) for x in a], 1, -q)).bit_length() + 1
-            h, out = 1 << (b - 1), []
-            powers = list(accumulate([r] * (len(a) - 1), Poly.__mul__, initial=Poly({(): 1})))
-            for m, v in enumerate(miller(a, 1 << b, q)):
-                v += h * sum(1 << (b * i) for i in range(m + 1))
-                out.append(sum((powers[i] * ((v >> (b * i) & (2 * h - 1)) - h)
-                                for i in range(m + 1)), Poly()))
-            return _scaled_down(out, d * q)
-        return _scaled_down(miller(a, r, q), d * q)
+        c, (d, a), n = rational(p), self._scaled(), self.order
+        r = _planes([p if c is None else c])
+        q = _denominator(*r.values())
+
+        def weighted(a):  # q^(k-1) a_k
+            return a[:1] + [x * q ** k for k, x in enumerate(a[1:])]
+        return _run(lambda a, r: miller(weighted(a), r[0], q), [a, _lift(r, 1, q)],
+                    lambda da, dr: _slope(da, n) + n * dr[0], d * q,
+                    majorant=lambda a, r: miller(weighted(a), r[0], -q))
 
     def exp(self) -> "Series":
         """exp of a delta series."""
         if not self.is_delta():
             raise DomainError("exp requires constant term 0")
-        d, a = self._scaled()
-        return _scaled_down(miller(a, 1, 0), d)
+        (d, a), n = self._scaled(), self.order
+        return _run(lambda a: miller(a, 1, 0), [a], lambda da: _slope(da, n), d)
 
     def log(self) -> "Series":
         """log of a unital series; inverse of :meth:`exp` up to truncation."""
         if not self.is_unital():
             raise DomainError("log requires constant term 1")
-        d, a = self._scaled()
-        return _scaled_down(miller(a, 0, 1, log=True), d)
+        (d, a), n = self._scaled(), self.order
+        return _run(lambda a: miller(a, 0, 1, log=True), [a], lambda da: _slope(da, n), d,
+                    majorant=lambda a: miller(a, 0, -1, log=True))
 
     def compose(self, inner: "Series") -> "Series":
-        """self(inner(t)) for a delta inner series: sum_k G_k Q_k[n] / k!, the
-        powers Q_k = h Q_{k-1} full products (never the Bell triangle's
-        divided-power recurrence), every k! put into one denominator N!."""
+        """self(inner(t)) for a delta inner series, by :func:`compose` on
+        G_k = e M_k (e the lcm of self's denominators) and d^k H_k, every k!
+        put into one denominator N!."""
         self._same_order(inner)
         if not inner.is_delta():
             raise DomainError("composition requires a delta inner series")
-        n, (d, h), e = self.order, inner._scaled(), _denominator(self._m)
-        g = _lift(self._m, 1, e)
-        nf = factorial(n)
-        out, power = [g[0] * nf] + [0] * n, [1] + [0] * n
-        for k in range(1, n + 1):
-            power = convolve(h, power)
-            if g[k]:
-                c = g[k] * (nf // factorial(k))
-                for m in range(k, n + 1):
-                    if power[m]:
-                        out[m] += c * power[m]
-        return _scaled_down(out, d, e * nf)
+        n, (d, h), g = self.order, inner._scaled(), _planes(self._m)
+        e = _denominator(*g.values())
+        return _run(compose, [_lift(g, 1, e), h], lambda dg, dh: max(dg) + _slope(dh, n),
+                    d, e * factorial(n))
 
     def revert(self) -> "Series":
-        """Compositional inverse of a delta series with invertible c_1: w,
-        the inverse of k = f / c_1 (lifted to d^(j-1) K_j on both rings),
-        solves sum_{j=1..m} K_j P[j][m] / j! = 0 for m >= 2, where the moments
-        P[j][m] of w^j = w w^(j-1) fill one column at a time and read only
-        w_1..w_{m-1}: O(N^3) products.  The division by m! is an exact ``//``,
-        as P[j][m] / j! = B_{m,j}(w).  Then w_m is divided by d^(m-1) c_1^m."""
+        """Compositional inverse of a delta series with invertible c_1:
+        :func:`revert` on k = f / c_1, lifted to d^(j-1) K_j; then w_m is
+        divided by d^(m-1) c_1^m."""
         if not self.is_delta():
             raise DomainError("reversion requires a delta series")
         if self.order < 1:
@@ -283,22 +397,11 @@ class Series:
         c1 = rational(self._m[1])
         if not c1:
             raise NotInvertible("linear coefficient has no reciprocal")
-        n, k = self.order, [m / c1 for m in self._m]
-        k = [0] + _lift(k[1:], d := _denominator(k))
-        w = [0, 1] + [0] * (n - 1)
-        powers = [None, w] + [[0] * (n + 1) for _ in range(n - 1)]
-        for m in range(2, n + 1):
-            row, fm, acc = [comb(m, i) for i in range(m + 1)], factorial(m), 0
-            for j in range(2, m + 1):
-                prev, entry = powers[j - 1], 0
-                for i in range(1, m - j + 2):
-                    if w[i] and prev[m - i]:
-                        entry += row[i] * w[i] * prev[m - i]
-                powers[j][m] = entry
-                if k[j] and entry:
-                    acc += k[j] * (fm // factorial(j)) * entry
-            w[m] = -acc // fm
-        return Series.from_moments([x * d / (d * c1) ** m for m, x in enumerate(w)])
+        n, k = self.order, _planes([m / c1 for m in self._m[1:]])
+        d = _denominator(*k.values())
+        k = {m: [0] + p for m, p in _lift(k, d).items()}
+        return _run(revert, [k], lambda dk: _slope(dk[1:], n - 1), d * c1, Fraction(1, d),
+                    majorant=lambda k: revert([0, 1] + [-c for c in k[2:]]))
 
     def derivative(self) -> "Series":
         """Formal d/dt, a shift of the moments; the order drops by one."""

@@ -505,3 +505,36 @@ def test_alpha_bar_reads_the_series(ring):
 @pytest.mark.parametrize("ring", ["scalar", "x-carrying"])
 def test_scale_atom_reads_the_series(ring):
     assert_reads_the_series(ring, lambda ws, a: scale_atom(ws, Fraction(3, 2), a))
+
+
+# the packed series kernels read every x-carrying result back through
+# series._unpack, which the moment route never calls
+UNPACK_BUILT = {
+    "x.a": lambda ws, a, g, c: dot(ws, "x", a),
+    "3.a": lambda ws, a, g, c: dot(ws, 3, a),
+    "part(a)": lambda ws, a, g, c: partition_umbra(ws, a),
+    "bell(x)": lambda ws, a, g, c: bell_umbra(ws, "x"),
+    "comp(g,a)": lambda ws, a, g, c: composition_umbra(ws, g, a),
+    "g.a": lambda ws, a, g, c: dot(ws, g, a),
+}
+
+
+def corrupt_unpack(unpack):
+    """``unpack`` with digit 2 off by one; a zero value keeps its digits, so
+    log's M_0 = 0 stays zero and compose still takes the delta series."""
+    def corrupted(v, b, n):
+        out = unpack(v, b, n)
+        if v:
+            out[2] += 1
+        return out
+    return corrupted
+
+
+@pytest.mark.parametrize("build", UNPACK_BUILT.values(), ids=UNPACK_BUILT)
+def test_corrupted_unpack_is_caught(monkeypatch, build):
+    ws = fresh()
+    inputs = ring_inputs(ws, Stream(36), "x-carrying")
+    assert_coherent(build(ws, *inputs))
+    monkeypatch.setattr(series, "_unpack", corrupt_unpack(series._unpack))
+    with pytest.raises(CoherenceError):
+        build(ws, *inputs)

@@ -38,12 +38,6 @@ def test_division_by_constants():
         (x + 1).constant()
 
 
-def test_floor_division_by_an_int():
-    # the int-only operator behind the exact division of Series.revert
-    assert (6 * x + 4) // 2 == 3 * x + 2
-    assert Poly() // 7 == Poly()
-
-
 def test_subs():
     p = x ** 2 + 2 * x * y + 1
     assert p.subs({"x": 1, "y": Fraction(1, 2)}) == 3

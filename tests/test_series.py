@@ -466,8 +466,8 @@ def test_rendering_is_pinned(s, text, data):
     assert s.to_json() == data
 
 
-big_unital = st.lists(st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=97),
-                     min_size=10, max_size=10).map(lambda c: Series(10, [1] + c))
+big = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=97)
+big_unital = st.lists(big, min_size=10, max_size=10).map(lambda c: Series(10, [1] + c))
 
 
 @settings(max_examples=15, deadline=None)
@@ -475,11 +475,80 @@ big_unital = st.lists(st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_de
                  big_unital),
        st.sampled_from([x, x + 1, x / 2]))
 def test_pow_int_poly_exponent_matches_exp_log_at_order_10(f, p):
-    # on a rational series the Poly exponent runs on packed ints (Kronecker
-    # substitution; large moments stress the digit bound), on a Poly series
-    # as miller's split sums.  exp and log run miller too, so this is not an
-    # independent oracle: test_sympy_oracle checks the rational case
+    # the Poly exponent packs into ints (Kronecker substitution), and on a
+    # Poly series the moments pack with it; large moments stress the digit
+    # bound.  exp and log run miller too, so this is not an independent
+    # oracle: test_sympy_oracle checks both rings
     assert f.pow_int(p) == f.log().scalar_mul(p).exp()
+
+
+# -- the digit bounds of the packed kernels ---------------------------------------------------
+
+
+def at(s, values):
+    """s with its indeterminates set to rationals: the rational ring, which
+    packs nothing."""
+    return Series(s.order, [Poly.coerce(c).subs(values) for c in s.coeffs])
+
+
+POINTS = [{"x": 2, "y": Fraction(-1, 3)}, {"x": Fraction(-5, 7), "y": 3}]
+
+PACKED_KERNELS = {
+    "mul": lambda f, g, v, w: f * g,
+    "pow_int": lambda f, g, v, w: unital(f).pow_int(3),
+    "pow_int_negative": lambda f, g, v, w: unital(f).pow_int(-2),
+    "pow_int_fraction": lambda f, g, v, w: unital(f).pow_int(Fraction(1, 2)),
+    "pow_int_poly": lambda f, g, v, w: unital(f).pow_int(v * w / 3 + Fraction(1, 2)),
+    "exp": lambda f, g, v, w: delta(f).exp(),
+    "log": lambda f, g, v, w: unital(f).log(),
+    "compose": lambda f, g, v, w: f.compose(delta(g)),
+    "revert": lambda f, g, v, w: reversible(f).revert(),
+}
+
+big_x = st.lists(st.tuples(big, big), min_size=11, max_size=11).map(
+    lambda pairs: Series(10, [r + s * x for r, s in pairs]))
+
+
+@pytest.mark.parametrize("kernel", PACKED_KERNELS.values(), ids=PACKED_KERNELS)
+@settings(max_examples=5, deadline=None)
+@given(big_x, big_x)
+def test_packed_kernels_commute_with_evaluation(kernel, f, g):
+    # setting x and y commutes with every kernel; large moments of both signs
+    # stress the digit bound b, and the rational ring checks every digit
+    out = kernel(f, g, x, y)
+    for values in POINTS:
+        assert at(out, values) == kernel(at(f, values), at(g, values), values["x"], values["y"])
+
+
+def graded(cs, v):
+    """The series sum_k c_k (v t)^k / k!: moment k is c_k v^k."""
+    return Series.from_moments([c * v ** k for k, c in enumerate(cs)])
+
+
+TIGHT = {
+    # for c_k > 0 every result moment is one term (two indeterminates aside)
+    # whose coefficient is the majorant's value and whose degree reaches the
+    # degree bound, so one bit less of b, or one digit less of a radix, loses
+    # a digit
+    "mul": lambda cs, v, w: graded(cs, v) * graded(cs[::-1], v),
+    "mul_two_indeterminates": lambda cs, v, w: graded(cs, v) * graded(cs[::-1], w),
+    "pow_int": lambda cs, v, w: graded([1] + [-c for c in cs[1:]], v).pow_int(-1),
+    "exp": lambda cs, v, w: graded([0] + cs[1:], v).exp(),
+    "log": lambda cs, v, w: graded([1] + [-c for c in cs[1:]], v).log(),
+    "compose": lambda cs, v, w: Series.from_moments(cs).compose(graded([0] + cs[1:], v)),
+    "revert": lambda cs, v, w: Series.from_moments(
+        [0, 1] + [-c * v ** (k - 1) for k, c in enumerate(cs[2:], 2)]).revert(),
+}
+
+
+@pytest.mark.parametrize("kernel", TIGHT.values(), ids=TIGHT)
+@pytest.mark.parametrize("top", [1, 10 ** 6])
+def test_packed_kernels_at_their_digit_bounds(kernel, top):
+    cs = [Fraction(top + k, k + 1) for k in range(9)]
+    out = kernel(cs, x, y)
+    assert any(Poly.coerce(c).variables() for c in out.coeffs)
+    for values in POINTS:
+        assert at(out, values) == kernel(cs, values["x"], values["y"])
 
 
 # -- no float anywhere -----------------------------------------------------------------------

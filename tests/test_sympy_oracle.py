@@ -121,3 +121,75 @@ def test_series_kernels_match_sympy_ring_series(order, data):
     else:
         assert h.revert() == \
             from_ring(rs.rs_series_reversion(to_ring(h), T, prec, Y), order, Y)
+
+
+# -- x-carrying series: the packed kernels against a sympy ring with x and y --------
+
+RX, TX, XR, YR, WX = ring("t,x,y,w", sympy.QQ)
+x, y = Poly.var("x"), Poly.var("y")
+
+
+def poly_to_ring(c):
+    out = RX(0)
+    for m, q in Poly.coerce(c).terms.items():
+        term = RX(sympy.QQ(q.numerator, q.denominator))
+        for v, e in m:
+            term *= {"x": XR, "y": YR}[v] ** e
+        out += term
+    return out
+
+
+def to_ring_x(s):
+    return sum((poly_to_ring(c) * TX ** k for k, c in enumerate(s.coeffs)), RX(0))
+
+
+def from_ring_x(p, order, var=0):
+    """The series in generator ``var`` (0 for t, 3 for w) of p."""
+    coeffs = [Poly() for _ in range(order + 1)]
+    for mono, c in p.terms():
+        term = Poly.const(Fraction(int(c.numerator), int(c.denominator)))
+        coeffs[mono[var]] += term * x ** mono[1] * y ** mono[2]
+    return Series(order, coeffs)
+
+
+def x_series(order, c0=None, var=x):
+    """Random series with coefficients r + s*var; ``c0`` fixes the constant
+    term, and a delta series (c0 = 0) gets a linear term r + s*var with
+    r != 0."""
+    def build(pairs):
+        coeffs = [r + s * var for r, s in pairs]
+        if c0 is not None:
+            coeffs[0] = Poly.const(c0)
+        if c0 == 0 and order >= 1 and not pairs[1][0]:
+            coeffs[1] = coeffs[1] + 1
+        return Series(order, coeffs)
+    rat = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    return st.lists(st.tuples(rat, rat), min_size=order + 1, max_size=order + 1).map(build)
+
+
+@pytest.mark.parametrize("order", [1, 6])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_x_carrying_kernels_match_sympy_ring_series(order, data):
+    f, g = data.draw(x_series(order)), data.draw(x_series(order, c0=1))
+    h, k = data.draw(x_series(order, c0=0)), data.draw(x_series(order, var=y))
+    prec = order + 1
+    assert f * k == from_ring_x(rs.rs_mul(to_ring_x(f), to_ring_x(k), TX, prec), order)
+    assert f.pow_int(3) == from_ring_x(rs.rs_pow(to_ring_x(f), 3, TX, prec), order)
+    assert g.pow_int(-2) == from_ring_x(rs.rs_pow(to_ring_x(g), -2, TX, prec), order)
+    assert g.pow_int(Fraction(1, 2)) == \
+        from_ring_x(rs.rs_nth_root(to_ring_x(g), 2, TX, prec), order)
+    log_g = rs.rs_log(to_ring_x(g), TX, prec)
+    for p in (x, x * y / 3 + Fraction(1, 2)):
+        assert g.pow_int(p) == \
+            from_ring_x(rs.rs_exp(poly_to_ring(p) * log_g, TX, prec), order)
+    assert h.exp() == from_ring_x(rs.rs_exp(to_ring_x(h), TX, prec), order)
+    assert g.log() == from_ring_x(log_g, order)
+    horner = RX(0)
+    for c in reversed(f.coeffs):
+        horner = rs.rs_mul(horner, to_ring_x(h), TX, prec) + poly_to_ring(c)
+    assert f.compose(h) == from_ring_x(horner, order)
+    # reversion needs a rational linear coefficient
+    hr = h - Series.make([0, h.coeffs[1] - Poly.coerce(h.coeffs[1]).constant_term()], order)
+    assert hr.revert() == \
+        from_ring_x(rs.rs_series_reversion(to_ring_x(hr), TX, prec, WX), order, 3)
