@@ -57,7 +57,7 @@ from .core import (
     Sum,
     Workspace,
 )
-from .errors import ParseError, UmbralError, UnknownAtom, UsageError
+from .errors import CoherenceError, ParseError, UmbralError, UnknownAtom, UsageError
 from .identities import check as check_identity, check_all, list_identities
 from .poly import Poly
 from .series import Series
@@ -541,7 +541,11 @@ def _cmd_invert(args) -> int:
         alpha = ws.lookup(args.name or "")
         if alpha is None:
             raise UnknownAtom(f"unknown umbra {args.name!r}")
-    report = inversion.cross_check(ws, alpha)
+    try:
+        report = inversion.cross_check(ws, alpha)
+    except CoherenceError as exc:  # an engine fault fails the check
+        _emit({"ok": False, "witness": exc.to_json()}, args.format)
+        return 1
     _emit(report.to_json(), args.format)
     return 0 if report.ok else 1
 

@@ -8,9 +8,9 @@ generating-function route); the enumerator provides the definitional
 weighted-partition sum to check against.  ``bell_transform`` is the one
 weighted sum sum_i w_i B_{k,i}(a) of the moment route, and only this module
 reads the triangle's integer format.  Both Stirling kinds come from one
-row loop, and no kernel's recursion depth grows with n: ``bell_number``
-calls itself on smaller n in increasing order, so each call finds the ones
-before it cached, and the enumerator's walk stops at ``ENUMERATION_CAP``.
+row loop, ``bell_number`` sums a row of the second kind, and no kernel's
+recursion depth grows with n: the enumerator's walk stops at
+``ENUMERATION_CAP``.
 Memoization uses ``lru_cache``, which is safe under concurrent readers.
 """
 
@@ -55,15 +55,12 @@ def stirling(kind: str, n: int, k: int) -> int:
 # -- Bell numbers --------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def bell_number(n: int) -> int:
-    """n-th Bell number via B_{n+1} = sum_k C(n,k) B_k."""
+    """n-th Bell number B_n = sum_k S(n,k)."""
     if n < 0:
         raise IndexError("bell_number needs n >= 0")
-    if n == 0:
-        return 1
-    m = n - 1
-    return sum(comb(m, k) * bell_number(k) for k in range(m + 1))
+    return sum(_stirling_row(True, n))
 
 
 # -- Bell polynomials -----------------------------------------------------------
@@ -90,16 +87,16 @@ def _lifted(values, graded: bool) -> tuple:
 
 
 @lru_cache(maxsize=1024)  # keyed by moment tuples: bounded for long sessions
-def _bell_triangle_cached(a: tuple, max_n: int) -> tuple:
-    """(rows, D) with B_{n,k}(a) = rows[n][k] / D^n, 0 <= k <= n <= max_n, by
+def _bell_triangle_cached(a: tuple) -> tuple:
+    """(rows, D) with B_{n,k}(a) = rows[n][k] / D^n, 0 <= k <= n <= len(a), by
     Comtet's recurrence B_{n,k} = sum_{i=1..n-k+1} C(n-1,i-1) a_i B_{n-i,k-1}
     (Advanced Combinatorics, 1974, 3.3), run on D^i a_i, D the lcm of every
-    coefficient denominator (B_{n,k} has weight n): integers for rational
-    a, and ``Poly`` values with int coefficients for a that carries an
-    indeterminate."""
-    d, a = _lifted(list(a[:max_n]) + [0] * (max_n - len(a)), True)
+    coefficient denominator (B_{n,k} has weight n): ints for rational a, else
+    ``Poly`` values with int coefficients.  Row n reads only a_1..a_n, so one
+    triangle per sequence serves every n: callers read a prefix of its rows."""
+    d, a = _lifted(a, True)
     rows = [(1,)]
-    for n in range(1, max_n + 1):
+    for n in range(1, len(a) + 1):
         ca = [comb(n - 1, i) * a[i] for i in range(n)]
         row = [0]
         for k in range(1, n + 1):
@@ -114,14 +111,14 @@ def _bell_triangle_cached(a: tuple, max_n: int) -> tuple:
 
 
 def bell_transform(weights, a, n: int) -> list:
-    """m_k = sum_{i<=k} w_i B_{k,i}(a_1, a_2, ...) for k = 0..n; a lists a_1
-    first.  With weights w_i = u_i / E, m_k is sum_i u_i P_{k,i} over E D^k,
-    P the triangle's rows over D^k: a ``Fraction`` when u and P are
-    integers, else a ``Poly`` (0 for an empty sum)."""
-    rows, d = _bell_triangle_cached(tuple(a), n)
+    """m_k = sum_{i<=k} w_i B_{k,i}(a_1, a_2, ...) for k = 0..n, from rows 0..n
+    of a's triangle; a lists a_1..a_n at least.  With weights w_i = u_i / E, m_k
+    is sum_i u_i P_{k,i} over E D^k, P the triangle's rows over D^k: a
+    ``Fraction`` when u and P are integers, else a ``Poly`` (0 for an empty sum)."""
+    rows, d = _bell_triangle_cached(tuple(a))
     e, weights = _lifted(weights, False)
     moments = []
-    for row in rows:
+    for row in rows[:n + 1]:
         acc = 0
         for w, b in zip(weights, row):
             if w and b:
@@ -132,8 +129,8 @@ def bell_transform(weights, a, n: int) -> list:
 
 
 def bell_triangle(a, max_n: int) -> tuple:
-    """All partial Bell polynomial values B_{n,k}(a_1,..) up to n = max_n."""
-    rows, d = _bell_triangle_cached(_coerced(a), max_n)
+    """Every B_{n,k}(a_1,..) up to n = max_n, a cut or zero-padded to max_n."""
+    rows, d = _bell_triangle_cached((_coerced(a) + (ZERO,) * max_n)[:max_n])
     return tuple(tuple(Poly.coerce(b * Fraction(1, d ** n)) for b in row)
                  for n, row in enumerate(rows))
 
@@ -144,7 +141,7 @@ def partial_bell(n: int, k: int, a) -> Poly:
         raise IndexError(f"partial_bell needs 1 <= k <= n, got n={n}, k={k}")
     if len(a) < n - k + 1:
         raise IndexError(f"partial_bell(n={n}, k={k}) needs {n - k + 1} arguments")
-    return bell_triangle(_coerced(a)[: n - k + 1], n)[n][k]
+    return bell_triangle(a, n)[n][k]
 
 
 def complete_bell(n: int, a) -> Poly:
@@ -156,7 +153,7 @@ def complete_bell(n: int, a) -> Poly:
     return Poly.coerce(bell_transform([1] * (n + 1), a[:n], n)[n])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def exponential_poly(n: int) -> Poly:
     """The n-th exponential polynomial: sum_k S(n,k) x^k."""
     if n < 0:
@@ -171,7 +168,7 @@ def exponential_poly(n: int) -> Poly:
 # -- Bernoulli numbers ------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _bernoulli_egf(order: int) -> Series:
     # reciprocal of (e^t - 1)/t, whose moments are 1/(k+1)
     base = Series.from_moments([Fraction(1, k + 1) for k in range(order + 1)])

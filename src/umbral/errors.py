@@ -58,6 +58,12 @@ class CoherenceError(UmbralError):
         self.atom, self.k, self.order = atom, k, order
         self.moment, self.gf_moment = moment, gf_moment
 
+    def to_json(self) -> dict:
+        """The failure witness: a statement and every field as a string."""
+        fields = ("atom", "k", "moment", "gf_moment", "order")
+        return {"statement": "an atom's moments disagree with its generating function",
+                **{f: str(getattr(self, f)) for f in fields}}
+
 
 class UnknownIdentity(UmbralError):
     """Identity id not present in the catalog."""

@@ -772,9 +772,7 @@ def check(identity_id: str, params: dict = None) -> IdentityCase:
     try:
         passed, witness = entry["fn"](merged)
     except CoherenceError as exc:
-        fields = ("atom", "k", "moment", "gf_moment", "order")
-        passed, witness = _fail("an atom's moments disagree with its generating function",
-                                **{f: str(getattr(exc, f)) for f in fields})
+        passed, witness = False, exc.to_json()
     return IdentityCase(
         id=entry["id"],
         anchor=entry["anchor"],

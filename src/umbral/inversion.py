@@ -5,13 +5,12 @@
     gamma_k = E[(-k.bar)^{k-1}] / a_1^k     (k >= 1)
 
 where bar is the shifted-moment umbra of alpha (:func:`umbral.ops.alpha_bar`)
-and the expectation is read off the reciprocal power of bar's generating
-function.  ``revert_oracle`` ignores all of that and solves g(f(t)-1) = 1+t
-coefficient by coefficient through series reversion.  ``cross_check`` runs
-both, compares exactly, and also verifies the bookkeeping identities behind
-the moment formula: the partial-Bell expansion and the Abel-style expansion
-of the composition umbra's powers, whose moments must come out
-(1, 1, 0, ..., 0).
+and the expectation is the falling-factorial Bell expansion of bar's
+moments; registration checks gamma against 1 + (f - 1)^{<-1>}, the series
+``revert_oracle`` registers alone.  ``cross_check`` runs both, compares
+exactly, and also verifies the bookkeeping identities behind the moment
+formula: the partial-Bell expansion and the Abel-style expansion of the
+composition umbra's powers, whose moments must come out (1, 1, 0, ..., 0).
 """
 
 from __future__ import annotations
@@ -29,14 +28,19 @@ from .series import Series
 def dot_moment(bar: Atom, mult: int, m: int) -> Poly:
     """E[(mult.bar)^m] via the generating-function route: m! times the t^m
     coefficient of [gf(bar)]^mult (mult may be negative), with gf(bar)
-    truncated at t^m first."""
+    truncated at t^m first; the tests' reference for the Bell route."""
     return bar.egf.truncate(m).pow_int(mult).egf_moment(m)
 
 
 def dot_moment_formula(bar: Atom, mult: int, m: int) -> Poly:
-    """The same moment through the falling-factorial Bell expansion; used
-    as the in-module cross-check of the generating-function route."""
+    """The same moment through the falling-factorial Bell expansion of bar's
+    moments: the moment route of :func:`revert_umbral`."""
     return Poly.coerce(bell_transform(falling_factorials(mult, m), bar.moments[1:], m)[m])
+
+
+def _reversion(alpha: Atom) -> Series:
+    """1 + (f - 1)^{<-1>}, f alpha's generating function."""
+    return Series.one(alpha.egf.order) + (alpha.egf - Series.one(alpha.egf.order)).revert()
 
 
 def revert_umbral(ws: Workspace, alpha: Atom) -> Atom:
@@ -44,18 +48,14 @@ def revert_umbral(ws: Workspace, alpha: Atom) -> Atom:
 
     Its generating function g satisfies g(f(t)-1) = 1 + t up to the
     workspace order, i.e. the composition umbra of (gamma, alpha) has
-    moment sequence (1, 1, 0, 0, ...).  The series is built from the
-    moments, so registration compares the sequence with itself; the check
-    of this route is :func:`cross_check` against :func:`revert_oracle`.
+    moment sequence (1, 1, 0, 0, ...).  Registration checks the Bell-route
+    moments against the reversion of f - 1: Lagrange inversion at every order.
     """
     inv_a1 = a1_reciprocal(alpha)
     bar = alpha_bar(ws, alpha)
-    moments = [ONE]
-    scale = inv_a1
-    for k in range(1, ws.order + 1):
-        moments.append(dot_moment(bar, -k, k - 1) * scale)
-        scale *= inv_a1
-    return ws._register(f"lag({alpha.name})", moments, Series.from_moments(moments))
+    moments = [ONE] + [dot_moment_formula(bar, -k, k - 1) * inv_a1 ** k
+                       for k in range(1, ws.order + 1)]
+    return ws._register(f"lag({alpha.name})", moments, _reversion(alpha))
 
 
 def revert_oracle(ws: Workspace, alpha: Atom) -> Atom:
@@ -63,7 +63,7 @@ def revert_oracle(ws: Workspace, alpha: Atom) -> Atom:
     formula involved).  The moments are read off the series, so
     registration compares the sequence with itself."""
     a1_reciprocal(alpha)
-    g = Series.one(ws.order) + (alpha.egf - Series.one(ws.order)).revert()
+    g = _reversion(alpha)
     return ws._register(f"lagrev({alpha.name})", g.moments(), g)
 
 

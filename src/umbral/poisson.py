@@ -291,14 +291,19 @@ class MomentComparison:
 
 
 def empirical_rows(values: np.ndarray, exact: list, max_order: int) -> list:
-    """Comparison rows for a sample against exact rational predictions."""
+    """Comparison rows for a sample against exact rational predictions;
+    ``OverflowError`` when a row's mean, variance or stderr is not a finite
+    float, since such a row would pass without testing anything."""
     n = len(values)
     rows = []
     for k in range(1, max_order + 1):
-        powers = values ** k
-        emp = float(powers.mean())
-        var = float(powers.var(ddof=1)) if n > 1 else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = values ** k
+            emp = float(powers.mean())
+            var = float(powers.var(ddof=1)) if n > 1 else 0.0
         se = math.sqrt(var / n) if var > 0 else 0.0
+        if not all(map(math.isfinite, (emp, var, se))):
+            raise OverflowError(f"order-{k} sample moments overflow a float")
         pred = float(exact[k])
         if se == 0.0:
             z = 0.0 if emp == pred else math.inf

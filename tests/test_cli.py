@@ -232,6 +232,22 @@ def test_invert_exit_status_reads_every_check(monkeypatch, flag):
     assert code == 1 and doc["agree"] and doc["chi_ok"] and not doc[flag]
 
 
+def test_invert_reports_a_broken_reversion_as_a_failed_check(monkeypatch):
+    # a wrong reversion makes revert_umbral's registration raise
+    # CoherenceError: a failed check (exit 1), not a usage error (exit 2)
+    revert = Series.revert
+
+    def faulty(self):
+        return revert(self) + Series.t(self.order).mul_t()
+
+    monkeypatch.setattr(Series, "revert", faulty)
+    code, out, err = run("invert", "--series", "t*exp(-t)", "--order", "6")
+    doc = json.loads(out)
+    assert code == 1 and err == "" and doc["ok"] is False
+    assert set(doc["witness"]) == {"statement", "atom", "k", "moment", "gf_moment", "order"}
+    assert doc["witness"]["atom"] == "lag(f)" and doc["witness"]["k"] == "2"
+
+
 def test_invert_unital_input_accepted():
     code, out, _ = run("invert", "--series", "1 + t", "--order", "5")
     doc = json.loads(out)
@@ -354,6 +370,9 @@ def test_error_reporting():
     # workspace paths the filesystem refuses: a directory, a missing parent
     ("eval", "E[u]", "--workspace", "."),
     ("define", "a", "1,2", "--workspace", "no-such-dir/ws.json"),
+    # a sample whose order-2 variance overflows a float
+    ("mc", "--model", "compound", "--lambda", "1", "--jumps", "1" + "0" * 100 + ":1",
+     "--n", "10", "--max-order", "2"),
 ])
 def test_bad_inputs_exit_2_with_json_error(argv, tmp_path):
     argv = list(argv)

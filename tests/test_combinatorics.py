@@ -82,6 +82,14 @@ def test_bell_numbers():
         assert bell_number(n) == sum(stirling("second", n, k) for k in range(n + 1))
 
 
+def test_bell_numbers_match_the_binomial_recurrence():
+    # B_n = sum_k C(n-1,k) B_k, with no Stirling row involved
+    b = [1]
+    for n in range(1, 201):
+        b.append(sum(comb(n - 1, k) * b[k] for k in range(n)))
+    assert [bell_number(n) for n in range(201)] == b
+
+
 def test_partial_bell_basics():
     a = [Poly.var(f"a{i}") for i in range(1, 9)]
     for n in range(1, 8):
@@ -208,8 +216,7 @@ def test_bell_triangle_shape():
 
 
 # caches keyed by integers alone, bounded by the orders a session asks for
-KEYED_BY_INTEGERS = {"factorial", "_stirling2", "_stirling1_signed", "bell_number",
-                     "exponential_poly", "_bernoulli_egf", "enumerate_partitions"}
+KEYED_BY_INTEGERS = {"factorial", "_stirling2", "_stirling1_signed", "enumerate_partitions"}
 
 
 def test_bell_triangle_cache_is_bounded():

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from umbral.combinatorics import _bell_triangle_cached
 from umbral.core import Workspace
-from umbral.errors import NonUnitLinearMoment
+from umbral.errors import CoherenceError, NonUnitLinearMoment
 from umbral.inversion import (
     cross_check,
     dot_moment,
@@ -135,7 +136,8 @@ def x_carrying_umbra(ws, stream, name):
 @pytest.mark.parametrize("umbra", [random_umbra, x_carrying_umbra],
                          ids=["scalar", "x-carrying"])
 def test_corrupted_reversion_is_caught(monkeypatch, umbra):
-    # one wrong coefficient on the brute-reversion route, on either ring
+    # one wrong coefficient on the brute-reversion route, on either ring:
+    # revert_umbral registers that series against the Bell-route moments
     revert = Series.revert
 
     def corrupted(self):
@@ -148,7 +150,17 @@ def test_corrupted_reversion_is_caught(monkeypatch, umbra):
     a = umbra(ws, Stream(61), "a")
     assert cross_check(ws, a).agree
     monkeypatch.setattr(Series, "revert", corrupted)
-    assert not cross_check(ws, a).agree
+    with pytest.raises(CoherenceError):
+        cross_check(ws, a)
+
+
+def test_one_inversion_builds_one_bell_triangle():
+    # every moment gamma_k reads a prefix of bar's one triangle
+    ws = fresh(order=12)
+    a = random_umbra(ws, Stream(67), "a")
+    _bell_triangle_cached.cache_clear()
+    revert_umbral(ws, a)
+    assert _bell_triangle_cached.cache_info().misses == 1
 
 
 def test_bar_normalization_identity_when_g1_is_one():

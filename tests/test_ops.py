@@ -16,6 +16,7 @@ from umbral.errors import (
     UndeclaredIndeterminate,
     ZeroMomentReciprocal,
 )
+from umbral.inversion import revert_umbral
 from umbral.ops import (
     alpha_bar,
     bell_umbra,
@@ -413,6 +414,16 @@ COMPOSE_BUILT = {
     # the series of c*a is a's composed with ct; its moments never compose
     "c*a": lambda ws, a, g, c: scale_atom(ws, Fraction(3, 2) if c is None else Poly.var(c), a),
 }
+
+
+def lag(ws, a, g, c):
+    """revert_umbral of a with its first moment set to 2, a nonzero rational:
+    on the x ring every moment of a carries x, and a_1 must be invertible."""
+    return revert_umbral(ws, ws.define("a2", (ONE, Poly.const(2)) + a.moments[2:]))
+
+
+# revert_umbral's series is the reversion of f - 1, its moments the Bell route
+REVERT_BUILT = {"lag(a)": lag}
 # compose forms the powers of f - 1 with series.convolve, the product kernel
 # behind Series.__mul__; the moment route's Bell triangle must not, or a wrong
 # product corrupts both routes alike.  The product is corrupted by doubling:
@@ -433,8 +444,10 @@ def corrupt_convolve(convolve):
 @pytest.mark.parametrize("ring", ["scalar", "x-carrying"])
 @pytest.mark.parametrize("method, build", [("exp", b) for b in EXP_BUILT.values()]
                          + [("compose", b) for b in COMPOSE_BUILT.values()]
-                         + [("convolve", b) for b in MUL_BUILT.values()],
-                         ids=list(EXP_BUILT) + list(COMPOSE_BUILT) + list(MUL_BUILT))
+                         + [("convolve", b) for b in MUL_BUILT.values()]
+                         + [("revert", b) for b in REVERT_BUILT.values()],
+                         ids=list(EXP_BUILT) + list(COMPOSE_BUILT) + list(MUL_BUILT)
+                         + list(REVERT_BUILT))
 def test_corrupted_exp_and_compose_are_caught(monkeypatch, method, build, ring):
     ws = fresh()
     inputs = ring_inputs(ws, Stream(33), ring)
@@ -458,6 +471,7 @@ BELL_BUILT = {
     "x.part(a)": lambda ws, a, g, c: partition_umbra(ws, a, "x"),
     "bell(c)": lambda ws, a, g, c: bell_umbra(ws, c or Fraction(3, 2)),
     "comp(g,a)": lambda ws, a, g, c: composition_umbra(ws, g, a),
+    "lag(a)": lag,
 }
 
 
@@ -467,8 +481,8 @@ def test_corrupted_bell_triangle_is_caught(monkeypatch, build, ring):
     # one wrong Bell-triangle entry on the moment route
     triangle = combinatorics._bell_triangle_cached
 
-    def corrupted(a, max_n):
-        rows, d = triangle(a, max_n)
+    def corrupted(a):
+        rows, d = triangle(a)
         rows = [list(r) for r in rows]
         rows[3][2] = rows[3][2] + 1
         return rows, d
