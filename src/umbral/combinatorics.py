@@ -5,12 +5,12 @@ brute-force set-partition enumerator used as the independent oracle.
 Partial Bell polynomials come from Comtet's recurrence, which reads no
 series (so the moment route of :mod:`umbral.ops` shares no kernel with the
 generating-function route); the enumerator provides the definitional
-weighted-partition sum to check against.  ``bell_transform`` is the one
-weighted sum sum_i w_i B_{k,i}(a) of the moment route, and only this module
-reads the triangle's integer format.  Both Stirling kinds come from one
-row loop, ``bell_number`` sums a row of the second kind, and no kernel's
-recursion depth grows with n: the enumerator's walk stops at
-``ENUMERATION_CAP``.
+weighted-partition sum to check against.  Each closed-form moment reads one
+row: ``bell_moment`` sums sum_i w_i B_{n,i}(a) over row n of the triangle
+(``bell_transform`` over rows 0..n; only this module reads its integer
+format), and ``stirling_sum`` sums sum_k S(n,k) v_k or sum_k s(n,k) v_k over
+the one Stirling row loop.  No kernel's recursion depth grows with n: the
+enumerator's walk stops at ``ENUMERATION_CAP``.
 Memoization uses ``lru_cache``, which is safe under concurrent readers.
 """
 
@@ -32,11 +32,13 @@ ENUMERATION_CAP = 12
 
 
 @lru_cache(maxsize=128)
-def _stirling_row(second: bool, n: int) -> tuple:
-    """Row n of S(n, k) if ``second``, else of the signed s(n, k): row m from
-    row m - 1 by S(m,j) = j S(m-1,j) + S(m-1,j-1) and
-    s(m,j) = s(m-1,j-1) - (m-1) s(m-1,j), in one loop from row 0."""
-    row = (1,)
+def _stirling_row(kind: str, n: int) -> tuple:
+    """Row n of S(n, k) for kind 'second', of the signed s(n, k) for
+    'first_signed': row m from row m - 1 by S(m,j) = j S(m-1,j) + S(m-1,j-1)
+    and s(m,j) = s(m-1,j-1) - (m-1) s(m-1,j), in one loop from row 0."""
+    if kind not in ("second", "first_signed"):
+        raise ValueError(f"unknown Stirling kind: {kind!r}")
+    row, second = (1,), kind == "second"
     for m in range(1, n + 1):
         up = row + (0,)  # up[-1] = 0 stands for the j - 1 = -1 entry
         row = tuple((j if second else 1 - m) * up[j] + up[j - 1] for j in range(m + 1))
@@ -47,9 +49,15 @@ def stirling(kind: str, n: int, k: int) -> int:
     """Stirling number of the given kind ('second' or 'first_signed')."""
     if n < 0 or k < 0 or k > n:
         raise IndexError(f"stirling({kind}, {n}, {k}) outside 0 <= k <= n")
-    if kind not in ("second", "first_signed"):
-        raise ValueError(f"unknown Stirling kind: {kind!r}")
-    return _stirling_row(kind == "second", n)[k]
+    return _stirling_row(kind, n)[k]
+
+
+def stirling_sum(kind: str, n: int, values) -> Poly:
+    """sum_k S(n,k) v_k ('second') or sum_k s(n,k) v_k ('first_signed') over
+    row n, k = 0..n; ``values`` lists v_0..v_n at least."""
+    if n < 0:
+        raise IndexError("stirling_sum needs n >= 0")
+    return sum((v * s for s, v in zip(_stirling_row(kind, n), values) if s), ZERO)
 
 
 # -- Bell numbers --------------------------------------------------------------
@@ -60,14 +68,15 @@ def bell_number(n: int) -> int:
     """n-th Bell number B_n = sum_k S(n,k)."""
     if n < 0:
         raise IndexError("bell_number needs n >= 0")
-    return sum(_stirling_row(True, n))
+    return sum(_stirling_row("second", n))
 
 
 # -- Bell polynomials -----------------------------------------------------------
 
 
-def _coerced(a) -> tuple:
-    return tuple(Poly.coerce(v) for v in a)
+def _padded(a, n: int) -> tuple:
+    """a_1..a_n as ``Poly`` values: a cut, or zero-padded, to n entries."""
+    return (tuple(map(Poly.coerce, a)) + (ZERO,) * n)[:n]
 
 
 def _lifted(values, graded: bool) -> tuple:
@@ -110,59 +119,64 @@ def _bell_triangle_cached(a: tuple) -> tuple:
     return tuple(rows), d
 
 
-def bell_transform(weights, a, n: int) -> list:
-    """m_k = sum_{i<=k} w_i B_{k,i}(a_1, a_2, ...) for k = 0..n, from rows 0..n
-    of a's triangle; a lists a_1..a_n at least.  With weights w_i = u_i / E, m_k
-    is sum_i u_i P_{k,i} over E D^k, P the triangle's rows over D^k: a
-    ``Fraction`` when u and P are integers, else a ``Poly`` (0 for an empty sum)."""
+def _weighted(weights, a, ks):
+    """Yield sum_i w_i B_{k,i}(a) for each k in ``ks``.  With w_i = u_i / E,
+    it is sum_i u_i P_{k,i} over E D^k, P row k of a's triangle over D^k: a
+    ``Fraction`` when u and P are integers, else a ``Poly`` (0 if empty)."""
     rows, d = _bell_triangle_cached(tuple(a))
     e, weights = _lifted(weights, False)
-    moments = []
-    for row in rows[:n + 1]:
+    for k in ks:
         acc = 0
-        for w, b in zip(weights, row):
+        for w, b in zip(weights, rows[k]):
             if w and b:
                 acc = acc + w * b
-        moments.append(Fraction(acc, e) if type(acc) is int else acc * Fraction(1, e))
-        e *= d
-    return moments
+        yield Fraction(acc, e * d ** k) if type(acc) is int else acc * Fraction(1, e * d ** k)
+
+
+def bell_transform(weights, a, n: int) -> list:
+    """m_k = sum_{i<=k} w_i B_{k,i}(a_1, a_2, ...) for k = 0..n, the
+    :func:`bell_moment` of each row 0..n; a lists a_1..a_n at least."""
+    return list(_weighted(weights, a, range(n + 1)))
+
+
+def bell_moment(weights, a, n: int):
+    """m_n = sum_{i<=n} w_i B_{n,i}(a_1, a_2, ...) alone, from row n of a's
+    cached triangle; a lists a_1..a_n at least."""
+    return next(_weighted(weights, a, (n,)))
 
 
 def bell_triangle(a, max_n: int) -> tuple:
     """Every B_{n,k}(a_1,..) up to n = max_n, a cut or zero-padded to max_n."""
-    rows, d = _bell_triangle_cached((_coerced(a) + (ZERO,) * max_n)[:max_n])
+    rows, d = _bell_triangle_cached(_padded(a, max_n))
     return tuple(tuple(Poly.coerce(b * Fraction(1, d ** n)) for b in row)
                  for n, row in enumerate(rows))
 
 
 def partial_bell(n: int, k: int, a) -> Poly:
-    """B_{n,k}(a_1,...,a_{n-k+1}); a lists a_1 first."""
+    """B_{n,k}(a_1,...,a_{n-k+1}): row n weighted 1 at k; a lists a_1 first."""
     if not (1 <= k <= n):
         raise IndexError(f"partial_bell needs 1 <= k <= n, got n={n}, k={k}")
     if len(a) < n - k + 1:
         raise IndexError(f"partial_bell(n={n}, k={k}) needs {n - k + 1} arguments")
-    return bell_triangle(a, n)[n][k]
+    return Poly.coerce(bell_moment([0] * k + [1], _padded(a, n), n))
 
 
 def complete_bell(n: int, a) -> Poly:
-    """Y_n(a_1,...,a_n) = sum_{k=1..n} B_{n,k}; Y_0 = 1."""
+    """Y_n(a_1,...,a_n) = sum_{k=1..n} B_{n,k}: row n weighted 1; Y_0 = 1."""
     if n < 0:
         raise IndexError("complete_bell needs n >= 0")
     if len(a) < n:
         raise IndexError(f"complete_bell({n}) needs {n} arguments")
-    return Poly.coerce(bell_transform([1] * (n + 1), a[:n], n)[n])
+    return Poly.coerce(bell_moment([1] * (n + 1), a[:n], n))
 
 
 @lru_cache(maxsize=128)
 def exponential_poly(n: int) -> Poly:
-    """The n-th exponential polynomial: sum_k S(n,k) x^k."""
+    """The n-th exponential polynomial: sum_k S(n,k) x^k, one Stirling row."""
     if n < 0:
         raise IndexError("exponential_poly needs n >= 0")
     x = Poly.var("x")
-    total = Poly.const(1) if n == 0 else ZERO
-    for k in range(1, n + 1):
-        total = total + (x ** k) * stirling("second", n, k)
-    return total
+    return stirling_sum("second", n, [x ** k for k in range(n + 1)])
 
 
 # -- Bernoulli numbers ------------------------------------------------------------
@@ -240,7 +254,7 @@ def partition_count(n: int) -> int:
 def weighted_partition_sum(n: int, k: int, a) -> Poly:
     """Definitional oracle for B_{n,k}: sum over k-block partitions of the
     product of a_{block size} over blocks."""
-    av = _coerced(a)
+    av = tuple(map(Poly.coerce, a))
     total = ZERO
     for w in enumerate_partitions(n):
         if w.num_blocks != k:

@@ -267,7 +267,12 @@ class Workspace:
     def define(self, name: str, moments) -> Atom:
         """Register a named umbra from its moment sequence (m_0 must be 1,
         and every variable a declared indeterminate); its series is built
-        from them, so registration compares them with themselves."""
+        from them, so registration compares them with themselves.  The name
+        must be an identifier an expression reads as this umbra."""
+        if not (isinstance(name, str) and name.isidentifier()):
+            raise ValueError(f"umbra name {name!r} is not an identifier")
+        if name in self.indeterminates + ("u", "eps", "bell"):
+            raise ValueError(f"umbra name {name!r} names an indeterminate or a built-in umbra")
         moments = [Poly.coerce(m) for m in moments]
         if not moments or moments[0] != ONE:
             raise BadZerothMoment("an umbra's zeroth moment must be 1")

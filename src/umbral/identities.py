@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import comb
 
 from .combinatorics import (
+    bell_moment,
     bell_number,
     bell_transform,
     bell_triangle,
@@ -117,11 +118,11 @@ _OK = (True, None)
 def _recover_from_int_dot(ws, n_int, q):
     """Invert q_k = sum_i (n)_i B_{k,i}(a) for the source moments a; B_{k,1}
     is the only term containing a_k and enters with factor n, so recovery is
-    triangular: the Bell transform with a_k = 0 sums the other terms."""
+    triangular: the Bell moment of row k with a_k = 0 sums the other terms."""
     rec = [ONE]
     weights = falling_factorials(n_int, ws.order)
     for k in range(1, ws.order + 1):
-        acc = bell_transform(weights[:k + 1], rec[1:] + [ZERO], k)[k]
+        acc = bell_moment(weights[:k + 1], rec[1:] + [ZERO], k)
         rec.append((q[k] - acc) / n_int)
     return rec
 

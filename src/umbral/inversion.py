@@ -6,8 +6,8 @@
 
 where bar is the shifted-moment umbra of alpha (:func:`umbral.ops.alpha_bar`)
 and the expectation is the falling-factorial Bell expansion of bar's
-moments; registration checks gamma against 1 + (f - 1)^{<-1>}, the series
-``revert_oracle`` registers alone.  ``cross_check`` runs both, compares
+moments (one row of bar's triangle); registration checks gamma against
+1 + (f - 1)^{<-1>}, the series ``revert_oracle`` registers alone.  ``cross_check`` runs both, compares
 exactly, and also verifies the bookkeeping identities behind the moment
 formula: the partial-Bell expansion and the Abel-style expansion of the
 composition umbra's powers, whose moments must come out (1, 1, 0, ..., 0).
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .combinatorics import bell_transform
+from .combinatorics import bell_moment
 from .core import Atom, IntPower, Product, Sum, Workspace
 from .ops import a1_reciprocal, alpha_bar, composition_umbra, dot, falling_factorials
 from .poly import ONE, Poly
@@ -34,8 +34,8 @@ def dot_moment(bar: Atom, mult: int, m: int) -> Poly:
 
 def dot_moment_formula(bar: Atom, mult: int, m: int) -> Poly:
     """The same moment through the falling-factorial Bell expansion of bar's
-    moments: the moment route of :func:`revert_umbral`."""
-    return Poly.coerce(bell_transform(falling_factorials(mult, m), bar.moments[1:], m)[m])
+    moments, row m of its triangle: the moment route of :func:`revert_umbral`."""
+    return Poly.coerce(bell_moment(falling_factorials(mult, m), bar.moments[1:], m))
 
 
 def _reversion(alpha: Atom) -> Series:

@@ -15,15 +15,17 @@ where L_i is (n)_i for an integer multiplier, the falling-factorial
 polynomial for an indeterminate one, and E[(b)_i] (expanded through signed
 Stirling numbers) for an umbral one.  The same formula with a negative
 integer is the binomial series of [f(t)]^{-n}, so inverse point multiples
-need no separate code path.  The scaled Bell, partition and composition
-umbrae weight the same sum, :func:`umbral.combinatorics.bell_transform`.
+need no separate code path.  The Bell umbra (the partition umbra of u),
+partition and composition umbrae weight the same sum,
+:func:`umbral.combinatorics.bell_transform`; each Stirling-type moment
+reads one row through :func:`umbral.combinatorics.stirling_sum`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .combinatorics import bell_number, bell_transform, stirling
+from .combinatorics import bell_transform, stirling_sum
 from .core import Atom, Workspace
 from .errors import (
     NonUnitLinearMoment,
@@ -49,14 +51,9 @@ def falling_factorials(value, n: int) -> list:
 
 
 def falling_factorial_moment(beta: Atom, i: int) -> Poly:
-    """E[(beta)_i] via the signed-Stirling expansion of the falling
-    factorial."""
-    total = ZERO
-    for j in range(i + 1):
-        s = stirling("first_signed", i, j)
-        if s:
-            total = total + beta.moments[j] * s
-    return total
+    """E[(beta)_i] = sum_j s(i,j) b_j, the signed-Stirling expansion of the
+    falling factorial."""
+    return stirling_sum("first_signed", i, beta.moments)
 
 
 def _scale_arg(ws: Workspace, scale):
@@ -149,36 +146,35 @@ def inverse_umbra(ws: Workspace, alpha: Atom) -> Atom:
 # -- Bell umbrae ---------------------------------------------------------------------
 
 
-def bell_umbra(ws: Workspace, scale=None) -> Atom:
-    """The Bell scalar umbra (moments = Bell numbers, all falling-factorial
-    moments 1), or its scaled polynomial form with moments sum_k S(n,k) c^k
-    and generating function exp(c (e^t - 1))."""
+def _partition(ws: Workspace, alpha: Atom, c, name: str) -> Atom:
+    """The c-scaled partition umbra of alpha: moments sum_k c^k B_{n,k}(a),
+    generating function exp(c (f - 1))."""
     n = ws.order
-    expm1 = Series.expm1_t(n)
+    weights = [c ** i for i in range(n + 1)]
+    egf = (alpha.egf - Series.one(n)).scalar_mul(c).exp()
+    return ws._register(name, bell_transform(weights, alpha.moments[1:], n), egf)
+
+
+def bell_umbra(ws: Workspace, scale=None) -> Atom:
+    """The Bell scalar umbra, the partition umbra of u (moments = Bell
+    numbers sum_k S(n,k), since S(n,k) = B_{n,k}(1, 1, ...); all
+    falling-factorial moments 1), or its scaled polynomial form with moments
+    sum_k S(n,k) c^k and generating function exp(c (e^t - 1))."""
     if scale is None:
-        moments = [Poly.const(bell_number(k)) for k in range(n + 1)]
-        return ws._register("bell", moments, expm1.exp())
+        return _partition(ws, ws.u, 1, "bell")
     c = _scale_arg(ws, scale)
-    # S(n,k) = B_{n,k}(1, 1, ...): the Bell transform of the unit umbra
-    moments = bell_transform([c ** i for i in range(n + 1)], ws.u.moments[1:], n)
-    egf = expm1.scalar_mul(c).exp()
-    return ws._register(f"bell({c})", moments, egf)
+    return _partition(ws, ws.u, c, f"bell({c})")
 
 
 def partition_umbra(ws: Workspace, alpha: Atom, scale=None) -> Atom:
     """The partition umbra of alpha: moments are the complete Bell
     (partition) polynomials of alpha's moments and the generating function
     is exp(f - 1); the scaled form weights B_{n,k} by c^k under
-    exp(c (f - 1))."""
-    n = ws.order
+    exp(c (f - 1)).  :func:`bell_umbra` is this umbra of u."""
     if scale is None:
-        c, name = 1, f"part({alpha.name})"
-    else:
-        c = _scale_arg(ws, scale)
-        name = f"{_scale_name(c)}.part({alpha.name})"
-    weights = [c ** i for i in range(n + 1)]
-    egf = (alpha.egf - Series.one(n)).scalar_mul(c).exp()
-    return ws._register(name, bell_transform(weights, alpha.moments[1:], n), egf)
+        return _partition(ws, alpha, 1, f"part({alpha.name})")
+    c = _scale_arg(ws, scale)
+    return _partition(ws, alpha, c, f"{_scale_name(c)}.part({alpha.name})")
 
 
 def composition_umbra(ws: Workspace, gamma: Atom, alpha: Atom) -> Atom:
@@ -225,16 +221,11 @@ def alpha_bar(ws: Workspace, alpha: Atom) -> Atom:
 
 
 def exponential_umbral_moment(alpha: Atom, n: int) -> Poly:
-    """sum_k S(n,k) a_k: the n-th moment of the randomized-Poisson umbra
-    built on alpha."""
+    """sum_k S(n,k) a_k, one Stirling row: the n-th moment of the
+    randomized-Poisson umbra built on alpha."""
     if n >= len(alpha.moments):
         raise OrderExceeded(f"moment {n} beyond order {len(alpha.moments) - 1}")
-    total = ZERO
-    for k in range(n + 1):
-        s = stirling("second", n, k)
-        if s:
-            total = total + alpha.moments[k] * s
-    return total
+    return stirling_sum("second", n, alpha.moments)
 
 
 # -- scalar multiple --------------------------------------------------------------------

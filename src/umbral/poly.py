@@ -238,9 +238,10 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant hashes as its value, since it compares equal to it
         h = self._hash
         if h is None:
-            h = hash(frozenset(self.terms.items()))
+            h = hash(self.constant() if self.is_constant() else frozenset(self.terms.items()))
             object.__setattr__(self, "_hash", h)
         return h
 

@@ -373,6 +373,12 @@ def test_error_reporting():
     # a sample whose order-2 variance overflows a float
     ("mc", "--model", "compound", "--lambda", "1", "--jumps", "1" + "0" * 100 + ":1",
      "--n", "10", "--max-order", "2"),
+    # umbra names no expression can reach: an indeterminate, a built-in
+    # umbra, and a name that is not an identifier
+    ("--workspace", {}, "define", "x", "1,2,3"),
+    ("--workspace", {}, "define", "bell", "1,5"),
+    ("--workspace", {}, "define", "u", "1,5"),
+    ("--workspace", {}, "define", "a b", "1,5"),
 ])
 def test_bad_inputs_exit_2_with_json_error(argv, tmp_path):
     argv = list(argv)

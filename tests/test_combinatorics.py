@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from umbral.combinatorics import (
     _bell_triangle_cached,
+    bell_moment,
     bell_number,
     bell_transform,
     bell_triangle,
@@ -153,7 +154,7 @@ def test_bell_transform_matches_partition_oracle(a, data):
     assert len(m) == n + 1
     for k in range(n + 1):
         assert m[k] == sum((w[i] * weighted_partition_sum(k, i, a)
-                            for i in range(k + 1)), ZERO)
+                            for i in range(k + 1)), ZERO) == bell_moment(w, a, k)
     assert fraction_coefficients(m)
     if all(Poly.coerce(v).is_constant() for v in w + a):
         assert all(type(v) is Fraction for v in m)

@@ -462,9 +462,10 @@ def test_corrupted_exp_and_compose_are_caught(monkeypatch, method, build, ring):
         build(ws, *inputs)
 
 
-# every caller of combinatorics.bell_transform; the unscaled Bell umbra
-# keeps its closed form, so bell(c) is scaled on both rings
+# every caller of the triangle's weighted sums, combinatorics.bell_transform
+# and bell_moment; the Bell umbra reads u's triangle unscaled and scaled by c
 BELL_BUILT = {
+    "bell": lambda ws, a, g, c: bell_umbra(ws),
     "3.a": lambda ws, a, g, c: dot(ws, 3, a),
     "inv(a)": lambda ws, a, g, c: inverse_umbra(ws, a),
     "part(a)": lambda ws, a, g, c: partition_umbra(ws, a),

@@ -17,6 +17,15 @@ def test_constant_arithmetic():
     assert not (x - x)
 
 
+def test_constants_hash_as_their_values():
+    # equal objects hash alike, so a constant Poly finds its value's entry
+    assert hash(Poly.const(1)) == hash(1) and hash(ZERO) == hash(0)
+    assert hash(Poly.const(Fraction(-3, 4))) == hash(Fraction(-3, 4))
+    assert {1: "one"}.get(Poly.const(1)) == "one"
+    assert len({Poly.const(1), 1, Fraction(1), ONE}) == 1
+    assert len({ZERO, 0, x - x}) == 1
+
+
 def test_ring_ops():
     p = (x + y) ** 2
     assert p == x * x + 2 * x * y + y * y
