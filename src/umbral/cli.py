@@ -322,14 +322,12 @@ def render(expr: Expr) -> str:
 def _wrap(expr: Expr, allow_product: bool) -> str:
     text = render(expr)
     if isinstance(expr, Atom):
-        return text if _base_safe(text) else f"({text})"
-    if isinstance(expr, (Sum, Product, ScalarMul, IntPower)):
-        if isinstance(expr, IntPower) and allow_product:
-            return text
-        if isinstance(expr, ScalarMul) and text.isalnum():
-            return text
-        return f"({text})"
-    return f"({text})"
+        bare = _base_safe(text)
+    elif isinstance(expr, IntPower):
+        bare = allow_product
+    else:
+        bare = isinstance(expr, ScalarMul) and text.isalnum()
+    return text if bare else f"({text})"
 
 
 # -- output helpers -------------------------------------------------------------------

@@ -246,11 +246,6 @@ def enumerate_partitions(n: int) -> tuple:
     return tuple(PartitionWeight(k, c) for k, c in sorted(tally.items(), reverse=True))
 
 
-def partition_count(n: int) -> int:
-    """Total number of set partitions of an n-set, by enumeration."""
-    return sum(w.count for w in enumerate_partitions(n))
-
-
 def weighted_partition_sum(n: int, k: int, a) -> Poly:
     """Definitional oracle for B_{n,k}: sum over k-block partitions of the
     product of a_{block size} over blocks."""

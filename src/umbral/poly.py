@@ -185,9 +185,6 @@ class Poly:
             return self.terms[()]
         raise ValueError(f"not a constant polynomial: {self}")
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
-
     def variables(self):
         out = set()
         for m in self.terms:

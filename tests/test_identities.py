@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import umbral.identities
 from umbral.core import Workspace
 from umbral.errors import UnknownIdentity, UsageError
-from umbral.identities import check, check_all, list_identities
+from umbral.identities import _verdict, check, check_all, list_identities
 
 EXPECTED_IDS = [
     "prop1_i_v", "cor1_i_v", "thm1_binomial_type", "abel", "cor2_right_dist",
@@ -87,6 +88,64 @@ def test_failure_carries_witness(monkeypatch):
     case = check("prop1_i_v")
     assert not case.passed
     assert case.witness is not None and "statement" in case.witness
+    assert case.witness["lhs"] != case.witness["rhs"]
+
+
+def test_verdict_stops_at_the_first_false_claim():
+    def claims():
+        yield "holds", 1, 1, {"k": 0}
+        yield "fails", [Fraction(1, 2), 3], (Fraction(1, 2), 4), {"k": 1, "trial": 2}
+        raise AssertionError("a claim after the first false one was pulled")
+
+    passed, witness = _verdict(claims())
+    assert not passed
+    assert witness == {"statement": "fails", "lhs": ["1/2", "3"], "rhs": ["1/2", "4"],
+                       "k": 1, "trial": 2}
+    # a designed counterexample passes on the same false claim
+    assert _verdict(claims(), designed=True) == (True, witness)
+
+
+def test_verdict_on_claims_that_all_hold():
+    claims = [("a", 1, 1, {}), ("b", True, True, {"n": 3})]
+    assert _verdict(iter(claims)) == (True, None)
+    # a designed counterexample that exhibits nothing fails, showing its
+    # last claim
+    passed, witness = _verdict(iter(claims), designed=True)
+    assert not passed
+    assert witness == {"statement": "b", "lhs": "True", "rhs": "True", "n": 3}
+    for designed in (False, True):
+        with pytest.raises(UsageError):
+            _verdict(iter(()), designed)
+
+
+@pytest.mark.parametrize("identity_id, params", [
+    ("remark4_stirling_bernoulli", {"k": 50}),
+    ("cor2_right_dist", {"trials": 0}),
+    ("thm2_bell_recursion", {"n": 0}),
+    ("thm6_partition_recursion", {"n": 0}),
+])
+def test_entry_that_makes_no_claim_is_a_usage_error(identity_id, params):
+    with pytest.raises(UsageError):
+        check(identity_id, params)
+
+
+def test_catalog_claim_count_is_pinned(monkeypatch):
+    # how many claims `check all` judges: a claim that an entry stops
+    # making, or stops reaching, changes the count
+    count = 0
+    verdict = umbral.identities._verdict
+
+    def counting(claims, designed=False):
+        def counted():
+            nonlocal count
+            for claim in claims:
+                count += 1
+                yield claim
+        return verdict(counted(), designed)
+
+    monkeypatch.setattr(umbral.identities, "_verdict", counting)
+    assert all(c.passed for c in check_all())
+    assert count == 1366
 
 
 def test_full_catalog_passes_at_defaults():
