@@ -8,20 +8,30 @@ expression, the leaf of the tree, so ``a + b``, ``a * b ** 2`` and
 ``Sum((a, b))`` all work directly.
 
 An expression is a polynomial in one ring, over the declared indeterminates
-and one symbol per atom, and E acts on that ring linearly (Rota and Taylor,
-SIAM J. Math. Anal. 1994).  Evaluation follows the defining rules exactly:
+and one symbol per atom, and E acts on that ring linearly with distinct
+atoms uncorrelated (Rota and Taylor, SIAM J. Math. Anal. 1994).  Evaluation
+reads the moment sequence E[e^0], E[e^1], ... off the tree by the rules that
+follow from that, for atom-disjoint X and Y:
 
-* an expression is expanded into its normal form, a :class:`~umbral.poly.Poly`
-  in that ring, *before* moments are substituted;
-* within a monomial, powers of distinct atoms evaluate independently and
-  multiply, while powers of one atom merge first; the indeterminates are
-  scalars to E and multiply the result;
-* blocks of a normal form (maximal sets of monomials linked through shared
-  atoms) are uncorrelated: their gfs multiply, so a sum's blocks fold by the
-  series product, whose moments are the binomial convolution
-  E[(A+B)^k] = sum_i C(k,i) E[A^i] E[B^(k-i)]; ``eval`` reads moment k of
-  that fold (of one block, E[nf^k] alone) and ``moments_of`` reads all of
-  them.
+* an atom gives its moments, and an atom-free subtree is a scalar c (its
+  normal form) with moments c^k; E[(cX)^k] = c^k E[X^k] and
+  E[(X^p)^k] = E[X^(pk)];
+* the parts of a sum or a product fall into groups linked through shared
+  atoms.  Groups are uncorrelated: a product's multiply pointwise,
+  E[(XY)^k] = E[X^k] E[Y^k], and a sum's gfs multiply, so their moments
+  convolve, E[(X+Y)^k] = sum_i C(k,i) E[X^i] E[Y^(k-i)];
+* a group of several parts is expanded into its normal form, a
+  :class:`~umbral.poly.Poly` in that ring, *before* moments are substituted
+  into each of its powers: within a monomial, powers of distinct atoms
+  evaluate independently and multiply, while powers of one atom merge
+  first; the indeterminates are scalars to E and multiply the result.
+
+Overflow is decided once, from the tree's structure, before any expansion.
+An atom's structural degree in e (``_degrees``), counted before any
+cancellation, bounds its power in every monomial of e's normal form, so
+E[e^k] reads no moment of it beyond degree * k.  ``eval`` raises
+``OrderExceeded`` for the lowest-uid atom where that passes the order, and
+``moments_of`` does so at the first such k, whatever the moments are.
 
 Distinct atoms are therefore uncorrelated by construction, and similarity
 (equal moment sequences) is decidable only up to the truncation order.
@@ -31,7 +41,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import count
+from itertools import accumulate, count, repeat
+from operator import mul
 
 from .errors import (
     BadZerothMoment,
@@ -196,30 +207,36 @@ def _expand(e: Expr) -> Poly:
     raise TypeError(f"unknown expression node: {e!r}")
 
 
-def _blocks(nf: Poly) -> list:
-    """Split a normal form into blocks: maximal sets of monomials linked
-    through shared atoms (union-find over atom symbols).  The atom-free
-    monomials are a block of their own; the zero form is one empty block."""
-    root: dict = {}
+def _degrees(e: Expr) -> dict:
+    """The structural degree of each atom a in e: 1 for a itself, the max
+    over a sum's parts, the sum over a product's, p times the child's under
+    a p-th power (none at p = 0) and the child's under a scalar."""
+    if isinstance(e, Atom):
+        return {e: 1}
+    if isinstance(e, ScalarMul):
+        return _degrees(e.child)
+    if isinstance(e, IntPower):
+        return {a: d * e.power for a, d in _degrees(e.child).items() if e.power}
+    if not isinstance(e, (Sum, Product)):
+        raise TypeError(f"unknown expression node: {e!r}")
+    out: dict = {}
+    for part in e.parts:
+        for a, d in _degrees(part).items():
+            out[a] = max(out.get(a, 0), d) if isinstance(e, Sum) else out.get(a, 0) + d
+    return out
 
-    def find(v):
-        while root.setdefault(v, v) != v:
-            v = root[v]
-        return v
 
-    def key(mono):
-        return find(mono[0][0]) if mono and _is_atom(mono[0][0]) else None
-
-    for mono in nf.terms:
-        first = key(mono)
-        for v, _ in mono[1:]:
-            if not _is_atom(v):
-                break
-            root[find(v)] = first
-    blocks: dict = {}
-    for mono, c in nf.terms.items():
-        blocks.setdefault(key(mono), {})[mono] = c
-    return [Poly(b) for b in blocks.values()] or [nf]
+def _groups(parts) -> list:
+    """Split parts into groups linked through shared atoms; an atom-free
+    part is a group of its own."""
+    groups = []  # (atoms, parts) pairs
+    for part in parts:
+        atoms = set(_degrees(part))
+        linked = [g for g in groups if g[0] & atoms]
+        groups = [g for g in groups if not g[0] & atoms]
+        groups.append((atoms.union(*(g[0] for g in linked)),
+                       [p for g in linked for p in g[1]] + [part]))
+    return [g[1] for g in groups]
 
 
 # -- workspace ------------------------------------------------------------------------
@@ -314,60 +331,59 @@ class Workspace:
 
     def _apply(self, nf: Poly) -> Poly:
         """Substitute moments for the atom powers of each monomial, in uid
-        order, and multiply what remains of it (its indeterminates) back."""
+        order, and multiply what remains of it (its indeterminates) back.
+        The caller has checked every power against the order."""
         total = ZERO
         for mono, val in nf.terms.items():
             for i, (v, p) in enumerate(mono):
                 if not _is_atom(v):
                     val = val * Poly({mono[i:]: Fraction(1)})
                     break
-                atom = self._atoms[v]
-                if p > self.order:
-                    raise OrderExceeded(
-                        f"moment {p} of {atom.name} exceeds order {self.order}")
-                val = atom.moments[p] * val
+                val = self._atoms[v].moments[p] * val
                 if not val:
                     break
             total = total + val
         return total
 
+    def _moments(self, e: Expr, n: int) -> list:
+        """E[e^j] for j = 0..n by the tree rules (see the module docstring)."""
+        if not _degrees(e):
+            return list(accumulate(repeat(_expand(e), n), mul, initial=ONE))
+        if isinstance(e, Atom):
+            return list(e.moments[: n + 1])
+        if isinstance(e, ScalarMul):  # c X is the product of two uncorrelated parts
+            return self._moments(Product((ScalarMul(e.coeff, ONE_EXPR), e.child)), n)
+        if isinstance(e, IntPower):
+            return self._moments(e.child, n * e.power)[:: e.power]
+        seqs = [self._moments(group[0], n) if len(group) == 1 else
+                list(map(self._apply, accumulate(repeat(_expand(type(e)(group)), n),
+                                                 _nf_mul, initial=ONE)))
+                for group in _groups(e.parts)]
+        if isinstance(e, Product):
+            return [reduce(mul, column) for column in zip(*seqs)]
+        return reduce(Series.__mul__, map(Series.from_moments, seqs)).moments()
+
+    def _checked(self, expr, ks) -> list:
+        """E[expr^j] for j = 0..ks[-1], after the one order test (see the
+        module docstring) at each k of ks in turn."""
+        expr = as_expr(expr)
+        degrees = sorted(_degrees(expr).items(), key=lambda ad: ad[0].uid)
+        for k in ks:
+            for atom, d in degrees:
+                if d * k > self.order:
+                    raise OrderExceeded(
+                        f"moment {d * k} of {atom.name} exceeds order {self.order}")
+        return self._moments(expr, ks[-1])
+
     def eval(self, expr, k: int = 1) -> Poly:
-        """E[expr^k] as a Poly over the declared indeterminates: moment k
-        of the block fold, or E applied to nf^k when there is one block."""
+        """E[expr^k] as a Poly over the declared indeterminates."""
         if k < 0 or k > self.order:
             raise OrderExceeded(f"power {k} outside order {self.order}")
-        nf = _expand(as_expr(expr))
-        blocks = _blocks(nf)
-        if len(blocks) > 1:
-            try:
-                return self._fold(blocks, k).egf_moment(k)
-            except OrderExceeded:
-                pass
-        return self._apply(nf ** k)  # also decides, and names, any overflow
-
-    def _powers(self, nf: Poly, n: int) -> list:
-        """E[nf^k] for k = 0..n by repeated multiplication."""
-        out = []
-        acc = ONE
-        for k in range(n + 1):
-            if k:
-                acc = _nf_mul(acc, nf)
-            out.append(self._apply(acc))
-        return out
-
-    def _fold(self, blocks: list, n: int) -> Series:
-        """The gf to order n of a normal form split into ``blocks``: the
-        uncorrelated blocks' gfs multiply."""
-        return reduce(Series.__mul__, (Series.from_moments(self._powers(b, n))
-                                       for b in blocks))
+        return self._checked(expr, [k])[k]
 
     def moments_of(self, expr) -> list:
-        """E[expr^k] for k = 0..order: the product of the blocks' series."""
-        nf = _expand(as_expr(expr))
-        try:
-            return self._fold(_blocks(nf), self.order).moments()
-        except OrderExceeded:
-            return self._powers(nf, self.order)  # decides, and names, any overflow
+        """E[expr^k] for k = 0..order."""
+        return self._checked(expr, range(self.order + 1))
 
     def gf_of(self, expr) -> Series:
         """The generating function: sum_k E[expr^k] t^k / k!."""

@@ -514,7 +514,9 @@ def _chk_remark4(params):
     ws = _ws(params)
     bern = ws.define("bern", [Poly.const(bernoulli_number(k))
                               for k in range(ws.order + 1)])
-    ks = [params["k"]] if "k" in params else range(ws.order + 1)
+    # a k outside 0..order makes no claim
+    ks = [k for k in ([params["k"]] if "k" in params else range(ws.order + 1))
+          if 0 <= k <= ws.order]
     # E[(-k.bern)^m] is m! [t^m] gf(bern)^{-k}
     powers = {k: bern.egf.pow_int(-k) for k in ks}
     for n in range(ws.order + 1):

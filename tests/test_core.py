@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import umbral
+from umbral import core
 from umbral.core import (
+    Atom,
     IntPower,
     Product,
     ScalarMul,
@@ -146,40 +148,66 @@ def test_order_exceeded():
 
 
 def test_zero_factor_is_read_in_uid_order():
-    # a monomial's atom factors are read in uid order and the first zero
-    # moment ends it, so a later factor's power beyond the order goes unread
+    # overflow is decided from the tree's structure before any moment is
+    # read: a zero factor earlier in uid order no longer hides a later
+    # factor's power beyond the order, and of several atoms that overflow
+    # the error names the one with the lowest uid
     ws = fresh(order=12)
     for i in range(6):
         ws.define(f"filler{i}", [ONE] * 13)
     z = ws.define("z", [ONE, Poly()] + [ONE] * 11)
     b = ws.define("b", [ONE] * 13)
     assert (z.uid, b.uid) == (9, 10)
-    assert ws.eval(z * b ** 20) == 0
-    assert ws.eval(ws.eps * ws.u ** 20) == 0
-    with pytest.raises(OrderExceeded):
+    with pytest.raises(OrderExceeded, match="^moment 20 of b exceeds order 12$"):
+        ws.eval(z * b ** 20)
+    with pytest.raises(OrderExceeded, match="^moment 20 of u exceeds order 12$"):
+        ws.eval(ws.eps * ws.u ** 20)
+    with pytest.raises(OrderExceeded, match="^moment 21 of b exceeds order 12$"):
         ws.eval(b ** 20 * b)
-    # at k = 2 the k-th power reaches w's zero moment before b^26, though
-    # the first power already overflows: the fold falls back to nf^k itself
+    with pytest.raises(OrderExceeded, match="^moment 20 of z exceeds order 12$"):
+        ws.eval(b ** 20 + z ** 20)
+    # E[(w b^13)^k] reads moment 13k of b, whatever w's moments are
     ws = fresh(order=12)
     w = ws.define("w", [ONE, ONE] + [Poly()] * 11)
     b = ws.define("b", [ONE] * 13)
-    assert ws.eval(w * b ** 13, 2) == 0
+    with pytest.raises(OrderExceeded, match="^moment 26 of b exceeds order 12$"):
+        ws.eval(w * b ** 13, 2)
     with pytest.raises(OrderExceeded, match="^moment 13 of b exceeds order 12$"):
         ws.eval(w * b ** 13, 1)
+    # a zero scalar hides nothing either; moments_of names the first k
+    # at which an atom overflows, here k = 7
+    with pytest.raises(OrderExceeded, match="^moment 14 of u exceeds order 12$"):
+        ws.moments_of(0 * ws.u ** 2)
 
 
-def test_one_block_is_applied_once(monkeypatch):
-    # a fold needs each block's lower powers; one block needs only E[nf^k]
+def test_overflow_is_decided_before_any_expansion(monkeypatch):
+    # (u + u' + u'')^60 would expand into 1,891 monomials before its
+    # first moment is read; the structure alone rules it out
+    ws = fresh(order=12)
+    u1 = ws.clone(ws.u)
+    u2 = ws.clone(u1)
+    calls = []
+    for name in ("_expand", "_nf_mul"):
+        original = getattr(core, name)
+        monkeypatch.setattr(core, name,
+                            lambda *a, f=original, n=name: calls.append(n) or f(*a))
+    with pytest.raises(OrderExceeded, match="^moment 60 of u exceeds order 12$"):
+        ws.eval(IntPower(Sum((ws.u, u1, u2)), 60))
+    assert (u1.name, u2.name, calls) == ("u'", "u''", [])
+    # the counters do count: a group of parts that share an atom is expanded
+    ws.eval(IntPower(Sum((ws.u, u1, ws.u * u2)), 2))
+    assert "_expand" in calls and "_nf_mul" in calls
+
+
+def test_one_block_is_applied_once():
+    # a*g + a^2 is one group, as both parts hold a: it is expanded and E
+    # applied to its powers, which the binomial sum over g's powers checks
     ws = fresh()
     s = Stream(6)
     a, g = random_umbra(ws, s, "a"), random_umbra(ws, s, "g")
-    apply, calls = Workspace._apply, []
-    monkeypatch.setattr(Workspace, "_apply",
-                        lambda self, nf: calls.append(nf) or apply(self, nf))
     k = 4
     assert ws.eval(a * g + a ** 2, k) == sum(
         comb(k, j) * a.moments[2 * k - j] * g.moments[j] for j in range(k + 1))
-    assert len(calls) == 1
 
 
 def test_empty_product_is_unit():
@@ -350,6 +378,33 @@ _MOMENTS = st.one_of(
     st.builds(lambda q, r: Poly.const(q) + r * Poly.var("x"), _RATIONALS, _RATIONALS))
 
 
+def _structural_degrees(e) -> dict:
+    """deg_a(e) for each atom a, read off the tree as the overflow rule
+    defines it: an oracle written apart from ``core``'s own."""
+    if isinstance(e, Atom):
+        return {e: 1}
+    if isinstance(e, ScalarMul):
+        return _structural_degrees(e.child)
+    if isinstance(e, IntPower):
+        if e.power == 0:
+            return {}
+        return {a: e.power * d for a, d in _structural_degrees(e.child).items()}
+    out = {}
+    for part in e.parts:
+        for a, d in _structural_degrees(part).items():
+            out[a] = max(out.get(a, 0), d) if isinstance(e, Sum) else out.get(a, 0) + d
+    return out
+
+
+def _overflow_message(ws, degrees, k):
+    """The error E[e^k] must raise, or None: the lowest-uid atom whose
+    moment d*k passes the order."""
+    for atom in sorted(degrees, key=lambda a: a.uid):
+        if degrees[atom] * k > ws.order:
+            return f"moment {degrees[atom] * k} of {atom.name} exceeds order {ws.order}"
+    return None
+
+
 @settings(max_examples=40, deadline=None)
 @given(moments=st.lists(st.lists(_MOMENTS, min_size=6, max_size=6),
                         min_size=2, max_size=4),
@@ -360,15 +415,16 @@ def test_blockwise_evaluation_matches_full_expansion(moments, terms):
     atoms = [ws.define(f"a{i}", [ONE] + m) for i, m in enumerate(moments)]
     e = Sum([_build(ws, atoms, t) for t in terms])
     nf = _expand(e)
+    degrees = _structural_degrees(e)
     expected = []
     for k in range(ws.order + 1):
-        try:
-            expected.append(ws._apply(nf ** k))
-        except OrderExceeded as exc:
-            expected.append(str(exc))
-    if any(isinstance(v, str) for v in expected):
-        with pytest.raises(OrderExceeded):
+        message = _overflow_message(ws, degrees, k)
+        expected.append(message or ws._apply(nf ** k))
+    first = next((v for v in expected if isinstance(v, str)), None)
+    if first:
+        with pytest.raises(OrderExceeded) as exc:
             ws.moments_of(e)
+        assert str(exc.value) == first
     else:
         assert ws.moments_of(e) == expected
         assert ws.gf_of(e) == Series.from_moments(expected)

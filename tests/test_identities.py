@@ -123,6 +123,7 @@ def test_verdict_on_claims_that_all_hold():
     ("cor2_right_dist", {"trials": 0}),
     ("thm2_bell_recursion", {"n": 0}),
     ("thm6_partition_recursion", {"n": 0}),
+    ("remark4_stirling_bernoulli", {"k": -1}),
 ])
 def test_entry_that_makes_no_claim_is_a_usage_error(identity_id, params):
     with pytest.raises(UsageError):
