@@ -2,16 +2,17 @@
 complete Bell polynomials, exponential polynomials, Bernoulli numbers, and a
 brute-force set-partition enumerator used as the independent oracle.
 
-Partial Bell polynomials come from Comtet's recurrence, which reads no
-series (so the moment route of :mod:`umbral.ops` shares no kernel with the
-generating-function route); the enumerator provides the definitional
-weighted-partition sum to check against.  Each closed-form moment reads one
-row: ``bell_moment`` sums sum_i w_i B_{n,i}(a) over row n of the triangle
-(``bell_transform`` over rows 0..n; only this module reads its integer
-format), and ``stirling_sum`` sums sum_k S(n,k) v_k or sum_k s(n,k) v_k over
-the one Stirling row loop.  No kernel's recursion depth grows with n: the
-enumerator's walk stops at ``ENUMERATION_CAP``.
-Memoization uses ``lru_cache``, which is safe under concurrent readers.
+Partial Bell polynomials come from Comtet's recurrence on ints, which reads
+no series (so the moment route of :mod:`umbral.ops` shares no kernel with the
+generating-function route); values that carry an indeterminate run as their
+Kronecker images, a pack of this module's own.  The enumerator provides the
+definitional weighted-partition sum to check against.  Each closed-form
+moment reads one row: ``bell_moment`` sums sum_i w_i B_{n,i}(a) over row n
+of the triangle (``bell_transform`` over rows 0..n), and ``stirling_sum``
+sums sum_k S(n,k) v_k or sum_k s(n,k) v_k over the one Stirling row loop.
+Recursion stays shallow: the digit split halves its input, and the
+enumerator's walk stops at ``ENUMERATION_CAP``.  Memoization uses
+``lru_cache``, which is safe under concurrent readers.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from itertools import product
+from math import comb, lcm, prod
 
 from .errors import TooLarge
 from .poly import ZERO, Poly, rationals
@@ -82,7 +84,9 @@ def _padded(a, n: int) -> tuple:
 def _lifted(values, graded: bool) -> tuple:
     """(D, the values D^i v_i, i = 1, 2, ..., if ``graded``, else D v_i), D
     the lcm of every coefficient denominator: ints when every value is
-    rational, else ``Poly`` values with int coefficients."""
+    rational (an all-int list as it is), else int-coefficient ``Poly`` values."""
+    if all(type(v) is int for v in values):
+        return 1, list(values)
     q = rationals(values)
     values = values if q is None else q
     d = lcm(*(c.denominator for v in values
@@ -95,15 +99,11 @@ def _lifted(values, graded: bool) -> tuple:
     return d, out
 
 
-@lru_cache(maxsize=1024)  # keyed by moment tuples: bounded for long sessions
-def _bell_triangle_cached(a: tuple) -> tuple:
-    """(rows, D) with B_{n,k}(a) = rows[n][k] / D^n, 0 <= k <= n <= len(a), by
-    Comtet's recurrence B_{n,k} = sum_{i=1..n-k+1} C(n-1,i-1) a_i B_{n-i,k-1}
-    (Advanced Combinatorics, 1974, 3.3), run on D^i a_i, D the lcm of every
-    coefficient denominator (B_{n,k} has weight n): ints for rational a, else
-    ``Poly`` values with int coefficients.  Row n reads only a_1..a_n, so one
-    triangle per sequence serves every n: callers read a prefix of its rows."""
-    d, a = _lifted(a, True)
+def _comtet(a) -> list:
+    """Rows 0..len(a) of B_{n,k}(a) on ints a_i by Comtet's recurrence B_{n,k} =
+    sum_{i=1..n-k+1} C(n-1,i-1) a_i B_{n-i,k-1} (Advanced Combinatorics, 1974,
+    3.3), the one loop behind every Bell sum.  Its weights are nonnegative, so
+    on the 1-norms |a_i| (sums of |c|) it bounds every |B_{n,k}(a)|."""
     rows = [(1,)]
     for n in range(1, len(a) + 1):
         ca = [comb(n - 1, i) * a[i] for i in range(n)]
@@ -113,24 +113,98 @@ def _bell_triangle_cached(a: tuple) -> tuple:
             for i in range(n - k + 1):
                 b = rows[n - 1 - i][k - 1]
                 if ca[i] and b:
-                    acc = acc + ca[i] * b
+                    acc += ca[i] * b
             row.append(acc)
         rows.append(tuple(row))
-    return tuple(rows), d
+    return rows
+
+
+def _norm(v) -> int:
+    """The 1-norm of an int or of an int-coefficient ``Poly``."""
+    return sum(map(abs, v.terms.values())) if type(v) is Poly else abs(v)
+
+
+def _variables(values) -> list:
+    """The indeterminates of int and ``Poly`` values, sorted by name."""
+    return sorted({x for v in values if type(v) is Poly for m in v.terms for x, _ in m})
+
+
+def _kronecker(a, w, bound: int) -> tuple:
+    """(pack, unpack) for B_{k,i}(a), k <= len(a), and sum_i w_i B_{k,i}(a) on
+    ints or int-coefficient ``Poly`` values.  ``pack``, v_j -> 2^(b s_j), is a
+    ring homomorphism into Z, so Comtet's loop on images gives the images of
+    its results.  v_j (a's variables inner) gets R_j = max_i deg w_i +
+    floor(len(a) max_i deg a_i / i) + 1 digits, s_j = R_1 ... R_(j-1), as
+    B_{k,i}(a) sums products a_(i_1) ... a_(i_m), i_1 + ... + i_m = k, of
+    degree at most k max_i deg a_i / i.  b is one bit past ``bound``, which
+    majorizes each result's 1-norm, so every |c| < h = 2^(b-1).  ``unpack``
+    adds h at n digits to split them by halves; a top digit t != 0 gives
+    |v| > 2^(bt-2) for b >= 2, so n = (bit length of |v| + 1) // b + 1."""
+    variables = list(dict.fromkeys(_variables(a) + _variables(w)))
+    radix = [max((dict(m).get(x, 0) for v in w if type(v) is Poly for m in v.terms), default=0)
+             + max((len(a) * dict(m).get(x, 0) // i for i, v in enumerate(a, 1)
+                    if type(v) is Poly for m in v.terms), default=0) + 1 for x in variables]
+    slot = {x: prod(radix[:j]) for j, x in enumerate(variables)}
+    monomials = [tuple(sorted((x, e) for x, e in zip(variables, reversed(es)) if e))
+                 for es in product(*map(range, reversed(radix)))]
+    b = bound.bit_length() + 1
+    h, mask = 1 << b - 1, (1 << b) - 1
+
+    def pack(v) -> int:
+        return sum(c << b * sum(e * slot[x] for x, e in m)
+                   for m, c in v.terms.items()) if type(v) is Poly else v
+
+    def digits(u: int, n: int) -> list:
+        m = n // 2
+        return ([u >> b * j & mask for j in range(n)] if n <= 16
+                else digits(u & (1 << b * m) - 1, m) + digits(u >> b * m, n - m))
+
+    def unpack(v: int) -> list:
+        n = min(len(monomials), (abs(v).bit_length() + 1) // b + 1)
+        u = v + h * ((1 << b * n) - 1) // mask
+        return [(m, c - h) for m, c in zip(monomials, digits(u, n)) if c != h]
+
+    return pack, unpack
+
+
+@lru_cache(maxsize=1024)  # keyed by moment tuples: bounded for long sessions
+def _bell_triangle_cached(a: tuple) -> tuple:
+    """(rows, D) with B_{n,k}(a) = rows[n][k] / D^n, 0 <= k <= n <= len(a), by
+    :func:`_comtet` on D^i a_i, D the lcm of all denominators (B_{n,k} has
+    weight n): ints for rational a, else on their :func:`_kronecker` images,
+    bound by the loop on 1-norms, each entry unpacked once.  Row n reads only
+    a_1..a_n, so one triangle per sequence serves every n."""
+    d, a = _lifted(a, True)
+    if all(type(v) is int for v in a):
+        return tuple(_comtet(a)), d
+    pack, unpack = _kronecker(a, (), max(map(max, _comtet(list(map(_norm, a))))))
+    return tuple(tuple(Poly(unpack(v)) for v in row) for row in _comtet(list(map(pack, a)))), d
 
 
 def _weighted(weights, a, ks):
     """Yield sum_i w_i B_{k,i}(a) for each k in ``ks``.  With w_i = u_i / E,
-    it is sum_i u_i P_{k,i} over E D^k, P row k of a's triangle over D^k: a
-    ``Fraction`` when u and P are integers, else a ``Poly`` (0 if empty)."""
-    rows, d = _bell_triangle_cached(tuple(a))
+    it is sum_i u_i P_{k,i} over E D^k, P row k of a's triangle over D^k.
+    Rational weights read a's cached triangle: a ``Fraction`` for int rows.
+    Weights with an indeterminate pack (:func:`_kronecker`) with a_1..a_K,
+    K = max ks, if a has one too, else read a's cached int rows, their own
+    images; the bound is sum_i |u_i| |P_{k,i}|, and each sum unpacks once."""
     e, weights = _lifted(weights, False)
+    packed = not all(type(w) is int for w in weights)
+    if packed and _variables(a):
+        d, a = _lifted(a[:max(ks)], True)
+        rows, norms = None, _comtet(list(map(_norm, a)))
+    else:
+        rows, d = _bell_triangle_cached(tuple(a))
+        norms, a = rows, ()
+    if packed:
+        uw = list(map(_norm, weights))
+        pack, unpack = _kronecker(a, weights, max(sum(x * abs(y) for x, y in zip(uw, norms[k]))
+                                                  for k in ks))
+        rows, weights = rows or _comtet(list(map(pack, a))), list(map(pack, weights))
     for k in ks:
-        acc = 0
-        for w, b in zip(weights, rows[k]):
-            if w and b:
-                acc = acc + w * b
-        yield Fraction(acc, e * d ** k) if type(acc) is int else acc * Fraction(1, e * d ** k)
+        acc, s = sum(w * p for w, p in zip(weights, rows[k]) if w and p), e * d ** k
+        yield (Poly({m: Fraction(c, s) for m, c in unpack(acc)}) if packed
+               else Fraction(acc, s) if type(acc) is int else acc * Fraction(1, s))
 
 
 def bell_transform(weights, a, n: int) -> list:
@@ -141,7 +215,7 @@ def bell_transform(weights, a, n: int) -> list:
 
 def bell_moment(weights, a, n: int):
     """m_n = sum_{i<=n} w_i B_{n,i}(a_1, a_2, ...) alone, from row n of a's
-    cached triangle; a lists a_1..a_n at least."""
+    triangle; a lists a_1..a_n at least."""
     return next(_weighted(weights, a, (n,)))
 
 

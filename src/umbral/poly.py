@@ -12,10 +12,9 @@ monomial is a tuple of ``(variable, exponent)`` pairs, sorted by variable
 name, with all exponents >= 1; the empty tuple is the constant monomial.
 ``rational`` and ``rationals`` decide whether values are rational.
 
-The series kernels pack ``Poly`` moments into ints (see :mod:`umbral.series`)
-and the Bell triangle lifts its ``Poly`` values to int coefficients over one
-common denominator, so their products are int products.  Both divide once at
-the end, so no ``Poly`` they return holds an int coefficient.
+The series kernels and the Bell triangle run on the Kronecker images of
+``Poly`` values (see :mod:`umbral.series`, :mod:`umbral.combinatorics`): int
+products that unpack once, so no ``Poly`` they return holds an int coefficient.
 
 >>> x, y = Poly.var("x"), Poly.var("y")
 >>> str((x + y) ** 2)

@@ -159,6 +159,38 @@ def test_bell_transform_matches_partition_oracle(a, data):
         assert all(type(v) is Fraction for v in m)
 
 
+RINGS = {"Z": (), "Z[x]": ("x",), "Z[y]": ("y",), "Z[x,y]": ("x", "y")}
+
+
+def over(names):
+    """Elements of Z[names] of degree at most 2 with coefficients in
+    [-4, 4], zero among them; plain ints over Z."""
+    if not names:
+        return st.integers(-4, 4)
+    gens = [Poly.var(v) for v in names]
+    monomials = [ONE] + gens + [g * h for i, g in enumerate(gens) for h in gens[i:]]
+    return st.lists(st.integers(-4, 4), min_size=len(monomials), max_size=len(monomials)).map(
+        lambda cs: sum((c * m for c, m in zip(cs, monomials)), ZERO))
+
+
+@pytest.mark.parametrize("a_ring", RINGS)
+@pytest.mark.parametrize("w_ring", RINGS)
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 7), st.data())
+def test_packed_bell_sums_match_partition_oracle(w_ring, a_ring, n, data):
+    # the Kronecker-packed triangle and weighted sums on every pairing of
+    # Z, Z[x], Z[y] and Z[x, y] (a in y with weights in x among them), with
+    # negative coefficients and zero moments, against the definitional sum
+    a = data.draw(st.lists(over(RINGS[a_ring]), min_size=n, max_size=n))
+    w = data.draw(st.lists(over(RINGS[w_ring]), min_size=n + 1, max_size=n + 1))
+    _bell_triangle_cached.cache_clear()
+    m = bell_transform(w, a, n)
+    for k in range(n + 1):
+        assert m[k] == sum((w[i] * weighted_partition_sum(k, i, a)
+                            for i in range(k + 1)), ZERO) == bell_moment(w, a, k)
+    assert fraction_coefficients(m)
+
+
 def test_complete_bell():
     assert complete_bell(0, []) == 1
     ones = [ONE] * 12

@@ -155,12 +155,17 @@ def test_corrupted_reversion_is_caught(monkeypatch, umbra):
 
 
 def test_one_inversion_builds_one_bell_triangle():
-    # every moment gamma_k reads a prefix of bar's one triangle
-    ws = fresh(order=12)
+    # every moment gamma_k reads a prefix of bar's one triangle, also when
+    # the triangle is packed: moments a_k, k >= 2, that carry x
+    ws = Workspace(order=12, indeterminates=("x",))
     a = random_umbra(ws, Stream(67), "a")
-    _bell_triangle_cached.cache_clear()
-    revert_umbral(ws, a)
-    assert _bell_triangle_cached.cache_info().misses == 1
+    x = Poly.var("x")
+    ax = ws.define("ax", a.moments[:2] + tuple(m + x * (k % 3 - 1)
+                                               for k, m in enumerate(a.moments[2:])))
+    for alpha in (a, ax):
+        _bell_triangle_cached.cache_clear()
+        revert_umbral(ws, alpha)
+        assert _bell_triangle_cached.cache_info().misses == 1
 
 
 def test_bar_normalization_identity_when_g1_is_one():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -463,10 +464,13 @@ def test_corrupted_exp_and_compose_are_caught(monkeypatch, method, build, ring):
 
 
 # every caller of the triangle's weighted sums, combinatorics.bell_transform
-# and bell_moment; the Bell umbra reads u's triangle unscaled and scaled by c
+# and bell_moment; the Bell umbra reads u's triangle unscaled and scaled by c,
+# and x.a and g.a weight it by x's falling factorials and by E[(g)_i]
 BELL_BUILT = {
     "bell": lambda ws, a, g, c: bell_umbra(ws),
     "3.a": lambda ws, a, g, c: dot(ws, 3, a),
+    "x.a": lambda ws, a, g, c: dot(ws, "x", a),
+    "g.a": lambda ws, a, g, c: dot(ws, g, a),
     "inv(a)": lambda ws, a, g, c: inverse_umbra(ws, a),
     "part(a)": lambda ws, a, g, c: partition_umbra(ws, a),
     "x.part(a)": lambda ws, a, g, c: partition_umbra(ws, a, "x"),
@@ -479,19 +483,22 @@ BELL_BUILT = {
 @pytest.mark.parametrize("ring", ["scalar", "x-carrying"])
 @pytest.mark.parametrize("build", BELL_BUILT.values(), ids=BELL_BUILT)
 def test_corrupted_bell_triangle_is_caught(monkeypatch, build, ring):
-    # one wrong Bell-triangle entry on the moment route
-    triangle = combinatorics._bell_triangle_cached
+    # one wrong entry of the one int Comtet loop, which runs the cached
+    # triangle and the packed weighted sums, on the moment route
+    comtet = combinatorics._comtet
 
     def corrupted(a):
-        rows, d = triangle(a)
-        rows = [list(r) for r in rows]
+        rows = [list(r) for r in comtet(a)]
         rows[3][2] = rows[3][2] + 1
-        return rows, d
+        return rows
 
     ws = fresh()
     inputs = ring_inputs(ws, Stream(34), ring)
     assert_coherent(build(ws, *inputs))
-    monkeypatch.setattr(combinatorics, "_bell_triangle_cached", corrupted)
+    monkeypatch.setattr(combinatorics, "_comtet", corrupted)
+    # a cache of its own, so no corrupted triangle outlives the test
+    monkeypatch.setattr(combinatorics, "_bell_triangle_cached",
+                        lru_cache(maxsize=8)(combinatorics._bell_triangle_cached.__wrapped__))
     with pytest.raises(CoherenceError):
         build(ws, *inputs)
 
