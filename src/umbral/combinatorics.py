@@ -84,7 +84,8 @@ def _padded(a, n: int) -> tuple:
 def _lifted(values, graded: bool) -> tuple:
     """(D, the values D^i v_i, i = 1, 2, ..., if ``graded``, else D v_i), D
     the lcm of every coefficient denominator: ints when every value is
-    rational (an all-int list as it is), else int-coefficient ``Poly`` values."""
+    rational (an all-int list as it is, D = 1), else int-coefficient ``Poly``
+    values; an ``int`` is its own numerator over 1."""
     if all(type(v) is int for v in values):
         return 1, list(values)
     q = rationals(values)
@@ -181,10 +182,22 @@ def _bell_triangle_cached(a: tuple) -> tuple:
     return tuple(tuple(Poly(unpack(v)) for v in row) for row in _comtet(list(map(pack, a)))), d
 
 
+def _over(v, s):
+    """v / s for an int or int-coefficient ``Poly`` v: v when s == 1, else each
+    coefficient a ``Fraction``, or its numerator if integral."""
+    if s == 1:
+        return v
+    if type(v) is Poly:
+        return Poly({m: _over(c, s) for m, c in v.terms.items()})
+    q = Fraction(v, s)
+    return q.numerator if q.denominator == 1 else q
+
+
 def _weighted(weights, a, ks):
     """Yield sum_i w_i B_{k,i}(a) for each k in ``ks``.  With w_i = u_i / E,
-    it is sum_i u_i P_{k,i} over E D^k, P row k of a's triangle over D^k.
-    Rational weights read a's cached triangle: a ``Fraction`` for int rows.
+    it is sum_i u_i P_{k,i} over E D^k, P row k of a's triangle over D^k,
+    scaled back by :func:`_over`: a rational for int rows, else a ``Poly``.
+    Rational weights read a's cached triangle.
     Weights with an indeterminate pack (:func:`_kronecker`) with a_1..a_K,
     K = max ks, if a has one too, else read a's cached int rows, their own
     images; the bound is sum_i |u_i| |P_{k,i}|, and each sum unpacks once."""
@@ -203,8 +216,7 @@ def _weighted(weights, a, ks):
         rows, weights = rows or _comtet(list(map(pack, a))), list(map(pack, weights))
     for k in ks:
         acc, s = sum(w * p for w, p in zip(weights, rows[k]) if w and p), e * d ** k
-        yield (Poly({m: Fraction(c, s) for m, c in unpack(acc)}) if packed
-               else Fraction(acc, s) if type(acc) is int else acc * Fraction(1, s))
+        yield Poly({m: _over(c, s) for m, c in unpack(acc)}) if packed else _over(acc, s)
 
 
 def bell_transform(weights, a, n: int) -> list:
@@ -222,7 +234,7 @@ def bell_moment(weights, a, n: int):
 def bell_triangle(a, max_n: int) -> tuple:
     """Every B_{n,k}(a_1,..) up to n = max_n, a cut or zero-padded to max_n."""
     rows, d = _bell_triangle_cached(_padded(a, max_n))
-    return tuple(tuple(Poly.coerce(b * Fraction(1, d ** n)) for b in row)
+    return tuple(tuple(Poly.coerce(_over(b, d ** n)) for b in row)
                  for n, row in enumerate(rows))
 
 

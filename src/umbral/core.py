@@ -337,7 +337,7 @@ class Workspace:
         for mono, val in nf.terms.items():
             for i, (v, p) in enumerate(mono):
                 if not _is_atom(v):
-                    val = val * Poly({mono[i:]: Fraction(1)})
+                    val = val * Poly({mono[i:]: 1})
                     break
                 val = self._atoms[v].moments[p] * val
                 if not val:

@@ -128,7 +128,7 @@ def point_power(ws: Workspace, alpha: Atom, n: int) -> Atom:
             if not q:
                 raise ZeroMomentReciprocal(
                     f"moment {k} of {alpha.name} has no reciprocal")
-            moments.append((1 / q) ** -n)
+            moments.append(Fraction(q) ** n)
     return ws._register(f"{_wrap_name(alpha.name)}^.{n}", moments,
                         Series.from_moments(moments))
 
@@ -196,7 +196,7 @@ def a1_reciprocal(alpha: Atom) -> Fraction:
     if not a1:
         raise NonUnitLinearMoment(
             f"first moment of {alpha.name} has no reciprocal")
-    return 1 / a1
+    return 1 / Fraction(a1)
 
 
 def alpha_bar(ws: Workspace, alpha: Atom) -> Atom:

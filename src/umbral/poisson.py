@@ -177,7 +177,8 @@ def exact_moments(model, max_order: int) -> list:
     else:
         raise TypeError(f"unknown model: {model!r}")
     jumps = getattr(model, "jumps", DiscreteDist.point_mass(1))
-    return bell_transform(weights, [jumps.moment(j) for j in orders[1:]], max_order)
+    return list(map(Fraction, bell_transform(weights, [jumps.moment(j) for j in orders[1:]],
+                                             max_order)))
 
 
 # -- sampling ---------------------------------------------------------------------------

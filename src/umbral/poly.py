@@ -2,19 +2,20 @@
 
 This is the coefficient ring for umbra moments, identity-check values and
 the coefficients of series that carry an indeterminate; a series whose
-coefficients are all rational holds plain ``Fraction`` values instead (see
+coefficients are all rational holds plain rationals instead (see
 :mod:`umbral.series`).  ``Poly`` arithmetic mixes freely with ``int`` and
-``Fraction`` operands, and a constant operand costs one ``Fraction``
-operation per term.
+``Fraction`` operands, and a constant operand costs one operation per term.
 
-A polynomial is a dict mapping a monomial to a nonzero ``Fraction``.  A
-monomial is a tuple of ``(variable, exponent)`` pairs, sorted by variable
-name, with all exponents >= 1; the empty tuple is the constant monomial.
-``rational`` and ``rationals`` decide whether values are rational.
+A polynomial is a dict mapping a monomial to a nonzero ``int`` or
+``Fraction``; ``const``, ``var`` and ``from_json`` keep an integral value an
+``int``, and ``+`` and ``*`` keep what their operands give.  A monomial is a
+tuple of ``(variable, exponent)`` pairs, sorted by variable name, with all
+exponents >= 1; the empty tuple is the constant monomial.  ``rational`` and
+``rationals`` decide whether values are rational.
 
 The series kernels and the Bell triangle run on the Kronecker images of
 ``Poly`` values (see :mod:`umbral.series`, :mod:`umbral.combinatorics`): int
-products that unpack once, so no ``Poly`` they return holds an int coefficient.
+products that unpack once, an ``int`` coefficient unless a denominator is left.
 
 >>> x, y = Poly.var("x"), Poly.var("y")
 >>> str((x + y) ** 2)
@@ -51,7 +52,7 @@ def _mono_str(m: Monomial) -> str:
 
 
 class Poly:
-    """Immutable sparse polynomial with ``Fraction`` coefficients."""
+    """Immutable sparse polynomial with ``int`` or ``Fraction`` coefficients."""
 
     __slots__ = ("terms", "_hash")
 
@@ -66,12 +67,12 @@ class Poly:
 
     @staticmethod
     def const(value) -> "Poly":
-        q = value if type(value) is Fraction else Fraction(value)
+        q = value if type(value) is int else _exact(value)
         return _poly({(): q} if q else {})
 
     @staticmethod
     def var(name: str) -> "Poly":
-        return _poly({((name, 1),): Fraction(1)})
+        return _poly({((name, 1),): 1})
 
     @staticmethod
     def coerce(value) -> "Poly":
@@ -83,7 +84,7 @@ class Poly:
 
     def __add__(self, other):
         # the smaller term map is merged into a copy of the larger, so a
-        # constant operand costs one Fraction addition
+        # constant operand costs one addition
         if type(other) is Poly:
             a, b = self.terms, other.terms
             if len(a) < len(b):
@@ -91,7 +92,7 @@ class Poly:
         elif isinstance(other, Rat):
             if not other:
                 return self
-            a, b = self.terms, {(): other if type(other) is Fraction else Fraction(other)}
+            a, b = self.terms, {(): other}
         else:
             return NotImplemented
         terms = dict(a)
@@ -177,11 +178,9 @@ class Poly:
         return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
     def constant(self) -> Fraction:
-        """The value of a constant polynomial (raises otherwise)."""
-        if not self.terms:
-            return Fraction(0)
+        """The value of a constant polynomial, a ``Fraction`` (raises otherwise)."""
         if self.is_constant():
-            return self.terms[()]
+            return Fraction(self.terms.get((), 0))
         raise ValueError(f"not a constant polynomial: {self}")
 
     def variables(self):
@@ -230,14 +229,14 @@ class Poly:
         if type(other) is Poly:
             return self.terms == other.terms
         if isinstance(other, Rat):
-            return self.is_constant() and self.constant() == other
+            return self.is_constant() and self.terms.get((), 0) == other
         return NotImplemented
 
     def __hash__(self):
         # a constant hashes as its value, since it compares equal to it
         h = self._hash
         if h is None:
-            h = hash(self.constant() if self.is_constant() else frozenset(self.terms.items()))
+            h = hash(self.terms.get((), 0) if self.is_constant() else frozenset(self.terms.items()))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -265,7 +264,7 @@ class Poly:
     def to_json(self):
         """Constants serialize to a 'p/q' string, everything else to a term map."""
         if self.is_constant():
-            return str(self.constant())
+            return str(self.terms.get((), 0))
         return {_mono_str(m): str(c) for m, c in sorted(self.terms.items())}
 
     @staticmethod
@@ -273,15 +272,18 @@ class Poly:
         """Read a rational string, an int or a term map of rational strings;
         ``ValueError`` for any other shape."""
         if isinstance(data, str) or type(data) is int:
-            return Poly.const(Fraction(data))
+            return Poly.const(data)
         if not (isinstance(data, dict) and all(isinstance(c, str) for c in data.values())):
             raise ValueError(f"a moment is a rational string, an int or a term "
                              f"map of rational strings, not {data!r}")
-        terms = {}
-        for mono_str, coeff in data.items():
-            mono = _parse_mono(mono_str)
-            terms[mono] = Fraction(coeff)
+        terms = {_parse_mono(m): _exact(c) for m, c in data.items()}
         return Poly({m: c for m, c in terms.items() if c})
+
+
+def _exact(value):
+    """value as a ``Fraction``, or as its numerator when that is integral."""
+    q = value if type(value) is Fraction else Fraction(value)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _poly(terms: dict) -> Poly:
@@ -310,18 +312,16 @@ ONE = Poly.const(1)
 
 
 def rational(c):
-    """c as a ``Fraction`` if it is an int, a ``Fraction`` or a constant
-    ``Poly``; else None."""
-    if type(c) is Fraction:
-        return c
+    """c if it is an int or a ``Fraction``, the value of a constant ``Poly``;
+    else None."""
     if type(c) is Poly:
-        return c.constant() if c.is_constant() else None
-    return Fraction(c) if isinstance(c, int) else None
+        return c.terms.get((), 0) if c.is_constant() else None
+    return c if isinstance(c, Rat) else None
 
 
 def rationals(values):
-    """Every value as a ``Fraction``, or None as soon as one is not
-    rational."""
+    """Every value as a rational (see :func:`rational`), or None as soon as
+    one is not rational."""
     out = []
     for c in values:
         q = rational(c)

@@ -9,7 +9,8 @@ over one denominator d, one int moment list per monomial (:func:`_lift`).
 A rational series has the constant monomial alone and its list runs as it
 is.  The lists of a series that carries an indeterminate pack into one int
 per moment by Kronecker substitution (:func:`_run`), and each result moment
-is unpacked once, so each coefficient of a result costs one ``Fraction``.
+is unpacked once, so each coefficient of a result is scaled back once: an
+``int`` unless a denominator is left, then one ``Fraction``.
 The constructor takes ordinary coefficients, and ``coeffs``, ``str`` and JSON
 give them back.  Binary operations demand equal orders.  A series is
 *unital* when c_0 = 1 and *delta* when c_0 = 0.
@@ -32,7 +33,7 @@ from .poly import Poly, rational, rationals
 
 
 def _ring(values) -> tuple:
-    """All values as ``Fraction`` if all are rational, else as ``Poly``."""
+    """All values as rationals if all are rational, else as ``Poly``."""
     q = rationals(values)
     return tuple(map(Poly.coerce, values)) if q is None else tuple(q)
 
@@ -218,23 +219,31 @@ def _run(kernel, groups, degree, d, e=1, majorant=None) -> "Series":
     return _scaled_down(kernel(*args), d, e, (b, monomials))
 
 
+def _quotient(x: int, s):
+    """x / s: x when s == 1, else a ``Fraction``, or its numerator if integral."""
+    if s == 1:
+        return x
+    q = Fraction(x, s)
+    return q.numerator if q.denominator == 1 else q
+
+
 def _scaled_down(xs, d, e=1, packing=None) -> "Series":
-    """The series with moments x_k / (e d^k): one ``Fraction`` per int x_k
-    or, with ``packing`` = (b, monomials), per nonzero digit of x_k (see
-    :func:`_run`), so no int coefficient leaves the module."""
+    """The series with moments x_k / (e d^k), one :func:`_quotient` per int
+    x_k or, with ``packing`` = (b, monomials), per nonzero digit of x_k (see
+    :func:`_run`)."""
     scales = [e * d ** k for k in range(len(xs))]
     if packing is None:
-        return Series.from_moments([Fraction(x, s) for x, s in zip(xs, scales)])
+        return Series.from_moments([_quotient(x, s) for x, s in zip(xs, scales)])
     b, monomials = packing
     return Series.from_moments([
-        Poly({m: Fraction(c, s) for m, c in zip(monomials, _unpack(x, b, len(monomials))) if c})
+        Poly({m: _quotient(c, s) for m, c in zip(monomials, _unpack(x, b, len(monomials))) if c})
         for x, s in zip(xs, scales)])
 
 
 class Series:
     """A truncated power series held by its moments M_k = k! c_k: all
-    ``Fraction`` when all are rational, else all ``Poly``, so equal series
-    have equal moments; ``egf_moment`` is a ``Poly`` either way."""
+    ``int`` or ``Fraction`` when all are rational, else all ``Poly``, so equal
+    series have equal moments; ``egf_moment`` is a ``Poly`` either way."""
 
     __slots__ = ("order", "_m")
 
@@ -397,6 +406,7 @@ class Series:
         c1 = rational(self._m[1])
         if not c1:
             raise NotInvertible("linear coefficient has no reciprocal")
+        c1 = Fraction(c1)
         n, k = self.order, _planes([m / c1 for m in self._m[1:]])
         d = _denominator(*k.values())
         k = {m: [0] + p for m, p in _lift(k, d).items()}

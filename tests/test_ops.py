@@ -503,6 +503,52 @@ def test_corrupted_bell_triangle_is_caught(monkeypatch, build, ring):
         build(ws, *inputs)
 
 
+# each module's kernels scale their int results back through a private step
+# of its own: series' on the generating-function route, combinatorics' on the
+# moment route, so one integral result one off is caught on either
+SCALE_BACK_BUILT = {
+    "3.a": lambda ws, a, g, c: dot(ws, 3, a),
+    "part(a)": lambda ws, a, g, c: partition_umbra(ws, a),
+}
+
+
+@pytest.mark.parametrize("ring", ["scalar", "x-carrying"])
+@pytest.mark.parametrize("build", SCALE_BACK_BUILT.values(), ids=SCALE_BACK_BUILT)
+@pytest.mark.parametrize("module, name", [(series, "_quotient"), (combinatorics, "_over")],
+                         ids=["series", "combinatorics"])
+def test_corrupted_scale_back_is_caught(monkeypatch, module, name, build, ring):
+    scale_back, seen = getattr(module, name), []
+
+    def corrupted(v, s):
+        q = scale_back(v, s)
+        if type(q) is int and not seen:  # the first integral result, one off
+            seen.append(q)
+            return q + 1
+        return q
+
+    ws = fresh()
+    inputs = ring_inputs(ws, Stream(37), ring)
+    assert_coherent(build(ws, *inputs))
+    monkeypatch.setattr(module, name, corrupted)
+    with pytest.raises(CoherenceError):
+        build(ws, *inputs)
+    assert seen
+
+
+def test_integral_moments_give_exact_fractions():
+    # a_k = k + 1, so a_1 = 2: 1/a_k and 1/a_1 are Fractions, never floats
+    ws = fresh()
+    a = ws.define("a", range(1, ws.order + 2))
+    inv = point_power(ws, a, -1)
+    assert inv.moments == tuple(Poly.const(Fraction(1, k + 1)) for k in range(ws.order + 1))
+    bar = alpha_bar(ws, a)
+    assert bar.moments == (ONE,) + tuple(Poly.const(Fraction(n + 2, 2 * (n + 1)))
+                                         for n in range(1, ws.order)) + (ZERO,)
+    for atom in (inv, bar):
+        assert all(type(c) in (int, Fraction) for m in atom.moments + atom.egf.coeffs
+                   for c in Poly.coerce(m).terms.values())
+
+
 def assert_reads_the_series(ring, build):
     # build's generating function comes from alpha's series, so a series that
     # disagrees with alpha's moments in one coefficient is caught

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from umbral import poly
-from umbral.poly import ONE, ZERO, Poly
+from umbral.poly import ONE, ZERO, Poly, rational
 
 x = Poly.var("x")
 y = Poly.var("y")
@@ -44,6 +44,19 @@ def test_division_by_constants():
     assert (x / Fraction(1, 2)) == 2 * x
     with pytest.raises(ValueError):
         (x + 1).constant()
+
+
+def test_integral_values_stay_int():
+    # const, var and from_json store an integral value as an int; a
+    # Fraction keeps its denominator, and division never gives a float
+    assert type(Poly.const(Fraction(6, 2)).terms[()]) is int
+    assert type(x.terms[(("x", 1),)]) is int
+    assert type(Poly.from_json({"x": "4/2", "1": "1/3"}).terms[(("x", 1),)]) is int
+    assert type(rational(Poly.const(3))) is int and type(rational(Fraction(3, 2))) is Fraction
+    assert type(Poly.const(3).constant()) is Fraction
+    q = Poly.const(3) / 2
+    assert q == Fraction(3, 2) and type(q.terms[()]) is Fraction
+    assert type(((3 * x) / 2).terms[(("x", 1),)]) is Fraction
 
 
 def test_subs():

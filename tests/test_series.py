@@ -593,4 +593,31 @@ def test_no_float_appears(f, g, ops):
         f = FLOAT_OPS[name](f, g)
         if f.order < g.order:
             f = Series(g.order, list(f.coeffs) + [0] * (g.order - f.order))
-        assert all(type(v) is Fraction for v in values(f)), name
+        assert all(type(v) in (int, Fraction) for v in values(f)), name
+
+
+def test_revert_of_an_integral_linear_term_is_exact():
+    # c_1 = 2 and every moment an int: the division by c_1 is a Fraction's
+    w = Series.make([0, 2, 4], 6).revert()
+    assert w.coeffs[:3] == (0, Fraction(1, 2), Fraction(-1, 2))
+    assert all(type(v) in (int, Fraction) for v in values(w))
+    assert w.compose(Series.make([0, 2, 4], 6)) == Series.t(6)
+
+
+monomial = st.sampled_from([(), (("x", 1),), (("x", 2),), (("x", 1), ("y", 1))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(monomial, st.integers(-10 ** 6, 10 ** 6).filter(bool), max_size=4),
+       st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=6))
+def test_int_and_fraction_coefficients_are_one_value(terms, ms):
+    # an integral coefficient held as an int or as a Fraction is the same
+    # value to every reader: equality, hashing, rendering and JSON
+    p, q = Poly(terms), Poly({m: Fraction(c) for m, c in terms.items()})
+    fs = [Fraction(m) for m in ms]
+    for a, b in [(p, q), (Series.from_moments(ms), Series.from_moments(fs)),
+                 (Series(len(ms) - 1, ms), Series(len(fs) - 1, fs)),
+                 (Series.from_moments([p * m for m in ms]), Series.from_moments([q * m for m in fs]))]:
+        assert a == b and hash(a) == hash(b)
+        assert str(a) == str(b) and a.to_json() == b.to_json()
+        assert type(a).from_json(a.to_json()) == b and type(b).from_json(b.to_json()) == a
