@@ -77,8 +77,8 @@ def bell_number(n: int) -> int:
 
 
 def _padded(a, n: int) -> tuple:
-    """a_1..a_n as ``Poly`` values: a cut, or zero-padded, to n entries."""
-    return (tuple(map(Poly.coerce, a)) + (ZERO,) * n)[:n]
+    """a_1..a_n as given, a cut, or padded with ``0``, to n entries."""
+    return (tuple(a) + (0,) * n)[:n]
 
 
 def _lifted(values, graded: bool) -> tuple:
@@ -279,7 +279,7 @@ def bernoulli_number(n: int) -> Fraction:
     """n-th Bernoulli number, read off as the n-th EGF moment of t/(e^t - 1)."""
     if n < 0:
         raise IndexError("bernoulli_number needs n >= 0")
-    return _bernoulli_egf(n).egf_moment(n).constant()
+    return Fraction(_bernoulli_egf(n).egf_moment(n))
 
 
 # -- set-partition enumeration ------------------------------------------------------

@@ -1,10 +1,11 @@
 """Umbra workspace and the linear evaluation functional.
 
 An :class:`Atom` is a named symbol carrying a finite moment sequence
-m_0..m_N (each a :class:`~umbral.poly.Poly`, m_0 = 1) together with its
-generating function as a :class:`~umbral.series.Series`; the two are kept
-coherent (k! * c_k = m_k) by every registration path.  An atom is itself an
-expression, the leaf of the tree, so ``a + b``, ``a * b ** 2`` and
+m_0..m_N (m_0 = 1) and its generating function, a
+:class:`~umbral.series.Series`, whose rule the moments follow: all ``int`` or
+``Fraction`` when all are rational, else all :class:`~umbral.poly.Poly`.  The
+two are kept coherent (k! * c_k = m_k) by every registration path.  An atom is
+itself an expression, the leaf of the tree, so ``a + b``, ``a * b ** 2`` and
 ``Sum((a, b))`` all work directly.
 
 An expression is a polynomial in one ring, over the declared indeterminates
@@ -97,9 +98,9 @@ class Expr:
 
 
 class Atom(Expr):
-    """A registered umbra: unique symbol, moments, generating function.  An
-    atom is its own symbol, so equality is identity: a clone has equal
-    moments but is a different umbra."""
+    """A registered umbra: unique symbol, moments (by the ``Series`` rule),
+    generating function.  An atom is its own symbol, so equality is
+    identity: a clone has equal moments but is a different umbra."""
 
     __slots__ = ("uid", "name", "moments", "egf")
 
@@ -259,22 +260,21 @@ class Workspace:
         self._by_name: dict = {}
         self._defined: list = []  # user-defined names, for serialization
         n = order + 1
-        self.eps = self._register("eps", [ONE] + [ZERO] * (n - 1), Series.one(order))
-        self.u = self._register("u", [ONE] * n, Series.exp_t(order))
+        self.eps = self._register("eps", [1] + [0] * (n - 1), Series.one(order))
+        self.u = self._register("u", [1] * n, Series.exp_t(order))
         self._by_name["eps"] = self.eps
         self._by_name["u"] = self.u
 
     # -- registration ---------------------------------------------------------
 
     def _register(self, name: str, moments, egf: Series) -> Atom:
-        moments = tuple(Poly.coerce(m) for m in moments)
+        moments = Series.from_moments(moments).moments()  # the series' rule
         if len(moments) != self.order + 1:
             raise ValueError(
                 f"need {self.order + 1} moments at order {self.order}, got {len(moments)}")
         if egf.order != self.order:
             raise ValueError("generating function order disagrees with workspace")
-        for k, m in enumerate(moments):
-            gf_moment = egf.egf_moment(k)
+        for k, (m, gf_moment) in enumerate(zip(moments, egf.moments())):
             if gf_moment != m:
                 raise CoherenceError(name, k, m, gf_moment, self.order)
         atom = Atom(next(self._uids), name, moments, egf)
@@ -290,15 +290,16 @@ class Workspace:
             raise ValueError(f"umbra name {name!r} is not an identifier")
         if name in self.indeterminates + ("u", "eps", "bell"):
             raise ValueError(f"umbra name {name!r} names an indeterminate or a built-in umbra")
-        moments = [Poly.coerce(m) for m in moments]
-        if not moments or moments[0] != ONE:
+        moments = list(moments)
+        if not moments or moments[0] != 1:
             raise BadZerothMoment("an umbra's zeroth moment must be 1")
-        undeclared = set().union(*(m.variables() for m in moments))
+        egf = Series.from_moments(moments)
+        undeclared = set().union(*(m.variables() for m in egf.moments() if type(m) is Poly))
         undeclared -= set(self.indeterminates)
         if undeclared:
             raise UndeclaredIndeterminate(
                 f"indeterminate {min(undeclared)!r} not declared")
-        atom = self._register(name, moments, Series.from_moments(moments))
+        atom = self._register(name, egf.moments(), egf)
         self._by_name[name] = atom
         if name not in self._defined:
             self._defined.append(name)
@@ -313,10 +314,8 @@ class Workspace:
         the expression's moments); correlation with the inputs is severed.
         The series is built from the moments, so registration compares the
         sequence with itself."""
-        expr = as_expr(expr)
-        moments = self.moments_of(expr)
-        return self._register(name or f"<{expr!r}>", moments,
-                              Series.from_moments(moments))
+        egf = self.gf_of(expr)
+        return self._register(name or f"<{as_expr(expr)!r}>", egf.moments(), egf)
 
     def lookup(self, name: str):
         return self._by_name.get(name)
@@ -379,15 +378,15 @@ class Workspace:
         """E[expr^k] as a Poly over the declared indeterminates."""
         if k < 0 or k > self.order:
             raise OrderExceeded(f"power {k} outside order {self.order}")
-        return self._checked(expr, [k])[k]
+        return Poly.coerce(self._checked(expr, [k])[k])
 
     def moments_of(self, expr) -> list:
-        """E[expr^k] for k = 0..order."""
-        return self._checked(expr, range(self.order + 1))
+        """E[expr^k] for k = 0..order, each a Poly."""
+        return list(map(Poly.coerce, self._checked(expr, range(self.order + 1))))
 
     def gf_of(self, expr) -> Series:
         """The generating function: sum_k E[expr^k] t^k / k!."""
-        return Series.from_moments(self.moments_of(expr))
+        return Series.from_moments(self._checked(expr, range(self.order + 1)))
 
     def similar(self, a, b) -> bool:
         """Equal moments for every power up to the truncation order.
@@ -403,7 +402,7 @@ class Workspace:
             "order": self.order,
             "indeterminates": list(self.indeterminates),
             "umbrae": {
-                name: [m.to_json() for m in self._by_name[name].moments]
+                name: [Poly.coerce(m).to_json() for m in self._by_name[name].moments]
                 for name in self._defined
             },
         }

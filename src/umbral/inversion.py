@@ -21,21 +21,21 @@ from math import comb
 from .combinatorics import bell_moment
 from .core import Atom, IntPower, Product, Sum, Workspace
 from .ops import a1_reciprocal, alpha_bar, composition_umbra, dot, falling_factorials
-from .poly import ONE, Poly
+from .poly import Poly, rational
 from .series import Series
 
 
-def dot_moment(bar: Atom, mult: int, m: int) -> Poly:
+def dot_moment(bar: Atom, mult: int, m: int):
     """E[(mult.bar)^m] via the generating-function route: m! times the t^m
     coefficient of [gf(bar)]^mult (mult may be negative), with gf(bar)
     truncated at t^m first; the tests' reference for the Bell route."""
     return bar.egf.truncate(m).pow_int(mult).egf_moment(m)
 
 
-def dot_moment_formula(bar: Atom, mult: int, m: int) -> Poly:
+def dot_moment_formula(bar: Atom, mult: int, m: int):
     """The same moment through the falling-factorial Bell expansion of bar's
     moments, row m of its triangle: the moment route of :func:`revert_umbral`."""
-    return Poly.coerce(bell_moment(falling_factorials(mult, m), bar.moments[1:], m))
+    return bell_moment(falling_factorials(mult, m), bar.moments[1:], m)
 
 
 def _reversion(alpha: Atom) -> Series:
@@ -53,8 +53,8 @@ def revert_umbral(ws: Workspace, alpha: Atom) -> Atom:
     """
     inv_a1 = a1_reciprocal(alpha)
     bar = alpha_bar(ws, alpha)
-    moments = [ONE] + [dot_moment_formula(bar, -k, k - 1) * inv_a1 ** k
-                       for k in range(1, ws.order + 1)]
+    moments = [1] + [dot_moment_formula(bar, -k, k - 1) * inv_a1 ** k
+                     for k in range(1, ws.order + 1)]
     return ws._register(f"lag({alpha.name})", moments, _reversion(alpha))
 
 
@@ -87,22 +87,24 @@ class InversionReport:
                 and self.abel_expansion_ok)
 
     def to_json(self) -> dict:
+        def values(ms):
+            return [Poly.coerce(m).to_json() for m in ms]
         return {
             "order": self.order,
-            "gamma_moments_umbral": [m.to_json() for m in self.gamma_moments_umbral],
-            "gamma_moments_oracle": [m.to_json() for m in self.gamma_moments_oracle],
+            "gamma_moments_umbral": values(self.gamma_moments_umbral),
+            "gamma_moments_oracle": values(self.gamma_moments_oracle),
             "agree": self.agree,
-            "chi_moments": [m.to_json() for m in self.chi_moments],
+            "chi_moments": values(self.chi_moments),
             "chi_ok": self.chi_ok,
             "partial_bell_expansion_ok": self.partial_bell_expansion_ok,
             "abel_expansion_ok": self.abel_expansion_ok,
         }
 
 
-def cross_check(ws: Workspace, alpha: Atom, order: int = None) -> InversionReport:
+def cross_check(ws: Workspace, alpha: Atom) -> InversionReport:
     """Invert alpha both ways and verify the proof-side expansions.
 
-    Checks, for n up to ``order``:
+    Checks, for n up to the workspace order:
 
     * the two gamma moment sequences agree exactly;
     * chi = comp(gamma, alpha) has moments (1, 1, 0, ..., 0);
@@ -111,27 +113,23 @@ def cross_check(ws: Workspace, alpha: Atom, order: int = None) -> InversionRepor
     * E[chi^n] equals the Abel-style expansion
       sum_k C(n,k) E[chi (chi - k.bar)^{k-1}] E[(k.bar')^{n-k}].
     """
-    if order is None:
-        order = ws.order
-    if order > ws.order:
-        raise ValueError("order exceeds the workspace truncation")
+    order = ws.order
     gamma = revert_umbral(ws, alpha)
     oracle = revert_oracle(ws, alpha)
-    gm = list(gamma.moments[: order + 1])
-    om = list(oracle.moments[: order + 1])
+    gm, om = list(gamma.moments), list(oracle.moments)
     agree = gm == om
 
     chi = composition_umbra(ws, gamma, alpha)
-    chi_m = list(chi.moments[: order + 1])
-    expected = [ONE] * min(2, order + 1) + [Poly.const(0)] * max(0, order - 1)
+    chi_m = list(chi.moments)
+    expected = [1] * min(2, order + 1) + [0] * max(0, order - 1)
     chi_ok = chi_m == expected
 
     bar = alpha_bar(ws, alpha)
-    a1 = alpha.moments[1].constant()
+    a1 = rational(alpha.moments[1])
     # built once per k: the multiples k.bar and the Abel factors
     # E[chi (chi + w)^{k-1}] with w = (-k).bar, uncorrelated with k.bar
     mult = [dot(ws, k, bar) for k in range(order + 1)]
-    abel_first = [ONE]
+    abel_first = [1]
     for k in range(1, order + 1):
         w = dot(ws, -k, bar)
         abel_first.append(
@@ -142,17 +140,14 @@ def cross_check(ws: Workspace, alpha: Atom, order: int = None) -> InversionRepor
         # partial-Bell expansion of chi^n (the positive multiple k.bar,
         # matching the B_{n,k} identity the expansion comes from), with
         # E[(k.bar)^{n-k}] read off the generating function [gf(bar)]^k
-        total = Poly.const(0)
+        total = 0
         for k in range(n + 1):
-            term = (Poly.const(comb(n, k) * a1 ** k)
-                    * gamma.moments[k]
-                    * mult[k].egf.egf_moment(n - k))
-            total = total + term
+            total += comb(n, k) * a1 ** k * gamma.moments[k] * mult[k].egf.egf_moment(n - k)
         if total != chi_m[n]:
             pb_ok = False
         # Abel-style expansion of chi^n (k = 0 term is E[eps-shift] = 0 for
         # n >= 1 and 1 for n = 0)
-        total = Poly.const(1 if n == 0 else 0)
+        total = 1 if n == 0 else 0
         for k in range(1, n + 1):
             total = total + comb(n, k) * abel_first[k] * mult[k].moments[n - k]
         if total != chi_m[n]:

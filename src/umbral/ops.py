@@ -33,7 +33,7 @@ from .errors import (
     UndeclaredIndeterminate,
     ZeroMomentReciprocal,
 )
-from .poly import ONE, ZERO, Poly, rational
+from .poly import Poly, rational
 from .series import Series
 
 
@@ -211,8 +211,8 @@ def alpha_bar(ws: Workspace, alpha: Atom) -> Atom:
     coefficients 0..N-1 of the result).
     """
     inv_a1 = a1_reciprocal(alpha)
-    moments = [ONE] + [m * (inv_a1 * Fraction(1, k))
-                       for k, m in enumerate(alpha.moments[2:], 2)] + [ZERO]
+    moments = [1] + [m * (inv_a1 * Fraction(1, k))
+                     for k, m in enumerate(alpha.moments[2:], 2)] + [0]
     egf = Series(ws.order, [c * inv_a1 for c in alpha.egf.coeffs[1:]] + [0])
     return ws._register(f"bar({alpha.name})", moments, egf)
 
@@ -234,7 +234,6 @@ def exponential_umbral_moment(alpha: Atom, n: int) -> Poly:
 def scale_atom(ws: Workspace, c, alpha: Atom) -> Atom:
     """The umbra c*alpha with moments c^k a_k; its generating function is
     alpha's composed with ct, the substitution t -> ct."""
-    c = Poly.coerce(c)
     powers = [c ** k for k in range(ws.order + 1)]
     return ws._register(f"({c})*{alpha.name}", [w * m for w, m in zip(powers, alpha.moments)],
                         alpha.egf.compose(Series.make([0, c], ws.order)))

@@ -11,7 +11,8 @@ A polynomial is a dict mapping a monomial to a nonzero ``int`` or
 ``int``, and ``+`` and ``*`` keep what their operands give.  A monomial is a
 tuple of ``(variable, exponent)`` pairs, sorted by variable name, with all
 exponents >= 1; the empty tuple is the constant monomial.  ``rational`` and
-``rationals`` decide whether values are rational.
+``rationals`` decide whether values are rational.  A float is not exact:
+``const``, ``coerce`` and ``rational`` raise ``TypeError`` on one.
 
 The series kernels and the Bell triangle run on the Kronecker images of
 ``Poly`` values (see :mod:`umbral.series`, :mod:`umbral.combinatorics`): int
@@ -150,7 +151,7 @@ class Poly:
         """Division by a nonzero rational (or constant Poly) only."""
         if isinstance(other, Poly):
             other = other.constant()
-        return self * (Fraction(1) / Fraction(other))
+        return self * (Fraction(1) / _exact(other))
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -281,7 +282,10 @@ class Poly:
 
 
 def _exact(value):
-    """value as a ``Fraction``, or as its numerator when that is integral."""
+    """value as a ``Fraction``, or as its numerator when that is integral;
+    ``TypeError`` for a float, whose binary fraction is not the value meant."""
+    if isinstance(value, float):
+        raise TypeError(f"not an exact value: {value!r}")
     q = value if type(value) is Fraction else Fraction(value)
     return q.numerator if q.denominator == 1 else q
 
@@ -312,11 +316,13 @@ ONE = Poly.const(1)
 
 
 def rational(c):
-    """c if it is an int or a ``Fraction``, the value of a constant ``Poly``;
-    else None."""
+    """The value of an int, a ``Fraction`` or a constant ``Poly``, an ``int`` unless
+    a denominator is left; None for another ``Poly``; else ``TypeError``."""
     if type(c) is Poly:
-        return c.terms.get((), 0) if c.is_constant() else None
-    return c if isinstance(c, Rat) else None
+        return rational(c.terms.get((), 0)) if c.is_constant() else None
+    if isinstance(c, Rat):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"not an exact value: {c!r}")
 
 
 def rationals(values):

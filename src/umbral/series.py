@@ -17,7 +17,9 @@ give them back.  Binary operations demand equal orders.  A series is
 
 >>> e = Series.exp_t(3)
 >>> e.moments(), str(e)
-([Poly('1'), Poly('1'), Poly('1'), Poly('1')], '1 + (1)*t^1 + (1/2)*t^2 + (1/6)*t^3')
+([1, 1, 1, 1], '1 + (1)*t^1 + (1/2)*t^2 + (1/6)*t^3')
+>>> (e * Series.make([1, Poly.var("x")], 3)).moments()
+[Poly('1'), Poly('1 + x'), Poly('1 + 2*x'), Poly('1 + 3*x')]
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from .poly import Poly, rational, rationals
 
 
 def _ring(values) -> tuple:
-    """All values as rationals if all are rational, else as ``Poly``."""
+    """All values as rationals if all are rational, else as ``Poly``: the one
+    rule for the moments of a series and of an atom."""
     q = rationals(values)
     return tuple(map(Poly.coerce, values)) if q is None else tuple(q)
 
@@ -243,18 +246,19 @@ def _scaled_down(xs, d, e=1, packing=None) -> "Series":
 class Series:
     """A truncated power series held by its moments M_k = k! c_k: all
     ``int`` or ``Fraction`` when all are rational, else all ``Poly``, so equal
-    series have equal moments; ``egf_moment`` is a ``Poly`` either way."""
+    series have equal moments; ``moments`` and ``egf_moment`` return them as
+    they are held."""
 
     __slots__ = ("order", "_m")
 
     def __init__(self, order: int, coeffs):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        coeffs = _ring(tuple(coeffs))
+        coeffs = tuple(coeffs)
         if len(coeffs) != order + 1:
             raise ValueError(f"need exactly {order + 1} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_m", tuple(c * factorial(k) for k, c in enumerate(coeffs)))
+        object.__setattr__(self, "_m", _ring([c * factorial(k) for k, c in enumerate(coeffs)]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
@@ -426,14 +430,14 @@ class Series:
             raise OrderExceeded(f"cannot extend order {self.order} to {order}")
         return Series.from_moments(self._m[: order + 1])
 
-    def egf_moment(self, k: int) -> Poly:
+    def egf_moment(self, k: int):
         """The k-th moment M_k = k! c_k."""
         if k < 0 or k > self.order:
             raise OrderExceeded(f"moment {k} outside order {self.order}")
-        return Poly.coerce(self._m[k])
+        return self._m[k]
 
     def moments(self) -> list:
-        return list(map(Poly.coerce, self._m))
+        return list(self._m)
 
     @property
     def coeffs(self) -> tuple:

@@ -120,11 +120,11 @@ def test_criterion_4_lagrange_inversion():
         10, [Fraction((-1) ** k, factorial(k)) for k in range(11)]).mul_t()
     tree = ws._register("tree", f.moments(), f)
     gamma = revert_umbral(ws, tree)
-    assert [m.constant() for m in gamma.moments[1:]] == \
+    assert list(gamma.moments[1:]) == \
         [k ** (k - 1) for k in range(1, 11)]
     rep = cross_check(ws, tree)
     assert rep.agree and rep.chi_ok
-    assert [m.constant() for m in rep.chi_moments] == [1, 1] + [0] * 9
+    assert list(rep.chi_moments) == [1, 1] + [0] * 9
     # 20 random seeded umbrae at order 10
     stream = Stream(4004)
     for trial in range(20):
@@ -133,7 +133,7 @@ def test_criterion_4_lagrange_inversion():
         o_route = revert_oracle(ws, a)
         assert u_route.moments == o_route.moments, trial
         chi = composition_umbra(ws, u_route, a)
-        assert [m.constant() for m in chi.moments] == [1, 1] + [0] * 9, trial
+        assert list(chi.moments) == [1, 1] + [0] * 9, trial
     _report(4, "Lagrange inversion: oracle agreement + tree case + unit chi",
             started)
 

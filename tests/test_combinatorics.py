@@ -26,6 +26,13 @@ from umbral.prng import Stream
 x = Poly.var("x")
 
 
+def test_floats_are_rejected_where_values_enter():
+    with pytest.raises(TypeError):
+        partial_bell(3, 2, [1 / 3, 1])
+    with pytest.raises(TypeError):
+        bell_triangle([1 / 3, 1], 3)
+
+
 def test_stirling_second_against_enumeration():
     # S(4,2) = number of 2-block set partitions of a 4-set
     two_block = sum(w.count for w in enumerate_partitions(4) if w.num_blocks == 2)

@@ -51,6 +51,11 @@ def test_define_validates_zeroth_moment():
     assert ws.similar(delta, ws.eps)
 
 
+def test_define_rejects_floats():
+    with pytest.raises(TypeError):
+        fresh(order=2).define("a", [1, 1 / 3, 0])
+
+
 def test_deterministic_value_umbra():
     # moments x^k represent the constant value x
     ws = fresh()

@@ -8,7 +8,8 @@ import pytest
 import umbral.identities
 from umbral.core import Workspace
 from umbral.errors import UnknownIdentity, UsageError
-from umbral.identities import _verdict, check, check_all, list_identities
+from umbral.identities import _recover_from_int_dot, _verdict, check, check_all, list_identities
+from umbral.ops import dot
 
 EXPECTED_IDS = [
     "prop1_i_v", "cor1_i_v", "thm1_binomial_type", "abel", "cor2_right_dist",
@@ -33,6 +34,18 @@ def test_catalog_registry():
     assert len(set(anchors)) == 31
     # ids are stable across calls
     assert [d["id"] for d in list_identities()] == ids
+
+
+def test_recovery_from_an_integer_multiple_stays_exact():
+    # the moments of n.a are ints here, so (q_k - acc) / n must divide as a
+    # Fraction; moments equal to 3 (a power of two would divide exactly even
+    # as a float) show a float at once
+    ws = Workspace(order=6)
+    a = ws.define("a", [1] + [3] * 6)
+    for n in (2, 3):
+        rec = _recover_from_int_dot(ws, n, dot(ws, n, a).moments)
+        assert rec == list(a.moments)
+        assert all(type(v) in (int, Fraction) for v in rec)
 
 
 def test_unknown_identity():

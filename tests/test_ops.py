@@ -2,6 +2,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umbral.combinatorics import (
     bell_number,
@@ -17,7 +18,7 @@ from umbral.errors import (
     UndeclaredIndeterminate,
     ZeroMomentReciprocal,
 )
-from umbral.inversion import revert_umbral
+from umbral.inversion import revert_oracle, revert_umbral
 from umbral.ops import (
     alpha_bar,
     bell_umbra,
@@ -60,7 +61,7 @@ def assert_coherent(atom):
 def test_dot_integer_on_unity():
     ws = fresh()
     d = dot(ws, 3, ws.u)
-    assert [m.constant() for m in d.moments] == [3 ** k for k in range(9)]
+    assert list(d.moments) == [3 ** k for k in range(9)]
     assert_coherent(d)
 
 
@@ -74,7 +75,7 @@ def test_dot_zero_is_augmentation():
 def test_dot_bell_on_unity_gives_bell_numbers():
     ws = fresh()
     d = dot(ws, bell_umbra(ws), ws.u)
-    assert [m.constant() for m in d.moments] == \
+    assert list(d.moments) == \
         [bell_number(k) for k in range(ws.order + 1)]
 
 
@@ -124,7 +125,7 @@ def test_point_power_moments():
     ws = fresh()
     beta = bell_umbra(ws)
     sq = point_power(ws, beta, 2)
-    assert sq.moments[3].constant() == 25
+    assert sq.moments[3] == 25
     assert ws.similar(point_power(ws, beta, 0), ws.u)
     assert_coherent(sq)
 
@@ -149,7 +150,7 @@ def test_inverse_umbra():
     ws = fresh()
     assert ws.similar(inverse_umbra(ws, ws.eps), ws.eps)
     iu = inverse_umbra(ws, ws.u)
-    assert [m.constant() for m in iu.moments] == [(-1) ** k for k in range(9)]
+    assert list(iu.moments) == [(-1) ** k for k in range(9)]
     s = Stream(4)
     a = random_umbra(ws, s, "a")
     assert ws.similar(a + inverse_umbra(ws, a), ws.eps)
@@ -164,7 +165,7 @@ def test_bell_scalar_umbra():
     ws = fresh(order=12)
     beta = bell_umbra(ws)
     assert ws.eval(beta, 3) == 5
-    assert [m.constant() for m in beta.moments] == \
+    assert list(beta.moments) == \
         [bell_number(k) for k in range(13)]
     for n in range(13):
         assert falling_factorial_moment(beta, n) == ONE
@@ -215,7 +216,7 @@ def test_scaled_partition_umbra():
 def test_composition_umbra():
     ws = fresh()
     chi = composition_umbra(ws, ws.u, ws.u)
-    assert [m.constant() for m in chi.moments[:6]] == [1, 1, 2, 5, 15, 52]
+    assert list(chi.moments[:6]) == [1, 1, 2, 5, 15, 52]
     s = Stream(10)
     g = random_umbra(ws, s, "g")
     # comp(g, u) is the randomized-Poisson umbra g.bell
@@ -606,3 +607,48 @@ def test_corrupted_unpack_is_caught(monkeypatch, build):
     monkeypatch.setattr(series, "_unpack", corrupt_unpack(series._unpack))
     with pytest.raises(CoherenceError):
         build(ws, *inputs)
+
+
+# -- one value type per ring ----------------------------------------------------------
+
+
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def registered(ws, a, g):
+    """One atom from every registering constructor, on source a and a
+    rational partner g."""
+    return [a, g, ws.clone(a), ws.atom_of(a * g + 2 * a, "e"),
+            dot(ws, 3, a), dot(ws, -2, a), dot(ws, "x", a), dot(ws, g, a), dot(ws, a, g),
+            partition_umbra(ws, a), partition_umbra(ws, a, "x"),
+            composition_umbra(ws, g, a), composition_umbra(ws, a, g),
+            bell_umbra(ws), bell_umbra(ws, "x"), inverse_umbra(ws, a), alpha_bar(ws, a),
+            point_power(ws, a, 2), point_power(ws, g, 0), revert_umbral(ws, a),
+            revert_oracle(ws, a), scale_atom(ws, Fraction(1, 3), a)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(a1=_RATIONALS.filter(bool), ms=st.lists(_RATIONALS, min_size=8, max_size=8),
+       ring=st.sampled_from(["scalar", "x-carrying"]))
+def test_atoms_hold_moments_by_the_series_rule(a1, ms, ring):
+    # all Poly, or all int and Fraction with a denominator left, on both
+    # rings; the same values as the atom's series holds
+    ws = fresh(order=5)
+    x = ws.var("x") if ring == "x-carrying" else 0
+    a = ws.define("a", [1, a1] + [m + c * x for m, c in zip(ms[:4], ms[4:])])
+    g = ws.define("g", [1] + ms[3:])
+    for atom in registered(ws, a, g):
+        kinds = {type(m) for m in atom.moments}
+        assert kinds == {Poly} or (kinds <= {int, Fraction} and all(
+            type(m) is int or m.denominator > 1 for m in atom.moments)), atom.name
+        assert list(atom.moments) == atom.egf.moments(), atom.name
+        assert [type(m) for m in atom.moments] == list(map(type, atom.egf.moments()))
+    # an umbra defined from rationals or from constant Polys is one umbra
+    views = []
+    for values in ([1, a1] + ms[:4], [Poly.const(v) for v in [1, a1] + ms[:4]]):
+        ws = fresh(order=5)
+        p = ws.define("p", values)
+        e = p * ws.clone(p) + 2 * p + ws.var("x") * dot(ws, 2, p)
+        views.append([(str(v), v.to_json()) for v in map(ws.eval, [e] * 3, range(3))]
+                     + [str(ws.gf_of(e)), ws.gf_of(e).to_json(), ws.to_json()])
+    assert views[0] == views[1]

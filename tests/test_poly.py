@@ -59,6 +59,15 @@ def test_integral_values_stay_int():
     assert type(((3 * x) / 2).terms[(("x", 1),)]) is Fraction
 
 
+def test_floats_are_rejected_where_values_enter():
+    # a float's binary fraction is not the value meant: 1/3 would be stored
+    # as 6004799503160661/18014398509481984
+    for enter in (Poly.const, Poly.coerce, rational, lambda v: x / v):
+        with pytest.raises(TypeError):
+            enter(1 / 3)
+    assert rational(Fraction(6, 2)) == 3 and type(rational(Fraction(6, 2))) is int
+
+
 def test_subs():
     p = x ** 2 + 2 * x * y + 1
     assert p.subs({"x": 1, "y": Fraction(1, 2)}) == 3
