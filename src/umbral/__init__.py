@@ -50,8 +50,8 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-# The Monte Carlo lab needs numpy, which costs more to import than the rest
-# of the package; its names load it on first use.
+# No exact command needs the Monte Carlo lab, so its names load it on first
+# use (numpy loads later still, at the first draw).
 _POISSON = {"CompoundModel", "DiscreteDist", "MomentComparison", "PoissonModel",
             "RandomizedCompoundModel", "RandomizedModel", "compare",
             "exact_moments", "sample"}

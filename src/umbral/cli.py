@@ -575,7 +575,7 @@ def _cmd_bellpoly(args) -> int:
 def _cmd_mc(args) -> int:
     _positive(args.n, "--n")
     _positive(args.max_order, "--max-order")
-    from . import poisson  # imports numpy, which no exact command needs
+    from . import poisson  # the Monte Carlo lab, which no exact command needs
     lam = _parse_rational(args.lam) if args.lam else Fraction(1)
     if args.model == "poisson":
         model = poisson.PoissonModel(lam)

@@ -25,6 +25,11 @@ counts are summed: Poisson additivity, x.beta + y.beta' ~ (x + y).beta
 (see ``_poisson_counts``).  Everything downstream is a pure function of
 (model, n, seed).
 
+Empirical moments are exact power sums of the draws, rounded once (see
+``_power_sums``), so they do not depend on how the draws were split:
+``compare`` holds one chunk and the tally of distinct values, never all n
+draws.  numpy loads at the first draw, not at import.
+
 Jump and parameter distributions are restricted to finite rational support
 so every predicted moment is a finite exact sum.
 """
@@ -34,12 +39,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .combinatorics import bell_transform
 from .errors import InvalidDistribution
 from .prng import GOLDEN, MASK, Stream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CHUNK = 1 << 16
 Z_TOLERANCE = 8.0
@@ -47,17 +54,16 @@ MAX_ORDER_CAP = 6
 POISSON_PART = 500
 MAX_RATE = 100_000
 
-_U64 = np.uint64
-
 
 def _uniform_block(seed: int, count: int) -> np.ndarray:
     """The first ``count`` uniforms of the SplitMix64 stream ``seed``."""
+    import numpy as np
     idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = _U64(seed & MASK) + idx * _U64(GOLDEN)
-    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
-    z = z ^ (z >> _U64(31))
-    return (z >> _U64(11)).astype(np.float64) * 2.0 ** -53
+    z = np.uint64(seed & MASK) + idx * np.uint64(GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
 def _rate(lam) -> Fraction:
@@ -103,9 +109,11 @@ class DiscreteDist:
         return sum(p * v ** j for v, p in zip(self.values, self.probs))
 
     def cdf_array(self) -> np.ndarray:
+        import numpy as np
         return np.cumsum(np.array([float(p) for p in self.probs]))
 
     def value_array(self) -> np.ndarray:
+        import numpy as np
         return np.array([float(v) for v in self.values])
 
     def spec(self) -> str:
@@ -186,6 +194,7 @@ def exact_moments(model, max_order: int) -> list:
 
 def _poisson_cdf(lam: float) -> np.ndarray:
     """CDF table for sequential inversion, built by the mass recurrence."""
+    import numpy as np
     if lam == 0.0:
         return np.array([1.0])
     p = math.exp(-lam)
@@ -203,6 +212,7 @@ def _poisson_counts(lam: float, u: np.ndarray, stream: Stream, mask=None) -> np.
     of the uniforms ``u``, which came from ``stream``.  A rate above
     POISSON_PART is split into equal parts; part j >= 1 inverts the same
     positions of the substream ``stream.derive(j)``."""
+    import numpy as np
     parts = max(1, math.ceil(lam / POISSON_PART))
     cdf = _poisson_cdf(lam / parts)
     counts = np.searchsorted(cdf, u if mask is None else u[mask],
@@ -214,17 +224,20 @@ def _poisson_counts(lam: float, u: np.ndarray, stream: Stream, mask=None) -> np.
 
 
 def _draw_index(dist: DiscreteDist, u: np.ndarray) -> np.ndarray:
+    import numpy as np
     return np.minimum(np.searchsorted(dist.cdf_array(), u, side="right"),
                       len(dist.values) - 1)
 
 
 def _segment_sums(jump_values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    import numpy as np
     csum = np.concatenate(([0.0], np.cumsum(jump_values)))
     ends = np.cumsum(counts)
     return csum[ends] - csum[ends - counts]
 
 
 def _sample_chunk(model, chunk_seed: int, count: int) -> np.ndarray:
+    import numpy as np
     s = Stream(chunk_seed)
     main = s.derive(1)
     u_main = _uniform_block(main.seed, count)
@@ -248,17 +261,46 @@ def _sample_chunk(model, chunk_seed: int, count: int) -> np.ndarray:
     return _segment_sums(jumps, counts)
 
 
-def sample(model, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. draws from the model, as float64; deterministic in
-    (model, n, seed)."""
+def _chunks(model, n: int, seed: int):
+    """The draws of ``sample(model, n, seed)``, one chunk at a time."""
     if n < 1:
         raise ValueError("need at least one sample")
     master = Stream(seed)
+    return (_sample_chunk(model, master.at(c), min(CHUNK, n - c * CHUNK))
+            for c in range((n + CHUNK - 1) // CHUNK))
+
+
+def sample(model, n: int, seed: int) -> np.ndarray:
+    """n i.i.d. draws from the model, as float64; deterministic in
+    (model, n, seed)."""
+    import numpy as np
+    chunks = _chunks(model, n, seed)
     out = np.empty(n)  # filled in place: no chunk list to concatenate
-    for c in range((n + CHUNK - 1) // CHUNK):
-        size = min(CHUNK, n - c * CHUNK)
-        out[c * CHUNK:c * CHUNK + size] = _sample_chunk(model, master.at(c), size)
+    for c, chunk in enumerate(chunks):
+        out[c * CHUNK:(c + 1) * CHUNK] = chunk
     return out
+
+
+def _power_sums(chunks, top: int) -> tuple:
+    """``(sums, d)``: sums[j] / d^j is the exact sum of draw^j over ``chunks``
+    for j = 0..top.  A float is a 53-bit int times a power of two, so over
+    the smallest such power d, the tally of distinct values sums in ints."""
+    import numpy as np
+    values, counts = np.empty(0), np.empty(0)
+    for chunk in chunks:
+        v, c = np.unique(chunk, return_counts=True)
+        values, inv = np.unique(np.concatenate((values, v)), return_inverse=True)
+        counts = np.bincount(inv, np.concatenate((counts, c)))  # exact below 2^53
+    if not np.isfinite(values).all():
+        raise OverflowError("order-1 sample moments overflow a float")
+    mantissa, exponent = np.frexp(values)
+    low = min(int(exponent.min()), 53)
+    x = (mantissa * 2.0 ** 53).astype(np.int64).astype(object) << (exponent - low).astype(object)
+    power, sums = counts.astype(np.int64).astype(object), []
+    for _ in range(top + 1):
+        sums.append(int(power.sum()))
+        power = power * x
+    return sums, 1 << (53 - low)
 
 
 # -- moment comparison --------------------------------------------------------------------
@@ -292,19 +334,25 @@ class MomentComparison:
 
 
 def empirical_rows(values: np.ndarray, exact: list, max_order: int) -> list:
-    """Comparison rows for a sample against exact rational predictions;
-    ``OverflowError`` when a row's mean, variance or stderr is not a finite
-    float, since such a row would pass without testing anything."""
-    n = len(values)
+    """Comparison rows for a sample against exact rational predictions: the
+    mean of draw^k and its unbiased variance from exact power sums, each
+    correctly rounded.  ``OverflowError`` when a row's mean, variance or
+    stderr is not a finite float: such a row would pass untested."""
+    return _rows((values[i:i + CHUNK] for i in range(0, len(values), CHUNK)),
+                 exact, max_order)
+
+
+def _rows(chunks, exact: list, max_order: int) -> list:
+    sums, d = _power_sums(chunks, 2 * max_order)
+    n = sums[0]
     rows = []
     for k in range(1, max_order + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            powers = values ** k
-            emp = float(powers.mean())
-            var = float(powers.var(ddof=1)) if n > 1 else 0.0
-        se = math.sqrt(var / n) if var > 0 else 0.0
-        if not all(map(math.isfinite, (emp, var, se))):
-            raise OverflowError(f"order-{k} sample moments overflow a float")
+        try:
+            emp = sums[k] / (n * d ** k)
+            var = (n * sums[2 * k] - sums[k] ** 2) / (n * max(n - 1, 1) * d ** (2 * k))
+        except OverflowError:
+            raise OverflowError(f"order-{k} sample moments overflow a float") from None
+        se = math.sqrt(var / n)
         pred = float(exact[k])
         if se == 0.0:
             z = 0.0 if emp == pred else math.inf
@@ -326,9 +374,8 @@ def compare(model, n: int, seed: int, max_order: int = 4) -> MomentComparison:
     predictions, one row per order."""
     if max_order > MAX_ORDER_CAP:
         raise ValueError(f"max_order capped at {MAX_ORDER_CAP}")
-    values = sample(model, n, seed)
     exact = exact_moments(model, max_order)
-    rows = empirical_rows(values, exact, max_order)
+    rows = _rows(_chunks(model, n, seed), exact, max_order)
     return MomentComparison(
         model=model.describe(),
         n_samples=n,

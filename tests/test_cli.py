@@ -284,7 +284,14 @@ def test_exact_commands_leave_numpy_unimported(tmp_path):
         f"for argv in {argvs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert umbral.cli.main(argv) == 0, argv\n"
-        "    assert 'numpy' not in sys.modules, argv\n")
+        "    assert 'numpy' not in sys.modules, argv\n"
+        # the models and their exact moments load no numpy: only a draw does
+        "import umbral.poisson as p\n"
+        "d = p.DiscreteDist((1, 2), ('1/2', '1/2'))\n"
+        "for m in (p.PoissonModel(1), p.CompoundModel(1, d), p.RandomizedModel(d),\n"
+        "          p.RandomizedCompoundModel(d, d)):\n"
+        "    p.exact_moments(m, 4)\n"
+        "assert 'numpy' not in sys.modules\n")
     src = str(Path(umbral.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -373,6 +380,7 @@ def test_error_reporting():
     # a sample whose order-2 variance overflows a float
     ("mc", "--model", "compound", "--lambda", "1", "--jumps", "1" + "0" * 100 + ":1",
      "--n", "10", "--max-order", "2"),
+    ("mc", "--model", "compound", "--lambda", "1", "--jumps", "1e80:1", "--max-order", "4"),
     # umbra names no expression can reach: an indeterminate, a built-in
     # umbra, and a name that is not an identifier
     ("--workspace", {}, "define", "x", "1,2,3"),

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ from umbral.poisson import (
     PoissonModel,
     RandomizedCompoundModel,
     RandomizedModel,
+    _power_sums,
     compare,
     empirical_rows,
     exact_moments,
@@ -157,3 +160,60 @@ def test_rate_cap():
         PoissonModel(10 ** 6)
     with pytest.raises(InvalidDistribution):
         RandomizedModel(DiscreteDist((1, 10 ** 6), (HALF, HALF)))
+
+
+# jumps that no float holds exactly, so the draws carry rounding of their own
+THIRDS = CompoundModel(1, DiscreteDist((Fraction(1, 3), Fraction(2, 3)), (HALF, HALF)))
+
+
+@pytest.mark.parametrize("model", BENCH_MODELS + [THIRDS], ids=lambda m: m.describe())
+def test_rows_round_exact_power_sums_once(model):
+    n, seed = 2000, 3
+    xs = list(map(Fraction, sample(model, n, seed)))
+    for row in compare(model, n, seed, max_order=4).rows:
+        k = row["order"]
+        s_k = sum(x ** k for x in xs)
+        s_2k = sum(x ** (2 * k) for x in xs)
+        assert row["empirical"] == float(s_k / n)
+        assert row["stderr"] == math.sqrt(float((s_2k - s_k ** 2 / n) / (n - 1)) / n)
+
+
+@pytest.mark.parametrize("model", BENCH_MODELS, ids=lambda m: m.describe())
+def test_streamed_rows_equal_rows_of_the_sample(model):
+    # n crosses a chunk boundary; ``compare`` never holds the whole sample
+    n, seed = (1 << 16) + 500, 21
+    exact = exact_moments(model, 4)
+    assert compare(model, n, seed).rows == empirical_rows(sample(model, n, seed), exact, 4)
+
+
+def test_power_sums_do_not_depend_on_the_split():
+    values = sample(THIRDS, (1 << 17) + 3, 9)
+
+    def sums(size):
+        chunks = (values[i:i + size] for i in range(0, len(values), size))
+        return _power_sums(chunks, 8)
+
+    assert sums(1 << 10) == sums(1 << 16)
+
+
+def _peak_bytes(n):
+    tracemalloc.start()
+    try:
+        compare(PoissonModel(1), n, 4)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_compare_memory_does_not_grow_with_n():
+    compare(PoissonModel(1), 1 << 10, 4)  # one-time allocations come first
+    assert _peak_bytes(1 << 20) <= 1.5 * _peak_bytes(1 << 17)
+
+
+def test_rows_that_overflow_a_float_raise():
+    # order-2 variance needs the fourth power of draws near 1e80
+    with pytest.raises(OverflowError, match="order-2 sample moments overflow a float"):
+        compare(CompoundModel(1, DiscreteDist.point_mass(Fraction(10) ** 80)), 1000, 1)
+    # jumps near 1e305 overflow the chunk's float cumsum: the draws are not finite
+    with pytest.raises(OverflowError, match="order-1 sample moments overflow a float"):
+        compare(CompoundModel(1, DiscreteDist.point_mass(Fraction(10) ** 305)), 1 << 16, 1)
