@@ -54,12 +54,13 @@ def stirling(kind: str, n: int, k: int) -> int:
     return _stirling_row(kind, n)[k]
 
 
-def stirling_sum(kind: str, n: int, values) -> Poly:
+def stirling_sum(kind: str, n: int, values):
     """sum_k S(n,k) v_k ('second') or sum_k s(n,k) v_k ('first_signed') over
-    row n, k = 0..n; ``values`` lists v_0..v_n at least."""
+    row n, k = 0..n; ``values`` lists v_0..v_n at least.  The sum has the
+    values' type: rational values give a rational."""
     if n < 0:
         raise IndexError("stirling_sum needs n >= 0")
-    return sum((v * s for s, v in zip(_stirling_row(kind, n), values) if s), ZERO)
+    return sum(v * s for s, v in zip(_stirling_row(kind, n), values) if s)
 
 
 # -- Bell numbers --------------------------------------------------------------

@@ -393,7 +393,7 @@ class Workspace:
 
         Similarity is decidable only up to that order; a True result means
         "similar up to order N"."""
-        return self.moments_of(a) == self.moments_of(b)
+        return self.gf_of(a).moments() == self.gf_of(b).moments()
 
     # -- serialization --------------------------------------------------------------
 

@@ -110,7 +110,7 @@ def _verdict(claims, designed=False):
 
 def _similar(ws, statement, lhs, rhs, **data):
     """The claim lhs ~ rhs: equal moments up to the workspace's order."""
-    return statement, ws.moments_of(lhs), ws.moments_of(rhs), data
+    return statement, ws.gf_of(lhs).moments(), ws.gf_of(rhs).moments(), data
 
 
 def _ws(params, indets=("x", "y")) -> Workspace:
@@ -226,7 +226,7 @@ def _chk_abel(params):
             w = dot(ws, -k, g)
             first.append(ws.eval(Product((a, IntPower(Sum((a, w)), k - 1)))))
             v = dot(ws, k, g)
-            second.append(ws.moments_of(Sum((b, v))))
+            second.append(ws.gf_of(Sum((b, v))).moments())
         for n in range(ws.order + 1):
             rhs = sum((comb(n, k) * first[k] * second[k][n - k] for k in range(1, n + 1)),
                       ws.eval(b, n))  # k = 0 term

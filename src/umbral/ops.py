@@ -53,7 +53,7 @@ def falling_factorials(value, n: int) -> list:
 def falling_factorial_moment(beta: Atom, i: int) -> Poly:
     """E[(beta)_i] = sum_j s(i,j) b_j, the signed-Stirling expansion of the
     falling factorial."""
-    return stirling_sum("first_signed", i, beta.moments)
+    return Poly.coerce(stirling_sum("first_signed", i, beta.moments))
 
 
 def _scale_arg(ws: Workspace, scale):
@@ -94,7 +94,7 @@ def dot(ws: Workspace, left, alpha: Atom) -> Atom:
     generating function g.
     """
     if isinstance(left, Atom):
-        weights = [falling_factorial_moment(left, i) for i in range(ws.order + 1)]
+        weights = [stirling_sum("first_signed", i, left.moments) for i in range(ws.order + 1)]
         return ws._register(f"{_wrap_name(left.name)}.{_wrap_name(alpha.name)}",
                             bell_transform(weights, alpha.moments[1:], ws.order),
                             left.egf.compose(alpha.egf.log()))
@@ -225,7 +225,7 @@ def exponential_umbral_moment(alpha: Atom, n: int) -> Poly:
     randomized-Poisson umbra built on alpha."""
     if n >= len(alpha.moments):
         raise OrderExceeded(f"moment {n} beyond order {len(alpha.moments) - 1}")
-    return stirling_sum("second", n, alpha.moments)
+    return Poly.coerce(stirling_sum("second", n, alpha.moments))
 
 
 # -- scalar multiple --------------------------------------------------------------------

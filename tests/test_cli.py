@@ -30,6 +30,15 @@ def run(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _python(*args):
+    """A fresh interpreter with this ``umbral`` first on its path."""
+    src = str(Path(umbral.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.fixture
 def ctx():
     ws = Workspace(order=8)
@@ -292,12 +301,17 @@ def test_exact_commands_leave_numpy_unimported(tmp_path):
         "          p.RandomizedCompoundModel(d, d)):\n"
         "    p.exact_moments(m, 4)\n"
         "assert 'numpy' not in sys.modules\n")
-    src = str(Path(umbral.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_overflowing_draws_report_one_json_error():
+    # numpy's overflow warnings would reach stderr ahead of the JSON error;
+    # an in-process run cannot show that, since pytest captures warnings
+    proc = _python("-m", "umbral.cli", "mc", "--model", "compound", "--lambda", "1",
+                   "--jumps", f"{10 ** 305}:1/2,1:1/2", "--n", "70000")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert set(json.loads(proc.stderr)) == {"error", "message"}, proc.stderr
 
 
 def test_workspace_file_round_trip(tmp_path):

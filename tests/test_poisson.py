@@ -41,14 +41,15 @@ def test_discrete_dist_validation():
 
 def _hand_bell_sum(model, max_order):
     """E[X^k] = sum_j E[L^j] B_{k,j}(jump moments), summed by hand over the
-    entries of ``bell_triangle``."""
+    entries of ``bell_triangle``, each moment summed from the support."""
     orders = range(max_order + 1)
-    if isinstance(model, (PoissonModel, CompoundModel)):
-        weights = [model.lam ** j for j in orders]
-    else:
-        weights = [model.param.moment(j) for j in orders]
-    jumps = getattr(model, "jumps", DiscreteDist.point_mass(1))
-    tri = bell_triangle([Poly.const(jumps.moment(j)) for j in orders[1:]], max_order)
+
+    def moments(dist):
+        return [sum((p * v ** j for v, p in zip(dist.values, dist.probs)), Fraction(0))
+                for j in orders]
+
+    weights = moments(model.param)
+    tri = bell_triangle([Poly.const(m) for m in moments(model.jumps)[1:]], max_order)
     return [sum((w * b.constant() for w, b in zip(weights, tri[k])), Fraction(0))
             for k in orders]
 
@@ -80,6 +81,18 @@ def test_exact_predictions():
     assert exact_moments(rc, 5) == exact_moments(PoissonModel(1), 5)
 
 
+def test_named_cases_are_the_one_model():
+    # a one-point parameter is a fixed rate, and unit jumps leave counts
+    rz = RandomizedModel(DiscreteDist.point_mass(2))
+    assert rz == PoissonModel(2)
+    assert rz.describe() == PoissonModel(2).describe() == "poisson(2)"
+    assert CompoundModel(1, DiscreteDist.point_mass(1)).describe() == "poisson(1)"
+    assert [m.describe() for m in BENCH_MODELS] == [
+        "poisson(1)", "compound(1; jumps 1:1/2,2:1/2)", "randomized(param 1:1/2,2:1/2)",
+        "randomized_compound(param 1:1/2,2:1/2; jumps 1:1/2,2:1/2)"]
+    assert all(type(m) is RandomizedCompoundModel for m in BENCH_MODELS)
+
+
 def test_sampling_is_deterministic_and_seed_sensitive():
     m = PoissonModel(1)
     a = sample(m, 3000, 42)
@@ -98,9 +111,17 @@ def test_degenerate_reductions_distributionally():
     comp = sample(CompoundModel(1, DiscreteDist.point_mass(1)), n, seed)
     # same counts, jumps of size one: identical streams consume identically
     assert np.array_equal(pois, comp)
+    # a one-point parameter draws as the fixed rate it is
     rz = sample(RandomizedModel(DiscreteDist.point_mass(Fraction(3, 2))), n, seed)
-    direct = sample(PoissonModel(Fraction(3, 2)), n, seed)
-    assert abs(rz.mean() - direct.mean()) < 0.05
+    assert np.array_equal(rz, sample(PoissonModel(Fraction(3, 2)), n, seed))
+
+
+def test_one_point_jumps_are_scaled_counts():
+    # count * v, rounded once: no cumsum of float(1/3) that drifts along the chunk
+    n, seed = (1 << 16) + 500, 5
+    thirds = sample(CompoundModel(1, DiscreteDist.point_mass(Fraction(1, 3))), n, seed)
+    counts = sample(PoissonModel(1), n, seed)
+    assert thirds.tobytes() == (counts * float(Fraction(1, 3))).tobytes()
 
 
 def test_compare_rows_and_pass():
@@ -214,6 +235,14 @@ def test_rows_that_overflow_a_float_raise():
     # order-2 variance needs the fourth power of draws near 1e80
     with pytest.raises(OverflowError, match="order-2 sample moments overflow a float"):
         compare(CompoundModel(1, DiscreteDist.point_mass(Fraction(10) ** 80)), 1000, 1)
-    # jumps near 1e305 overflow the chunk's float cumsum: the draws are not finite
+    # draws of count * 1e305 are finite, but their order-1 variance is not
     with pytest.raises(OverflowError, match="order-1 sample moments overflow a float"):
         compare(CompoundModel(1, DiscreteDist.point_mass(Fraction(10) ** 305)), 1 << 16, 1)
+    # jumps near 1e305 overflow the chunk's float cumsum: the draws are not
+    # finite, and the tally rejects them before any power sum
+    big = CompoundModel(1, DiscreteDist((Fraction(10) ** 305, 1), (HALF, HALF)))
+    draws = sample(big, 1 << 16, 1)
+    assert not np.isfinite(draws).all()
+    for run in (lambda: _power_sums([draws], 2), lambda: compare(big, 1 << 16, 1)):
+        with pytest.raises(OverflowError, match="order-1 sample moments overflow a float"):
+            run()
