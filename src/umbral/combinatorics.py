@@ -24,7 +24,7 @@ from itertools import product
 from math import comb, lcm, prod
 
 from .errors import TooLarge
-from .poly import ZERO, Poly, rationals
+from .poly import Poly, rationals
 from .series import Series
 
 ENUMERATION_CAP = 12
@@ -331,18 +331,3 @@ def enumerate_partitions(n: int) -> tuple:
 
     walk(0)
     return tuple(PartitionWeight(k, c) for k, c in sorted(tally.items(), reverse=True))
-
-
-def weighted_partition_sum(n: int, k: int, a) -> Poly:
-    """Definitional oracle for B_{n,k}: sum over k-block partitions of the
-    product of a_{block size} over blocks."""
-    av = tuple(map(Poly.coerce, a))
-    total = ZERO
-    for w in enumerate_partitions(n):
-        if w.num_blocks != k:
-            continue
-        prod = Poly.const(w.count)
-        for s in w.block_sizes:
-            prod = prod * av[s - 1]
-        total = total + prod
-    return total

@@ -25,16 +25,10 @@ from .poly import Poly, rational
 from .series import Series
 
 
-def dot_moment(bar: Atom, mult: int, m: int):
-    """E[(mult.bar)^m] via the generating-function route: m! times the t^m
-    coefficient of [gf(bar)]^mult (mult may be negative), with gf(bar)
-    truncated at t^m first; the tests' reference for the Bell route."""
-    return bar.egf.truncate(m).pow_int(mult).egf_moment(m)
-
-
 def dot_moment_formula(bar: Atom, mult: int, m: int):
-    """The same moment through the falling-factorial Bell expansion of bar's
-    moments, row m of its triangle: the moment route of :func:`revert_umbral`."""
+    """E[(mult.bar)^m] (mult may be negative) through the falling-factorial
+    Bell expansion of bar's moments, row m of its triangle: the moment route
+    of :func:`revert_umbral`."""
     return bell_moment(falling_factorials(mult, m), bar.moments[1:], m)
 
 

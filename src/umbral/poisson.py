@@ -21,10 +21,12 @@ chunk c of a run seeded with s gets its own seed ``Stream(s).at(c)`` and
 draws from the substreams ``Stream(chunk_seed).derive(t)`` in sample order:
 t = 1 gives the counts at a fixed rate, else the rate's index, t = 2 the
 counts at a random rate, t = 3 the jumps.  Jumps on one point v draw
-nothing: a draw is N v, rounded once.  Poisson draws use sequential
-inversion: the CDF table is built by the p_{k+1} = p_k * lam/(k+1)
-recurrence and a uniform is inverted against it.  Its start, exp(-lam),
-loses precision above lam = 708 and underflows above 745, so a rate above
+nothing: a draw is N v, rounded once.  Each draw is a 53-bit int w, the
+uniform w 2^-53, inverted against a CDF table by ``_invert``: 2^10 buckets
+on w's top bits answer each draw whose bucket no CDF value splits, and only
+the rest are searched.  The Poisson table comes from the recurrence
+p_{k+1} = p_k * lam/(k+1).  Its start, exp(-lam), loses precision above
+lam = 708 and underflows above 745, so a rate above
 ``POISSON_PART`` is split into equal parts whose counts are summed: Poisson
 additivity, x.beta + y.beta' ~ (x + y).beta (see ``_poisson_counts``).
 Everything downstream is a pure function of (model, n, seed).
@@ -56,18 +58,24 @@ CHUNK = 1 << 16
 Z_TOLERANCE = 8.0
 MAX_ORDER_CAP = 6
 POISSON_PART = 500
+BUCKET_BITS = 10
 MAX_RATE = 100_000
 
 
 def _uniform_block(seed: int, count: int) -> np.ndarray:
-    """The first ``count`` uniforms of the SplitMix64 stream ``seed``."""
+    """The first ``count`` draws of the SplitMix64 stream ``seed`` as 53-bit
+    ints w, mixed in place in one uint64 buffer; the uniform is w * 2^-53."""
     import numpy as np
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(seed & MASK) + idx * np.uint64(GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(GOLDEN)
+    z += np.uint64(seed & MASK)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    return z
 
 
 def _rate(lam) -> Fraction:
@@ -84,7 +92,8 @@ def _rate(lam) -> Fraction:
 
 @dataclass(frozen=True)
 class DiscreteDist:
-    """Finite discrete distribution with exact rational support and weights."""
+    """Finite discrete distribution with exact rational support and weights;
+    equal support values are merged into one."""
 
     values: tuple
     probs: tuple
@@ -92,12 +101,15 @@ class DiscreteDist:
     def __post_init__(self):
         values = tuple(Fraction(v) for v in self.values)
         probs = tuple(Fraction(p) for p in self.probs)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "probs", probs)
         if not values or len(values) != len(probs):
             raise InvalidDistribution("support and weights must align")
         if any(p <= 0 for p in probs):
             raise InvalidDistribution("weights must be positive")
+        merged = {}  # a repeated value's weights add, at its first place
+        for v, p in zip(values, probs):
+            merged[v] = merged.get(v, 0) + p
+        object.__setattr__(self, "values", tuple(merged))
+        object.__setattr__(self, "probs", tuple(merged.values()))
         if sum(probs) != 1:
             raise InvalidDistribution(f"weights sum to {sum(probs)}, not 1")
 
@@ -190,26 +202,39 @@ def _poisson_cdf(lam: float) -> np.ndarray:
     return np.array(cdf)
 
 
-def _poisson_counts(lam: float, u: np.ndarray, stream: Stream, mask=None) -> np.ndarray:
+def _invert(cdf: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, w * 2**-53, side="right")`` for 53-bit ints w.
+    A draw takes the index at the start of its bucket, one of 2^BUCKET_BITS
+    equal parts of [0, 1), unless a CDF value splits that bucket: only those
+    draws, in at most len(cdf) buckets, are searched.  The split test reads
+    the float just below the bucket's end, at or above its last draw."""
+    import numpy as np
+    starts = np.arange(1 << BUCKET_BITS) * 2.0 ** -BUCKET_BITS
+    lo = np.searchsorted(cdf, starts, side="right")
+    hi = np.searchsorted(cdf, np.nextafter(starts + 2.0 ** -BUCKET_BITS, 0), side="right")
+    idx = np.where(hi == lo, lo, -1)[w >> np.uint64(53 - BUCKET_BITS)]
+    split = np.flatnonzero(idx < 0)
+    idx[split] = np.searchsorted(cdf, w[split] * 2.0 ** -53, side="right")
+    return idx
+
+
+def _poisson_counts(lam: float, w: np.ndarray, stream: Stream, mask=None) -> np.ndarray:
     """Poisson(lam) counts at the positions ``mask`` selects (all when None)
-    of the uniforms ``u``, which came from ``stream``.  A rate above
+    of the draws ``w``, which came from ``stream``.  A rate above
     POISSON_PART is split into equal parts; part j >= 1 inverts the same
     positions of the substream ``stream.derive(j)``."""
-    import numpy as np
     parts = max(1, math.ceil(lam / POISSON_PART))
     cdf = _poisson_cdf(lam / parts)
-    counts = np.searchsorted(cdf, u if mask is None else u[mask],
-                             side="right").astype(np.int64)
+    counts = _invert(cdf, w if mask is None else w[mask])
     for j in range(1, parts):
-        extra = _uniform_block(stream.derive(j).seed, len(u))
-        counts += np.searchsorted(cdf, extra if mask is None else extra[mask], side="right")
+        extra = _uniform_block(stream.derive(j).seed, len(w))
+        counts += _invert(cdf, extra if mask is None else extra[mask])
     return counts
 
 
-def _draw_index(dist: DiscreteDist, u: np.ndarray) -> np.ndarray:
+def _draw_index(dist: DiscreteDist, w: np.ndarray) -> np.ndarray:
     import numpy as np
-    return np.minimum(np.searchsorted(dist.cdf_array(), u, side="right"),
-                      len(dist.values) - 1)
+    return np.minimum(_invert(dist.cdf_array(), w), len(dist.values) - 1)
 
 
 def _segment_sums(jump_values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -226,23 +251,23 @@ def _sample_chunk(model, chunk_seed: int, count: int) -> np.ndarray:
     import numpy as np
     s = Stream(chunk_seed)
     main = s.derive(1)
-    u_main = _uniform_block(main.seed, count)
+    w_main = _uniform_block(main.seed, count)
     param, jumps = model.param, model.jumps
     if len(param.values) == 1:
-        counts = _poisson_counts(float(param.values[0]), u_main, main)
+        counts = _poisson_counts(float(param.values[0]), w_main, main)
     else:
-        pidx = _draw_index(param, u_main)
+        pidx = _draw_index(param, w_main)
         count_stream = s.derive(2)
-        u_count = _uniform_block(count_stream.seed, count)
+        w_count = _uniform_block(count_stream.seed, count)
         counts = np.zeros(count, dtype=np.int64)
         for i, v in enumerate(param.values):
             mask = pidx == i
             if mask.any():
-                counts[mask] = _poisson_counts(float(v), u_count, count_stream, mask)
+                counts[mask] = _poisson_counts(float(v), w_count, count_stream, mask)
     if len(jumps.values) == 1:
         return counts * float(jumps.values[0])
-    u_jump = _uniform_block(s.derive(3).seed, int(counts.sum()))
-    return _segment_sums(jumps.value_array()[_draw_index(jumps, u_jump)], counts)
+    w_jump = _uniform_block(s.derive(3).seed, int(counts.sum()))
+    return _segment_sums(jumps.value_array()[_draw_index(jumps, w_jump)], counts)
 
 
 def _chunks(model, n: int, seed: int):

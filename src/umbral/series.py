@@ -421,10 +421,6 @@ class Series:
         """Formal d/dt, a shift of the moments; the order drops by one."""
         return Series.from_moments(self._m[1:] or (0,))
 
-    def mul_t(self) -> "Series":
-        """Multiply by t at fixed order (the top coefficient falls off)."""
-        return Series.from_moments([0] + [a * k for k, a in enumerate(self._m[:-1], 1)])
-
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise OrderExceeded(f"cannot extend order {self.order} to {order}")

@@ -19,6 +19,8 @@ from umbral.core import Workspace
 from umbral.errors import ParseError, UnknownAtom
 from umbral.series import Series
 
+from oracles import mul_t
+
 
 def run(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -247,7 +249,7 @@ def test_invert_reports_a_broken_reversion_as_a_failed_check(monkeypatch):
     revert = Series.revert
 
     def faulty(self):
-        return revert(self) + Series.t(self.order).mul_t()
+        return revert(self) + mul_t(Series.t(self.order))
 
     monkeypatch.setattr(Series, "revert", faulty)
     code, out, err = run("invert", "--series", "t*exp(-t)", "--order", "6")

@@ -16,12 +16,13 @@ from umbral.combinatorics import (
     exponential_poly,
     partial_bell,
     stirling,
-    weighted_partition_sum,
 )
 from umbral import combinatorics, core, identities, inversion, ops, poly, series
 from umbral.errors import TooLarge
 from umbral.poly import ONE, ZERO, Poly
 from umbral.prng import Stream
+
+from oracles import weighted_partition_sum
 
 x = Poly.var("x")
 

@@ -9,7 +9,6 @@ from umbral.core import Workspace
 from umbral.errors import CoherenceError, NonUnitLinearMoment
 from umbral.inversion import (
     cross_check,
-    dot_moment,
     dot_moment_formula,
     revert_oracle,
     revert_umbral,
@@ -19,15 +18,17 @@ from umbral.poly import ONE, Poly
 from umbral.prng import Stream
 from umbral.series import Series, factorial
 
+from oracles import dot_moment, mul_t
+
 
 def fresh(order=10):
     return Workspace(order=order, indeterminates=())
 
 
 def tree_umbra(ws):
-    f = Series.one(ws.order) + Series(
+    f = Series.one(ws.order) + mul_t(Series(
         ws.order, [Fraction((-1) ** k, factorial(k))
-                   for k in range(ws.order + 1)]).mul_t()
+                   for k in range(ws.order + 1)]))
     return ws._register("tree", f.moments(), f)
 
 

@@ -1,18 +1,23 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umbral.combinatorics import bell_number, bell_triangle
 from umbral.errors import InvalidDistribution
 from umbral.poisson import (
+    BUCKET_BITS,
     CompoundModel,
     DiscreteDist,
     PoissonModel,
     RandomizedCompoundModel,
     RandomizedModel,
+    _invert,
+    _poisson_cdf,
     _power_sums,
     compare,
     empirical_rows,
@@ -37,6 +42,21 @@ def test_discrete_dist_validation():
         PoissonModel(0)
     d = DiscreteDist((HALF, 2), (Fraction(2, 3), Fraction(1, 3)))
     assert d.moment(2) == Fraction(2, 3) * Fraction(1, 4) + Fraction(1, 3) * 4
+
+
+def test_repeated_support_values_merge():
+    twice = DiscreteDist((2, 2), (HALF, HALF))
+    assert twice == DiscreteDist.point_mass(2)
+    d = DiscreteDist((1, 3, 1), (Fraction(1, 4), HALF, Fraction(1, 4)))
+    assert (d.values, d.probs) == ((1, 3), (HALF, HALF))
+    # the merged parameter is a fixed rate, labelled and drawn as poisson(2)
+    rz = RandomizedModel(twice)
+    assert rz.describe() == "poisson(2)"
+    assert np.array_equal(sample(rz, 20000, 5), sample(PoissonModel(2), 20000, 5))
+    # merged unit jumps take the one-point path: the counts themselves
+    comp = CompoundModel(1, DiscreteDist((1, 1), (HALF, HALF)))
+    assert comp == PoissonModel(1)
+    assert sample(comp, 20000, 5).tobytes() == sample(PoissonModel(1), 20000, 5).tobytes()
 
 
 def _hand_bell_sum(model, max_order):
@@ -91,6 +111,65 @@ def test_named_cases_are_the_one_model():
         "poisson(1)", "compound(1; jumps 1:1/2,2:1/2)", "randomized(param 1:1/2,2:1/2)",
         "randomized_compound(param 1:1/2,2:1/2; jumps 1:1/2,2:1/2)"]
     assert all(type(m) is RandomizedCompoundModel for m in BENCH_MODELS)
+
+
+# sha256 prefixes of sample(model, 140_000, 11): n crosses two chunk
+# boundaries, so any change to the draws or their order shows
+DRAW_DIGESTS = [
+    (BENCH_MODELS[0], "a271fdaba27b4013"),
+    (BENCH_MODELS[1], "c8a26f9c6a5a1b0e"),
+    (BENCH_MODELS[2], "ca3da9ed91dc3bb4"),
+    (BENCH_MODELS[3], "62b40e07bc59d99e"),
+    (PoissonModel(800), "6d1bd2e22bf276ca"),
+    (RandomizedModel(DiscreteDist((1, 800), (HALF, HALF))), "4d089e12aef364ae"),
+    (RandomizedModel(DiscreteDist((0, 2), (HALF, HALF))), "cc350496e735615e"),
+]
+
+
+@pytest.mark.parametrize("model, digest", DRAW_DIGESTS,
+                         ids=[m.describe() for m, _ in DRAW_DIGESTS])
+def test_draws_are_pinned(model, digest):
+    assert hashlib.sha256(sample(model, 140_000, 11).tobytes()).hexdigest()[:16] == digest
+
+
+def _edge_draws(cdf):
+    """0, 2^53 - 1, both sides of every bucket edge, and the 53-bit
+    neighbours of every CDF value."""
+    edges = range(0, 1 << 53, 1 << (53 - BUCKET_BITS))
+    ws = {0, (1 << 53) - 1} | {e + d for e in edges for d in (-1, 0)}
+    for c in cdf:
+        at = math.floor(Fraction(float(c)) * (1 << 53))
+        ws |= {at - 1, at, at + 1}
+    return np.array(sorted(w for w in ws if 0 <= w < 1 << 53), dtype=np.uint64)
+
+
+def _uniform_dist(n):
+    return DiscreteDist(range(n), (Fraction(1, n),) * n)
+
+
+def test_float_cdfs_end_below_and_above_one():
+    assert _uniform_dist(6).cdf_array()[-1] < 1 < _uniform_dist(9).cdf_array()[-1]
+
+
+def _check_inversion(cdf, extra=()):
+    w = np.concatenate((_edge_draws(cdf), np.array(extra, dtype=np.uint64)))
+    assert np.array_equal(_invert(cdf, w), np.searchsorted(cdf, w * 2.0 ** -53, side="right"))
+
+
+@pytest.mark.parametrize("cdf", [_poisson_cdf(lam) for lam in (0.0, 0.25, 1.0, 2.0, 400.0, 500.0)]
+                         + [_uniform_dist(6).cdf_array(), _uniform_dist(9).cdf_array()],
+                         ids=["poisson(0)", "poisson(1/4)", "poisson(1)", "poisson(2)", "poisson(400)",
+                              "poisson(500)", "uniform(6)", "uniform(9)"])
+def test_bucket_inversion_on_fixed_cdfs(cdf):
+    _check_inversion(cdf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 1000), min_size=1, max_size=12),
+       st.lists(st.integers(0, (1 << 53) - 1), max_size=40))
+def test_bucket_inversion_equals_searchsorted(weights, extra):
+    dist = DiscreteDist(range(len(weights)), [Fraction(w, sum(weights)) for w in weights])
+    _check_inversion(dist.cdf_array(), extra)
 
 
 def test_sampling_is_deterministic_and_seed_sensitive():

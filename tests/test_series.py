@@ -14,6 +14,8 @@ from umbral.poly import Poly
 from umbral.prng import Stream
 from umbral.series import Series, factorial
 
+from oracles import mul_t
+
 rationals = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=4)
 
@@ -158,7 +160,7 @@ def test_revert_identity_and_tree():
     order = 8
     neg = Series(order, [Fraction((-1) ** k, factorial(k))
                          for k in range(order + 1)])
-    h = neg.mul_t()  # t e^{-t}
+    h = mul_t(neg)  # t e^{-t}
     w = h.revert()
     assert [w.egf_moment(k) for k in range(1, order + 1)] == \
         [k ** (k - 1) for k in range(1, order + 1)]
@@ -396,7 +398,7 @@ RING_KERNELS = {
     "compose": lambda f, g, p: f.compose(delta(g)),
     "revert": lambda f, g, p: delta(f).revert(),
     "derivative": lambda f, g, p: f.derivative(),
-    "mul_t": lambda f, g, p: f.mul_t(),
+    "mul_t": lambda f, g, p: mul_t(f),
     "truncate": lambda f, g, p: f.truncate(abs(p)),
 }
 
@@ -579,7 +581,7 @@ FLOAT_OPS = {
     "compose": lambda f, g: f.compose(delta(g)),
     "revert": lambda f, g: reversible(f).revert(),
     "derivative": lambda f, g: f.derivative(),
-    "mul_t": lambda f, g: f.mul_t(),
+    "mul_t": lambda f, g: mul_t(f),
     "truncate": lambda f, g: f.truncate(2),
     "from_moments": lambda f, g: Series.from_moments(f.moments()),
 }
