@@ -14,7 +14,7 @@ B_{k,j}(1, 1, ...) = S(k,j):
 * ``RandomizedModel(param)``    -- unit jumps: sum_j S(k,j) E[L^j].
 
 ``describe`` names the simplest case that the two distributions fit, so a
-one-point ``param`` is labelled, and drawn, as the fixed rate it is.
+one-point ``param`` is labelled, drawn and checked as the fixed rate it is.
 
 Randomness: SplitMix64 only (see :mod:`umbral.prng`).  Sampling is chunked;
 chunk c of a run seeded with s gets its own seed ``Stream(s).at(c)`` and
@@ -22,13 +22,14 @@ draws from the substreams ``Stream(chunk_seed).derive(t)`` in sample order:
 t = 1 gives the counts at a fixed rate, else the rate's index, t = 2 the
 counts at a random rate, t = 3 the jumps.  Jumps on one point v draw
 nothing: a draw is N v, rounded once.  Each draw is a 53-bit int w, the
-uniform w 2^-53, inverted against a CDF table by ``_invert``: 2^10 buckets
-on w's top bits answer each draw whose bucket no CDF value splits, and only
-the rest are searched.  The Poisson table comes from the recurrence
-p_{k+1} = p_k * lam/(k+1).  Its start, exp(-lam), loses precision above
-lam = 708 and underflows above 745, so a rate above
-``POISSON_PART`` is split into equal parts whose counts are summed: Poisson
-additivity, x.beta + y.beta' ~ (x + y).beta (see ``_poisson_counts``).
+uniform w 2^-53, inverted against a CDF through its bucket table: 2^10
+buckets on w's top bits answer each draw whose bucket no CDF value splits,
+and only the rest are searched.  At a random rate, one table stacks a row
+per rate, and the split-bucket draws are searched grouped by rate.  The
+Poisson CDF comes from the recurrence p_{k+1} = p_k * lam/(k+1).  Its
+start, exp(-lam), loses precision above lam = 708 and underflows above 745,
+so a rate above ``POISSON_PART`` is split into equal parts whose counts are
+summed: Poisson additivity, x.beta + y.beta' ~ (x + y).beta.
 Everything downstream is a pure function of (model, n, seed).
 
 Empirical moments are exact power sums of the draws, rounded once (see
@@ -59,7 +60,7 @@ Z_TOLERANCE = 8.0
 MAX_ORDER_CAP = 6
 POISSON_PART = 500
 BUCKET_BITS = 10
-MAX_RATE = 100_000
+MAX_RATE = 100_000  # the sampler draws ceil(rate / POISSON_PART) uniforms per count
 
 
 def _uniform_block(seed: int, count: int) -> np.ndarray:
@@ -76,15 +77,6 @@ def _uniform_block(seed: int, count: int) -> np.ndarray:
     z ^= z >> np.uint64(31)
     z >>= np.uint64(11)
     return z
-
-
-def _rate(lam) -> Fraction:
-    """A Poisson rate: positive, and at most MAX_RATE because the sampler
-    draws ceil(lam / POISSON_PART) uniforms per count."""
-    lam = Fraction(lam)
-    if not 0 < lam <= MAX_RATE:
-        raise InvalidDistribution(f"Poisson rate must lie in (0, {MAX_RATE}]")
-    return lam
 
 
 # -- distributions ----------------------------------------------------------------
@@ -147,6 +139,8 @@ class RandomizedCompoundModel:
     jumps: DiscreteDist
 
     def __post_init__(self):
+        if len(self.param.values) == 1 and not 0 < self.param.values[0] <= MAX_RATE:
+            raise InvalidDistribution(f"Poisson rate must lie in (0, {MAX_RATE}]")
         if not all(0 <= v <= MAX_RATE for v in self.param.values):
             raise InvalidDistribution(f"parameter values must lie in [0, {MAX_RATE}]")
 
@@ -160,11 +154,11 @@ class RandomizedCompoundModel:
 
 
 def PoissonModel(lam) -> RandomizedCompoundModel:
-    return RandomizedCompoundModel(DiscreteDist.point_mass(_rate(lam)), _UNIT_JUMPS)
+    return RandomizedCompoundModel(DiscreteDist.point_mass(lam), _UNIT_JUMPS)
 
 
 def CompoundModel(lam, jumps: DiscreteDist) -> RandomizedCompoundModel:
-    return RandomizedCompoundModel(DiscreteDist.point_mass(_rate(lam)), jumps)
+    return RandomizedCompoundModel(DiscreteDist.point_mass(lam), jumps)
 
 
 def RandomizedModel(param: DiscreteDist) -> RandomizedCompoundModel:
@@ -202,39 +196,58 @@ def _poisson_cdf(lam: float) -> np.ndarray:
     return np.array(cdf)
 
 
-def _invert(cdf: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, w * 2**-53, side="right")`` for 53-bit ints w.
-    A draw takes the index at the start of its bucket, one of 2^BUCKET_BITS
-    equal parts of [0, 1), unless a CDF value splits that bucket: only those
-    draws, in at most len(cdf) buckets, are searched.  The split test reads
-    the float just below the bucket's end, at or above its last draw."""
+def _bucket_table(cdf: np.ndarray) -> np.ndarray:
+    """The index that ``np.searchsorted(cdf, u, side="right")`` gives every
+    u in each of 2^BUCKET_BITS equal buckets of [0, 1), or -1 where a CDF
+    value splits the bucket.  The split test reads the float just below the
+    bucket's end, at or above its last draw."""
     import numpy as np
     starts = np.arange(1 << BUCKET_BITS) * 2.0 ** -BUCKET_BITS
     lo = np.searchsorted(cdf, starts, side="right")
     hi = np.searchsorted(cdf, np.nextafter(starts + 2.0 ** -BUCKET_BITS, 0), side="right")
-    idx = np.where(hi == lo, lo, -1)[w >> np.uint64(53 - BUCKET_BITS)]
+    return np.where(hi == lo, lo, -1)
+
+
+def _invert(cdf: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, w * 2**-53, side="right")`` for 53-bit ints w."""
+    return _lookup(_bucket_table(cdf)[None], [cdf], w)
+
+
+def _lookup(table: np.ndarray, cdfs: list, w: np.ndarray, row=None) -> np.ndarray:
+    """``_invert(cdfs[row], w)`` per draw for ``row`` each draw's row of the
+    stacked bucket tables ``table`` (None: row 0, with no index array); only
+    draws in split buckets, at most len(cdf) per row, are searched by row."""
+    import numpy as np
+    col = w >> np.uint64(53 - BUCKET_BITS)
+    idx = table[0][col] if row is None else table[row, col]
     split = np.flatnonzero(idx < 0)
-    idx[split] = np.searchsorted(cdf, w[split] * 2.0 ** -53, side="right")
+    groups = [split] if row is None else (split[row[split] == i] for i in range(len(cdfs)))
+    for cdf, at in zip(cdfs, groups):
+        idx[at] = np.searchsorted(cdf, w[at] * 2.0 ** -53, side="right")
     return idx
 
 
-def _poisson_counts(lam: float, w: np.ndarray, stream: Stream, mask=None) -> np.ndarray:
-    """Poisson(lam) counts at the positions ``mask`` selects (all when None)
-    of the draws ``w``, which came from ``stream``.  A rate above
+def _poisson_counts(rates: tuple, stream: Stream, count: int, pidx=None) -> np.ndarray:
+    """Poisson counts of the first ``count`` draws of ``stream``, at the rate
+    ``rates[pidx]`` for each draw (the one rate when ``pidx`` is None): one
+    stacked bucket table, a row per rate, looked up once per draw, and only
+    the split-bucket draws searched, grouped by rate.  A rate above
     POISSON_PART is split into equal parts; part j >= 1 inverts the same
-    positions of the substream ``stream.derive(j)``."""
-    parts = max(1, math.ceil(lam / POISSON_PART))
-    cdf = _poisson_cdf(lam / parts)
-    counts = _invert(cdf, w if mask is None else w[mask])
-    for j in range(1, parts):
-        extra = _uniform_block(stream.derive(j).seed, len(w))
-        counts += _invert(cdf, extra if mask is None else extra[mask])
+    positions of the substream ``stream.derive(j)`` where the rate has it."""
+    import numpy as np
+    parts = [max(1, math.ceil(float(v) / POISSON_PART)) for v in rates]
+    cdfs = [_poisson_cdf(float(v) / k) for v, k in zip(rates, parts)]
+    table = np.stack([_bucket_table(cdf) for cdf in cdfs])
+    counts = _lookup(table, cdfs, _uniform_block(stream.seed, count), pidx)
+    for j in range(1, max(parts)):
+        at = slice(None) if pidx is None else np.flatnonzero(np.take(parts, pidx) > j)
+        extra = _uniform_block(stream.derive(j).seed, count)[at]
+        counts[at] += _lookup(table, cdfs, extra, None if pidx is None else pidx[at])
     return counts
 
 
 def _draw_index(dist: DiscreteDist, w: np.ndarray) -> np.ndarray:
-    import numpy as np
-    return np.minimum(_invert(dist.cdf_array(), w), len(dist.values) - 1)
+    return _invert(dist.cdf_array(), w).clip(max=len(dist.values) - 1)
 
 
 def _segment_sums(jump_values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -248,22 +261,10 @@ def _segment_sums(jump_values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _sample_chunk(model, chunk_seed: int, count: int) -> np.ndarray:
-    import numpy as np
-    s = Stream(chunk_seed)
-    main = s.derive(1)
-    w_main = _uniform_block(main.seed, count)
-    param, jumps = model.param, model.jumps
-    if len(param.values) == 1:
-        counts = _poisson_counts(float(param.values[0]), w_main, main)
-    else:
-        pidx = _draw_index(param, w_main)
-        count_stream = s.derive(2)
-        w_count = _uniform_block(count_stream.seed, count)
-        counts = np.zeros(count, dtype=np.int64)
-        for i, v in enumerate(param.values):
-            mask = pidx == i
-            if mask.any():
-                counts[mask] = _poisson_counts(float(v), w_count, count_stream, mask)
+    s, param, jumps = Stream(chunk_seed), model.param, model.jumps
+    fixed = len(param.values) == 1
+    pidx = None if fixed else _draw_index(param, _uniform_block(s.derive(1).seed, count))
+    counts = _poisson_counts(param.values, s.derive(1 if fixed else 2), count, pidx)
     if len(jumps.values) == 1:
         return counts * float(jumps.values[0])
     w_jump = _uniform_block(s.derive(3).seed, int(counts.sum()))
@@ -283,9 +284,8 @@ def sample(model, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws from the model, as float64; deterministic in
     (model, n, seed)."""
     import numpy as np
-    chunks = _chunks(model, n, seed)
     out = np.empty(n)  # filled in place: no chunk list to concatenate
-    for c, chunk in enumerate(chunks):
+    for c, chunk in enumerate(_chunks(model, n, seed)):
         out[c * CHUNK:(c + 1) * CHUNK] = chunk
     return out
 

@@ -403,6 +403,9 @@ def test_error_reporting():
     ("--workspace", {}, "define", "bell", "1,5"),
     ("--workspace", {}, "define", "u", "1,5"),
     ("--workspace", {}, "define", "a b", "1,5"),
+    # a one-point parameter is a fixed rate, and a rate of 0 is refused
+    ("mc", "--model", "randomized", "--param", "0:1", "--n", "10"),
+    ("mc", "--model", "randomized", "--param", "0:1/2,0:1/2", "--n", "10"),
 ])
 def test_bad_inputs_exit_2_with_json_error(argv, tmp_path):
     argv = list(argv)

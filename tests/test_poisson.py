@@ -18,6 +18,7 @@ from umbral.poisson import (
     RandomizedModel,
     _invert,
     _poisson_cdf,
+    _poisson_counts,
     _power_sums,
     compare,
     empirical_rows,
@@ -25,6 +26,9 @@ from umbral.poisson import (
     sample,
 )
 from umbral.poly import Poly
+from umbral.prng import Stream
+
+from oracles import masked_poisson_counts
 
 HALF = Fraction(1, 2)
 
@@ -40,6 +44,8 @@ def test_discrete_dist_validation():
         RandomizedModel(DiscreteDist((-1, 2), (HALF, HALF)))
     with pytest.raises(InvalidDistribution):
         PoissonModel(0)
+    with pytest.raises(InvalidDistribution, match="Poisson rate must lie in"):
+        RandomizedModel(DiscreteDist.point_mass(0))
     d = DiscreteDist((HALF, 2), (Fraction(2, 3), Fraction(1, 3)))
     assert d.moment(2) == Fraction(2, 3) * Fraction(1, 4) + Fraction(1, 3) * 4
 
@@ -123,6 +129,10 @@ DRAW_DIGESTS = [
     (PoissonModel(800), "6d1bd2e22bf276ca"),
     (RandomizedModel(DiscreteDist((1, 800), (HALF, HALF))), "4d089e12aef364ae"),
     (RandomizedModel(DiscreteDist((0, 2), (HALF, HALF))), "cc350496e735615e"),
+    # rates split into 1, 3 and 6 parts; then 16 rates, none split
+    (RandomizedModel(DiscreteDist((3, 1200, 2600), (HALF, Fraction(1, 4), Fraction(1, 4)))),
+     "78cf3f9585276e06"),
+    (RandomizedModel(DiscreteDist(range(1, 17), (Fraction(1, 16),) * 16)), "b9453ceef4308313"),
 ]
 
 
@@ -170,6 +180,23 @@ def test_bucket_inversion_on_fixed_cdfs(cdf):
 def test_bucket_inversion_equals_searchsorted(weights, extra):
     dist = DiscreteDist(range(len(weights)), [Fraction(w, sum(weights)) for w in weights])
     _check_inversion(dist.cdf_array(), extra)
+
+
+# rates with 1, 2, 3 and 6 parts, 0, and a rate no float holds exactly
+RATES = [0, Fraction(1, 4), 1, 2, Fraction(7, 3), 40, 499, 500, 501, 800, 1200, 2600]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(RATES), min_size=1, max_size=16),
+       st.integers(1, 3000), st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 32 - 1))
+def test_one_pass_counts_equal_the_masked_loop(rates, count, seed, index_seed):
+    # repeated rates stay separate rows here: only DiscreteDist merges them
+    stream = Stream(seed)
+    pidx = np.random.default_rng(index_seed).integers(0, len(rates), count)
+    want = masked_poisson_counts(rates, stream, count, pidx)
+    assert np.array_equal(_poisson_counts(tuple(rates), stream, count, pidx), want)
+    fixed = masked_poisson_counts(rates[:1], stream, count, np.zeros(count, dtype=np.int64))
+    assert np.array_equal(_poisson_counts((rates[0],), stream, count), fixed)
 
 
 def test_sampling_is_deterministic_and_seed_sensitive():
