@@ -539,11 +539,7 @@ def _cmd_invert(args) -> int:
         alpha = ws.lookup(args.name or "")
         if alpha is None:
             raise UnknownAtom(f"unknown umbra {args.name!r}")
-    try:
-        report = inversion.cross_check(ws, alpha)
-    except CoherenceError as exc:  # an engine fault fails the check
-        _emit({"ok": False, "witness": exc.to_json()}, args.format)
-        return 1
+    report = inversion.cross_check(ws, alpha)
     _emit(report.to_json(), args.format)
     return 0 if report.ok else 1
 
@@ -577,15 +573,12 @@ def _cmd_mc(args) -> int:
     _positive(args.max_order, "--max-order")
     from . import poisson  # the Monte Carlo lab, which no exact command needs
     lam = _parse_rational(args.lam) if args.lam else Fraction(1)
-    if args.model == "poisson":
-        model = poisson.PoissonModel(lam)
-    elif args.model == "compound":
-        model = poisson.CompoundModel(lam, _parse_dist(args.jumps, "--jumps"))
-    elif args.model == "randomized":
-        model = poisson.RandomizedModel(_parse_dist(args.param, "--param"))
-    else:
-        model = poisson.RandomizedCompoundModel(_parse_dist(args.param, "--param"),
-                                                _parse_dist(args.jumps, "--jumps"))
+    point_mass = poisson.DiscreteDist.point_mass
+    param = (_parse_dist(args.param, "--param") if args.model.startswith("randomized")
+             else point_mass(lam))
+    jumps = (_parse_dist(args.jumps, "--jumps") if args.model.endswith("compound")
+             else point_mass(1))
+    model = poisson.RandomizedCompoundModel(param, jumps)
     comp = poisson.compare(model, args.n, args.seed or 0, args.max_order)
     _emit(comp.to_json(), args.format)
     return 0 if comp.passed else 1
@@ -685,6 +678,9 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv, namespace=defaults)
         return args.fn(args)
+    except CoherenceError as exc:  # an engine fault fails the check
+        _emit({"ok": False, "witness": exc.to_json()}, args.format)
+        return 1
     except (UmbralError, OSError, ValueError, KeyError, IndexError,
             ZeroDivisionError, OverflowError, RecursionError) as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}

@@ -2,10 +2,12 @@
 
 One model, the randomized compound Poisson variable
 ``RandomizedCompoundModel(param, jumps)``: a rate L drawn from ``param``, a
-Poisson(L) count N, and the sum of N i.i.d. draws from ``jumps``.  Its
-exact moments are one Bell sum, E[X^k] = sum_j E[L^j] B_{k,j}(jump
-moments).  Three named cases build it, with a one-point ``param`` for a
-fixed rate and the point mass at 1 for unit jumps, where
+Poisson(L) count N, and the sum of N i.i.d. draws from ``jumps``.  It is
+the umbra L.part(J), and ``exact_moments`` reads its moments, the Bell sum
+E[X^k] = sum_j E[L^j] B_{k,j}(jump moments), off the engine, whose
+registration checks them against the series route: a faulty kernel raises
+``CoherenceError``.  Three named cases build it, with a one-point
+``param`` for a fixed rate and the point mass at 1 for unit jumps, where
 B_{k,j}(1, 1, ...) = S(k,j):
 
 * ``PoissonModel(lam)``         -- both: sum_j S(k,j) lam^j, the Bell
@@ -20,17 +22,18 @@ Randomness: SplitMix64 only (see :mod:`umbral.prng`).  Sampling is chunked;
 chunk c of a run seeded with s gets its own seed ``Stream(s).at(c)`` and
 draws from the substreams ``Stream(chunk_seed).derive(t)`` in sample order:
 t = 1 gives the counts at a fixed rate, else the rate's index, t = 2 the
-counts at a random rate, t = 3 the jumps.  Jumps on one point v draw
-nothing: a draw is N v, rounded once.  Each draw is a 53-bit int w, the
-uniform w 2^-53, inverted against a CDF through its bucket table: 2^10
-buckets on w's top bits answer each draw whose bucket no CDF value splits,
-and only the rest are searched.  At a random rate, one table stacks a row
-per rate, and the split-bucket draws are searched grouped by rate.  The
-Poisson CDF comes from the recurrence p_{k+1} = p_k * lam/(k+1).  Its
-start, exp(-lam), loses precision above lam = 708 and underflows above 745,
-so a rate above ``POISSON_PART`` is split into equal parts whose counts are
-summed: Poisson additivity, x.beta + y.beta' ~ (x + y).beta.
-Everything downstream is a pure function of (model, n, seed).
+counts at a random rate, t = 3 the jumps.  Jumps on one point v = p/q draw
+nothing: a draw is N p / q, rounded once while N |p| and q are below 2^53.
+Each draw is a 53-bit int w, the uniform w 2^-53, inverted against a CDF
+through its bucket table: 2^10 buckets on w's top bits answer each draw
+whose bucket no CDF value splits, and only the rest are searched.  At a
+random rate, one table stacks a row per rate, and the split-bucket draws
+are searched grouped by rate.  The Poisson CDF comes from the recurrence
+p_{k+1} = p_k * lam/(k+1).  Its start, exp(-lam), loses precision above
+lam = 708 and underflows above 745, so a rate above ``POISSON_PART`` is
+split into equal parts whose counts are summed: Poisson additivity,
+x.beta + y.beta' ~ (x + y).beta.  Everything downstream is a pure function
+of (model, n, seed).
 
 Empirical moments are exact power sums of the draws, rounded once (see
 ``_power_sums``), so they do not depend on how the draws were split:
@@ -48,8 +51,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .combinatorics import bell_transform
+from .core import Workspace
 from .errors import InvalidDistribution
+from .ops import dot, partition_umbra
 from .prng import GOLDEN, MASK, Stream
 
 if TYPE_CHECKING:
@@ -169,13 +173,12 @@ def RandomizedModel(param: DiscreteDist) -> RandomizedCompoundModel:
 
 
 def exact_moments(model, max_order: int) -> list:
-    """Exact rational moments E[X^k] = sum_j E[L^j] B_{k,j}(jump moments)
-    for k = 0..max_order, with L the random rate; for unit jumps
-    B_{k,j}(1, 1, ...) = S(k,j)."""
-    orders = range(max_order + 1)
-    return list(map(Fraction, bell_transform([model.param.moment(j) for j in orders],
-                                             [model.jumps.moment(j) for j in orders[1:]],
-                                             max_order)))
+    """Exact rational moments E[X^k], k = 0..max_order, of the umbra L.part(J)
+    (L the rate's and J the jumps' moments), registered in a workspace of its own."""
+    ws = Workspace(max_order, indeterminates=())
+    rate = ws.define("L", [model.param.moment(j) for j in range(max_order + 1)])
+    jumps = ws.define("J", [model.jumps.moment(j) for j in range(max_order + 1)])
+    return list(map(Fraction, dot(ws, rate, partition_umbra(ws, jumps)).moments))
 
 
 # -- sampling ---------------------------------------------------------------------------
@@ -265,8 +268,9 @@ def _sample_chunk(model, chunk_seed: int, count: int) -> np.ndarray:
     fixed = len(param.values) == 1
     pidx = None if fixed else _draw_index(param, _uniform_block(s.derive(1).seed, count))
     counts = _poisson_counts(param.values, s.derive(1 if fixed else 2), count, pidx)
-    if len(jumps.values) == 1:
-        return counts * float(jumps.values[0])
+    if len(jumps.values) == 1:  # N p / q: an exact product, then one rounding
+        p, q = jumps.values[0].as_integer_ratio()
+        return counts * float(p) / q if q > 1 else counts * float(p)
     w_jump = _uniform_block(s.derive(3).seed, int(counts.sum()))
     return _segment_sums(jumps.value_array()[_draw_index(jumps, w_jump)], counts)
 

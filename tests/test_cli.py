@@ -230,6 +230,26 @@ def test_check_reports_an_engine_fault_as_a_failed_check(monkeypatch):
     assert code == 1 and err == "" and len(json.loads(out)) == 31
 
 
+@pytest.mark.parametrize("method, argv, atom", [
+    ("compose", ["mc", "--model", "poisson", "--lambda", "1", "--n", "1000"], "L.part(J)"),
+    ("exp", ["gf", "part(u)"], "part(u)"),
+    ("exp", ["eval", "E[part(u) + u]", "-k", "2"], "part(u)"),
+])
+def test_every_command_reports_an_engine_fault_as_a_failed_check(monkeypatch, method,
+                                                                argv, atom):
+    # a wrong series kernel makes a registration raise CoherenceError, which
+    # main reports for every command as a failed check: exit 1 with the
+    # witness on stdout, not an input error (exit 2)
+    real = getattr(Series, method)
+    monkeypatch.setattr(Series, method,
+                        lambda self, *a: real(self, *a) + Series.t(self.order))
+    code, out, err = run(*argv)
+    doc = json.loads(out)
+    assert code == 1 and err == "" and doc["ok"] is False
+    assert set(doc["witness"]) == {"statement", "atom", "k", "moment", "gf_moment", "order"}
+    assert doc["witness"]["atom"] == atom
+
+
 @pytest.mark.parametrize("flag", ["partial_bell_expansion_ok", "abel_expansion_ok"])
 def test_invert_exit_status_reads_every_check(monkeypatch, flag):
     cross_check = umbral.inversion.cross_check

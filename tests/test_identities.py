@@ -201,6 +201,6 @@ def test_catalog_registrations_match_committed_digest(monkeypatch):
 
     monkeypatch.setattr(Workspace, "_register", recording)
     assert all(c.passed for c in check_all())
-    assert len(seen) == 1782
+    assert len(seen) == 1771
     digest = hashlib.sha256("\n".join(seen).encode()).hexdigest()
-    assert digest[:16] == "6a9e39f6ecdc8b72"
+    assert digest[:16] == "af4934eb8394f23b"

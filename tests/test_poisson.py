@@ -2,13 +2,15 @@ import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from umbral import combinatorics
 from umbral.combinatorics import bell_number, bell_triangle
-from umbral.errors import InvalidDistribution
+from umbral.errors import CoherenceError, InvalidDistribution
 from umbral.poisson import (
     BUCKET_BITS,
     CompoundModel,
@@ -27,6 +29,7 @@ from umbral.poisson import (
 )
 from umbral.poly import Poly
 from umbral.prng import Stream
+from umbral.series import Series
 
 from oracles import masked_poisson_counts
 
@@ -92,6 +95,41 @@ def test_exact_moments_match_hand_bell_sum(model):
     got = exact_moments(model, 6)
     assert got == _hand_bell_sum(model, 6)
     assert all(type(v) is Fraction for v in got)
+
+
+def corrupt_compose(monkeypatch):
+    """A wrong t^1 coefficient in every composition: the series route of
+    L.part(J), L's series composed with the log of part(J)'s."""
+    compose = Series.compose
+    monkeypatch.setattr(Series, "compose",
+                        lambda self, inner: compose(self, inner) + Series.t(self.order))
+
+
+def corrupt_comtet(monkeypatch):
+    """One wrong entry of the Comtet loop behind every Bell triangle: the
+    moment route of part(J) and of L.part(J)."""
+    comtet = combinatorics._comtet
+
+    def corrupted(a):
+        rows = [list(r) for r in comtet(a)]
+        rows[3][2] = rows[3][2] + 1
+        return rows
+
+    monkeypatch.setattr(combinatorics, "_comtet", corrupted)
+    # a cache of its own, so no triangle built before or during the test is read
+    monkeypatch.setattr(combinatorics, "_bell_triangle_cached",
+                        lru_cache(maxsize=8)(combinatorics._bell_triangle_cached.__wrapped__))
+
+
+@pytest.mark.parametrize("corrupt", [corrupt_compose, corrupt_comtet],
+                         ids=["compose", "comtet"])
+@pytest.mark.parametrize("model", BENCH_MODELS, ids=lambda m: m.describe())
+def test_a_faulty_kernel_fails_the_prediction(monkeypatch, corrupt, model):
+    # the prediction is the engine's registered umbra L.part(J), so a wrong
+    # kernel on either route raises, not just skews the rows a z-gate reads
+    corrupt(monkeypatch)
+    with pytest.raises(CoherenceError):
+        compare(model, 1000, 1)
 
 
 def test_exact_predictions():
@@ -223,11 +261,12 @@ def test_degenerate_reductions_distributionally():
 
 
 def test_one_point_jumps_are_scaled_counts():
-    # count * v, rounded once: no cumsum of float(1/3) that drifts along the chunk
+    # count/3, rounded once: neither a cumsum of float(1/3) that drifts along
+    # the chunk nor count * float(1/3), which rounds twice
     n, seed = (1 << 16) + 500, 5
     thirds = sample(CompoundModel(1, DiscreteDist.point_mass(Fraction(1, 3))), n, seed)
     counts = sample(PoissonModel(1), n, seed)
-    assert thirds.tobytes() == (counts * float(Fraction(1, 3))).tobytes()
+    assert thirds.tobytes() == np.array([float(Fraction(int(c), 3)) for c in counts]).tobytes()
 
 
 def test_compare_rows_and_pass():
