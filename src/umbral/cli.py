@@ -541,7 +541,7 @@ def _cmd_invert(args) -> int:
             raise UnknownAtom(f"unknown umbra {args.name!r}")
     report = inversion.cross_check(ws, alpha)
     _emit(report.to_json(), args.format)
-    return 0 if report.ok else 1
+    return 0 if report.passed else 1
 
 
 def _cmd_bell(args) -> int:
@@ -571,13 +571,17 @@ def _cmd_bellpoly(args) -> int:
 def _cmd_mc(args) -> int:
     _positive(args.n, "--n")
     _positive(args.max_order, "--max-order")
+    randomized, compound = args.model.startswith("randomized"), args.model.endswith("compound")
+    for option, value, read in (("--lambda", args.lam, not randomized),
+                                ("--param", args.param, randomized),
+                                ("--jumps", args.jumps, compound)):
+        if value is not None and not read:  # a check of another model
+            raise UsageError(f"--model {args.model} does not read {option}")
     from . import poisson  # the Monte Carlo lab, which no exact command needs
     lam = _parse_rational(args.lam) if args.lam else Fraction(1)
     point_mass = poisson.DiscreteDist.point_mass
-    param = (_parse_dist(args.param, "--param") if args.model.startswith("randomized")
-             else point_mass(lam))
-    jumps = (_parse_dist(args.jumps, "--jumps") if args.model.endswith("compound")
-             else point_mass(1))
+    param = _parse_dist(args.param, "--param") if randomized else point_mass(lam)
+    jumps = _parse_dist(args.jumps, "--jumps") if compound else point_mass(1)
     model = poisson.RandomizedCompoundModel(param, jumps)
     comp = poisson.compare(model, args.n, args.seed or 0, args.max_order)
     _emit(comp.to_json(), args.format)
@@ -634,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, default=None, help="max order override")
     p.set_defaults(fn=_cmd_check)
 
-    p = add("invert", help="Lagrange inversion with oracle cross-check")
+    p = add("invert", help="Lagrange inversion with its claims checked")
     p.add_argument("--name", help="umbra name from the workspace")
     p.add_argument("--series", help="delta series in t, e.g. 't*exp(-t)'")
     p.set_defaults(fn=_cmd_invert)

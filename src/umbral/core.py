@@ -50,6 +50,7 @@ from .errors import (
     CoherenceError,
     OrderExceeded,
     UndeclaredIndeterminate,
+    UsageError,
 )
 from .poly import ONE, ZERO, Poly
 from .series import Series
@@ -238,6 +239,32 @@ def _groups(parts) -> list:
         groups.append((atoms.union(*(g[0] for g in linked)),
                        [p for g in linked for p in g[1]] + [part]))
     return [g[1] for g in groups]
+
+
+# -- claims ---------------------------------------------------------------------------
+
+
+def _render(side):
+    return [str(v) for v in side] if isinstance(side, (list, tuple)) else str(side)
+
+
+def verdict(claims, designed=False):
+    """``(passed, witness)`` for an entry's claims, pulled in order up to the
+    first false one, which is the witness; a designed counterexample passes
+    on it and fails, with its last claim as the witness, if every claim
+    holds.  An entry that makes no claim raises ``UsageError``."""
+    held, claim = True, None
+    for claim in claims:
+        held = claim[1] == claim[2]
+        if not held:
+            break
+    if claim is None:
+        raise UsageError("these parameters leave the entry no claim to check")
+    if held and not designed:
+        return True, None
+    statement, lhs, rhs, data = claim
+    return held != designed, {"statement": statement, "lhs": _render(lhs),
+                              "rhs": _render(rhs), **data}
 
 
 # -- workspace ------------------------------------------------------------------------

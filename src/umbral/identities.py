@@ -8,15 +8,17 @@ moment sequences of both sides; a bare condition is claimed as
 drawn parameters.  All comparisons are exact (polynomial identities compare
 coefficients, never sampled points).
 
-One harness judges every entry: it pulls the claims in order and stops at
-the first false one, whose witness ``{"statement", "lhs", "rhs", **data}``
-renders each side as a string or a list of strings.  An entry fails on a
-false claim and passes when every claim holds.  One entry,
-``remark1_left_dist_counterexample``, is a designed counterexample, and its
-verdict is inverted: it passes by *exhibiting* a false claim (the point
-product does not left-distribute over umbra sums), with that claim as its
-witness, and fails if every claim holds.  Parameters under which an entry
-makes no claim at all are a ``UsageError``, never a vacuous pass.
+One harness, ``core.verdict``, judges every entry (and the Lagrange
+inversion's claims in :func:`umbral.inversion.cross_check`): it pulls the
+claims in order and stops at the first false one, whose witness
+``{"statement", "lhs", "rhs", **data}`` renders each side as a string or a
+list of strings.  An entry fails on a false claim and passes when every
+claim holds.  One entry, ``remark1_left_dist_counterexample``, is a designed
+counterexample, and its verdict is inverted: it passes by *exhibiting* a
+false claim (the point product does not left-distribute over umbra sums),
+with that claim as its witness, and fails if every claim holds.
+Parameters under which an entry makes no claim at all are a
+``UsageError``, never a vacuous pass.
 
 Random umbrae draw their moments from SplitMix64 streams (numerator in
 [-9, 9], denominator in {1, 2, 3, 4}, zeroth moment 1), with a fixed
@@ -40,9 +42,9 @@ from .combinatorics import (
     bernoulli_number,
     stirling,
 )
-from .core import IntPower, Product, Sum, Workspace
+from .core import IntPower, Product, Sum, Workspace, verdict
 from .errors import CoherenceError, UnknownIdentity, UsageError
-from .inversion import cross_check
+from .inversion import claims as inversion_claims, invert
 from .ops import (
     alpha_bar,
     bell_umbra,
@@ -83,29 +85,6 @@ class IdentityCase:
             "witness": self.witness,
             "designed_counterexample": self.designed_counterexample,
         }
-
-
-def _render(side):
-    return [str(v) for v in side] if isinstance(side, (list, tuple)) else str(side)
-
-
-def _verdict(claims, designed=False):
-    """``(passed, witness)`` for an entry's claims, pulled in order up to the
-    first false one, which is the witness; a designed counterexample passes
-    on it and fails, with its last claim as the witness, if every claim
-    holds.  An entry that makes no claim raises ``UsageError``."""
-    held, claim = True, None
-    for claim in claims:
-        held = claim[1] == claim[2]
-        if not held:
-            break
-    if claim is None:
-        raise UsageError("these parameters leave the entry no claim to check")
-    if held and not designed:
-        return True, None
-    statement, lhs, rhs, data = claim
-    return held != designed, {"statement": statement, "lhs": _render(lhs),
-                              "rhs": _render(rhs), **data}
 
 
 def _similar(ws, statement, lhs, rhs, **data):
@@ -529,15 +508,14 @@ def _chk_thm8(params):
     ws = _ws(params, indets=())
     # the classical test case f - 1 = t e^{-t}, whose k-th moment is k (-1)^(k-1)
     f = Series.from_moments([1] + [k * (-1) ** (k - 1) for k in range(1, ws.order + 1)])
-    rep = cross_check(ws, ws._register("tree", f.moments(), f))
-    yield ("tree-function inversion failed",
-           rep.gamma_moments_umbral[1:],
+    tree = ws._register("tree", f.moments(), f)
+    bar, gamma, chi = invert(ws, tree)
+    yield ("tree-function inversion failed", list(gamma.moments[1:]),
            [Fraction(k ** (k - 1)) for k in range(1, ws.order + 1)], {})
-    yield "tree-function inversion cross-check failed", rep.ok, True, {}
+    yield from inversion_claims(ws, tree, bar, gamma, chi, {})
     for trial in range(params["trials"]):
         a = _random_atom(ws, stream, f"a{trial}", nonzero_first=True)
-        yield ("random inversion cross-check failed", cross_check(ws, a).ok, True,
-               {"trial": trial})
+        yield from inversion_claims(ws, a, *invert(ws, a), {"trial": trial})
 
 
 # -- catalog -----------------------------------------------------------------------
@@ -669,7 +647,7 @@ def check(identity_id: str, params: dict = None) -> IdentityCase:
     if params:
         merged.update(params)
     try:
-        passed, witness = _verdict(entry["fn"](merged), entry["designed_counterexample"])
+        passed, witness = verdict(entry["fn"](merged), entry["designed_counterexample"])
     except CoherenceError as exc:
         passed, witness = False, exc.to_json()
     return IdentityCase(

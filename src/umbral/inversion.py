@@ -1,4 +1,4 @@
-"""Compositional inversion of umbrae, two independent ways.
+"""Compositional inversion of umbrae, checked by claims.
 
 ``revert_umbral`` builds the inverse umbra from the closed moment formula
 
@@ -8,19 +8,18 @@ where bar is the shifted-moment umbra of alpha (:func:`umbral.ops.alpha_bar`)
 and the expectation is the falling-factorial Bell expansion of bar's
 moments (one row of bar's triangle); registration checks gamma against
 1 + (f - 1)^{<-1>}, the series ``revert_oracle`` registers alone.
-``cross_check`` compares gamma's moments with that series' exactly, and
-also verifies the bookkeeping identities behind the moment formula: the
-partial-Bell expansion and the Abel-style expansion of the composition
-umbra's powers, whose moments must come out (1, 1, 0, ..., 0).
+``cross_check`` judges the identities behind the formula (:func:`claims`)
+through the claim harness of :mod:`umbral.core`, as the identity catalog's
+``thm8_lagrange`` does, and reports the first false claim as the witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .combinatorics import bell_moment
-from .core import Atom, IntPower, Product, Sum, Workspace
+from .core import Atom, IntPower, Product, Sum, Workspace, verdict
 from .ops import a1_reciprocal, alpha_bar, composition_umbra, dot, falling_factorials
 from .poly import Poly, rational
 from .series import Series
@@ -38,6 +37,13 @@ def _reversion(alpha: Atom) -> Series:
     return Series.one(alpha.egf.order) + (alpha.egf - Series.one(alpha.egf.order)).revert()
 
 
+def _lagrange(ws: Workspace, alpha: Atom, bar: Atom) -> Atom:
+    inv_a1 = a1_reciprocal(alpha)
+    moments = [1] + [dot_moment_formula(bar, -k, k - 1) * inv_a1 ** k
+                     for k in range(1, ws.order + 1)]
+    return ws._register(f"lag({alpha.name})", moments, _reversion(alpha))
+
+
 def revert_umbral(ws: Workspace, alpha: Atom) -> Atom:
     """The inverse umbra gamma of alpha, from the closed moment formula.
 
@@ -46,11 +52,7 @@ def revert_umbral(ws: Workspace, alpha: Atom) -> Atom:
     moment sequence (1, 1, 0, 0, ...).  Registration checks the Bell-route
     moments against the reversion of f - 1: Lagrange inversion at every order.
     """
-    inv_a1 = a1_reciprocal(alpha)
-    bar = alpha_bar(ws, alpha)
-    moments = [1] + [dot_moment_formula(bar, -k, k - 1) * inv_a1 ** k
-                     for k in range(1, ws.order + 1)]
-    return ws._register(f"lag({alpha.name})", moments, _reversion(alpha))
+    return _lagrange(ws, alpha, alpha_bar(ws, alpha))
 
 
 def revert_oracle(ws: Workspace, alpha: Atom) -> Atom:
@@ -62,63 +64,29 @@ def revert_oracle(ws: Workspace, alpha: Atom) -> Atom:
     return ws._register(f"lagrev({alpha.name})", g.moments(), g)
 
 
-@dataclass
-class InversionReport:
-    """Outcome of the two-route inversion of one umbra."""
-
-    order: int
-    gamma_moments_umbral: list
-    gamma_moments_oracle: list
-    agree: bool
-    chi_moments: list = field(default_factory=list)
-    chi_ok: bool = True
-    partial_bell_expansion_ok: bool = True
-    abel_expansion_ok: bool = True
-
-    @property
-    def ok(self) -> bool:
-        """Both routes agree and all three expansions check out."""
-        return (self.agree and self.chi_ok and self.partial_bell_expansion_ok
-                and self.abel_expansion_ok)
-
-    def to_json(self) -> dict:
-        def values(ms):
-            return [Poly.coerce(m).to_json() for m in ms]
-        return {
-            "order": self.order,
-            "gamma_moments_umbral": values(self.gamma_moments_umbral),
-            "gamma_moments_oracle": values(self.gamma_moments_oracle),
-            "agree": self.agree,
-            "chi_moments": values(self.chi_moments),
-            "chi_ok": self.chi_ok,
-            "partial_bell_expansion_ok": self.partial_bell_expansion_ok,
-            "abel_expansion_ok": self.abel_expansion_ok,
-        }
+def invert(ws: Workspace, alpha: Atom) -> tuple:
+    """``(bar, gamma, chi)``: bar(alpha), the inverse umbra gamma built on
+    that one bar, and chi = comp(gamma, alpha)."""
+    bar = alpha_bar(ws, alpha)
+    gamma = _lagrange(ws, alpha, bar)
+    return bar, gamma, composition_umbra(ws, gamma, alpha)
 
 
-def cross_check(ws: Workspace, alpha: Atom) -> InversionReport:
-    """Invert alpha both ways and verify the proof-side expansions.
+def claims(ws: Workspace, alpha: Atom, bar: Atom, gamma: Atom, chi: Atom, data: dict):
+    """The claims ``(statement, lhs, rhs, data)`` behind the inversion of
+    alpha (see :func:`invert`), for n up to the workspace order:
 
-    Checks, for n up to the workspace order:
-
-    * the two gamma moment sequences agree exactly;
     * chi = comp(gamma, alpha) has moments (1, 1, 0, ..., 0);
     * E[chi^n] equals the partial-Bell expansion
-      sum_k C(n,k) a_1^k g_k E[(-k.bar)^{n-k}];
+      sum_k C(n,k) a_1^k g_k E[(k.bar)^{n-k}];
     * E[chi^n] equals the Abel-style expansion
       sum_k C(n,k) E[chi (chi - k.bar)^{k-1}] E[(k.bar')^{n-k}].
+
+    Each per-n claim's data is the caller's ``data`` plus ``n``.
     """
     order = ws.order
-    gamma = revert_umbral(ws, alpha)
-    gm, om = list(gamma.moments), gamma.egf.moments()  # the oracle: gamma's series
-    agree = gm == om
-
-    chi = composition_umbra(ws, gamma, alpha)
-    chi_m = list(chi.moments)
     expected = [1] * min(2, order + 1) + [0] * max(0, order - 1)
-    chi_ok = chi_m == expected
-
-    bar = alpha_bar(ws, alpha)
+    yield "comp(gamma, a) moments != (1, 1, 0, ..., 0)", list(chi.moments), expected, data
     a1 = rational(alpha.moments[1])
     # built once per k: the multiples k.bar and the Abel factors
     # E[chi (chi + w)^{k-1}] with w = (-k).bar, uncorrelated with k.bar
@@ -128,8 +96,6 @@ def cross_check(ws: Workspace, alpha: Atom) -> InversionReport:
         w = dot(ws, -k, bar)
         abel_first.append(
             ws.eval(Product((chi, IntPower(Sum((chi, w)), k - 1)))))
-    pb_ok = True
-    abel_ok = True
     for n in range(order + 1):
         # partial-Bell expansion of chi^n (the positive multiple k.bar,
         # matching the B_{n,k} identity the expansion comes from), with
@@ -137,23 +103,44 @@ def cross_check(ws: Workspace, alpha: Atom) -> InversionReport:
         total = 0
         for k in range(n + 1):
             total += comb(n, k) * a1 ** k * gamma.moments[k] * mult[k].egf.egf_moment(n - k)
-        if total != chi_m[n]:
-            pb_ok = False
+        yield ("E[chi^n] != sum_k C(n,k) a_1^k g_k E[(k.bar)^{n-k}]", chi.moments[n],
+               total, {**data, "n": n})
         # Abel-style expansion of chi^n (k = 0 term is E[eps-shift] = 0 for
         # n >= 1 and 1 for n = 0)
         total = 1 if n == 0 else 0
         for k in range(1, n + 1):
             total = total + comb(n, k) * abel_first[k] * mult[k].moments[n - k]
-        if total != chi_m[n]:
-            abel_ok = False
+        yield ("E[chi^n] != sum_k C(n,k) E[chi (chi - k.bar)^{k-1}] E[(k.bar')^{n-k}]",
+               chi.moments[n], total, {**data, "n": n})
 
-    return InversionReport(
-        order=order,
-        gamma_moments_umbral=gm,
-        gamma_moments_oracle=om,
-        agree=agree,
-        chi_moments=chi_m,
-        chi_ok=chi_ok,
-        partial_bell_expansion_ok=pb_ok,
-        abel_expansion_ok=abel_ok,
-    )
+
+@dataclass
+class InversionReport:
+    """Outcome of the inversion of one umbra: the harness's verdict on its
+    claims, with the first false one as the witness."""
+
+    order: int
+    gamma_moments: list
+    chi_moments: list
+    passed: bool
+    witness: dict | None
+
+    def to_json(self) -> dict:
+        def values(ms):
+            return [Poly.coerce(m).to_json() for m in ms]
+        return {
+            "order": self.order,
+            "gamma_moments": values(self.gamma_moments),
+            "chi_moments": values(self.chi_moments),
+            "pass": self.passed,
+            "witness": self.witness,
+        }
+
+
+def cross_check(ws: Workspace, alpha: Atom) -> InversionReport:
+    """Invert alpha by the closed moment formula and judge its
+    :func:`claims`."""
+    bar, gamma, chi = invert(ws, alpha)
+    passed, witness = verdict(claims(ws, alpha, bar, gamma, chi, {}))
+    return InversionReport(ws.order, list(gamma.moments), list(chi.moments), passed,
+                           witness)

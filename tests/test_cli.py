@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -192,8 +191,9 @@ def test_check_command_exit_codes(monkeypatch):
 def test_invert_command():
     code, out, _ = run("invert", "--series", "t*exp(-t)", "--order", "8")
     doc = json.loads(out)
-    assert code == 0 and doc["agree"] and doc["chi_ok"]
-    assert doc["gamma_moments_umbral"][:5] == ["1", "1", "2", "9", "64"]
+    assert set(doc) == {"order", "gamma_moments", "chi_moments", "pass", "witness"}
+    assert code == 0 and doc["pass"] and doc["witness"] is None
+    assert doc["gamma_moments"][:5] == ["1", "1", "2", "9", "64"]
     assert doc["chi_moments"][:3] == ["1", "1", "0"]
 
 
@@ -204,10 +204,8 @@ def test_invert_command_on_an_x_carrying_umbra(tmp_path):
     wsf.write_text(json.dumps({"order": 10, "indeterminates": ["x"], "umbrae": {"a": moments}}))
     code, out, _ = run("--workspace", str(wsf), "invert", "--name", "a")
     doc = json.loads(out)
-    assert code == 0
-    assert all(doc[k] for k in ("agree", "chi_ok", "partial_bell_expansion_ok",
-                                "abel_expansion_ok"))
-    assert isinstance(doc["gamma_moments_umbral"][2], dict)  # carries x
+    assert code == 0 and doc["pass"] and doc["witness"] is None
+    assert isinstance(doc["gamma_moments"][2], dict)  # carries x
 
 
 def test_check_reports_an_engine_fault_as_a_failed_check(monkeypatch):
@@ -250,17 +248,46 @@ def test_every_command_reports_an_engine_fault_as_a_failed_check(monkeypatch, me
     assert doc["witness"]["atom"] == atom
 
 
-@pytest.mark.parametrize("flag", ["partial_bell_expansion_ok", "abel_expansion_ok"])
-def test_invert_exit_status_reads_every_check(monkeypatch, flag):
-    cross_check = umbral.inversion.cross_check
+PARTIAL_BELL = "E[chi^n] != sum_k C(n,k) a_1^k g_k E[(k.bar)^{n-k}]"
+ABEL = "E[chi^n] != sum_k C(n,k) E[chi (chi - k.bar)^{k-1}] E[(k.bar')^{n-k}]"
+CHI = "comp(gamma, a) moments != (1, 1, 0, ..., 0)"
 
-    def broken(ws, alpha):
-        return dataclasses.replace(cross_check(ws, alpha), **{flag: False})
 
-    monkeypatch.setattr(umbral.inversion, "cross_check", broken)
-    code, out, _ = run("invert", "--series", "t*exp(-t)", "--order", "6")
+@pytest.mark.parametrize("name, fault, statement, n", [
+    # a_1 one too large in the partial-Bell expansion alone
+    ("rational", lambda real: lambda c: real(c) + 1, PARTIAL_BELL, 1),
+    # C(3,2) one off: both expansions fail at n = 3, the partial-Bell first
+    ("comb", lambda real: lambda n, k: real(n, k) + ((n, k) == (3, 2)), PARTIAL_BELL, 3),
+    # the Abel factor built on +k.bar, not -k.bar
+    ("dot", lambda real: lambda ws, k, bar: real(ws, abs(k), bar), ABEL, 2),
+    # chi built as comp(a, a), not comp(gamma, a)
+    ("composition_umbra", lambda real: lambda ws, gamma, alpha: real(ws, alpha, alpha),
+     CHI, None),
+], ids=["partial_bell", "comb", "abel", "chi"])
+def test_invert_exit_status_reads_every_check(monkeypatch, name, fault, statement, n):
+    # faults that every registration accepts, each making one claim false:
+    # exit 1, with the first false claim as the witness
+    monkeypatch.setattr(umbral.inversion, name, fault(getattr(umbral.inversion, name)))
+    code, out, err = run("invert", "--series", "t*exp(-t)", "--order", "6")
     doc = json.loads(out)
-    assert code == 1 and doc["agree"] and doc["chi_ok"] and not doc[flag]
+    assert code == 1 and err == "" and doc["pass"] is False
+    assert doc["witness"]["statement"] == statement
+    assert doc["witness"].get("n") == n
+    assert doc["witness"]["lhs"] != doc["witness"]["rhs"]
+    if statement == CHI:
+        assert doc["witness"]["rhs"] == ["1", "1", "0", "0", "0", "0", "0"]
+
+
+def test_check_thm8_names_the_failing_expansion_and_trial(monkeypatch):
+    # a_1 one too large wherever a_1 != 1: the tree case (a_1 = 1) holds and
+    # the first random trial fails its partial-Bell expansion at n = 1
+    real = umbral.inversion.rational
+    monkeypatch.setattr(umbral.inversion, "rational", lambda c: real(c) + (real(c) != 1))
+    code, out, _ = run("check", "thm8_lagrange")
+    [case] = json.loads(out)
+    assert code == 1 and not case["pass"]
+    assert case["witness"] == {"statement": PARTIAL_BELL, "lhs": "1", "rhs": "2/3",
+                               "trial": 0, "n": 1}
 
 
 def test_invert_reports_a_broken_reversion_as_a_failed_check(monkeypatch):
@@ -282,7 +309,7 @@ def test_invert_reports_a_broken_reversion_as_a_failed_check(monkeypatch):
 def test_invert_unital_input_accepted():
     code, out, _ = run("invert", "--series", "1 + t", "--order", "5")
     doc = json.loads(out)
-    assert code == 0 and doc["gamma_moments_umbral"] == ["1", "1", "0", "0", "0", "0"]
+    assert code == 0 and doc["gamma_moments"] == ["1", "1", "0", "0", "0", "0"]
 
 
 def test_mc_command():
@@ -426,6 +453,14 @@ def test_error_reporting():
     # a one-point parameter is a fixed rate, and a rate of 0 is refused
     ("mc", "--model", "randomized", "--param", "0:1", "--n", "10"),
     ("mc", "--model", "randomized", "--param", "0:1/2,0:1/2", "--n", "10"),
+    # an option the model does not read, which would check another model
+    ("mc", "--model", "poisson", "--jumps", "2:1", "--param", "3:1", "--n", "2000"),
+    ("mc", "--model", "poisson", "--lambda", "1", "--jumps", "2:1", "--n", "10"),
+    ("mc", "--model", "compound", "--lambda", "1", "--jumps", "1:1", "--param", "3:1"),
+    ("mc", "--model", "randomized", "--param", "1:1/2,2:1/2", "--lambda", "3"),
+    ("mc", "--model", "randomized", "--param", "1:1/2,2:1/2", "--jumps", "5:1"),
+    ("mc", "--model", "randomized_compound", "--param", "1:1", "--jumps", "1:1",
+     "--lambda", "2"),
 ])
 def test_bad_inputs_exit_2_with_json_error(argv, tmp_path):
     argv = list(argv)

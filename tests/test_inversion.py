@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from umbral.combinatorics import _bell_triangle_cached
 from umbral.core import Workspace
+from umbral import inversion
 from umbral.errors import CoherenceError, NonUnitLinearMoment
 from umbral.inversion import (
     cross_check,
@@ -80,8 +81,9 @@ def test_cross_check_random_sweep():
     for trial in range(20):
         a = random_umbra(ws, s, f"a{trial}")
         rep = cross_check(ws, a)
-        assert rep.agree and rep.chi_ok
-        assert rep.partial_bell_expansion_ok and rep.abel_expansion_ok
+        assert rep.passed and rep.witness is None
+        # gamma equals the brute series reversion, registered on its own
+        assert rep.gamma_moments == list(revert_oracle(ws, a).moments)
         assert rep.chi_moments[0] == 1 and rep.chi_moments[1] == 1
         assert all(not m for m in rep.chi_moments[2:])
 
@@ -149,7 +151,7 @@ def test_corrupted_reversion_is_caught(monkeypatch, umbra):
 
     ws = Workspace(order=6, indeterminates=("x",))
     a = umbra(ws, Stream(61), "a")
-    assert cross_check(ws, a).agree
+    assert cross_check(ws, a).passed
     monkeypatch.setattr(Series, "revert", corrupted)
     with pytest.raises(CoherenceError):
         cross_check(ws, a)
@@ -202,6 +204,32 @@ def test_report_serializes():
     rep = cross_check(ws, tree_umbra(ws))
     doc = rep.to_json()
     text = json.dumps(doc, sort_keys=True)
-    assert json.loads(text)["agree"] is True
-    assert doc["gamma_moments_umbral"][2] == "2"
+    assert json.loads(text) == {
+        "order": 6, "gamma_moments": ["1", "1", "2", "9", "64", "625", "7776"],
+        "chi_moments": ["1", "1", "0", "0", "0", "0", "0"], "pass": True, "witness": None}
+
+
+def test_each_claim_carries_n_and_the_callers_data(monkeypatch):
+    # C(3,2) one off fails both expansions at n = 3 and nothing else; every
+    # per-n claim carries n after the caller's data
+    real = inversion.comb
+    monkeypatch.setattr(inversion, "comb", lambda n, k: real(n, k) + ((n, k) == (3, 2)))
+    ws = fresh(order=6)
+    tree = tree_umbra(ws)
+    claims = list(inversion.claims(ws, tree, *inversion.invert(ws, tree), {"trial": 4}))
+    assert len(claims) == 1 + 2 * 7
+    assert claims[0][3] == {"trial": 4}
+    assert [c[3] for c in claims[1:]] == [{"trial": 4, "n": n} for n in range(7) for _ in "ab"]
+    false = [(c[0].partition("sum_k ")[2][:12], c[3]["n"]) for c in claims if c[1] != c[2]]
+    assert false == [("C(n,k) a_1^k", 3), ("C(n,k) E[chi", 3)]
+
+
+def test_inversion_registers_one_bar():
+    # gamma and the expansions share one bar(a)
+    ws = fresh(order=6)
+    tree = tree_umbra(ws)
+    before = len(ws._atoms)
+    cross_check(ws, tree)
+    names = [a.name for a in list(ws._atoms.values())[before:]]
+    assert names.count("bar(tree)") == 1
 
