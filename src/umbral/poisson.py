@@ -24,6 +24,14 @@ draws from the substreams ``Stream(chunk_seed).derive(t)`` in sample order:
 t = 1 gives the counts at a fixed rate, else the rate's index, t = 2 the
 counts at a random rate, t = 3 the jumps.  Jumps on one point v = p/q draw
 nothing: a draw is N p / q, rounded once while N |p| and q are below 2^53.
+Each run builds one ``_Plan``: every CDF and bucket table, built once, and
+one buffer that each block of uniforms is mixed in.  Draw i of a stream
+seeded s is mix(s + (i+1) GOLDEN), so a block that starts at draw b is the
+stream's first draws with b GOLDEN folded into the seed.  A chunk's jumps
+are drawn, inverted and summed in blocks of JUMP_BLOCK = 2^14, each float
+cumsum starting from the last partial sum of the block before: the partial
+sums, and so the draws, are those of one cumsum over the chunk, and memory
+is bounded in the rate as well as in n.
 Each draw is a 53-bit int w, the uniform w 2^-53, inverted against a CDF
 through its bucket table: 2^10 buckets on w's top bits answer each draw
 whose bucket no CDF value splits, and only the rest are searched.  At a
@@ -60,6 +68,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 CHUNK = 1 << 16
+JUMP_BLOCK = 1 << 14  # jumps drawn, inverted and summed per block
 Z_TOLERANCE = 8.0
 MAX_ORDER_CAP = 6
 POISSON_PART = 500
@@ -67,13 +76,10 @@ BUCKET_BITS = 10
 MAX_RATE = 100_000  # the sampler draws ceil(rate / POISSON_PART) uniforms per count
 
 
-def _uniform_block(seed: int, count: int) -> np.ndarray:
-    """The first ``count`` draws of the SplitMix64 stream ``seed`` as 53-bit
-    ints w, mixed in place in one uint64 buffer; the uniform is w * 2^-53."""
+def _mix53(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer on each word of the uint64 array ``z``, in
+    place, keeping its top 53 bits: the uniform is w * 2^-53."""
     import numpy as np
-    z = np.arange(1, count + 1, dtype=np.uint64)
-    z *= np.uint64(GOLDEN)
-    z += np.uint64(seed & MASK)
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
@@ -81,6 +87,16 @@ def _uniform_block(seed: int, count: int) -> np.ndarray:
     z ^= z >> np.uint64(31)
     z >>= np.uint64(11)
     return z
+
+
+def _uniform_block(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` draws of the SplitMix64 stream ``seed`` as 53-bit
+    ints, in a fresh array."""
+    import numpy as np
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(GOLDEN)
+    z += np.uint64(seed & MASK)
+    return _mix53(z)
 
 
 # -- distributions ----------------------------------------------------------------
@@ -211,76 +227,127 @@ def _bucket_table(cdf: np.ndarray) -> np.ndarray:
     return np.where(hi == lo, lo, -1)
 
 
-def _invert(cdf: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, w * 2**-53, side="right")`` for 53-bit ints w."""
-    return _lookup(_bucket_table(cdf)[None], [cdf], w)
+class _Inverse:
+    """``np.searchsorted(cdfs[r], w * 2**-53, side="right")`` for 53-bit ints
+    w, r each draw's row (0 when no rows are given), through the bucket
+    tables of ``cdfs`` stacked once into one flat table: a draw whose bucket
+    no CDF value splits reads its index, and only the rest, at most
+    len(cdf) per row, are searched, grouped by row."""
+
+    def __init__(self, cdfs: list):
+        import numpy as np
+        self.cdfs = cdfs
+        self.table = np.concatenate([_bucket_table(cdf) for cdf in cdfs])
+
+    def __call__(self, w: np.ndarray, rows=None) -> np.ndarray:
+        import numpy as np
+        col = (w >> np.uint64(53 - BUCKET_BITS)).view(np.int64)  # a uint64 index is cast
+        if rows is not None:
+            col += rows << BUCKET_BITS
+        idx = self.table.take(col)
+        split = np.flatnonzero(idx < 0)
+        groups = [split] if rows is None else (split[rows[split] == i] for i in range(len(self.cdfs)))
+        for cdf, at in zip(self.cdfs, groups):
+            idx[at] = np.searchsorted(cdf, w[at] * 2.0 ** -53, side="right")
+        return idx
 
 
-def _lookup(table: np.ndarray, cdfs: list, w: np.ndarray, row=None) -> np.ndarray:
-    """``_invert(cdfs[row], w)`` per draw for ``row`` each draw's row of the
-    stacked bucket tables ``table`` (None: row 0, with no index array); only
-    draws in split buckets, at most len(cdf) per row, are searched by row."""
-    import numpy as np
-    col = w >> np.uint64(53 - BUCKET_BITS)
-    idx = table[0][col] if row is None else table[row, col]
-    split = np.flatnonzero(idx < 0)
-    groups = [split] if row is None else (split[row[split] == i] for i in range(len(cdfs)))
-    for cdf, at in zip(cdfs, groups):
-        idx[at] = np.searchsorted(cdf, w[at] * 2.0 ** -53, side="right")
-    return idx
+class _Plan:
+    """One run's sampler: every table the draws read, built once from the
+    rates, the parameter's CDF (None at a fixed rate) and the jumps, and one
+    uint64 buffer that each block of uniforms is mixed in.  Only
+    intermediates live in it: every chunk comes back in a fresh array."""
 
+    def __init__(self, rates: tuple, param_cdf=None, jumps: DiscreteDist = _UNIT_JUMPS):
+        import numpy as np
+        self.parts = np.array([max(1, math.ceil(float(v) / POISSON_PART)) for v in rates])
+        self.rates = _Inverse([_poisson_cdf(float(v) / k) for v, k in zip(rates, self.parts)])
+        self.param = None if param_cdf is None else _Inverse([param_cdf])
+        if len(jumps.values) == 1:  # N p / q: an exact product, then one rounding
+            self.ratio = jumps.values[0].as_integer_ratio()
+        else:
+            self.ratio, self.jumps = None, _Inverse([jumps.cdf_array()])
+            self.jump_values = jumps.value_array()
+        self._base = np.arange(1, CHUNK + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+        self._w = np.empty(CHUNK, dtype=np.uint64)
 
-def _poisson_counts(rates: tuple, stream: Stream, count: int, pidx=None) -> np.ndarray:
-    """Poisson counts of the first ``count`` draws of ``stream``, at the rate
-    ``rates[pidx]`` for each draw (the one rate when ``pidx`` is None): one
-    stacked bucket table, a row per rate, looked up once per draw, and only
-    the split-bucket draws searched, grouped by rate.  A rate above
-    POISSON_PART is split into equal parts; part j >= 1 inverts the same
-    positions of the substream ``stream.derive(j)`` where the rate has it."""
-    import numpy as np
-    parts = [max(1, math.ceil(float(v) / POISSON_PART)) for v in rates]
-    cdfs = [_poisson_cdf(float(v) / k) for v, k in zip(rates, parts)]
-    table = np.stack([_bucket_table(cdf) for cdf in cdfs])
-    counts = _lookup(table, cdfs, _uniform_block(stream.seed, count), pidx)
-    for j in range(1, max(parts)):
-        at = slice(None) if pidx is None else np.flatnonzero(np.take(parts, pidx) > j)
-        extra = _uniform_block(stream.derive(j).seed, count)[at]
-        counts[at] += _lookup(table, cdfs, extra, None if pidx is None else pidx[at])
-    return counts
+    def uniforms(self, seed: int, count: int, start: int = 0) -> np.ndarray:
+        """Draws start..start+count-1 of the stream ``seed`` as 53-bit ints,
+        in the reused buffer: draw i is mix(s + (i+1) GOLDEN), so a block's
+        start folds into the seed, s + start GOLDEN mod 2^64."""
+        import numpy as np
+        offset = np.uint64((seed + start * GOLDEN) & MASK)
+        return _mix53(np.add(self._base[:count], offset, out=self._w[:count]))
 
+    def counts(self, stream: Stream, count: int, pidx=None) -> np.ndarray:
+        """Poisson counts of the first ``count`` draws of ``stream``, at the
+        rate of row ``pidx`` for each draw (the one rate when ``pidx`` is
+        None).  A rate above POISSON_PART is split into equal parts; part
+        j >= 1 inverts the same positions of ``stream.derive(j)`` where the
+        rate has it."""
+        import numpy as np
+        counts = self.rates(self.uniforms(stream.seed, count), pidx)
+        parts = None if pidx is None else self.parts.take(pidx)
+        for j in range(1, int(self.parts.max())):
+            w = self.uniforms(stream.derive(j).seed, count)
+            if pidx is None:
+                counts += self.rates(w)
+            else:
+                at = np.flatnonzero(parts > j)
+                counts[at] += self.rates(w[at], pidx[at])
+        return counts
 
-def _draw_index(dist: DiscreteDist, w: np.ndarray) -> np.ndarray:
-    return _invert(dist.cdf_array(), w).clip(max=len(dist.values) - 1)
-
-
-def _segment_sums(jump_values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Each draw's jump sum, as differences of one cumsum.  A sum that
-    overflows is left as inf or nan for ``_power_sums`` to reject."""
-    import numpy as np
-    with np.errstate(over="ignore", invalid="ignore"):
-        csum = np.concatenate(([0.0], np.cumsum(jump_values)))
+    def jump_sums(self, seed: int, counts: np.ndarray) -> np.ndarray:
+        """Each draw's sum of its ``counts`` jumps, the jumps drawn in order
+        from the stream ``seed`` in blocks of JUMP_BLOCK.  A block's float
+        cumsum starts from the last partial sum of the block before, so each
+        partial sum csum[i] is the one a single cumsum of all the chunk's
+        jumps gives; a draw is csum[end] - csum[end of the draw before], each
+        read from the block that holds it.  A sum that overflows is left as
+        inf or nan for ``_power_sums`` to reject."""
+        import numpy as np
         ends = np.cumsum(counts)
-        return csum[ends] - csum[ends - counts]
+        total = int(ends[-1])
+        at_end = np.zeros(len(counts))
+        carry, done = 0.0, 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, total, JUMP_BLOCK):
+                size = min(JUMP_BLOCK, total - start)
+                idx = self.jumps(self.uniforms(seed, size, start))
+                csum = np.empty(size + 1)
+                csum[0] = carry
+                # "clip": a draw past the float CDF's end reads the last value
+                np.take(self.jump_values, idx, out=csum[1:], mode="clip")
+                np.cumsum(csum, out=csum)
+                stop = int(np.searchsorted(ends, start + size, side="right"))
+                at_end[done:stop] = csum.take(ends[done:stop] - start)
+                carry, done = csum[-1], stop
+            return np.diff(at_end, prepend=0.0)
 
-
-def _sample_chunk(model, chunk_seed: int, count: int) -> np.ndarray:
-    s, param, jumps = Stream(chunk_seed), model.param, model.jumps
-    fixed = len(param.values) == 1
-    pidx = None if fixed else _draw_index(param, _uniform_block(s.derive(1).seed, count))
-    counts = _poisson_counts(param.values, s.derive(1 if fixed else 2), count, pidx)
-    if len(jumps.values) == 1:  # N p / q: an exact product, then one rounding
-        p, q = jumps.values[0].as_integer_ratio()
-        return counts * float(p) / q if q > 1 else counts * float(p)
-    w_jump = _uniform_block(s.derive(3).seed, int(counts.sum()))
-    return _segment_sums(jumps.value_array()[_draw_index(jumps, w_jump)], counts)
+    def chunk(self, chunk_seed: int, count: int) -> np.ndarray:
+        """The ``count`` draws of the chunk seeded ``chunk_seed``."""
+        s = Stream(chunk_seed)
+        if self.param is None:
+            counts = self.counts(s.derive(1), count)
+        else:
+            pidx = self.param(self.uniforms(s.derive(1).seed, count))
+            top = len(self.param.cdfs[0]) - 1
+            counts = self.counts(s.derive(2), count, pidx.clip(max=top, out=pidx))
+        if self.ratio:
+            p, q = self.ratio
+            return counts * float(p) / q if q > 1 else counts * float(p)
+        return self.jump_sums(s.derive(3).seed, counts)
 
 
 def _chunks(model, n: int, seed: int):
-    """The draws of ``sample(model, n, seed)``, one chunk at a time."""
+    """The draws of ``sample(model, n, seed)``, one chunk at a time, from
+    one plan built for the run."""
     if n < 1:
         raise ValueError("need at least one sample")
-    master = Stream(seed)
-    return (_sample_chunk(model, master.at(c), min(CHUNK, n - c * CHUNK))
+    param, master = model.param, Stream(seed)
+    fixed = len(param.values) == 1
+    plan = _Plan(param.values, None if fixed else param.cdf_array(), model.jumps)
+    return (plan.chunk(master.at(c), min(CHUNK, n - c * CHUNK))
             for c in range((n + CHUNK - 1) // CHUNK))
 
 

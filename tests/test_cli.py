@@ -71,7 +71,7 @@ CORPUS = [
     "2.(5.a)",                # iterated multiples
     "a' * a''",               # product of distinct clones
     "b.(g.a)",                # associativity left side
-    "(b.g).a" if False else "comp(g,u)",  # composition with unity
+    "comp(g,u)",              # composition with unity
     "(a + b)^.3",             # point power of a materialized sum
     "u + eps",                # built-ins
     "3.bell",                 # integer multiple of the Bell umbra

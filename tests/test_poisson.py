@@ -13,25 +13,29 @@ from umbral.combinatorics import bell_number, bell_triangle
 from umbral.errors import CoherenceError, InvalidDistribution
 from umbral.poisson import (
     BUCKET_BITS,
+    CHUNK,
+    JUMP_BLOCK,
     CompoundModel,
     DiscreteDist,
     PoissonModel,
     RandomizedCompoundModel,
     RandomizedModel,
-    _invert,
+    _chunks,
+    _Inverse,
+    _Plan,
     _poisson_cdf,
-    _poisson_counts,
     _power_sums,
+    _uniform_block,
     compare,
     empirical_rows,
     exact_moments,
     sample,
 )
 from umbral.poly import Poly
-from umbral.prng import Stream
+from umbral.prng import GOLDEN, MASK, Stream, _MIX1, _MIX2
 from umbral.series import Series
 
-from oracles import masked_poisson_counts
+from oracles import masked_poisson_counts, segment_sums
 
 HALF = Fraction(1, 2)
 
@@ -157,6 +161,8 @@ def test_named_cases_are_the_one_model():
     assert all(type(m) is RandomizedCompoundModel for m in BENCH_MODELS)
 
 
+SEVENTHS = DiscreteDist([Fraction(k, 7) for k in range(1, 11)], (Fraction(1, 10),) * 10)
+
 # sha256 prefixes of sample(model, 140_000, 11): n crosses two chunk
 # boundaries, so any change to the draws or their order shows
 DRAW_DIGESTS = [
@@ -171,6 +177,8 @@ DRAW_DIGESTS = [
     (RandomizedModel(DiscreteDist((3, 1200, 2600), (HALF, Fraction(1, 4), Fraction(1, 4)))),
      "78cf3f9585276e06"),
     (RandomizedModel(DiscreteDist(range(1, 17), (Fraction(1, 16),) * 16)), "b9453ceef4308313"),
+    # about 40 jump blocks per chunk, whose non-dyadic jumps pin the cumsum carry
+    (CompoundModel(10, SEVENTHS), "cf0449bb4bddfbd9"),
 ]
 
 
@@ -178,6 +186,33 @@ DRAW_DIGESTS = [
                          ids=[m.describe() for m, _ in DRAW_DIGESTS])
 def test_draws_are_pinned(model, digest):
     assert hashlib.sha256(sample(model, 140_000, 11).tobytes()).hexdigest()[:16] == digest
+
+
+# sha256 prefixes of sample(model, 40, 11): about 100,000 jumps a draw, so a
+# draw spans several jump blocks, and 140,000 draws would take too long
+TOP_RATE_DIGESTS = [
+    (CompoundModel(100_000, DiscreteDist((Fraction(1, 3), 2), (HALF, HALF))), "02cbb15e08b31b42"),
+]
+
+
+@pytest.mark.parametrize("model, digest", TOP_RATE_DIGESTS,
+                         ids=[m.describe() for m, _ in TOP_RATE_DIGESTS])
+def test_draws_at_the_top_rate_are_pinned(model, digest):
+    assert hashlib.sha256(sample(model, 40, 11).tobytes()).hexdigest()[:16] == digest
+
+
+def test_chunks_are_fresh_arrays():
+    # the plan reuses its buffers for intermediates only
+    model, n = CompoundModel(1, BENCH_JUMPS), 2 * CHUNK + 5
+    assert np.array_equal(np.concatenate(list(_chunks(model, n, 3))), sample(model, n, 3))
+
+
+@pytest.mark.parametrize("start", [0, 1, JUMP_BLOCK, 3 * JUMP_BLOCK + 7])
+def test_a_blocks_start_folds_into_the_seed(start):
+    seed = 2 ** 64 - 5
+    want = [Stream(seed).at(start + i) >> 11 for i in range(50)]
+    assert _Plan((1,)).uniforms(seed, 50, start).tolist() == want
+    assert _uniform_block(seed, 50).tolist() == [Stream(seed).at(i) >> 11 for i in range(50)]
 
 
 def _edge_draws(cdf):
@@ -199,9 +234,38 @@ def test_float_cdfs_end_below_and_above_one():
     assert _uniform_dist(6).cdf_array()[-1] < 1 < _uniform_dist(9).cdf_array()[-1]
 
 
+def _unmix64(z):
+    """The inverse of ``prng.mix64``: each xor-shift and multiply undone."""
+    def unshift(z, k):
+        x = z
+        for _ in range(64 // k):
+            x = z ^ (x >> k)
+        return x
+
+    z = unshift(z, 31) * pow(_MIX2, -1, 1 << 64) & MASK
+    z = unshift(z, 27) * pow(_MIX1, -1, 1 << 64) & MASK
+    return unshift(z, 30)
+
+
+def test_a_draw_past_the_float_cdfs_end_takes_the_last_value():
+    # six weights of 1/6 sum to a float CDF that ends below 1, so the top
+    # 53-bit draw lies past it
+    dist, top = DiscreteDist((0, 1, 2, 3, 4, 400), (Fraction(1, 6),) * 6), (1 << 53) - 1
+    assert dist.cdf_array()[-1] < 1
+    seed = (_unmix64(top << 11) - GOLDEN) & MASK
+    assert Stream(seed).at(0) >> 11 == top
+    assert _Plan((1,), None, dist).jump_sums(seed, np.array([1])).tolist() == [400.0]
+    # as the rate's index: the chunk whose substream 1 is that stream
+    chunk_seed = _unmix64(seed) ^ _unmix64(Stream(0).derive(1).seed)
+    assert Stream(chunk_seed).derive(1).seed == seed
+    plan = _Plan(dist.values, dist.cdf_array())
+    want = _Plan((400,)).counts(Stream(chunk_seed).derive(2), 1)
+    assert want[0] > 300 and plan.chunk(chunk_seed, 1).tolist() == want.tolist()
+
+
 def _check_inversion(cdf, extra=()):
     w = np.concatenate((_edge_draws(cdf), np.array(extra, dtype=np.uint64)))
-    assert np.array_equal(_invert(cdf, w), np.searchsorted(cdf, w * 2.0 ** -53, side="right"))
+    assert np.array_equal(_Inverse([cdf])(w), np.searchsorted(cdf, w * 2.0 ** -53, side="right"))
 
 
 @pytest.mark.parametrize("cdf", [_poisson_cdf(lam) for lam in (0.0, 0.25, 1.0, 2.0, 400.0, 500.0)]
@@ -232,9 +296,25 @@ def test_one_pass_counts_equal_the_masked_loop(rates, count, seed, index_seed):
     stream = Stream(seed)
     pidx = np.random.default_rng(index_seed).integers(0, len(rates), count)
     want = masked_poisson_counts(rates, stream, count, pidx)
-    assert np.array_equal(_poisson_counts(tuple(rates), stream, count, pidx), want)
+    assert np.array_equal(_Plan(tuple(rates)).counts(stream, count, pidx), want)
     fixed = masked_poisson_counts(rates[:1], stream, count, np.zeros(count, dtype=np.int64))
-    assert np.array_equal(_poisson_counts((rates[0],), stream, count), fixed)
+    assert np.array_equal(_Plan((rates[0],)).counts(stream, count), fixed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2 * JUMP_BLOCK + 2),
+                          st.integers(JUMP_BLOCK - 2, JUMP_BLOCK + 2)), min_size=1, max_size=12),
+       st.sampled_from([BENCH_JUMPS, SEVENTHS, DiscreteDist((Fraction(-1, 3), 5), (HALF, HALF))]),
+       st.integers(0, 2 ** 64 - 1))
+def test_blocked_jump_sums_equal_one_cumsum(counts, jumps, seed):
+    # empty draws, and draws whose jumps straddle a block edge
+    counts = np.array(counts, dtype=np.int64)
+    w = _uniform_block(seed, int(counts.sum()))
+    cdf = jumps.cdf_array()
+    idx = np.searchsorted(cdf, w * 2.0 ** -53, side="right").clip(max=len(cdf) - 1)
+    want = segment_sums(jumps.value_array()[idx], counts)
+    got = _Plan((1,), None, jumps).jump_sums(seed, counts)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_sampling_is_deterministic_and_seed_sensitive():
@@ -374,6 +454,22 @@ def _peak_bytes(n):
 def test_compare_memory_does_not_grow_with_n():
     compare(PoissonModel(1), 1 << 10, 4)  # one-time allocations come first
     assert _peak_bytes(1 << 20) <= 1.5 * _peak_bytes(1 << 17)
+
+
+def test_sample_memory_does_not_grow_with_the_rate():
+    # about 100,000 jumps a draw: the jumps stream through fixed blocks
+    model = CompoundModel(100_000, BENCH_JUMPS)
+    sample(model, 1, 1)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            sample(model, n, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(256) <= 1.5 * peak(16)
 
 
 def test_rows_that_overflow_a_float_raise():
