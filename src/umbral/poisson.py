@@ -20,18 +20,23 @@ one-point ``param`` is labelled, drawn and checked as the fixed rate it is.
 
 Randomness: SplitMix64 only (see :mod:`umbral.prng`).  Sampling is chunked;
 chunk c of a run seeded with s gets its own seed ``Stream(s).at(c)`` and
-draws from the substreams ``Stream(chunk_seed).derive(t)`` in sample order:
-t = 1 gives the counts at a fixed rate, else the rate's index, t = 2 the
-counts at a random rate, t = 3 the jumps.  Jumps on one point v = p/q draw
-nothing: a draw is N p / q, rounded once while N |p| and q are below 2^53.
-Each run builds one ``_Plan``: every CDF and bucket table, built once, and
-one buffer that each block of uniforms is mixed in.  Draw i of a stream
-seeded s is mix(s + (i+1) GOLDEN), so a block that starts at draw b is the
-stream's first draws with b GOLDEN folded into the seed.  A chunk's jumps
-are drawn, inverted and summed in blocks of JUMP_BLOCK = 2^14, each float
-cumsum starting from the last partial sum of the block before: the partial
-sums, and so the draws, are those of one cumsum over the chunk, and memory
-is bounded in the rate as well as in n.
+draws from the substreams ``Stream(chunk_seed).derive(t)``.  A draw is
+thinned by jump value: for jumps J = sum_i p_i delta_{v_i}, the generating
+function exp(L (f_J(t) - 1)) is the product over i of
+exp(L p_i (e^{v_i t} - 1)), so L.part(J) ~ sum_i v_i ((L p_i).beta), and a
+draw is sum_i v_i N_i with N_i ~ Poisson(L p_i) independent given L.  The
+rate's index, at a random rate, comes from t = 1; N_0 from t = 1 at a fixed
+rate and t = 2 at a random one, so Poisson and one-point draws are counts
+scaled; N_i for i >= 1 from t = 2 + i.  A draw is exact: with v_i = a_i / D
+over the lcm D of the denominators, it is (sum_i a_i N_i) / D rounded once.
+When D and sum_i |a_i| times the largest count of N_i's table are below
+2^53, the sum runs in int64 and it and D are exact floats, so one float
+division rounds it; otherwise it runs in Python ints, whose true division
+also rounds once, and a draw no float holds raises ``OverflowError``.  The
+work per draw is one uniform per count part, whatever the rate.  Each run
+builds one ``_Plan``: every CDF and bucket table, built once, and one
+buffer that each block of uniforms is mixed in; draw i of a stream seeded
+s is mix(s + (i+1) GOLDEN).
 Each draw is a 53-bit int w, the uniform w 2^-53, inverted against a CDF
 through its bucket table: 2^10 buckets on w's top bits answer each draw
 whose bucket no CDF value splits, and only the rest are searched.  At a
@@ -68,7 +73,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 CHUNK = 1 << 16
-JUMP_BLOCK = 1 << 14  # jumps drawn, inverted and summed per block
 Z_TOLERANCE = 8.0
 MAX_ORDER_CAP = 6
 POISSON_PART = 500
@@ -135,10 +139,6 @@ class DiscreteDist:
     def cdf_array(self) -> np.ndarray:
         import numpy as np
         return np.cumsum(np.array([float(p) for p in self.probs]))
-
-    def value_array(self) -> np.ndarray:
-        import numpy as np
-        return np.array([float(v) for v in self.values])
 
     def spec(self) -> str:
         return ",".join(f"{v}:{p}" for v, p in zip(self.values, self.probs))
@@ -260,83 +260,71 @@ class _Plan:
 
     def __init__(self, rates: tuple, param_cdf=None, jumps: DiscreteDist = _UNIT_JUMPS):
         import numpy as np
-        self.parts = np.array([max(1, math.ceil(float(v) / POISSON_PART)) for v in rates])
-        self.rates = _Inverse([_poisson_cdf(float(v) / k) for v, k in zip(rates, self.parts)])
+        self.d = math.lcm(*(v.denominator for v in jumps.values))
+        self.nums = [int(v * self.d) for v in jumps.values]
+        self.tables, bound = [], 0  # per jump value: its rates' parts, count table and most parts
+        for a, p in zip(self.nums, jumps.probs):
+            lams = [float(v * p) for v in rates]
+            parts = np.array([max(1, math.ceil(lam / POISSON_PART)) for lam in lams])
+            rows = _Inverse([_poisson_cdf(lam / k) for lam, k in zip(lams, parts)])
+            self.tables.append((parts, rows, int(parts.max())))
+            # a part counts at most its CDF's length, which bounds |sum_i a_i N_i|
+            bound += abs(a) * max(int(k) * len(cdf) for k, cdf in zip(parts, rows.cdfs))
+        self.int64 = max(bound, self.d) < 1 << 53
         self.param = None if param_cdf is None else _Inverse([param_cdf])
-        if len(jumps.values) == 1:  # N p / q: an exact product, then one rounding
-            self.ratio = jumps.values[0].as_integer_ratio()
-        else:
-            self.ratio, self.jumps = None, _Inverse([jumps.cdf_array()])
-            self.jump_values = jumps.value_array()
         self._base = np.arange(1, CHUNK + 1, dtype=np.uint64) * np.uint64(GOLDEN)
         self._w = np.empty(CHUNK, dtype=np.uint64)
 
-    def uniforms(self, seed: int, count: int, start: int = 0) -> np.ndarray:
-        """Draws start..start+count-1 of the stream ``seed`` as 53-bit ints,
-        in the reused buffer: draw i is mix(s + (i+1) GOLDEN), so a block's
-        start folds into the seed, s + start GOLDEN mod 2^64."""
+    def uniforms(self, seed: int, count: int) -> np.ndarray:
+        """The first ``count`` draws of the stream ``seed`` as 53-bit ints,
+        in the reused buffer: draw i is mix(s + (i+1) GOLDEN)."""
         import numpy as np
-        offset = np.uint64((seed + start * GOLDEN) & MASK)
-        return _mix53(np.add(self._base[:count], offset, out=self._w[:count]))
+        return _mix53(np.add(self._base[:count], np.uint64(seed & MASK), out=self._w[:count]))
 
-    def counts(self, stream: Stream, count: int, pidx=None) -> np.ndarray:
-        """Poisson counts of the first ``count`` draws of ``stream``, at the
-        rate of row ``pidx`` for each draw (the one rate when ``pidx`` is
-        None).  A rate above POISSON_PART is split into equal parts; part
-        j >= 1 inverts the same positions of ``stream.derive(j)`` where the
-        rate has it."""
+    def counts(self, stream: Stream, count: int, pidx=None, i: int = 0) -> np.ndarray:
+        """Poisson counts of the first ``count`` draws of ``stream`` at the
+        rate L p_i of jump value i, L the rate of row ``pidx`` for each draw
+        (the one rate when ``pidx`` is None).  A rate above POISSON_PART
+        is split into equal parts; part j >= 1 inverts the same positions of
+        ``stream.derive(j)`` where the rate has it."""
         import numpy as np
-        counts = self.rates(self.uniforms(stream.seed, count), pidx)
-        parts = None if pidx is None else self.parts.take(pidx)
-        for j in range(1, int(self.parts.max())):
+        parts, rows, top = self.tables[i]
+        counts = rows(self.uniforms(stream.seed, count), pidx)
+        split = None if pidx is None or top == 1 else parts.take(pidx)
+        for j in range(1, top):
             w = self.uniforms(stream.derive(j).seed, count)
-            if pidx is None:
-                counts += self.rates(w)
+            if split is None:
+                counts += rows(w)
             else:
-                at = np.flatnonzero(parts > j)
-                counts[at] += self.rates(w[at], pidx[at])
+                at = np.flatnonzero(split > j)
+                counts[at] += rows(w[at], pidx[at])
         return counts
 
-    def jump_sums(self, seed: int, counts: np.ndarray) -> np.ndarray:
-        """Each draw's sum of its ``counts`` jumps, the jumps drawn in order
-        from the stream ``seed`` in blocks of JUMP_BLOCK.  A block's float
-        cumsum starts from the last partial sum of the block before, so each
-        partial sum csum[i] is the one a single cumsum of all the chunk's
-        jumps gives; a draw is csum[end] - csum[end of the draw before], each
-        read from the block that holds it.  A sum that overflows is left as
-        inf or nan for ``_power_sums`` to reject."""
-        import numpy as np
-        ends = np.cumsum(counts)
-        total = int(ends[-1])
-        at_end = np.zeros(len(counts))
-        carry, done = 0.0, 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, total, JUMP_BLOCK):
-                size = min(JUMP_BLOCK, total - start)
-                idx = self.jumps(self.uniforms(seed, size, start))
-                csum = np.empty(size + 1)
-                csum[0] = carry
-                # "clip": a draw past the float CDF's end reads the last value
-                np.take(self.jump_values, idx, out=csum[1:], mode="clip")
-                np.cumsum(csum, out=csum)
-                stop = int(np.searchsorted(ends, start + size, side="right"))
-                at_end[done:stop] = csum.take(ends[done:stop] - start)
-                carry, done = csum[-1], stop
-            return np.diff(at_end, prepend=0.0)
-
     def chunk(self, chunk_seed: int, count: int) -> np.ndarray:
-        """The ``count`` draws of the chunk seeded ``chunk_seed``."""
+        """The ``count`` draws of the chunk seeded ``chunk_seed``: each is
+        (sum_i a_i N_i) / D, rounded once."""
+        import numpy as np
         s = Stream(chunk_seed)
         if self.param is None:
-            counts = self.counts(s.derive(1), count)
+            pidx, first = None, s.derive(1)
         else:
             pidx = self.param(self.uniforms(s.derive(1).seed, count))
             top = len(self.param.cdfs[0]) - 1
-            counts = self.counts(s.derive(2), count, pidx.clip(max=top, out=pidx))
-        if self.ratio:
-            p, q = self.ratio
-            return counts * float(p) / q if q > 1 else counts * float(p)
-        return self.jump_sums(s.derive(3).seed, counts)
+            pidx, first = pidx.clip(max=top, out=pidx), s.derive(2)
+        num = None
+        for i, a in enumerate(self.nums):
+            n = self.counts(s.derive(2 + i) if i else first, count, pidx, i)
+            if not self.int64:
+                n = n.astype(object)
+            if a != 1:
+                n *= a
+            num = n if num is None else np.add(num, n, out=num)
+        if self.int64:  # below 2^53, so num and D are exact floats
+            return num / self.d if self.d > 1 else num.astype(np.float64)
+        try:
+            return np.fromiter((x / self.d for x in num), np.float64, count)
+        except OverflowError:
+            raise OverflowError("a draw overflows a float") from None
 
 
 def _chunks(model, n: int, seed: int):

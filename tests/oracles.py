@@ -54,13 +54,3 @@ def masked_poisson_counts(rates, stream: Stream, count: int, pidx):
             w = _uniform_block((stream.derive(j) if j else stream).seed, count)[mask]
             counts[mask] += np.searchsorted(cdf, w * 2.0 ** -53, side="right")
     return counts
-
-
-def segment_sums(jump_values, counts):
-    """Each draw's jump sum, as differences of one cumsum of all the jumps;
-    the reference for the plan's jump blocks."""
-    import numpy as np
-    with np.errstate(over="ignore", invalid="ignore"):
-        csum = np.concatenate(([0.0], np.cumsum(jump_values)))
-        ends = np.cumsum(counts)
-        return csum[ends] - csum[ends - counts]

@@ -357,10 +357,13 @@ def test_exact_commands_leave_numpy_unimported(tmp_path):
 def test_overflowing_draws_report_one_json_error():
     # numpy's overflow warnings would reach stderr ahead of the JSON error;
     # an in-process run cannot show that, since pytest captures warnings
-    proc = _python("-m", "umbral.cli", "mc", "--model", "compound", "--lambda", "1",
-                   "--jumps", f"{10 ** 305}:1/2,1:1/2", "--n", "70000")
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert set(json.loads(proc.stderr)) == {"error", "message"}, proc.stderr
+    # 1e305 jumps: finite draws whose variance overflows; 1e308: a draw past
+    # the largest float
+    for big in (10 ** 305, 10 ** 308):
+        proc = _python("-m", "umbral.cli", "mc", "--model", "compound", "--lambda", "1",
+                       "--jumps", f"{big}:1/2,1:1/2", "--n", "70000")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert set(json.loads(proc.stderr)) == {"error", "message"}, proc.stderr
 
 
 def test_workspace_file_round_trip(tmp_path):

@@ -14,7 +14,7 @@ from umbral.errors import CoherenceError, InvalidDistribution
 from umbral.poisson import (
     BUCKET_BITS,
     CHUNK,
-    JUMP_BLOCK,
+    POISSON_PART,
     CompoundModel,
     DiscreteDist,
     PoissonModel,
@@ -35,7 +35,7 @@ from umbral.poly import Poly
 from umbral.prng import GOLDEN, MASK, Stream, _MIX1, _MIX2
 from umbral.series import Series
 
-from oracles import masked_poisson_counts, segment_sums
+from oracles import masked_poisson_counts
 
 HALF = Fraction(1, 2)
 
@@ -167,9 +167,9 @@ SEVENTHS = DiscreteDist([Fraction(k, 7) for k in range(1, 11)], (Fraction(1, 10)
 # boundaries, so any change to the draws or their order shows
 DRAW_DIGESTS = [
     (BENCH_MODELS[0], "a271fdaba27b4013"),
-    (BENCH_MODELS[1], "c8a26f9c6a5a1b0e"),
+    (BENCH_MODELS[1], "854e781a795cced2"),
     (BENCH_MODELS[2], "ca3da9ed91dc3bb4"),
-    (BENCH_MODELS[3], "62b40e07bc59d99e"),
+    (BENCH_MODELS[3], "d13ef04e471f1b7a"),
     (PoissonModel(800), "6d1bd2e22bf276ca"),
     (RandomizedModel(DiscreteDist((1, 800), (HALF, HALF))), "4d089e12aef364ae"),
     (RandomizedModel(DiscreteDist((0, 2), (HALF, HALF))), "cc350496e735615e"),
@@ -177,8 +177,8 @@ DRAW_DIGESTS = [
     (RandomizedModel(DiscreteDist((3, 1200, 2600), (HALF, Fraction(1, 4), Fraction(1, 4)))),
      "78cf3f9585276e06"),
     (RandomizedModel(DiscreteDist(range(1, 17), (Fraction(1, 16),) * 16)), "b9453ceef4308313"),
-    # about 40 jump blocks per chunk, whose non-dyadic jumps pin the cumsum carry
-    (CompoundModel(10, SEVENTHS), "cf0449bb4bddfbd9"),
+    # ten count tables, one per non-dyadic jump, each draw rounded once
+    (CompoundModel(10, SEVENTHS), "a9dc901a55c2b10f"),
 ]
 
 
@@ -188,10 +188,10 @@ def test_draws_are_pinned(model, digest):
     assert hashlib.sha256(sample(model, 140_000, 11).tobytes()).hexdigest()[:16] == digest
 
 
-# sha256 prefixes of sample(model, 40, 11): about 100,000 jumps a draw, so a
-# draw spans several jump blocks, and 140,000 draws would take too long
+# sha256 prefixes of sample(model, 40, 11): each jump value's rate of 50,000
+# is split into 100 parts
 TOP_RATE_DIGESTS = [
-    (CompoundModel(100_000, DiscreteDist((Fraction(1, 3), 2), (HALF, HALF))), "02cbb15e08b31b42"),
+    (CompoundModel(100_000, DiscreteDist((Fraction(1, 3), 2), (HALF, HALF))), "ec702a68a6ef4d32"),
 ]
 
 
@@ -207,11 +207,13 @@ def test_chunks_are_fresh_arrays():
     assert np.array_equal(np.concatenate(list(_chunks(model, n, 3))), sample(model, n, 3))
 
 
-@pytest.mark.parametrize("start", [0, 1, JUMP_BLOCK, 3 * JUMP_BLOCK + 7])
+@pytest.mark.parametrize("start", [0, 1, 1 << 14, 3 * (1 << 14) + 7])
 def test_a_blocks_start_folds_into_the_seed(start):
+    # draw i of a stream seeded s is mix(s + (i+1) GOLDEN), so the plan's
+    # uniforms at the seed s + start GOLDEN mod 2^64 are draws start, start+1, ...
     seed = 2 ** 64 - 5
     want = [Stream(seed).at(start + i) >> 11 for i in range(50)]
-    assert _Plan((1,)).uniforms(seed, 50, start).tolist() == want
+    assert _Plan((1,)).uniforms((seed + start * GOLDEN) & MASK, 50).tolist() == want
     assert _uniform_block(seed, 50).tolist() == [Stream(seed).at(i) >> 11 for i in range(50)]
 
 
@@ -254,7 +256,6 @@ def test_a_draw_past_the_float_cdfs_end_takes_the_last_value():
     assert dist.cdf_array()[-1] < 1
     seed = (_unmix64(top << 11) - GOLDEN) & MASK
     assert Stream(seed).at(0) >> 11 == top
-    assert _Plan((1,), None, dist).jump_sums(seed, np.array([1])).tolist() == [400.0]
     # as the rate's index: the chunk whose substream 1 is that stream
     chunk_seed = _unmix64(seed) ^ _unmix64(Stream(0).derive(1).seed)
     assert Stream(chunk_seed).derive(1).seed == seed
@@ -299,22 +300,6 @@ def test_one_pass_counts_equal_the_masked_loop(rates, count, seed, index_seed):
     assert np.array_equal(_Plan(tuple(rates)).counts(stream, count, pidx), want)
     fixed = masked_poisson_counts(rates[:1], stream, count, np.zeros(count, dtype=np.int64))
     assert np.array_equal(_Plan((rates[0],)).counts(stream, count), fixed)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2 * JUMP_BLOCK + 2),
-                          st.integers(JUMP_BLOCK - 2, JUMP_BLOCK + 2)), min_size=1, max_size=12),
-       st.sampled_from([BENCH_JUMPS, SEVENTHS, DiscreteDist((Fraction(-1, 3), 5), (HALF, HALF))]),
-       st.integers(0, 2 ** 64 - 1))
-def test_blocked_jump_sums_equal_one_cumsum(counts, jumps, seed):
-    # empty draws, and draws whose jumps straddle a block edge
-    counts = np.array(counts, dtype=np.int64)
-    w = _uniform_block(seed, int(counts.sum()))
-    cdf = jumps.cdf_array()
-    idx = np.searchsorted(cdf, w * 2.0 ** -53, side="right").clip(max=len(cdf) - 1)
-    want = segment_sums(jumps.value_array()[idx], counts)
-    got = _Plan((1,), None, jumps).jump_sums(seed, counts)
-    assert got.tobytes() == want.tobytes()
 
 
 def test_sampling_is_deterministic_and_seed_sensitive():
@@ -442,6 +427,80 @@ def test_power_sums_do_not_depend_on_the_split():
     assert sums(1 << 10) == sums(1 << 16)
 
 
+# jumps of both signs over one denominator; a random rate with a rate of 0
+# and one split into parts (1200 p = 600 > POISSON_PART); and numerators past
+# 2^53, whose sums run in Python ints
+SIGNED = DiscreteDist((Fraction(-1, 3), 5), (HALF, HALF))
+THINNED = [
+    CompoundModel(10, SEVENTHS),
+    THIRDS,
+    CompoundModel(Fraction(5, 2), SIGNED),
+    RandomizedCompoundModel(DiscreteDist((0, 3, 1200), (HALF, Fraction(1, 4), Fraction(1, 4))),
+                            SIGNED),
+    CompoundModel(3, DiscreteDist((10 ** 20 + 1, Fraction(1, 3)), (HALF, HALF))),
+]
+
+
+def _jump_sums(model, n, seed):
+    """The exact draws of the first chunk, sum_i v_i N_i, each N_i counted by
+    the masked loop at the rates L p_i on its documented substream."""
+    s = Stream(Stream(seed).at(0))
+    rates = model.param.values
+    if len(rates) == 1:
+        pidx, first = np.zeros(n, dtype=np.int64), s.derive(1)
+    else:
+        cdf = model.param.cdf_array()
+        u = _uniform_block(s.derive(1).seed, n) * 2.0 ** -53
+        pidx, first = np.searchsorted(cdf, u, side="right").clip(max=len(cdf) - 1), s.derive(2)
+    sums = [Fraction(0)] * n
+    for i, (v, p) in enumerate(zip(model.jumps.values, model.jumps.probs)):
+        counts = masked_poisson_counts([r * p for r in rates], s.derive(2 + i) if i else first, n, pidx)
+        sums = [x + v * int(c) for x, c in zip(sums, counts)]
+    return sums
+
+
+@pytest.mark.parametrize("model", THINNED, ids=lambda m: m.describe())
+def test_each_draw_is_its_exact_jump_sum_rounded_once(model):
+    n, seed = 3000, 7
+    assert sample(model, n, seed).tolist() == [float(x) for x in _jump_sums(model, n, seed)]
+
+
+def _compound_pmf(lam, jumps, top):
+    """P(X = k) for k < top, X a Poisson(lam) sum of positive integer jumps,
+    by Panjer's recursion: g_0 = e^-lam, g_k = lam/k sum_j j f_j g_{k-j}."""
+    f = {int(v): float(p) for v, p in zip(jumps.values, jumps.probs)}
+    g = [math.exp(-lam)]
+    for k in range(1, top):
+        g.append(lam / k * sum(j * f.get(j, 0.0) * g[k - j] for j in range(1, k + 1)))
+    return np.array(g)
+
+
+@pytest.mark.parametrize("model", BENCH_MODELS[1::2], ids=lambda m: m.describe())
+def test_draws_follow_the_exact_law(model):
+    # a chi-square test on the whole law, which the moment rows' |z| gate
+    # reads only through four moments
+    n, top = 200_000, 40
+    pmf = sum(float(w) * _compound_pmf(float(lam), model.jumps, top)
+              for lam, w in zip(model.param.values, model.param.probs))
+    expected = n * pmf[:np.flatnonzero(n * pmf >= 5)[-1] + 1]
+    observed = np.bincount(sample(model, n, 5).astype(np.int64), minlength=top)
+    observed = np.append(observed[:len(expected)], n - observed[:len(expected)].sum())
+    expected = np.append(expected, n - expected.sum())
+    chi2, df = float(((observed - expected) ** 2 / expected).sum()), len(expected) - 1
+    # the chi-square quantile at z = 5 (p about 3e-7), by Wilson and Hilferty
+    assert chi2 < df * (1 - 2 / (9 * df) + 5 * math.sqrt(2 / (9 * df))) ** 3, (chi2, df)
+
+
+def test_words_per_draw_do_not_grow_with_the_rate(monkeypatch):
+    # one uniform per count part of each jump value's rate, not one per jump
+    words, uniforms = [], _Plan.uniforms
+    monkeypatch.setattr(_Plan, "uniforms",
+                        lambda plan, seed, count: words.append(count) or uniforms(plan, seed, count))
+    n = 1000
+    sample(CompoundModel(100_000, BENCH_JUMPS), n, 1)
+    assert sum(words) == n * 2 * math.ceil(50_000 / POISSON_PART)
+
+
 def _peak_bytes(n):
     tracemalloc.start()
     try:
@@ -457,7 +516,7 @@ def test_compare_memory_does_not_grow_with_n():
 
 
 def test_sample_memory_does_not_grow_with_the_rate():
-    # about 100,000 jumps a draw: the jumps stream through fixed blocks
+    # rates split into 100 parts a jump value: the parts reuse one buffer
     model = CompoundModel(100_000, BENCH_JUMPS)
     sample(model, 1, 1)
 
@@ -479,11 +538,17 @@ def test_rows_that_overflow_a_float_raise():
     # draws of count * 1e305 are finite, but their order-1 variance is not
     with pytest.raises(OverflowError, match="order-1 sample moments overflow a float"):
         compare(CompoundModel(1, DiscreteDist.point_mass(Fraction(10) ** 305)), 1 << 16, 1)
-    # jumps near 1e305 overflow the chunk's float cumsum: the draws are not
-    # finite, and the tally rejects them before any power sum
+    # jumps near 1e305 sum exactly, so the draws are finite, but their
+    # order-1 variance is not
     big = CompoundModel(1, DiscreteDist((Fraction(10) ** 305, 1), (HALF, HALF)))
-    draws = sample(big, 1 << 16, 1)
-    assert not np.isfinite(draws).all()
-    for run in (lambda: _power_sums([draws], 2), lambda: compare(big, 1 << 16, 1)):
-        with pytest.raises(OverflowError, match="order-1 sample moments overflow a float"):
+    assert np.isfinite(sample(big, 1 << 16, 1)).all()
+    with pytest.raises(OverflowError, match="order-1 sample moments overflow a float"):
+        compare(big, 1 << 16, 1)
+    # two jumps of 1e308 make a draw past the largest float
+    huge = CompoundModel(1, DiscreteDist((Fraction(10) ** 308, 1), (HALF, HALF)))
+    for run in (lambda: sample(huge, 1000, 1), lambda: compare(huge, 1000, 1)):
+        with pytest.raises(OverflowError, match="a draw overflows a float"):
             run()
+    # the tally rejects a sample that is not finite before any power sum
+    with pytest.raises(OverflowError, match="order-1 sample moments overflow a float"):
+        _power_sums([np.array([1.0, np.inf])], 2)
