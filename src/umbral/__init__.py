@@ -8,11 +8,9 @@ other at registration.  See the README for the CLI and the identity catalog.
 """
 
 from .combinatorics import (
-    PartitionWeight,
     bell_number,
     bernoulli_number,
     complete_bell,
-    enumerate_partitions,
     exponential_poly,
     partial_bell,
     stirling,
@@ -37,11 +35,11 @@ from .series import Series
 __all__ = [
     "Atom", "CompoundModel", "DiscreteDist", "Expr",
     "IdentityCase", "IntPower", "InversionReport", "MomentComparison",
-    "PartitionWeight", "PoissonModel", "Poly", "Product",
+    "PoissonModel", "Poly", "Product",
     "RandomizedCompoundModel", "RandomizedModel", "ScalarMul", "Series",
     "Sum", "Workspace", "alpha_bar", "bell_number", "bell_umbra",
     "bernoulli_number", "check", "check_all", "compare", "complete_bell",
-    "composition_umbra", "cross_check", "dot", "enumerate_partitions",
+    "composition_umbra", "cross_check", "dot",
     "exact_moments", "exponential_poly", "exponential_umbral_moment",
     "inverse_umbra", "list_identities", "partial_bell", "partition_umbra",
     "point_power", "revert_oracle", "revert_umbral", "sample", "scale_atom",

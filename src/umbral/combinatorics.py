@@ -1,33 +1,26 @@
 """Exact combinatorial kernels: Stirling numbers, Bell numbers, partial and
-complete Bell polynomials, exponential polynomials, Bernoulli numbers, and a
-brute-force set-partition enumerator used as the independent oracle.
+complete Bell polynomials, exponential polynomials and Bernoulli numbers.
 
 Partial Bell polynomials come from Comtet's recurrence on ints, which reads
 no series (so the moment route of :mod:`umbral.ops` shares no kernel with the
 generating-function route); values that carry an indeterminate run as their
-Kronecker images, a pack of this module's own.  The enumerator provides the
-definitional weighted-partition sum to check against.  Each closed-form
+Kronecker images, a pack of this module's own.  Each closed-form
 moment reads one row: ``bell_moment`` sums sum_i w_i B_{n,i}(a) over row n
 of the triangle (``bell_transform`` over rows 0..n), and ``stirling_sum``
 sums sum_k S(n,k) v_k or sum_k s(n,k) v_k over the one Stirling row loop.
-Recursion stays shallow: the digit split halves its input, and the
-enumerator's walk stops at ``ENUMERATION_CAP``.  Memoization uses
-``lru_cache``, which is safe under concurrent readers.
+Recursion stays shallow: the digit split halves its input.  Memoization
+uses ``lru_cache``, which is safe under concurrent readers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, lcm, prod
 
-from .errors import TooLarge
 from .poly import Poly, rationals
 from .series import Series
-
-ENUMERATION_CAP = 12
 
 
 # -- Stirling numbers ---------------------------------------------------------
@@ -281,53 +274,3 @@ def bernoulli_number(n: int) -> Fraction:
     if n < 0:
         raise IndexError("bernoulli_number needs n >= 0")
     return Fraction(_bernoulli_egf(n).egf_moment(n))
-
-
-# -- set-partition enumeration ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PartitionWeight:
-    """A block-size multiset (sorted descending) with its multiplicity among
-    all set partitions of an n-set."""
-
-    block_sizes: tuple
-    count: int
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.block_sizes)
-
-
-@lru_cache(maxsize=None)
-def enumerate_partitions(n: int) -> tuple:
-    """Enumerate every set partition of an n-set, tallied by block sizes.
-
-    Walks the block-joining tree (each element either joins an existing
-    block or opens a new one), so the leaf count per size-multiset is the
-    literal number of set partitions with that shape.
-    """
-    if n < 0:
-        raise IndexError("enumerate_partitions needs n >= 0")
-    if n > ENUMERATION_CAP:
-        raise TooLarge(f"enumeration capped at n = {ENUMERATION_CAP}")
-    if n == 0:
-        return (PartitionWeight((), 1),)
-    tally: dict = {}
-    sizes: list = []
-
-    def walk(i: int):
-        if i == n:
-            key = tuple(sorted(sizes, reverse=True))
-            tally[key] = tally.get(key, 0) + 1
-            return
-        for j in range(len(sizes)):
-            sizes[j] += 1
-            walk(i + 1)
-            sizes[j] -= 1
-        sizes.append(1)
-        walk(i + 1)
-        sizes.pop()
-
-    walk(0)
-    return tuple(PartitionWeight(k, c) for k, c in sorted(tally.items(), reverse=True))

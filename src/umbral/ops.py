@@ -50,12 +50,6 @@ def falling_factorials(value, n: int) -> list:
     return out
 
 
-def falling_factorial_moment(beta: Atom, i: int) -> Poly:
-    """E[(beta)_i] = sum_j s(i,j) b_j, the signed-Stirling expansion of the
-    falling factorial."""
-    return Poly.coerce(stirling_sum("first_signed", i, beta.moments))
-
-
 def _scale_arg(ws: Workspace, scale):
     """Normalize a scale argument (int, Fraction, indeterminate name, Poly)
     to a Poly, checking indeterminate declarations."""

@@ -28,11 +28,11 @@ draw is sum_i v_i N_i with N_i ~ Poisson(L p_i) independent given L.  The
 rate's index, at a random rate, comes from t = 1; N_0 from t = 1 at a fixed
 rate and t = 2 at a random one, so Poisson and one-point draws are counts
 scaled; N_i for i >= 1 from t = 2 + i.  A draw is exact: with v_i = a_i / D
-over the lcm D of the denominators, it is (sum_i a_i N_i) / D rounded once.
-When D and sum_i |a_i| times the largest count of N_i's table are below
-2^53, the sum runs in int64 and it and D are exact floats, so one float
-division rounds it; otherwise it runs in Python ints, whose true division
-also rounds once, and a draw no float holds raises ``OverflowError``.  The
+over the lcm D of the denominators, it is the int numerator sum_i a_i N_i
+over D.  When D and sum_i |a_i| times the largest count of N_i's table are
+below 2^53, the sum runs in int64, and otherwise in Python ints.  Only
+``sample`` makes floats: it divides each numerator by D, rounding once,
+and a draw no float holds raises ``OverflowError``.  The
 work per draw is one uniform per count part, whatever the rate.  Each run
 builds one ``_Plan``: every CDF and bucket table, built once, and one
 buffer that each block of uniforms is mixed in; draw i of a stream seeded
@@ -48,10 +48,10 @@ split into equal parts whose counts are summed: Poisson additivity,
 x.beta + y.beta' ~ (x + y).beta.  Everything downstream is a pure function
 of (model, n, seed).
 
-Empirical moments are exact power sums of the draws, rounded once (see
-``_power_sums``), so they do not depend on how the draws were split:
-``compare`` holds one chunk and the tally of distinct values, never all n
-draws.  numpy loads at the first draw, not at import.
+Empirical moments are the exact power sums S_j / D^j of the draws, rounded
+once: ``_power_sums`` tallies the numerators by distinct value, so
+``compare`` holds one chunk and the tally, never all n draws, and makes no
+float draw.  numpy loads at the first draw, not at import.
 
 Jump and parameter distributions are restricted to finite rational support
 so every predicted moment is a finite exact sum.
@@ -91,16 +91,6 @@ def _mix53(z: np.ndarray) -> np.ndarray:
     z ^= z >> np.uint64(31)
     z >>= np.uint64(11)
     return z
-
-
-def _uniform_block(seed: int, count: int) -> np.ndarray:
-    """The first ``count`` draws of the SplitMix64 stream ``seed`` as 53-bit
-    ints, in a fresh array."""
-    import numpy as np
-    z = np.arange(1, count + 1, dtype=np.uint64)
-    z *= np.uint64(GOLDEN)
-    z += np.uint64(seed & MASK)
-    return _mix53(z)
 
 
 # -- distributions ----------------------------------------------------------------
@@ -301,8 +291,8 @@ class _Plan:
         return counts
 
     def chunk(self, chunk_seed: int, count: int) -> np.ndarray:
-        """The ``count`` draws of the chunk seeded ``chunk_seed``: each is
-        (sum_i a_i N_i) / D, rounded once."""
+        """The ``count`` draws of the chunk seeded ``chunk_seed`` as numerators
+        sum_i a_i N_i over D, in a fresh int64 (object past 2^53) array."""
         import numpy as np
         s = Stream(chunk_seed)
         if self.param is None:
@@ -319,56 +309,49 @@ class _Plan:
             if a != 1:
                 n *= a
             num = n if num is None else np.add(num, n, out=num)
-        if self.int64:  # below 2^53, so num and D are exact floats
-            return num / self.d if self.d > 1 else num.astype(np.float64)
-        try:
-            return np.fromiter((x / self.d for x in num), np.float64, count)
-        except OverflowError:
-            raise OverflowError("a draw overflows a float") from None
+        return num
 
 
 def _chunks(model, n: int, seed: int):
-    """The draws of ``sample(model, n, seed)``, one chunk at a time, from
-    one plan built for the run."""
+    """``(d, chunks)``: the draws of ``sample(model, n, seed)`` as int
+    numerators over d, one chunk at a time, from one plan built for the run."""
     if n < 1:
         raise ValueError("need at least one sample")
     param, master = model.param, Stream(seed)
     fixed = len(param.values) == 1
     plan = _Plan(param.values, None if fixed else param.cdf_array(), model.jumps)
-    return (plan.chunk(master.at(c), min(CHUNK, n - c * CHUNK))
-            for c in range((n + CHUNK - 1) // CHUNK))
+    return plan.d, (plan.chunk(master.at(c), min(CHUNK, n - c * CHUNK))
+                    for c in range((n + CHUNK - 1) // CHUNK))
 
 
 def sample(model, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. draws from the model, as float64; deterministic in
-    (model, n, seed)."""
+    """n i.i.d. draws from the model, each exact value rounded once to a
+    float64 (or ``OverflowError``); deterministic in (model, n, seed)."""
     import numpy as np
+    d, chunks = _chunks(model, n, seed)
     out = np.empty(n)  # filled in place: no chunk list to concatenate
-    for c, chunk in enumerate(_chunks(model, n, seed)):
-        out[c * CHUNK:(c + 1) * CHUNK] = chunk
+    for c, num in enumerate(chunks):
+        try:  # an int64 numerator and D are exact floats, and an int / int rounds once
+            out[c * CHUNK:(c + 1) * CHUNK] = num / d
+        except OverflowError:
+            raise OverflowError("a draw overflows a float") from None
     return out
 
 
-def _power_sums(chunks, top: int) -> tuple:
-    """``(sums, d)``: sums[j] / d^j is the exact sum of draw^j over ``chunks``
-    for j = 0..top.  A float is a 53-bit int times a power of two, so over
-    the smallest such power d, the tally of distinct values sums in ints."""
+def _power_sums(tallies, top: int) -> list:
+    """S_j, the exact sum of x^j over the ints x that ``tallies`` count, for
+    j = 0..top.  Each tally, ``(values, counts)`` of distinct ints, merges
+    into one running tally, so memory grows with the distinct values only."""
     import numpy as np
-    values, counts = np.empty(0), np.empty(0)
-    for chunk in chunks:
-        v, c = np.unique(chunk, return_counts=True)
+    values, counts = np.empty(0, np.int64), np.empty(0)
+    for v, c in tallies:
         values, inv = np.unique(np.concatenate((values, v)), return_inverse=True)
         counts = np.bincount(inv, np.concatenate((counts, c)))  # exact below 2^53
-    if not np.isfinite(values).all():
-        raise OverflowError("order-1 sample moments overflow a float")
-    mantissa, exponent = np.frexp(values)
-    low = min(int(exponent.min()), 53)
-    x = (mantissa * 2.0 ** 53).astype(np.int64).astype(object) << (exponent - low).astype(object)
-    power, sums = counts.astype(np.int64).astype(object), []
+    x, power, sums = values.astype(object), counts.astype(np.int64).astype(object), []
     for _ in range(top + 1):
         sums.append(int(power.sum()))
         power = power * x
-    return sums, 1 << (53 - low)
+    return sums
 
 
 # -- moment comparison --------------------------------------------------------------------
@@ -401,16 +384,20 @@ class MomentComparison:
 
 
 def empirical_rows(values: np.ndarray, exact: list, max_order: int) -> list:
-    """Comparison rows for a sample against exact rational predictions: the
-    mean of draw^k and its unbiased variance from exact power sums, each
-    correctly rounded.  ``OverflowError`` when a row's mean, variance or
-    stderr is not a finite float: such a row would pass untested."""
-    return _rows((values[i:i + CHUNK] for i in range(0, len(values), CHUNK)),
-                 exact, max_order)
+    """Comparison rows for a sample of floats, each distinct one read as the
+    int numerator of its exact value over one D, as ``compare``'s rows for
+    its draws.  ``OverflowError`` at an infinite draw, and when a row's mean,
+    variance or stderr is not a finite float: such a row would pass untested."""
+    import numpy as np
+    v, counts = np.unique(values, return_counts=True)
+    xs = [Fraction(x) for x in v.tolist()]
+    d = math.lcm(*(x.denominator for x in xs))
+    nums = np.array([x.numerator * (d // x.denominator) for x in xs], dtype=object)
+    return _rows([(nums, counts)], d, exact, max_order)
 
 
-def _rows(chunks, exact: list, max_order: int) -> list:
-    sums, d = _power_sums(chunks, 2 * max_order)
+def _rows(tallies, d: int, exact: list, max_order: int) -> list:
+    sums = _power_sums(tallies, 2 * max_order)
     n = sums[0]
     rows = []
     for k in range(1, max_order + 1):
@@ -438,11 +425,14 @@ def _rows(chunks, exact: list, max_order: int) -> list:
 
 def compare(model, n: int, seed: int, max_order: int = 4) -> MomentComparison:
     """Sample the model and set empirical moments against the exact umbral
-    predictions, one row per order."""
+    predictions, one row per order: the mean of draw^k and its unbiased
+    variance from exact power sums, each correctly rounded."""
     if max_order > MAX_ORDER_CAP:
         raise ValueError(f"max_order capped at {MAX_ORDER_CAP}")
+    import numpy as np
     exact = exact_moments(model, max_order)
-    rows = _rows(_chunks(model, n, seed), exact, max_order)
+    d, chunks = _chunks(model, n, seed)
+    rows = _rows((np.unique(num, return_counts=True) for num in chunks), d, exact, max_order)
     return MomentComparison(
         model=model.describe(),
         n_samples=n,

@@ -2,13 +2,18 @@
 plain definition, for the library's fast routes to be checked against."""
 
 import math
+from dataclasses import dataclass
+from functools import lru_cache
 
-from umbral.combinatorics import enumerate_partitions
+from umbral.combinatorics import stirling_sum
 from umbral.core import Atom
-from umbral.poisson import POISSON_PART, _poisson_cdf, _uniform_block
+from umbral.errors import TooLarge
+from umbral.poisson import POISSON_PART, _mix53, _poisson_cdf
 from umbral.poly import ZERO, Poly
-from umbral.prng import Stream
+from umbral.prng import GOLDEN, MASK, Stream
 from umbral.series import Series
+
+ENUMERATION_CAP = 12
 
 
 def mul_t(f: Series) -> Series:
@@ -21,6 +26,60 @@ def dot_moment(bar: Atom, mult: int, m: int):
     coefficient of [gf(bar)]^mult (mult may be negative), with gf(bar)
     truncated at t^m first; the reference for the Bell route."""
     return bar.egf.truncate(m).pow_int(mult).egf_moment(m)
+
+
+def falling_factorial_moment(beta: Atom, i: int) -> Poly:
+    """E[(beta)_i] = sum_j s(i,j) b_j, the signed-Stirling expansion of the
+    falling factorial."""
+    return Poly.coerce(stirling_sum("first_signed", i, beta.moments))
+
+
+@dataclass(frozen=True)
+class PartitionWeight:
+    """A block-size multiset (sorted descending) with its multiplicity among
+    all set partitions of an n-set."""
+
+    block_sizes: tuple
+    count: int
+
+    @property
+    def num_blocks(self) -> int:
+        return len(self.block_sizes)
+
+
+@lru_cache(maxsize=None)
+def enumerate_partitions(n: int) -> tuple:
+    """Enumerate every set partition of an n-set, tallied by block sizes.
+
+    Walks the block-joining tree (each element either joins an existing
+    block or opens a new one), so the leaf count per size-multiset is the
+    literal number of set partitions with that shape.  The walk stops at
+    ``ENUMERATION_CAP``.
+    """
+    if n < 0:
+        raise IndexError("enumerate_partitions needs n >= 0")
+    if n > ENUMERATION_CAP:
+        raise TooLarge(f"enumeration capped at n = {ENUMERATION_CAP}")
+    if n == 0:
+        return (PartitionWeight((), 1),)
+    tally: dict = {}
+    sizes: list = []
+
+    def walk(i: int):
+        if i == n:
+            key = tuple(sorted(sizes, reverse=True))
+            tally[key] = tally.get(key, 0) + 1
+            return
+        for j in range(len(sizes)):
+            sizes[j] += 1
+            walk(i + 1)
+            sizes[j] -= 1
+        sizes.append(1)
+        walk(i + 1)
+        sizes.pop()
+
+    walk(0)
+    return tuple(PartitionWeight(k, c) for k, c in sorted(tally.items(), reverse=True))
 
 
 def weighted_partition_sum(n: int, k: int, a) -> Poly:
@@ -38,6 +97,16 @@ def weighted_partition_sum(n: int, k: int, a) -> Poly:
     return total
 
 
+def uniform_block(seed: int, count: int):
+    """The first ``count`` draws of the SplitMix64 stream ``seed`` as 53-bit
+    ints, in a fresh array."""
+    import numpy as np
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(GOLDEN)
+    z += np.uint64(seed & MASK)
+    return _mix53(z)
+
+
 def masked_poisson_counts(rates, stream: Stream, count: int, pidx):
     """Poisson counts of the first ``count`` draws of ``stream`` at the rate
     ``rates[pidx]`` for each draw, by the per-rate loop: a boolean mask per
@@ -51,6 +120,6 @@ def masked_poisson_counts(rates, stream: Stream, count: int, pidx):
         parts = max(1, math.ceil(float(v) / POISSON_PART))
         cdf = _poisson_cdf(float(v) / parts)
         for j in range(parts):
-            w = _uniform_block((stream.derive(j) if j else stream).seed, count)[mask]
+            w = uniform_block((stream.derive(j) if j else stream).seed, count)[mask]
             counts[mask] += np.searchsorted(cdf, w * 2.0 ** -53, side="right")
     return counts

@@ -11,7 +11,6 @@ from umbral.cli import ExprContext, render
 from umbral.combinatorics import (
     bell_number,
     complete_bell,
-    enumerate_partitions,
     stirling,
 )
 from umbral.core import Workspace
@@ -38,7 +37,7 @@ from umbral.poly import ONE, Poly
 from umbral.prng import Stream
 from umbral.series import Series, factorial
 
-from oracles import dot_moment, mul_t
+from oracles import dot_moment, enumerate_partitions, mul_t
 
 HALF = Fraction(1, 2)
 

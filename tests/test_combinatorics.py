@@ -12,7 +12,6 @@ from umbral.combinatorics import (
     bell_triangle,
     bernoulli_number,
     complete_bell,
-    enumerate_partitions,
     exponential_poly,
     partial_bell,
     stirling,
@@ -22,7 +21,7 @@ from umbral.errors import TooLarge
 from umbral.poly import ONE, ZERO, Poly
 from umbral.prng import Stream
 
-from oracles import weighted_partition_sum
+from oracles import enumerate_partitions, weighted_partition_sum
 
 x = Poly.var("x")
 
@@ -261,7 +260,7 @@ def test_bell_triangle_shape():
 
 
 # caches keyed by integers alone, bounded by the orders a session asks for
-KEYED_BY_INTEGERS = {"factorial", "_stirling2", "_stirling1_signed", "enumerate_partitions"}
+KEYED_BY_INTEGERS = {"factorial", "_stirling2", "_stirling1_signed"}
 
 
 def test_bell_triangle_cache_is_bounded():

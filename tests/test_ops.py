@@ -25,7 +25,6 @@ from umbral.ops import (
     composition_umbra,
     dot,
     exponential_umbral_moment,
-    falling_factorial_moment,
     inverse_umbra,
     partition_umbra,
     point_power,
@@ -35,7 +34,7 @@ from umbral.poly import ONE, ZERO, Poly
 from umbral.prng import Stream
 from umbral.series import Series, factorial
 
-from oracles import mul_t
+from oracles import falling_factorial_moment, mul_t
 
 
 def fresh(order=8, indets=("x", "y")):
