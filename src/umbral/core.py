@@ -387,7 +387,7 @@ class Workspace:
                 for group in _groups(e.parts)]
         if isinstance(e, Product):
             return [reduce(mul, column) for column in zip(*seqs)]
-        return reduce(Series.__mul__, map(Series.from_moments, seqs)).moments()
+        return Series.product(map(Series.from_moments, seqs)).moments()
 
     def _checked(self, expr, ks) -> list:
         """E[expr^j] for j = 0..ks[-1], after the one order test (see the

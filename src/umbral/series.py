@@ -2,15 +2,16 @@
 
 A ``Series`` of order N is sum_k c_k t^k, held by its EGF moments M_k = k! c_k
 (see :class:`Series`).  Every kernel is a recurrence on ints with integer
-binomial weights: :func:`convolve` for products, :func:`miller` for exp, log
-and powers, :func:`compose` and :func:`revert` on full products h^k (one
-exact ``//`` per reversion step).  A kernel lifts its operands to d^k M_k
-over one denominator d, one int moment list per monomial (:func:`_lift`).
-A rational series has the constant monomial alone and its list runs as it
-is.  The lists of a series that carries an indeterminate pack into one int
-per moment by Kronecker substitution (:func:`_run`), and each result moment
-is unpacked once, so each coefficient of a result is scaled back once: an
-``int`` unless a denominator is left, then one ``Fraction``.
+binomial weights: :func:`convolve` for products (folded over every factor of
+:meth:`Series.product` at once), :func:`miller` for exp, log and powers,
+:func:`compose` and :func:`revert` on full products h^k (one exact ``//`` per
+reversion step).  A kernel lifts its operands to d^k M_k over one
+denominator d, one int moment list per monomial (:func:`_lift`).  A rational
+series has the constant monomial alone and its list runs as it is.  The
+lists of a series that carries an indeterminate pack into one int per moment
+by Kronecker substitution (:func:`_run`), and each result moment is unpacked
+once, by halves (:func:`_unpack`), so each coefficient of a result is scaled
+back once: an ``int`` unless a denominator is left, then one ``Fraction``.
 The constructor takes ordinary coefficients, and ``coeffs``, ``str`` and JSON
 give them back.  Binary operations demand equal orders.  A series is
 *unital* when c_0 = 1 and *delta* when c_0 = 0.
@@ -25,9 +26,10 @@ give them back.  Binary operations demand equal orders.  A series is
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, product
-from math import comb, factorial, lcm
-from operator import mul
+from math import comb, factorial, lcm, prod
+from operator import add, mul
 
 from .errors import (DomainError, NegativePowerOfDeltaSeries, NotInvertible,
                      OrderExceeded, OrderMismatch)
@@ -179,14 +181,23 @@ def _slope(degrees, n: int) -> int:
     return max((n * i // k for k, i in enumerate(degrees) if k), default=0)
 
 
-def _unpack(v: int, b: int, n: int) -> list:
-    """The n balanced base-2^b digits of v, each in [-2^(b-1), 2^(b-1)),
-    lowest first."""
-    h, out = 1 << b - 1, []
-    for _ in range(n):
-        out.append((v + h & 2 * h - 1) - h)
-        v = v - out[-1] >> b
-    return out
+def _unpack(xs, b: int, n: int):
+    """The n balanced base-2^b digits of each x in xs, each in [-2^(b-1), 2^(b-1)),
+    lowest first, one list per x.  With h = 2^(b-1), x + h (2^(bn) - 1) / (2^b - 1)
+    has x's digits plus h, no borrow; it splits by halves, and an upper half
+    equal to the offset's top digits, h in each, holds zeros alone."""
+    h, mask = 1 << b - 1, (1 << b) - 1
+    offset = ((1 << b * n) - 1) // mask << b - 1
+
+    def digits(u: int, k: int) -> list:
+        if k <= 16:
+            return [(u >> b * j & mask) - h for j in range(k)]
+        m = k // 2
+        hi = u >> b * m
+        return digits(u & (1 << b * m) - 1, m) + (
+            [0] * (k - m) if hi == offset >> b * (n - k + m) else digits(hi, k - m))
+    for x in xs:
+        yield digits(x + offset, n)
 
 
 def _run(kernel, groups, degree, d, e=1, majorant=None) -> "Series":
@@ -239,8 +250,8 @@ def _scaled_down(xs, d, e=1, packing=None) -> "Series":
         return Series.from_moments([_quotient(x, s) for x, s in zip(xs, scales)])
     b, monomials = packing
     return Series.from_moments([
-        Poly({m: _quotient(c, s) for m, c in zip(monomials, _unpack(x, b, len(monomials))) if c})
-        for x, s in zip(xs, scales)])
+        Poly({m: _quotient(c, s) for m, c in zip(monomials, digits) if c})
+        for digits, s in zip(_unpack(xs, b, len(monomials)), scales)])
 
 
 class Series:
@@ -334,15 +345,33 @@ class Series:
         return Series.from_moments([-a for a in self._m])
 
     def __mul__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        self._same_order(other)
-        a, b = _planes(self._m), _planes(other._m)
-        d = _denominator(*a.values(), *b.values())
-        ea, eb = (_denominator(*(p[:1] for p in g.values())) for g in (a, b))
-        return _run(convolve, [_lift(a, d, ea), _lift(b, d, eb)],
-                    lambda da, db: max(i + max(db[:len(db) - k]) for k, i in enumerate(da)),
-                    d, ea * eb)
+        return Series.product([self, other]) if isinstance(other, Series) else NotImplemented
+
+    @staticmethod
+    def product(factors) -> "Series":
+        """The product of one or more series of one order in one :func:`_run`:
+        :func:`convolve` folded over the packed lifts e_i d^k M_k of factor i (d
+        the lcm of all denominators, e_i that of its M_0), each result moment
+        scaled back once.  Bounds: the fold on 1-norms bounds each 1-norm.  Let
+        A, B be nondecreasing with A_j >= deg a_j, B_k >= deg b_k (prefix maxima).
+        By ``convolve``'s bound c = a b has deg c_m <= max_{j<=m} (A_j + B_(m-j))
+        = C_m, nondecreasing in m like each A_j + B_(m-j); so C, folded factor
+        by factor, bounds every degree of the product by its last entry.  B = 0
+        gives C = A: a factor of degree 0 is skipped."""
+        first, *rest = factors = list(factors)
+        for f in rest:
+            first._same_order(f)
+        groups = [_planes(f._m) for f in factors]
+        d = _denominator(*(p for g in groups for p in g.values()))
+        es = [_denominator(*(p[:1] for p in g.values())) for g in groups]
+
+        def degree(*degrees):  # the last factor gives C_N alone
+            *bs, last = [list(accumulate(g, max)) for g in degrees if any(g)] or [[0]]
+            c = reduce(lambda c, b: [max(map(add, c[:m + 1], b[m::-1])) for m in range(len(b))],
+                       bs[1:], bs[0]) if bs else [0]
+            return max(map(add, c, reversed(last)))
+        return _run(lambda *xs: reduce(convolve, xs),  # the module's convolve, read per call
+                    [_lift(g, d, e) for g, e in zip(groups, es)], degree, d, prod(es))
 
     def scalar_mul(self, c) -> "Series":
         return Series.from_moments([c * a for a in self._m])

@@ -590,13 +590,13 @@ UNPACK_BUILT = {
 
 
 def corrupt_unpack(unpack):
-    """``unpack`` with digit 2 off by one; a zero value keeps its digits, so
-    log's M_0 = 0 stays zero and compose still takes the delta series."""
-    def corrupted(v, b, n):
-        out = unpack(v, b, n)
-        if v:
-            out[2] += 1
-        return out
+    """``unpack`` with digit 2 of each value off by one; a zero value keeps its
+    digits, so log's M_0 = 0 stays zero and compose still takes the delta series."""
+    def corrupted(xs, b, n):
+        for x, digits in zip(xs, unpack(xs, b, n)):
+            if x:
+                digits[2] += 1
+            yield digits
     return corrupted
 
 

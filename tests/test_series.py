@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from umbral import series
 from umbral.errors import (
     DomainError,
     NegativePowerOfDeltaSeries,
@@ -558,6 +561,94 @@ def test_packed_kernels_at_their_digit_bounds(kernel, top):
     assert any(Poly.coerce(c).variables() for c in out.coeffs)
     for values in POINTS:
         assert at(out, values) == kernel(cs, values["x"], values["y"])
+
+
+@pytest.mark.parametrize("b", [2, 3, 64])
+@pytest.mark.parametrize("n", [1, 16, 17, 33, 81, 441])
+def test_unpack_gives_back_balanced_digits(b, n):
+    # the extreme digits, and a top digit of +-1 or at an extreme over lower
+    # digits that are zero or all at one extreme, with zero digits above it:
+    # zero upper halves, and halves that are zero but for one digit
+    h, rng = 1 << b - 1, random.Random(1000 * b + n)
+    cases = [[0] * n, [-h] * n, [h - 1] * n]
+    cases += [[rng.choice([-h, h - 1, rng.randrange(-h, h)]) for _ in range(n)]
+              for _ in range(3)]
+    for top in {0, 1, 15, 16, 17, n // 2, n - 2, n - 1} & set(range(n)):
+        for lower in (-h, h - 1, 0, None):
+            cases += [[rng.randrange(-h, h) if lower is None else lower for _ in range(top)]
+                      + [sign] + [0] * (n - top - 1) for sign in (1, -1, -h, h - 1)]
+    values = [sum(dig << b * j for j, dig in enumerate(digits)) for digits in cases]
+    assert list(series._unpack(values, b, n)) == cases
+
+
+# -- the product of many factors in one run ---------------------------------------------------
+
+
+def product_oracle(factors):
+    """The product by this file's ``convolve`` on ordinary Poly coefficients."""
+    return Series(factors[0].order,
+                  reduce(convolve, [[Poly.coerce(c) for c in f.coeffs] for f in factors]))
+
+
+def graded_factors(count, top):
+    """``count`` factors whose moment k is c_k x^k, c_k y^k or c_k (xy)^k in
+    turn, every c_k > 0: the top moment of the product has a term of each
+    degree that the product's bound allows, so the bound is reached."""
+    return [graded([Fraction(top + 3 * i + k, k + 1) for k in range(9)], v)
+            for i, v in zip(range(count), [x, y, x * y] * 2)]
+
+
+PRODUCT_RINGS = {
+    "scalar": lambda count: st.lists(series_strategy(6), min_size=count, max_size=count),
+    "x": lambda count: st.lists(x_series_strategy(6), min_size=count, max_size=count),
+    # a rational factor at every even place, among Poly ones
+    "mixed": lambda count: st.tuples(*[(x_series_strategy if i % 2 else series_strategy)(6)
+                                       for i in range(count)]).map(list),
+}
+
+
+@pytest.mark.parametrize("ring", PRODUCT_RINGS)
+@pytest.mark.parametrize("count", range(1, 6))
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_product_is_the_fold_of_binary_products(ring, count, data):
+    factors = data.draw(PRODUCT_RINGS[ring](count))
+    out = Series.product(factors)
+    assert out == reduce(lambda f, g: f * g, factors) == product_oracle(factors)
+    assert Series.product(iter(factors)) == out
+
+
+@pytest.mark.parametrize("top", [1, 10 ** 6])
+@pytest.mark.parametrize("count", range(1, 6))
+def test_product_at_its_degree_bound(count, top):
+    factors = graded_factors(count, top)
+    out = Series.product(factors)
+    assert out == reduce(lambda f, g: f * g, factors) == product_oracle(factors)
+    # moment 8 reaches degree 8 in each variable, the bound
+    top_terms = Poly.coerce(out.egf_moment(8)).terms
+    assert {v: max(dict(m).get(v, 0) for m in top_terms) for v in "xy"} == \
+        {"x": 8, "y": 8 if count > 1 else 0}
+
+
+def test_product_of_mixed_orders_is_an_error():
+    with pytest.raises(OrderMismatch):
+        Series.product([Series.exp_t(4), Series.exp_t(4), Series.exp_t(5)])
+    with pytest.raises(OrderMismatch):
+        Series.product([Series.make([1, x], 3), Series.one(2)])
+
+
+@pytest.mark.parametrize("count", range(1, 6))
+def test_a_degree_bound_one_short_breaks_the_product(monkeypatch, count):
+    # the test above can fail: with every radix one digit short, the top
+    # degree of a graded factor falls off or lands on another monomial
+    run = series._run
+
+    def short(kernel, groups, degree, *args, **kwargs):
+        return run(kernel, groups, lambda *ds: degree(*ds) - 1, *args, **kwargs)
+    factors = graded_factors(count, 1)
+    expected = product_oracle(factors)
+    monkeypatch.setattr(series, "_run", short)
+    assert Series.product(factors) != expected
 
 
 # -- no float anywhere -----------------------------------------------------------------------
