@@ -18,9 +18,10 @@ B_{k,j}(1, 1, ...) = S(k,j):
 ``describe`` names the simplest case that the two distributions fit, so a
 one-point ``param`` is labelled, drawn and checked as the fixed rate it is.
 
-Randomness: SplitMix64 only (see :mod:`umbral.prng`).  Sampling is chunked;
-chunk c of a run seeded with s gets its own seed ``Stream(s).at(c)`` and
-draws from the substreams ``Stream(chunk_seed).derive(t)``.  A draw is
+Randomness: SplitMix64 only (see :mod:`umbral.prng`).  The chunk of CHUNK
+draws is the seeding unit: chunk c of a run seeded with s gets its own seed
+``Stream(s).at(c)`` and draws from the substreams
+``Stream(chunk_seed).derive(t)``.  A draw is
 thinned by jump value: for jumps J = sum_i p_i delta_{v_i}, the generating
 function exp(L (f_J(t) - 1)) is the product over i of
 exp(L p_i (e^{v_i t} - 1)), so L.part(J) ~ sum_i v_i ((L p_i).beta), and a
@@ -32,11 +33,12 @@ over the lcm D of the denominators, it is the int numerator sum_i a_i N_i
 over D.  When D and sum_i |a_i| times the largest count of N_i's table are
 below 2^53, the sum runs in int64, and otherwise in Python ints.  Only
 ``sample`` makes floats: it divides each numerator by D, rounding once,
-and a draw no float holds raises ``OverflowError``.  The
-work per draw is one uniform per count part, whatever the rate.  Each run
-builds one ``_Plan``: every CDF and bucket table, built once, and one
-buffer that each block of uniforms is mixed in; draw i of a stream seeded
-s is mix(s + (i+1) GOLDEN).
+and a draw no float holds raises ``OverflowError``.  The work per draw is
+one uniform per count part, whatever the rate.  Each run builds one
+``_Plan``: every CDF and bucket table, built once, and one buffer of BLOCK
+uniforms.  The block is the work unit: draw i of a stream seeded s is
+mix(s + (i+1) GOLDEN), so the block from draw b of a chunk reads each
+substream at the seed s + b GOLDEN, and no draw depends on the block size.
 Each draw is a 53-bit int w, the uniform w 2^-53, inverted against a CDF
 through its bucket table: 2^10 buckets on w's top bits answer each draw
 whose bucket no CDF value splits, and only the rest are searched.  At a
@@ -49,9 +51,11 @@ x.beta + y.beta' ~ (x + y).beta.  Everything downstream is a pure function
 of (model, n, seed).
 
 Empirical moments are the exact power sums S_j / D^j of the draws, rounded
-once: ``_power_sums`` tallies the numerators by distinct value, so
-``compare`` holds one chunk and the tally, never all n draws, and makes no
-float draw.  numpy loads at the first draw, not at import.
+once.  ``compare`` tallies once per chunk: the blocks fill one reused int64
+chunk buffer, sorted in place and read at its run boundaries, and
+``_power_sums`` merges the tallies of distinct values.  So ``compare`` holds
+one chunk and the tally, never all n draws, and makes no float draw.  numpy
+loads at the first draw, not at import.
 
 Jump and parameter distributions are restricted to finite rational support
 so every predicted moment is a finite exact sum.
@@ -73,6 +77,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 CHUNK = 1 << 16
+BLOCK = 1 << 14
 Z_TOLERANCE = 8.0
 MAX_ORDER_CAP = 6
 POISSON_PART = 500
@@ -245,8 +250,9 @@ class _Inverse:
 class _Plan:
     """One run's sampler: every table the draws read, built once from the
     rates, the parameter's CDF (None at a fixed rate) and the jumps, and one
-    uint64 buffer that each block of uniforms is mixed in.  Only
-    intermediates live in it: every chunk comes back in a fresh array."""
+    block-sized uint64 buffer that mixes each block of uniforms.  Only
+    intermediates live in it: a chunk's draws go to the caller's buffer or a
+    fresh array."""
 
     def __init__(self, rates: tuple, param_cdf=None, jumps: DiscreteDist = _UNIT_JUMPS):
         import numpy as np
@@ -262,27 +268,27 @@ class _Plan:
             bound += abs(a) * max(int(k) * len(cdf) for k, cdf in zip(parts, rows.cdfs))
         self.int64 = max(bound, self.d) < 1 << 53
         self.param = None if param_cdf is None else _Inverse([param_cdf])
-        self._base = np.arange(1, CHUNK + 1, dtype=np.uint64) * np.uint64(GOLDEN)
-        self._w = np.empty(CHUNK, dtype=np.uint64)
+        self._base = np.arange(1, BLOCK + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+        self._w = np.empty(BLOCK, dtype=np.uint64)
 
     def uniforms(self, seed: int, count: int) -> np.ndarray:
-        """The first ``count`` draws of the stream ``seed`` as 53-bit ints,
-        in the reused buffer: draw i is mix(s + (i+1) GOLDEN)."""
+        """The first ``count`` (at most BLOCK) draws of the stream ``seed`` as
+        53-bit ints, in the reused buffer: draw i is mix(s + (i+1) GOLDEN)."""
         import numpy as np
         return _mix53(np.add(self._base[:count], np.uint64(seed & MASK), out=self._w[:count]))
 
-    def counts(self, stream: Stream, count: int, pidx=None, i: int = 0) -> np.ndarray:
-        """Poisson counts of the first ``count`` draws of ``stream`` at the
+    def counts(self, stream: Stream, count: int, pidx=None, i: int = 0, start: int = 0) -> np.ndarray:
+        """Poisson counts of draws start..start+count-1 of ``stream`` at the
         rate L p_i of jump value i, L the rate of row ``pidx`` for each draw
         (the one rate when ``pidx`` is None).  A rate above POISSON_PART
         is split into equal parts; part j >= 1 inverts the same positions of
         ``stream.derive(j)`` where the rate has it."""
         import numpy as np
         parts, rows, top = self.tables[i]
-        counts = rows(self.uniforms(stream.seed, count), pidx)
+        counts = rows(self.uniforms(stream.seed + start * GOLDEN, count), pidx)
         split = None if pidx is None or top == 1 else parts.take(pidx)
         for j in range(1, top):
-            w = self.uniforms(stream.derive(j).seed, count)
+            w = self.uniforms(stream.derive(j).seed + start * GOLDEN, count)
             if split is None:
                 counts += rows(w)
             else:
@@ -290,52 +296,73 @@ class _Plan:
                 counts[at] += rows(w[at], pidx[at])
         return counts
 
-    def chunk(self, chunk_seed: int, count: int) -> np.ndarray:
+    def chunk(self, chunk_seed: int, count: int, out=None) -> np.ndarray:
         """The ``count`` draws of the chunk seeded ``chunk_seed`` as numerators
-        sum_i a_i N_i over D, in a fresh int64 (object past 2^53) array."""
+        sum_i a_i N_i over D, in ``out[:count]`` or, when ``out`` is None, a
+        fresh int64 (object past 2^53) array.  They are worked a block of at
+        most BLOCK at a time: the block from draw b reads each substream's
+        draws b, b+1, ..., at the seed t + b GOLDEN of a substream seeded t."""
         import numpy as np
+        out = np.empty(count, np.int64 if self.int64 else object) if out is None else out[:count]
         s = Stream(chunk_seed)
-        if self.param is None:
-            pidx, first = None, s.derive(1)
-        else:
-            pidx = self.param(self.uniforms(s.derive(1).seed, count))
-            top = len(self.param.cdfs[0]) - 1
-            pidx, first = pidx.clip(max=top, out=pidx), s.derive(2)
-        num = None
-        for i, a in enumerate(self.nums):
-            n = self.counts(s.derive(2 + i) if i else first, count, pidx, i)
-            if not self.int64:
-                n = n.astype(object)
-            if a != 1:
-                n *= a
-            num = n if num is None else np.add(num, n, out=num)
-        return num
+        first = s.derive(1 if self.param is None else 2)
+        for start in range(0, count, BLOCK):
+            size, pidx, num = min(BLOCK, count - start), None, None
+            if self.param is not None:
+                pidx = self.param(self.uniforms(s.derive(1).seed + start * GOLDEN, size))
+                pidx.clip(max=len(self.param.cdfs[0]) - 1, out=pidx)
+            for i, a in enumerate(self.nums):
+                n = self.counts(s.derive(2 + i) if i else first, size, pidx, i, start)
+                if not self.int64:
+                    n = n.astype(object)
+                if a != 1:
+                    n *= a
+                num = n if num is None else np.add(num, n, out=num)
+            out[start:start + size] = num
+        return out
 
 
-def _chunks(model, n: int, seed: int):
+def _chunks(model, n: int, seed: int, out=None):
     """``(d, chunks)``: the draws of ``sample(model, n, seed)`` as int
-    numerators over d, one chunk at a time, from one plan built for the run."""
+    numerators over d, one chunk at a time from one plan built for the run.
+    Each chunk reuses the int64 buffer ``out`` if one is given and the run
+    sums in int64, and is a fresh array otherwise."""
     if n < 1:
         raise ValueError("need at least one sample")
     param, master = model.param, Stream(seed)
-    fixed = len(param.values) == 1
-    plan = _Plan(param.values, None if fixed else param.cdf_array(), model.jumps)
-    return plan.d, (plan.chunk(master.at(c), min(CHUNK, n - c * CHUNK))
+    plan = _Plan(param.values, None if len(param.values) == 1 else param.cdf_array(), model.jumps)
+    out = out if plan.int64 else None
+    return plan.d, (plan.chunk(master.at(c), min(CHUNK, n - c * CHUNK), out)
                     for c in range((n + CHUNK - 1) // CHUNK))
 
 
 def sample(model, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws from the model, each exact value rounded once to a
-    float64 (or ``OverflowError``); deterministic in (model, n, seed)."""
+    float64 (or ``OverflowError``); deterministic in (model, n, seed).  Each
+    chunk's numerators, worked in blocks in one reused buffer, are divided
+    by D straight into the output."""
     import numpy as np
-    d, chunks = _chunks(model, n, seed)
-    out = np.empty(n)  # filled in place: no chunk list to concatenate
+    d, chunks = _chunks(model, n, seed, np.empty(CHUNK, np.int64))
+    out = np.empty(n)
     for c, num in enumerate(chunks):
-        try:  # an int64 numerator and D are exact floats, and an int / int rounds once
-            out[c * CHUNK:(c + 1) * CHUNK] = num / d
+        try:  # an int64 numerator and D are exact floats, and an int / int
+            # rounds once, to a float that the cast to float64 keeps
+            np.divide(num, d, out=out[c * CHUNK:c * CHUNK + len(num)], casting="unsafe")
         except OverflowError:
             raise OverflowError("a draw overflows a float") from None
     return out
+
+
+def _tally(num: np.ndarray):
+    """``(values, counts)`` of the distinct ints in ``num``: an int64 chunk
+    is sorted in place and read at its run boundaries, an object one goes
+    through ``np.unique``."""
+    import numpy as np
+    if num.dtype == object:
+        return np.unique(num, return_counts=True)
+    num.sort()
+    ends = np.append(np.flatnonzero(num[1:] != num[:-1]), len(num) - 1)
+    return num[ends], np.diff(ends, prepend=-1)
 
 
 def _power_sums(tallies, top: int) -> list:
@@ -426,13 +453,14 @@ def _rows(tallies, d: int, exact: list, max_order: int) -> list:
 def compare(model, n: int, seed: int, max_order: int = 4) -> MomentComparison:
     """Sample the model and set empirical moments against the exact umbral
     predictions, one row per order: the mean of draw^k and its unbiased
-    variance from exact power sums, each correctly rounded."""
+    variance from exact power sums, each correctly rounded.  The draws are
+    tallied once per chunk, in one reused int64 chunk buffer."""
     if max_order > MAX_ORDER_CAP:
         raise ValueError(f"max_order capped at {MAX_ORDER_CAP}")
     import numpy as np
     exact = exact_moments(model, max_order)
-    d, chunks = _chunks(model, n, seed)
-    rows = _rows((np.unique(num, return_counts=True) for num in chunks), d, exact, max_order)
+    d, chunks = _chunks(model, n, seed, np.empty(CHUNK, np.int64))
+    rows = _rows(map(_tally, chunks), d, exact, max_order)
     return MomentComparison(
         model=model.describe(),
         n_samples=n,

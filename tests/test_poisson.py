@@ -12,6 +12,7 @@ from umbral import combinatorics
 from umbral.combinatorics import bell_number, bell_triangle
 from umbral.errors import CoherenceError, InvalidDistribution
 from umbral.poisson import (
+    BLOCK,
     BUCKET_BITS,
     CHUNK,
     POISSON_PART,
@@ -25,6 +26,7 @@ from umbral.poisson import (
     _Plan,
     _poisson_cdf,
     _power_sums,
+    _tally,
     compare,
     empirical_rows,
     exact_moments,
@@ -201,10 +203,33 @@ def test_draws_at_the_top_rate_are_pinned(model, digest):
 
 
 def test_chunks_are_fresh_arrays():
-    # the plan reuses its buffers for intermediates only
+    # given no buffer, each chunk's blocks fill a fresh array: the plan
+    # reuses its block-sized buffers for intermediates only
     model, n = CompoundModel(1, BENCH_JUMPS), 2 * CHUNK + 5
     d, chunks = _chunks(model, n, 3)
     assert np.array_equal(np.concatenate(list(chunks)) / d, sample(model, n, 3))
+
+
+# rates split into 1, 3 and 6 parts, as in DRAW_DIGESTS
+SPLIT_RATES = RandomizedModel(DiscreteDist((3, 1200, 2600), (HALF, Fraction(1, 4), Fraction(1, 4))))
+
+
+@pytest.mark.parametrize("model", BENCH_MODELS + [SPLIT_RATES], ids=lambda m: m.describe())
+def test_a_run_is_a_prefix_of_any_longer_run(model):
+    # the chunk seeds the draws and the block only works them, so no block
+    # or chunk edge moves a draw
+    full = sample(model, 2 * CHUNK + 5, 9)
+    for k in (1, BLOCK - 1, BLOCK, BLOCK + 1, CHUNK - 1, CHUNK, CHUNK + 1):
+        assert np.array_equal(sample(model, k, 9), full[:k]), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-3, 3) | st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=300))
+def test_an_in_place_tally_equals_unique(xs):
+    num = np.array(xs, dtype=np.int64)
+    values, counts = _tally(num.copy())
+    want_values, want_counts = np.unique(num, return_counts=True)
+    assert values.tolist() == want_values.tolist() and counts.tolist() == want_counts.tolist()
 
 
 @pytest.mark.parametrize("start", [0, 1, 1 << 14, 3 * (1 << 14) + 7])
@@ -521,6 +546,13 @@ def test_compare_memory_does_not_grow_with_n():
     for model, top in ((PoissonModel(1), 1 << 20), (THINNED[-1], 1 << 19)):
         compare(model, 1 << 10, 4)  # one-time allocations come first
         assert _peak_bytes(model, top) <= 1.5 * _peak_bytes(model, 1 << 17)
+
+
+@pytest.mark.parametrize("model", BENCH_MODELS, ids=lambda m: m.describe())
+def test_compare_peak_memory_is_one_chunk_and_a_few_blocks(model):
+    # one int64 chunk buffer reused for every chunk, and block-sized temporaries
+    compare(model, 1 << 10, 4)  # one-time allocations come first
+    assert _peak_bytes(model, 1 << 19) <= 2 << 20
 
 
 def test_sample_memory_does_not_grow_with_the_rate():
