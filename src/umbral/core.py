@@ -28,9 +28,10 @@ follow from that, for atom-disjoint X and Y:
   first; the indeterminates are scalars to E and multiply the result.
 
 Overflow is decided once, from the tree's structure, before any expansion.
-An atom's structural degree in e (``_degrees``), counted before any
-cancellation, bounds its power in every monomial of e's normal form, so
-E[e^k] reads no moment of it beyond degree * k.  ``eval`` raises
+An atom's structural degree in e, counted before any cancellation, bounds
+its power in every monomial of e's normal form, so E[e^k] reads no moment
+of it beyond degree * k.  Each node carries these degrees (``degrees``),
+merged from its children's when it is built.  ``eval`` raises
 ``OrderExceeded`` for the lowest-uid atom where that passes the order, and
 ``moments_of`` does so at the first such k, whatever the moments are.
 
@@ -43,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, count, repeat
-from operator import mul
+from operator import add, mul
 
 from .errors import (
     BadZerothMoment,
@@ -63,9 +64,10 @@ DEFAULT_ORDER = 12
 
 class Expr:
     """An immutable expression node; two nodes are equal when they have the
-    same type and equal fields."""
+    same type and equal fields.  ``degrees``, not a field, maps each atom to
+    its structural degree, set from the children's as the node is built."""
 
-    __slots__ = ()
+    __slots__ = ("degrees",)
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
@@ -113,6 +115,8 @@ class Atom(Expr):
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+    # built on each read: stored on the atom, the map would be a cycle
+    degrees = property(lambda self: {self: 1})
 
     def __repr__(self):
         return self.name
@@ -123,6 +127,7 @@ class Sum(Expr):
 
     def __init__(self, parts):
         object.__setattr__(self, "parts", tuple(as_expr(p) for p in parts))
+        object.__setattr__(self, "degrees", _merge(self.parts, max))
 
     def __repr__(self):
         return "(" + " + ".join(map(repr, self.parts)) + ")"
@@ -135,6 +140,7 @@ class Product(Expr):
 
     def __init__(self, parts=()):
         object.__setattr__(self, "parts", tuple(as_expr(p) for p in parts))
+        object.__setattr__(self, "degrees", _merge(self.parts, add))
 
     def __repr__(self):
         return "(" + " * ".join(map(repr, self.parts)) + ")" if self.parts else "1"
@@ -146,6 +152,7 @@ class ScalarMul(Expr):
     def __init__(self, coeff, child):
         object.__setattr__(self, "coeff", Poly.coerce(coeff))
         object.__setattr__(self, "child", as_expr(child))
+        object.__setattr__(self, "degrees", self.child.degrees)
 
     def __repr__(self):
         return f"({self.coeff})*{self.child!r}"
@@ -159,6 +166,8 @@ class IntPower(Expr):
             raise ValueError("expression powers must be nonnegative")
         object.__setattr__(self, "child", as_expr(child))
         object.__setattr__(self, "power", power)
+        object.__setattr__(self, "degrees", {a: d * power for a, d in
+                                             self.child.degrees.items() if power})
 
     def __repr__(self):
         return f"{self.child!r}^{self.power}"
@@ -168,6 +177,16 @@ def as_expr(x) -> Expr:
     if isinstance(x, Expr):
         return x
     raise TypeError(f"not an umbral expression: {x!r}")
+
+
+def _merge(parts, combine) -> dict:
+    """The degrees of a sum (combine = max) or a product (add) of parts; a
+    p-th power has p times its child's (none at p = 0), a scalar its child's."""
+    out: dict = {}
+    for part in parts:
+        for a, d in part.degrees.items():
+            out[a] = combine(out.get(a, 0), d)
+    return out
 
 
 #: the multiplicative unit as an expression
@@ -209,31 +228,12 @@ def _expand(e: Expr) -> Poly:
     raise TypeError(f"unknown expression node: {e!r}")
 
 
-def _degrees(e: Expr) -> dict:
-    """The structural degree of each atom a in e: 1 for a itself, the max
-    over a sum's parts, the sum over a product's, p times the child's under
-    a p-th power (none at p = 0) and the child's under a scalar."""
-    if isinstance(e, Atom):
-        return {e: 1}
-    if isinstance(e, ScalarMul):
-        return _degrees(e.child)
-    if isinstance(e, IntPower):
-        return {a: d * e.power for a, d in _degrees(e.child).items() if e.power}
-    if not isinstance(e, (Sum, Product)):
-        raise TypeError(f"unknown expression node: {e!r}")
-    out: dict = {}
-    for part in e.parts:
-        for a, d in _degrees(part).items():
-            out[a] = max(out.get(a, 0), d) if isinstance(e, Sum) else out.get(a, 0) + d
-    return out
-
-
 def _groups(parts) -> list:
     """Split parts into groups linked through shared atoms; an atom-free
     part is a group of its own."""
     groups = []  # (atoms, parts) pairs
     for part in parts:
-        atoms = set(_degrees(part))
+        atoms = set(part.degrees)
         linked = [g for g in groups if g[0] & atoms]
         groups = [g for g in groups if not g[0] & atoms]
         groups.append((atoms.union(*(g[0] for g in linked)),
@@ -373,7 +373,7 @@ class Workspace:
 
     def _moments(self, e: Expr, n: int) -> list:
         """E[e^j] for j = 0..n by the tree rules (see the module docstring)."""
-        if not _degrees(e):
+        if not e.degrees:
             return list(accumulate(repeat(_expand(e), n), mul, initial=ONE))
         if isinstance(e, Atom):
             return list(e.moments[: n + 1])
@@ -393,7 +393,7 @@ class Workspace:
         """E[expr^j] for j = 0..ks[-1], after the one order test (see the
         module docstring) at each k of ks in turn."""
         expr = as_expr(expr)
-        degrees = sorted(_degrees(expr).items(), key=lambda ad: ad[0].uid)
+        degrees = sorted(expr.degrees.items(), key=lambda ad: ad[0].uid)
         for k in ks:
             for atom, d in degrees:
                 if d * k > self.order:
@@ -458,7 +458,5 @@ class Workspace:
                 parsed = [Poly.from_json(m) for m in moments]
             except ValueError as exc:
                 raise ValueError(f"workspace umbra {name!r}: {exc}") from None
-            if len(parsed) < ws.order + 1:
-                parsed += [ZERO] * (ws.order + 1 - len(parsed))
-            ws.define(name, parsed[: ws.order + 1])
+            ws.define(name, (parsed + [ZERO] * (ws.order + 1))[: ws.order + 1])
         return ws

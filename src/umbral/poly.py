@@ -271,14 +271,16 @@ class Poly:
     @staticmethod
     def from_json(data) -> "Poly":
         """Read a rational string, an int or a term map of rational strings;
-        ``ValueError`` for any other shape."""
+        ``ValueError`` for any other shape or for an exponent below 1."""
         if isinstance(data, str) or type(data) is int:
             return Poly.const(data)
         if not (isinstance(data, dict) and all(isinstance(c, str) for c in data.values())):
             raise ValueError(f"a moment is a rational string, an int or a term "
                              f"map of rational strings, not {data!r}")
-        terms = {_parse_mono(m): _exact(c) for m, c in data.items()}
-        return Poly({m: c for m, c in terms.items() if c})
+        terms = {}  # keys that name one monomial (x*y, y*x) add up
+        for mono, c in ((_parse_mono(m), _exact(c)) for m, c in data.items()):
+            terms[mono] = terms.get(mono, 0) + c
+        return Poly({m: _exact(c) for m, c in terms.items() if c})
 
 
 def _exact(value):
@@ -303,11 +305,10 @@ def _parse_mono(text: str) -> Monomial:
         return ()
     exps = {}
     for piece in text.split("*"):
-        if "^" in piece:
-            v, e = piece.split("^")
-            exps[v] = exps.get(v, 0) + int(e)
-        else:
-            exps[piece] = exps.get(piece, 0) + 1
+        v, e = piece.split("^") if "^" in piece else (piece, 1)
+        if int(e) < 1:
+            raise ValueError(f"monomial {text!r} has an exponent below 1")
+        exps[v] = exps.get(v, 0) + int(e)
     return tuple(sorted(exps.items()))
 
 

@@ -464,6 +464,9 @@ def test_error_reporting():
     ("mc", "--model", "randomized", "--param", "1:1/2,2:1/2", "--jumps", "5:1"),
     ("mc", "--model", "randomized_compound", "--param", "1:1", "--jumps", "1:1",
      "--lambda", "2"),
+    # a moment monomial with an exponent below 1
+    ("--workspace", {"umbrae": {"b": ["1", {"x^0": "1"}]}}, "eval", "E[b]"),
+    ("--workspace", {"umbrae": {"b": ["1", {"x^-1": "1"}]}}, "gf", "2.b"),
 ])
 def test_bad_inputs_exit_2_with_json_error(argv, tmp_path):
     argv = list(argv)

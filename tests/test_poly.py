@@ -96,6 +96,24 @@ def test_json_round_trip():
     assert Poly.from_json("7/2") == Fraction(7, 2)
 
 
+def test_json_keys_that_name_one_monomial_add():
+    assert Poly.from_json({"x*y": "1", "y*x": "1"}) == 2 * x * y
+    assert Poly.from_json({"x*x": "1", "x^2": "1", "1": "3"}) == 2 * x ** 2 + 3
+    assert Poly.from_json({"x*y": "1", "y*x": "-1"}) == ZERO
+    assert not Poly.from_json({"x*y": "1", "y*x": "-1", "x": "0"}).terms
+    # a sum keeps an integral value an int
+    half = Poly.from_json({"x": "1/2", "x^1": "1/2"})
+    assert half == x and type(half.terms[(("x", 1),)]) is int
+
+
+def test_json_exponents_below_one_are_rejected():
+    for key in ("x^0", "x^-1", "x*y^0"):
+        with pytest.raises(ValueError, match="exponent below 1"):
+            Poly.from_json({key: "1"})
+    with pytest.raises(ValueError):
+        Poly.from_json({"1": "2", "x^0": "-2"})
+
+
 def test_hash_consistency():
     assert hash(x + y) == hash(y + x)
     d = {x + y: 1}
