@@ -5,8 +5,7 @@ Expression grammar (umbral surface syntax)::
     expr   := term (('+' | '-') term)*
     term   := factor ('*' factor)*
     factor := base ('^' uint | '^.' uint)?
-    base   := uint '.' base
-            | ident '.' base
+    base   := (uint | ident) '.' base
             | func '(' args ')'
             | 'E' '[' expr ']'
             | ident clone*
@@ -22,7 +21,8 @@ descriptors are cached per session, so ``2.a`` twice denotes one auxiliary
 umbra, as the notation intends.  A descriptor is the constructor plus its
 operands, an umbra operand by identity (its uid, never its name or moments):
 ``3.g`` and ``a.g`` stay distinct even when ``a`` has uid 3, and ``a'`` and
-``a''`` are two clones.
+``a''`` are two clones.  ``render`` writes an atom operand through
+``ops.wrap_name``, the rule that names the constructs.
 
 Subcommands: eval, gf, define, check, invert, bell, stirling, bellpoly, mc.
 Global flags: --order, --workspace, --format {json,text}, --seed.  The
@@ -210,54 +210,45 @@ class _Parser(_Cursor):
             return self.ctx.build(ops.point_power, self.ctx.expr_atom(base), p)
         return base
 
-    def base(self) -> Expr:
-        tok = self.peek()
-        if tok[0] == "uint":
-            self.take()
-            self.take(".")
-            inner = self.base()
-            return self.ctx.build(ops.dot, int(tok[1]), self.ctx.expr_atom(inner))
-        if tok[0] == "(":
-            self.take()
-            e = self.expr()
-            self.take(")")
-            return e
-        if tok[0] == "ident":
-            return self.ident_base()
-        raise ParseError(f"expected an expression, found {tok[1]!r}", tok[2])
-
     def _resolve(self, name: str):
         if name == "bell":
             return self.ctx.build(ops.bell_umbra)
         return self.ctx.ws.lookup(name)
 
-    def ident_base(self) -> Expr:
-        tok = self.take("ident")
-        name = tok[1]
-        nxt = self.peek()
-        if name == "E" and nxt[0] == "[":
+    def base(self) -> Expr:
+        tok = self.take()
+        kind, name = tok[0], tok[1]
+        if kind == "(":
+            e = self.expr()
+            self.take(")")
+            return e
+        if kind not in ("uint", "ident"):
+            raise ParseError(f"expected an expression, found {name!r}", tok[2])
+        nxt = self.peek()[0]
+        ws = self.ctx.ws
+        if kind == "uint" or nxt == ".":
+            # the point product: the right operand is built before the multiplier
+            self.take(".")
+            inner = self.ctx.expr_atom(self.base())
+            if kind == "uint":
+                left = int(name)
+            else:
+                left = name if name in ws.indeterminates else self._resolve(name)
+                if left is None:
+                    raise UnknownAtom(f"unknown umbra {name!r}")
+            return self.ctx.build(ops.dot, left, inner)
+        if name == "E" and nxt == "[":
             self.take()
             e = self.expr()
             self.take("]")
             return e
-        if name in _FUNCS and nxt[0] == "(":
+        if name in _FUNCS and nxt == "(":
             return self.func_call(name)
-        if nxt[0] == ".":
-            self.take()
-            inner = self.ctx.expr_atom(self.base())
-            ws = self.ctx.ws
-            if name in ws.indeterminates:
-                return self.ctx.build(ops.dot, name, inner)
-            atom = self._resolve(name)
-            if atom is None:
-                raise UnknownAtom(f"unknown umbra {name!r}")
-            return self.ctx.build(ops.dot, atom, inner)
         # a bare name: clone-decorated umbra, or an indeterminate scalar
         primes = 0
         while self.peek()[0] == "'":
             self.take()
             primes += 1
-        ws = self.ctx.ws
         atom = self._resolve(name)
         if atom is not None:
             return self.ctx.build(_clone, atom, primes) if primes else atom
@@ -286,20 +277,13 @@ class _Parser(_Cursor):
 # -- renderer ----------------------------------------------------------------------
 
 
-def _base_safe(name: str) -> bool:
-    """Whether an atom name reparses as a single grammar base."""
-    try:
-        tokens = _tokenize(name)
-    except ParseError:
-        return False
-    kinds = [t[0] for t in tokens]
-    return "+" not in kinds and "-" not in kinds and "*" not in kinds and \
-        "^" not in kinds and "^." not in kinds
-
-
 def render(expr: Expr) -> str:
-    """Canonical surface syntax; reparsing in the same context rebuilds an
-    equal tree."""
+    """Canonical surface syntax.  Reparsing it in the same context gives an
+    expression that renders the same and has the same moments, but not
+    always an equal tree: a sum nested in a sum renders flat, so
+    ``(a + b) + c`` renders as ``a + b + c``, which reparses as one sum.
+    A power of a power, ``(a^2)^3``, renders as ``a^2^3``, which does not
+    reparse."""
     if isinstance(expr, Atom):
         return expr.name
     if isinstance(expr, Sum):
@@ -322,8 +306,8 @@ def render(expr: Expr) -> str:
 def _wrap(expr: Expr, allow_product: bool) -> str:
     text = render(expr)
     if isinstance(expr, Atom):
-        bare = _base_safe(text)
-    elif isinstance(expr, IntPower):
+        return ops.wrap_name(text)
+    if isinstance(expr, IntPower):
         bare = allow_product
     else:
         bare = isinstance(expr, ScalarMul) and text.isalnum()

@@ -67,8 +67,10 @@ def _scale_name(scale) -> str:
     return s if s.isalnum() else f"({s})"
 
 
-def _wrap_name(name: str) -> str:
-    """Parenthesize atom names that would not reparse as a single base."""
+def wrap_name(name: str) -> str:
+    """An atom name as an operand: parenthesized when it holds a space or an
+    operator of the grammar (+ - * ^), bare otherwise.  The one rule for
+    naming constructs here and for rendering atoms in :mod:`umbral.cli`."""
     if any(ch in name for ch in " +-*^"):
         return f"({name})"
     return name
@@ -89,13 +91,13 @@ def dot(ws: Workspace, left, alpha: Atom) -> Atom:
     """
     if isinstance(left, Atom):
         weights = [stirling_sum("first_signed", i, left.moments) for i in range(ws.order + 1)]
-        return ws._register(f"{_wrap_name(left.name)}.{_wrap_name(alpha.name)}",
+        return ws._register(f"{wrap_name(left.name)}.{wrap_name(alpha.name)}",
                             bell_transform(weights, alpha.moments[1:], ws.order),
                             left.egf.compose(alpha.egf.log()))
     if isinstance(left, int):
-        return _scalar_multiple(ws, left, alpha, f"{left}.{_wrap_name(alpha.name)}")
+        return _scalar_multiple(ws, left, alpha, f"{left}.{wrap_name(alpha.name)}")
     p = _scale_arg(ws, left)
-    return _scalar_multiple(ws, p, alpha, f"{_scale_name(p)}.{_wrap_name(alpha.name)}")
+    return _scalar_multiple(ws, p, alpha, f"{_scale_name(p)}.{wrap_name(alpha.name)}")
 
 
 def _scalar_multiple(ws: Workspace, p, alpha: Atom, name: str) -> Atom:
@@ -123,7 +125,7 @@ def point_power(ws: Workspace, alpha: Atom, n: int) -> Atom:
                 raise ZeroMomentReciprocal(
                     f"moment {k} of {alpha.name} has no reciprocal")
             moments.append(Fraction(q) ** n)
-    return ws._register(f"{_wrap_name(alpha.name)}^.{n}", moments,
+    return ws._register(f"{wrap_name(alpha.name)}^.{n}", moments,
                         Series.from_moments(moments))
 
 

@@ -51,8 +51,9 @@ x.beta + y.beta' ~ (x + y).beta.  Everything downstream is a pure function
 of (model, n, seed).
 
 Empirical moments are the exact power sums S_j / D^j of the draws, rounded
-once.  ``compare`` tallies once per chunk: the blocks fill one reused int64
-chunk buffer, sorted in place and read at its run boundaries, and
+once.  The blocks of every chunk fill one chunk buffer of the plan, int64
+or object like the numerators.  ``compare`` tallies once per chunk: the
+buffer is sorted in place and read at its run boundaries, and
 ``_power_sums`` merges the tallies of distinct values.  So ``compare`` holds
 one chunk and the tally, never all n draws, and makes no float draw.  numpy
 loads at the first draw, not at import.
@@ -71,7 +72,7 @@ from typing import TYPE_CHECKING
 from .core import Workspace
 from .errors import InvalidDistribution
 from .ops import dot, partition_umbra
-from .prng import GOLDEN, MASK, Stream
+from .prng import GOLDEN, MASK, MIX1, MIX2, Stream
 
 if TYPE_CHECKING:
     import numpy as np
@@ -90,9 +91,9 @@ def _mix53(z: np.ndarray) -> np.ndarray:
     place, keeping its top 53 bits: the uniform is w * 2^-53."""
     import numpy as np
     z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z *= np.uint64(MIX1)
     z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
+    z *= np.uint64(MIX2)
     z ^= z >> np.uint64(31)
     z >>= np.uint64(11)
     return z
@@ -249,10 +250,10 @@ class _Inverse:
 
 class _Plan:
     """One run's sampler: every table the draws read, built once from the
-    rates, the parameter's CDF (None at a fixed rate) and the jumps, and one
-    block-sized uint64 buffer that mixes each block of uniforms.  Only
-    intermediates live in it: a chunk's draws go to the caller's buffer or a
-    fresh array."""
+    rates, the parameter's CDF (None at a fixed rate) and the jumps, one
+    block-sized uint64 buffer that mixes each block of uniforms, and one
+    chunk buffer for the numerators, int64 or object, that every chunk
+    reuses."""
 
     def __init__(self, rates: tuple, param_cdf=None, jumps: DiscreteDist = _UNIT_JUMPS):
         import numpy as np
@@ -270,6 +271,7 @@ class _Plan:
         self.param = None if param_cdf is None else _Inverse([param_cdf])
         self._base = np.arange(1, BLOCK + 1, dtype=np.uint64) * np.uint64(GOLDEN)
         self._w = np.empty(BLOCK, dtype=np.uint64)
+        self._out = np.empty(CHUNK, np.int64 if self.int64 else object)
 
     def uniforms(self, seed: int, count: int) -> np.ndarray:
         """The first ``count`` (at most BLOCK) draws of the stream ``seed`` as
@@ -296,14 +298,14 @@ class _Plan:
                 counts[at] += rows(w[at], pidx[at])
         return counts
 
-    def chunk(self, chunk_seed: int, count: int, out=None) -> np.ndarray:
-        """The ``count`` draws of the chunk seeded ``chunk_seed`` as numerators
-        sum_i a_i N_i over D, in ``out[:count]`` or, when ``out`` is None, a
-        fresh int64 (object past 2^53) array.  They are worked a block of at
-        most BLOCK at a time: the block from draw b reads each substream's
+    def chunk(self, chunk_seed: int, count: int) -> np.ndarray:
+        """The ``count`` (at most CHUNK) draws of the chunk seeded
+        ``chunk_seed`` as numerators sum_i a_i N_i over D, in the chunk
+        buffer, which the next chunk overwrites.  They are worked a block of
+        at most BLOCK at a time: the block from draw b reads each substream's
         draws b, b+1, ..., at the seed t + b GOLDEN of a substream seeded t."""
         import numpy as np
-        out = np.empty(count, np.int64 if self.int64 else object) if out is None else out[:count]
+        out = self._out[:count]
         s = Stream(chunk_seed)
         first = s.derive(1 if self.param is None else 2)
         for start in range(0, count, BLOCK):
@@ -322,17 +324,15 @@ class _Plan:
         return out
 
 
-def _chunks(model, n: int, seed: int, out=None):
+def _chunks(model, n: int, seed: int):
     """``(d, chunks)``: the draws of ``sample(model, n, seed)`` as int
     numerators over d, one chunk at a time from one plan built for the run.
-    Each chunk reuses the int64 buffer ``out`` if one is given and the run
-    sums in int64, and is a fresh array otherwise."""
+    Each chunk is the plan's chunk buffer, valid until the next is drawn."""
     if n < 1:
         raise ValueError("need at least one sample")
     param, master = model.param, Stream(seed)
     plan = _Plan(param.values, None if len(param.values) == 1 else param.cdf_array(), model.jumps)
-    out = out if plan.int64 else None
-    return plan.d, (plan.chunk(master.at(c), min(CHUNK, n - c * CHUNK), out)
+    return plan.d, (plan.chunk(master.at(c), min(CHUNK, n - c * CHUNK))
                     for c in range((n + CHUNK - 1) // CHUNK))
 
 
@@ -342,7 +342,7 @@ def sample(model, n: int, seed: int) -> np.ndarray:
     chunk's numerators, worked in blocks in one reused buffer, are divided
     by D straight into the output."""
     import numpy as np
-    d, chunks = _chunks(model, n, seed, np.empty(CHUNK, np.int64))
+    d, chunks = _chunks(model, n, seed)
     out = np.empty(n)
     for c, num in enumerate(chunks):
         try:  # an int64 numerator and D are exact floats, and an int / int
@@ -354,12 +354,9 @@ def sample(model, n: int, seed: int) -> np.ndarray:
 
 
 def _tally(num: np.ndarray):
-    """``(values, counts)`` of the distinct ints in ``num``: an int64 chunk
-    is sorted in place and read at its run boundaries, an object one goes
-    through ``np.unique``."""
+    """``(values, counts)`` of the distinct ints in ``num``, an int64 or
+    object chunk, sorted in place and read at its run boundaries."""
     import numpy as np
-    if num.dtype == object:
-        return np.unique(num, return_counts=True)
     num.sort()
     ends = np.append(np.flatnonzero(num[1:] != num[:-1]), len(num) - 1)
     return num[ends], np.diff(ends, prepend=-1)
@@ -454,12 +451,11 @@ def compare(model, n: int, seed: int, max_order: int = 4) -> MomentComparison:
     """Sample the model and set empirical moments against the exact umbral
     predictions, one row per order: the mean of draw^k and its unbiased
     variance from exact power sums, each correctly rounded.  The draws are
-    tallied once per chunk, in one reused int64 chunk buffer."""
+    tallied once per chunk, in the plan's chunk buffer."""
     if max_order > MAX_ORDER_CAP:
         raise ValueError(f"max_order capped at {MAX_ORDER_CAP}")
-    import numpy as np
     exact = exact_moments(model, max_order)
-    d, chunks = _chunks(model, n, seed, np.empty(CHUNK, np.int64))
+    d, chunks = _chunks(model, n, seed)
     rows = _rows(map(_tally, chunks), d, exact, max_order)
     return MomentComparison(
         model=model.describe(),

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
 NUM_MAX = 9  # small random rationals: numerators in [-NUM_MAX, NUM_MAX],
 DENS = (1, 2, 3, 4)  # denominators drawn from DENS
 
@@ -25,8 +25,8 @@ DENS = (1, 2, 3, 4)  # denominators drawn from DENS
 def mix64(z: int) -> int:
     """The SplitMix64 finalizer on a 64-bit word."""
     z &= MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & MASK
+    z = ((z ^ (z >> 30)) * MIX1) & MASK
+    z = ((z ^ (z >> 27)) * MIX2) & MASK
     return z ^ (z >> 31)
 
 

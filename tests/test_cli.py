@@ -1,7 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,9 +16,11 @@ from hypothesis import given, settings, strategies as st
 import umbral
 import umbral.identities
 import umbral.inversion
-from umbral.cli import ExprContext, main, parse_series, render
+from umbral import ops
+from umbral.cli import ExprContext, _tokenize, main, parse_series, render
 from umbral.core import Workspace
 from umbral.errors import ParseError, UnknownAtom
+from umbral.identities import check_all
 from umbral.series import Series
 
 from oracles import mul_t
@@ -90,6 +95,12 @@ def test_corpus_round_trips(ctx):
         assert render(again) == rendered
         # every expression evaluates at first power without error
         ctx.ws.eval(tree, 1)
+    # a sum nested in a sum renders flat: the text and the moments round
+    # trip, the tree does not
+    nested = ctx.parse("(a + b) + g")
+    flat = ctx.parse(render(nested))
+    assert render(nested) == render(flat) == "a + b + g" and flat != nested
+    assert [ctx.ws.eval(flat, k) for k in range(4)] == [ctx.ws.eval(nested, k) for k in range(4)]
 
 
 def test_same_descriptor_resolves_to_one_atom(ctx):
@@ -98,6 +109,9 @@ def test_same_descriptor_resolves_to_one_atom(ctx):
         assert ctx.parse(text) == ctx.parse(text), text
     # a clone differs from its base
     assert ctx.parse("a'") != ctx.parse("a")
+    # operands that render alike are one umbra, whatever their trees
+    left, right = ctx.parse("2.((a + b) + g) + 2.(a + (b + g))").parts
+    assert left is right
 
 
 def test_distinct_descriptors_stay_distinct(ctx):
@@ -522,3 +536,95 @@ def test_output_determinism():
     b = run("mc", "--model", "poisson", "--lambda", "2", "--n", "20000",
             "--seed", "5")[1]
     assert a == b
+
+
+# -- the CI workflow's pins, run in process ---------------------------------------------
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+PIN = re.compile(r"pin ([0-9a-f]{16}) umbral (.*)")
+CHAIN = re.compile(r'(\w+)=\$\(python -c "(.*)"\)')
+SAVED = re.compile(r'umbral (.*) > "\$RUNNER_TEMP/([\w.]+)"')
+DIGEST = re.compile(r'test "\$\(sha256sum < "\$RUNNER_TEMP/([\w.]+)" \| cut -c1-16\)" = ([0-9a-f]{16})')
+ECHO = re.compile(r"echo '(.*)' > ([\w.]+)")
+
+
+def _sha16(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def workflow(tmp_path_factory):
+    """``(checks, names)``: the workflow's ``pin`` lines and ``sha256sum``
+    steps run in process, in order, as ``(command, want, got)`` digests,
+    and the name of every atom those commands register.  ``$RUNNER_TEMP``
+    is a fresh directory and a shell variable is set by its own line's
+    ``python -c`` code."""
+    temp, env, saved, checks, names = tmp_path_factory.mktemp("runner"), {}, {}, [], []
+    register = Workspace._register
+
+    def recording(self, name, moments, egf):
+        names.append(name)
+        return register(self, name, moments, egf)
+
+    def umbral_cli(command: str) -> str:
+        argv = [re.sub(r"\$(\w+)", lambda m: env[m[1]], a) for a in shlex.split(command)]
+        return run(*argv)[1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Workspace, "_register", recording)
+        for line in WORKFLOW.read_text().splitlines():
+            line = line.strip()
+            if m := PIN.fullmatch(line):
+                checks.append((m[2], m[1], _sha16(umbral_cli(m[2]))))
+            elif m := CHAIN.fullmatch(line):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    exec(m[2], {})
+                env[m[1]] = out.getvalue().rstrip("\n")
+            elif m := SAVED.fullmatch(line):
+                saved[m[2]] = (m[1], umbral_cli(m[1]))
+            elif m := DIGEST.fullmatch(line):
+                command, out = saved[m[1]]
+                checks.append((command, m[2], _sha16(out)))
+            elif m := ECHO.fullmatch(line):
+                (temp / m[2]).write_text(m[1] + "\n")
+            elif line == 'cd "$RUNNER_TEMP"':
+                mp.chdir(temp)
+    return checks, names
+
+
+def test_workflow_pins_match(workflow):
+    checks, _ = workflow
+    assert len(checks) == 38 + 4
+    assert [(c, want) for c, want, got in checks if got != want] == []
+
+
+def _bare_by_tokenizer(name: str) -> bool:
+    """The renderer's former rule, kept as an oracle: a name stands bare when
+    it tokenizes and holds no operator token."""
+    try:
+        tokens = _tokenize(name)
+    except ParseError:
+        return False
+    return not {"+", "-", "*", "^", "^."} & {t[0] for t in tokens}
+
+
+def test_one_naming_rule_agrees_with_the_tokenizer(ctx, workflow, monkeypatch):
+    # ops.wrap_name decides, for naming and rendering alike, whether a name
+    # stands bare; on every name the engine and the CLI make, it agrees with
+    # the tokenizer
+    names = list(ctx.ws._by_name)
+    register = Workspace._register
+
+    def recording(self, name, moments, egf):
+        names.append(name)
+        return register(self, name, moments, egf)
+
+    monkeypatch.setattr(Workspace, "_register", recording)
+    for text in CORPUS:
+        ctx.parse(text)
+    check_all()
+    names += workflow[1]
+    assert len(set(names)) > 100
+    assert [n for n in set(names) if (ops.wrap_name(n) == n) != _bare_by_tokenizer(n)] == []

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import umbral.identities
+from umbral import series
 from umbral.core import Workspace, verdict
 from umbral.errors import UnknownIdentity, UsageError
 from umbral.identities import _recover_from_int_dot, check, check_all, list_identities
@@ -204,3 +205,32 @@ def test_catalog_registrations_match_committed_digest(monkeypatch):
     assert len(seen) == 1760
     digest = hashlib.sha256("\n".join(seen).encode()).hexdigest()
     assert digest[:16] == "08e193d984135e3c"
+
+
+# entries whose constructors register through pow_int or exp, neither of
+# which reads series.convolve, with the claim that restates f^n or exp(h)
+# through the product kernel
+RESTATED = {
+    "prop5_inverse": "gf of inverse times f is not 1",
+    "prop6_neg_dot": "gf of -n.a times f^n is not 1",
+    "eq11_gf_power": "gf of n.a is not f^n",
+    "eq18_bell_gf": "gf(b) != exp(e^t - 1)",
+    "eq24_partition_gf": "gf(part(a)) != exp(f - 1)",
+}
+
+
+@pytest.mark.parametrize("entry, statement", RESTATED.items(), ids=list(RESTATED))
+def test_a_wrong_product_fails_the_restated_claims(monkeypatch, entry, statement):
+    # a claim that compared f^n with the pow_int call that built it, or exp(h)
+    # with the exp that built it, could only pass
+    convolve = series.convolve
+
+    def corrupted(a, b):  # one added to the t^2 moment
+        out = convolve(a, b)
+        if len(out) > 2:
+            out[2] += 1
+        return out
+
+    monkeypatch.setattr(series, "convolve", corrupted)
+    case = check(entry)
+    assert not case.passed and case.witness["statement"] == statement

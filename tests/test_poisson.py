@@ -33,7 +33,7 @@ from umbral.poisson import (
     sample,
 )
 from umbral.poly import Poly
-from umbral.prng import GOLDEN, MASK, Stream, _MIX1, _MIX2
+from umbral.prng import GOLDEN, MASK, MIX1, MIX2, Stream
 from umbral.series import Series
 
 from oracles import masked_poisson_counts, uniform_block
@@ -202,12 +202,13 @@ def test_draws_at_the_top_rate_are_pinned(model, digest):
     assert hashlib.sha256(sample(model, 40, 11).tobytes()).hexdigest()[:16] == digest
 
 
-def test_chunks_are_fresh_arrays():
-    # given no buffer, each chunk's blocks fill a fresh array: the plan
-    # reuses its block-sized buffers for intermediates only
+def test_chunks_share_the_plans_buffer():
+    # every chunk's blocks fill the plan's one chunk buffer, so a chunk is
+    # copied before the next is drawn
     model, n = CompoundModel(1, BENCH_JUMPS), 2 * CHUNK + 5
     d, chunks = _chunks(model, n, 3)
-    assert np.array_equal(np.concatenate(list(chunks)) / d, sample(model, n, 3))
+    copies = [c.copy() for c in chunks]
+    assert np.array_equal(np.concatenate(copies) / d, sample(model, n, 3))
 
 
 # rates split into 1, 3 and 6 parts, as in DRAW_DIGESTS
@@ -226,10 +227,11 @@ def test_a_run_is_a_prefix_of_any_longer_run(model):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-3, 3) | st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=300))
 def test_an_in_place_tally_equals_unique(xs):
-    num = np.array(xs, dtype=np.int64)
-    values, counts = _tally(num.copy())
-    want_values, want_counts = np.unique(num, return_counts=True)
-    assert values.tolist() == want_values.tolist() and counts.tolist() == want_counts.tolist()
+    # an int64 chunk, and an object one past 2^63
+    for num in (np.array(xs, dtype=np.int64), np.array([x << 70 for x in xs], dtype=object)):
+        values, counts = _tally(num.copy())
+        want_values, want_counts = np.unique(num, return_counts=True)
+        assert values.tolist() == want_values.tolist() and counts.tolist() == want_counts.tolist()
 
 
 @pytest.mark.parametrize("start", [0, 1, 1 << 14, 3 * (1 << 14) + 7])
@@ -269,8 +271,8 @@ def _unmix64(z):
             x = z ^ (x >> k)
         return x
 
-    z = unshift(z, 31) * pow(_MIX2, -1, 1 << 64) & MASK
-    z = unshift(z, 27) * pow(_MIX1, -1, 1 << 64) & MASK
+    z = unshift(z, 31) * pow(MIX2, -1, 1 << 64) & MASK
+    z = unshift(z, 27) * pow(MIX1, -1, 1 << 64) & MASK
     return unshift(z, 30)
 
 
@@ -487,7 +489,7 @@ def test_rows_round_exact_power_sums_once(model):
 
 def test_power_sums_do_not_depend_on_the_split():
     d, chunks = _chunks(THIRDS, (1 << 17) + 3, 9)
-    nums = np.concatenate(list(chunks))
+    nums = np.concatenate([c.copy() for c in chunks])
 
     def sums(size):
         return _power_sums((np.unique(nums[i:i + size], return_counts=True)
