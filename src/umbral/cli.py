@@ -281,9 +281,7 @@ def render(expr: Expr) -> str:
     """Canonical surface syntax.  Reparsing it in the same context gives an
     expression that renders the same and has the same moments, but not
     always an equal tree: a sum nested in a sum renders flat, so
-    ``(a + b) + c`` renders as ``a + b + c``, which reparses as one sum.
-    A power of a power, ``(a^2)^3``, renders as ``a^2^3``, which does not
-    reparse."""
+    ``(a + b) + c`` renders as ``a + b + c``, which reparses as one sum."""
     if isinstance(expr, Atom):
         return expr.name
     if isinstance(expr, Sum):
@@ -291,27 +289,25 @@ def render(expr: Expr) -> str:
     if isinstance(expr, Product):
         if not expr.parts:
             return "u^0"
-        return " * ".join(_wrap(p, allow_product=False) for p in expr.parts)
+        return " * ".join(map(_wrap, expr.parts))
     if isinstance(expr, ScalarMul):
         if expr.child == ONE_EXPR and expr.coeff.is_constant() is False:
             vars_ = expr.coeff.variables()
             if len(vars_) == 1 and expr.coeff == Poly.var(next(iter(vars_))):
                 return next(iter(vars_))
-        return f"({expr.coeff}) * {_wrap(expr.child, allow_product=False)}"
+        return f"({expr.coeff}) * {_wrap(expr.child)}"
     if isinstance(expr, IntPower):
-        return f"{_wrap(expr.child, allow_product=True)}^{expr.power}"
+        return f"{_wrap(expr.child)}^{expr.power}"
     raise TypeError(f"cannot render {expr!r}")
 
 
-def _wrap(expr: Expr, allow_product: bool) -> str:
+def _wrap(expr: Expr) -> str:
+    """An operand of a product, a scalar multiple or a power: bare only for
+    an atom the naming rule leaves bare and a lone indeterminate."""
     text = render(expr)
     if isinstance(expr, Atom):
         return ops.wrap_name(text)
-    if isinstance(expr, IntPower):
-        bare = allow_product
-    else:
-        bare = isinstance(expr, ScalarMul) and text.isalnum()
-    return text if bare else f"({text})"
+    return text if isinstance(expr, ScalarMul) and text.isalnum() else f"({text})"
 
 
 # -- output helpers -------------------------------------------------------------------

@@ -295,15 +295,17 @@ class Workspace:
     # -- registration ---------------------------------------------------------
 
     def _register(self, name: str, moments, egf: Series) -> Atom:
+        """A fresh atom, once ``moments`` equal ``egf``'s: on ints, by
+        :meth:`Series.first_mismatch`, when ``egf`` holds a kernel's lift."""
         moments = Series.from_moments(moments).moments()  # the series' rule
         if len(moments) != self.order + 1:
             raise ValueError(
                 f"need {self.order + 1} moments at order {self.order}, got {len(moments)}")
         if egf.order != self.order:
             raise ValueError("generating function order disagrees with workspace")
-        for k, (m, gf_moment) in enumerate(zip(moments, egf.moments())):
-            if gf_moment != m:
-                raise CoherenceError(name, k, m, gf_moment, self.order)
+        k = egf.first_mismatch(moments)
+        if k is not None:
+            raise CoherenceError(name, k, moments[k], egf.egf_moment(k), self.order)
         atom = Atom(next(self._uids), name, moments, egf)
         self._atoms[_symbol(atom.uid)] = atom
         return atom

@@ -341,8 +341,10 @@ def _dobinski_bracket(n, x0: Fraction):
     least a factor of 2, giving the geometric tail bounds below.
     """
     K = 4 * n + 40
-    s_num = sum(Fraction(k ** n) * x0 ** k / factorial(k) for k in range(K + 1))
-    s_den = sum(x0 ** k / Fraction(factorial(k)) for k in range(K + 1))
+    p, q, fk = x0.numerator, x0.denominator, factorial(K)  # x0^k / k! = w_k / (q^K K!)
+    w = [p ** k * q ** (K - k) * (fk // factorial(k)) for k in range(K + 1)]
+    s_num = Fraction(sum(k ** n * c for k, c in enumerate(w)), q ** K * fk)
+    s_den = Fraction(sum(w), q ** K * fk)
     # decay ratio of consecutive terms beyond K, as exact fractions
     r_num = Fraction(K + 2, K + 1) ** n * x0 / (K + 2)
     r_den = x0 / Fraction(K + 2)

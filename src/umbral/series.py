@@ -6,12 +6,13 @@ binomial weights: :func:`convolve` for products (folded over every factor of
 :meth:`Series.product` at once), :func:`miller` for exp, log and powers,
 :func:`compose` and :func:`revert` on full products h^k (one exact ``//`` per
 reversion step).  A kernel lifts its operands to d^k M_k over one
-denominator d, one int moment list per monomial (:func:`_lift`).  A rational
-series has the constant monomial alone and its list runs as it is.  The
-lists of a series that carries an indeterminate pack into one int per moment
-by Kronecker substitution (:func:`_run`), and each result moment is unpacked
-once, by halves (:func:`_unpack`), so each coefficient of a result is scaled
-back once: an ``int`` unless a denominator is left, then one ``Fraction``.
+denominator d, one int list (plane) per monomial (:func:`_lift`), packed
+into one int per moment by Kronecker substitution when a monomial carries
+an indeterminate (:func:`_run`); each result moment is unpacked once, by
+halves (:func:`_unpack`).  ``product``, ``pow_int``, ``exp`` and ``log`` hold
+their result lift: the next kernel reads it, registration compares it on
+ints (:meth:`Series.first_mismatch`), and a coefficient is scaled back once,
+on first read, to an ``int`` unless a denominator is left, else a ``Fraction``.
 The constructor takes ordinary coefficients, and ``coeffs``, ``str`` and JSON
 give them back.  Binary operations demand equal orders.  A series is
 *unital* when c_0 = 1 and *delta* when c_0 = 0.
@@ -200,9 +201,9 @@ def _unpack(xs, b: int, n: int):
         yield digits(x + offset, n)
 
 
-def _run(kernel, groups, degree, d, e=1, majorant=None) -> "Series":
-    """The series with moments x_m / (e d^m), x = kernel(*args), one
-    argument, a list of ints, per group of lifted planes.
+def _run(kernel, groups, degree, majorant=None) -> dict:
+    """The constant plane and the other nonzero planes of x = kernel(*args),
+    one argument, a list of ints, per group of lifted planes.
 
     When every group is rational, its constant plane is the argument.
     Otherwise each moment packs into one int by Kronecker substitution: the
@@ -219,7 +220,7 @@ def _run(kernel, groups, degree, d, e=1, majorant=None) -> "Series":
     in v_i; each kernel's docstring proves both."""
     variables = sorted({v for g in groups for m in g for v, _ in m})
     if not variables:
-        return _scaled_down(kernel(*(g[()] for g in groups)), d, e)
+        return {(): kernel(*(g[()] for g in groups))}
     norms = ([sum(map(abs, c)) for c in zip(*g.values())] for g in groups)
     b = max((majorant or kernel)(*norms)).bit_length() + 1
     radix = [degree(*(_degrees(g, v) for g in groups)) + 1 for v in variables]
@@ -230,7 +231,8 @@ def _run(kernel, groups, degree, d, e=1, majorant=None) -> "Series":
         args.append([sum(c << s for c, s in zip(col, shifts) if c) for col in zip(*g.values())])
     monomials = [tuple((v, i) for v, i in zip(variables, reversed(es)) if i)
                  for es in product(*map(range, reversed(radix)))]
-    return _scaled_down(kernel(*args), d, e, (b, monomials))
+    xs = _unpack(kernel(*args), b, len(monomials))
+    return {m: list(p) for m, p in zip(monomials, zip(*xs)) if not m or any(p)}
 
 
 def _quotient(x: int, s):
@@ -241,26 +243,43 @@ def _quotient(x: int, s):
     return q.numerator if q.denominator == 1 else q
 
 
-def _scaled_down(xs, d, e=1, packing=None) -> "Series":
-    """The series with moments x_k / (e d^k), one :func:`_quotient` per int
-    x_k or, with ``packing`` = (b, monomials), per nonzero digit of x_k (see
-    :func:`_run`)."""
-    scales = [e * d ** k for k in range(len(xs))]
-    if packing is None:
-        return Series.from_moments([_quotient(x, s) for x, s in zip(xs, scales)])
-    b, monomials = packing
-    return Series.from_moments([
-        Poly({m: _quotient(c, s) for m, c in zip(monomials, digits) if c})
-        for digits, s in zip(_unpack(xs, b, len(monomials)), scales)])
+def _matches(m, planes, k: int, s) -> bool:
+    """Whether m == x_k / s for planes x, by cross-multiplication: each term q
+    of m has x_k q.denominator == q.numerator s, and no other x_k is nonzero."""
+    row = {c: p[k] for c, p in planes.items() if p[k]}
+    terms = m.terms if type(m) is Poly else {(): m} if m else {}
+    return row == terms if s == 1 else row.keys() == terms.keys() and all(
+        row[c] * q.denominator == q.numerator * s for c, q in terms.items())
+
+
+def _scaled_down(planes, d, e=1) -> tuple:
+    """The moments x_k / (e d^k) of the planes of :func:`_run`, in the
+    ``Series`` rule: one :func:`_quotient` per nonzero x."""
+    scales = [e * d ** k for k in range(len(planes[()]))]
+    if len(planes) == 1:
+        return tuple(map(_quotient, planes[()], scales))
+    return tuple(Poly({m: _quotient(c, s) for m, c in zip(planes, col) if c})
+                 for col, s in zip(zip(*planes.values()), scales))
+
+
+def _held(d: int, planes: dict, e: int = 1) -> "Series":
+    """The series x_k / (e d^k) of planes x, held as that lift when e == 1:
+    d is then a common denominator of the M_k, not always the least."""
+    if e != 1:
+        return Series.from_moments(_scaled_down(planes, d, e))
+    s = object.__new__(Series)
+    object.__setattr__(s, "order", len(planes[()]) - 1)
+    object.__setattr__(s, "_lift", (d, planes))
+    return s
 
 
 class Series:
-    """A truncated power series held by its moments M_k = k! c_k: all
-    ``int`` or ``Fraction`` when all are rational, else all ``Poly``, so equal
-    series have equal moments; ``moments`` and ``egf_moment`` return them as
-    they are held."""
+    """A truncated power series by its moments M_k = k! c_k: all ``int`` or
+    ``Fraction`` when all are rational, else all ``Poly``, so equal series
+    have equal moments.  A kernel's series holds its lift (d, planes of d^k
+    M_k) as kernels and :meth:`first_mismatch` read it, and builds M_k on first read."""
 
-    __slots__ = ("order", "_m")
+    __slots__ = ("order", "_m", "_lift")
 
     def __init__(self, order: int, coeffs):
         if order < 0:
@@ -270,9 +289,15 @@ class Series:
             raise ValueError(f"need exactly {order + 1} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_m", _ring([c * factorial(k) for k, c in enumerate(coeffs)]))
+        object.__setattr__(self, "_lift", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
+
+    def __getattr__(self, name):  # only an unset slot: a held lift's moments, first read
+        if name == "_m":
+            object.__setattr__(self, "_m", _scaled_down(self._lift[1], self._lift[0]))
+        return object.__getattribute__(self, name)
 
     @staticmethod
     def make(coeffs, order: int) -> "Series":
@@ -313,21 +338,24 @@ class Series:
         s = object.__new__(Series)
         object.__setattr__(s, "order", len(moments) - 1)
         object.__setattr__(s, "_m", moments)
+        object.__setattr__(s, "_lift", None)
         return s
 
     def is_unital(self) -> bool:
-        return self._m[0] == 1
+        return self.first_mismatch([1]) is None
 
     def is_delta(self) -> bool:
-        return not self._m[0]
+        return self.first_mismatch([0]) is None
 
     def _same_order(self, other: "Series"):
         if self.order != other.order:
             raise OrderMismatch(f"orders differ: {self.order} != {other.order}")
 
     def _scaled(self):
-        """(d, the planes of d^k M_k), d the lcm of every coefficient
-        denominator."""
+        """(d, the planes of d^k M_k) for an integral M_0: the lift the series
+        holds (see :func:`_held`), else d the lcm of every denominator."""
+        if self._lift:
+            return self._lift
         planes = _planes(self._m)
         d = _denominator(*planes.values())
         return d, _lift(planes, d)
@@ -351,9 +379,10 @@ class Series:
     def product(factors) -> "Series":
         """The product of one or more series of one order in one :func:`_run`:
         :func:`convolve` folded over the packed lifts e_i d^k M_k of factor i (d
-        the lcm of all denominators, e_i that of its M_0), each result moment
-        scaled back once.  Bounds: the fold on 1-norms bounds each 1-norm.  Let
-        A, B be nondecreasing with A_j >= deg a_j, B_k >= deg b_k (prefix maxima).
+        the lcm of all denominators, e_i that of its M_0, 1 for a factor that
+        holds its lift), the result held as a lift when every e_i is 1.
+        Bounds: the fold on 1-norms bounds each 1-norm.  Let A, B be
+        nondecreasing with A_j >= deg a_j, B_k >= deg b_k (prefix maxima).
         By ``convolve``'s bound c = a b has deg c_m <= max_{j<=m} (A_j + B_(m-j))
         = C_m, nondecreasing in m like each A_j + B_(m-j); so C, folded factor
         by factor, bounds every degree of the product by its last entry.  B = 0
@@ -361,17 +390,19 @@ class Series:
         first, *rest = factors = list(factors)
         for f in rest:
             first._same_order(f)
-        groups = [_planes(f._m) for f in factors]
-        d = _denominator(*(p for g in groups for p in g.values()))
-        es = [_denominator(*(p[:1] for p in g.values())) for g in groups]
+        groups = [f._lift or (None, _planes(f._m)) for f in factors]  # (d_i, planes) if held
+        d = lcm(*(di or _denominator(*g.values()) for di, g in groups))
+        es = [1 if di else _denominator(*(p[:1] for p in g.values())) for di, g in groups]
 
         def degree(*degrees):  # the last factor gives C_N alone
             *bs, last = [list(accumulate(g, max)) for g in degrees if any(g)] or [[0]]
             c = reduce(lambda c, b: [max(map(add, c[:m + 1], b[m::-1])) for m in range(len(b))],
                        bs[1:], bs[0]) if bs else [0]
             return max(map(add, c, reversed(last)))
-        return _run(lambda *xs: reduce(convolve, xs),  # the module's convolve, read per call
-                    [_lift(g, d, e) for g, e in zip(groups, es)], degree, d, prod(es))
+        lifts = [(g if d == di else _lift(g, d // di)) if di else _lift(g, d, e)
+                 for (di, g), e in zip(groups, es)]
+        # a lambda, so the module's convolve is read per call
+        return _held(d, _run(lambda *xs: reduce(convolve, xs), lifts, degree), prod(es))
 
     def scalar_mul(self, c) -> "Series":
         return Series.from_moments([c * a for a in self._m])
@@ -380,41 +411,40 @@ class Series:
         """f^p.  For unital f, p may be any integer, rational or ``Poly``:
         :func:`miller` in one O(N^2) pass on q^(k-1) a_k, p lifted to r/q
         (r an int, or a ``Poly`` with int coefficients that packs like a
-        moment).  Otherwise p must be a nonnegative integer: repeated
-        squaring."""
+        moment).  Otherwise p must be a nonnegative integer: the squares
+        that p's bits select, multiplied in one :meth:`product`."""
         if not self.is_unital():
             if not isinstance(p, int):
                 raise DomainError("non-integer power needs constant term 1")
             if p < 0:
                 raise NegativePowerOfDeltaSeries("negative power needs constant term 1")
-            result, base = Series.one(self.order), self
-            while p:
-                result, base, p = result * base if p & 1 else result, base * base, p >> 1
-            return result
+            squares = accumulate(range(p.bit_length() - 1), lambda f, _: f * f, initial=self)
+            chosen = [f for i, f in enumerate(squares) if p >> i & 1]  # f^(2^i) for bit i
+            return Series.product(chosen or [Series.one(self.order)])
         c, (d, a), n = rational(p), self._scaled(), self.order
         r = _planes([p if c is None else c])
         q = _denominator(*r.values())
 
         def weighted(a):  # q^(k-1) a_k
             return a[:1] + [x * q ** k for k, x in enumerate(a[1:])]
-        return _run(lambda a, r: miller(weighted(a), r[0], q), [a, _lift(r, 1, q)],
-                    lambda da, dr: _slope(da, n) + n * dr[0], d * q,
-                    majorant=lambda a, r: miller(weighted(a), r[0], -q))
+        return _held(d * q, _run(lambda a, r: miller(weighted(a), r[0], q), [a, _lift(r, 1, q)],
+                                 lambda da, dr: _slope(da, n) + n * dr[0],
+                                 majorant=lambda a, r: miller(weighted(a), r[0], -q)))
 
     def exp(self) -> "Series":
         """exp of a delta series."""
         if not self.is_delta():
             raise DomainError("exp requires constant term 0")
         (d, a), n = self._scaled(), self.order
-        return _run(lambda a: miller(a, 1, 0), [a], lambda da: _slope(da, n), d)
+        return _held(d, _run(lambda a: miller(a, 1, 0), [a], lambda da: _slope(da, n)))
 
     def log(self) -> "Series":
         """log of a unital series; inverse of :meth:`exp` up to truncation."""
         if not self.is_unital():
             raise DomainError("log requires constant term 1")
         (d, a), n = self._scaled(), self.order
-        return _run(lambda a: miller(a, 0, 1, log=True), [a], lambda da: _slope(da, n), d,
-                    majorant=lambda a: miller(a, 0, -1, log=True))
+        return _held(d, _run(lambda a: miller(a, 0, 1, log=True), [a], lambda da: _slope(da, n),
+                             majorant=lambda a: miller(a, 0, -1, log=True)))
 
     def compose(self, inner: "Series") -> "Series":
         """self(inner(t)) for a delta inner series, by :func:`compose` on
@@ -425,13 +455,13 @@ class Series:
             raise DomainError("composition requires a delta inner series")
         n, (d, h), g = self.order, inner._scaled(), _planes(self._m)
         e = _denominator(*g.values())
-        return _run(compose, [_lift(g, 1, e), h], lambda dg, dh: max(dg) + _slope(dh, n),
-                    d, e * factorial(n))
+        return _held(d, _run(compose, [_lift(g, 1, e), h], lambda dg, dh: max(dg) + _slope(dh, n)),
+                     e * factorial(n))
 
     def revert(self) -> "Series":
         """Compositional inverse of a delta series with invertible c_1:
         :func:`revert` on k = f / c_1, lifted to d^(j-1) K_j; then w_m is
-        divided by d^(m-1) c_1^m."""
+        divided by d^(m-1) c_1^m at once, a scale that is no lift to hold."""
         if not self.is_delta():
             raise DomainError("reversion requires a delta series")
         if self.order < 1:
@@ -443,8 +473,9 @@ class Series:
         n, k = self.order, _planes([m / c1 for m in self._m[1:]])
         d = _denominator(*k.values())
         k = {m: [0] + p for m, p in _lift(k, d).items()}
-        return _run(revert, [k], lambda dk: _slope(dk[1:], n - 1), d * c1, Fraction(1, d),
-                    majorant=lambda k: revert([0, 1] + [-c for c in k[2:]]))
+        planes = _run(revert, [k], lambda dk: _slope(dk[1:], n - 1),
+                      majorant=lambda k: revert([0, 1] + [-c for c in k[2:]]))
+        return Series.from_moments(_scaled_down(planes, d * c1, Fraction(1, d)))
 
     def derivative(self) -> "Series":
         """Formal d/dt, a shift of the moments; the order drops by one."""
@@ -463,6 +494,14 @@ class Series:
 
     def moments(self) -> list:
         return list(self._m)
+
+    def first_mismatch(self, moments):
+        """The first k < len(moments) with moments[k] != M_k, or None; a held
+        lift is compared as it is (:func:`_matches`), and builds no moment."""
+        if self._lift is None:
+            return next((k for k, (m, a) in enumerate(zip(moments, self._m)) if m != a), None)
+        d, planes = self._lift
+        return next((k for k, m in enumerate(moments) if not _matches(m, planes, k, d ** k)), None)
 
     @property
     def coeffs(self) -> tuple:

@@ -3,6 +3,7 @@ plain definition, for the library's fast routes to be checked against."""
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from umbral.combinatorics import stirling_sum
@@ -32,6 +33,17 @@ def falling_factorial_moment(beta: Atom, i: int) -> Poly:
     """E[(beta)_i] = sum_j s(i,j) b_j, the signed-Stirling expansion of the
     falling factorial."""
     return Poly.coerce(stirling_sum("first_signed", i, beta.moments))
+
+
+def dobinski_bracket(n: int, x0: Fraction):
+    """(lower, upper, ratio) of ``identities._dobinski_bracket``, its two
+    partial sums built term by term as ``Fraction``s."""
+    K = 4 * n + 40
+    s_num = sum(Fraction(k ** n) * x0 ** k / math.factorial(k) for k in range(K + 1))
+    s_den = sum(x0 ** k / Fraction(math.factorial(k)) for k in range(K + 1))
+    tail_num = Fraction((K + 1) ** n) * x0 ** (K + 1) / math.factorial(K + 1) * 2
+    tail_den = x0 ** (K + 1) / Fraction(math.factorial(K + 1)) * 2
+    return s_num / (s_den + tail_den), (s_num + tail_num) / s_den, s_num / s_den
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,18 @@ def test_corpus_round_trips(ctx):
     assert [ctx.ws.eval(flat, k) for k in range(4)] == [ctx.ws.eval(nested, k) for k in range(4)]
 
 
+def test_a_power_of_a_power_round_trips(ctx):
+    # the inner power is parenthesized, so the rendering reparses to the same tree
+    for text in ["(u^2)^3", "((a + b)^2)^2", "(2.a^2)^2", "(x * a^2)^2"]:
+        tree = ctx.parse(text)
+        rendered = render(tree)
+        assert ctx.parse(rendered) == tree, (text, rendered)
+        assert [ctx.ws.eval(ctx.parse(rendered), k) for k in range(2)] == \
+            [ctx.ws.eval(tree, k) for k in range(2)]
+    code, out, _ = run("eval", "E[(u^2)^3]")
+    assert code == 0 and json.loads(out)["expr"] == "(u^2)^3"
+
+
 def test_same_descriptor_resolves_to_one_atom(ctx):
     for text in ["2.a", "a'", "inv(2.b)", "x.a", "b.a", "a^.2", "part(a)",
                  "comp(g,a)", "bar(a)", "bell", "bell(x)", "bell(3)", "2.(a+b)"]:

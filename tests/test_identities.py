@@ -9,8 +9,11 @@ import umbral.identities
 from umbral import series
 from umbral.core import Workspace, verdict
 from umbral.errors import UnknownIdentity, UsageError
-from umbral.identities import _recover_from_int_dot, check, check_all, list_identities
+from umbral.identities import (_dobinski_bracket, _recover_from_int_dot, check, check_all,
+                               list_identities)
 from umbral.ops import dot
+
+from oracles import dobinski_bracket
 
 EXPECTED_IDS = [
     "prop1_i_v", "cor1_i_v", "thm1_binomial_type", "abel", "cor2_right_dist",
@@ -66,6 +69,14 @@ def test_designed_counterexample_passes_by_exhibiting_dissimilarity():
 def test_dobinski_example_values():
     case = check("dobinski_scalar", {"n": 6})
     assert case.passed
+
+
+@pytest.mark.parametrize("x0", [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 7),
+                                Fraction(5, 3)], ids=str)
+def test_dobinski_bracket_equals_the_term_by_term_sums(x0):
+    # the bracket's int sums over one denominator give the same three values
+    for n in range(13):
+        assert _dobinski_bracket(n, x0) == dobinski_bracket(n, x0)
 
 
 def test_remark4_single_cell():

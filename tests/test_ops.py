@@ -505,36 +505,68 @@ def test_corrupted_bell_triangle_is_caught(monkeypatch, build, ring):
         build(ws, *inputs)
 
 
-# each module's kernels scale their int results back through a private step
-# of its own: series' on the generating-function route, combinatorics' on the
-# moment route, so one integral result one off is caught on either
+# each route hands its kernels' int results to registration through a private
+# step of its own: combinatorics' scales them back on the moment route, and
+# series' compares the lift a kernel's series holds with the moments, so one
+# value one off at that step is caught on either
 SCALE_BACK_BUILT = {
     "3.a": lambda ws, a, g, c: dot(ws, 3, a),
     "part(a)": lambda ws, a, g, c: partition_umbra(ws, a),
 }
 
 
-@pytest.mark.parametrize("ring", ["scalar", "x-carrying"])
-@pytest.mark.parametrize("build", SCALE_BACK_BUILT.values(), ids=SCALE_BACK_BUILT)
-@pytest.mark.parametrize("module, name", [(series, "_quotient"), (combinatorics, "_over")],
-                         ids=["series", "combinatorics"])
-def test_corrupted_scale_back_is_caught(monkeypatch, module, name, build, ring):
-    scale_back, seen = getattr(module, name), []
-
+def first_result_off(scale_back, seen):
     def corrupted(v, s):
         q = scale_back(v, s)
         if type(q) is int and not seen:  # the first integral result, one off
             seen.append(q)
             return q + 1
         return q
+    return corrupted
 
+
+def first_lift_entry_off(matches, seen):
+    def corrupted(m, planes, k, s):
+        if not seen:  # the lift's constant plane one off at the first compared k
+            seen.append(k)
+            constant = list(planes[()])
+            constant[k] += 1
+            planes = {**planes, (): constant}
+        return matches(m, planes, k, s)
+    return corrupted
+
+
+@pytest.mark.parametrize("ring", ["scalar", "x-carrying"])
+@pytest.mark.parametrize("build", SCALE_BACK_BUILT.values(), ids=SCALE_BACK_BUILT)
+@pytest.mark.parametrize("module, name, corrupt", [(series, "_matches", first_lift_entry_off),
+                                                   (combinatorics, "_over", first_result_off)],
+                         ids=["series", "combinatorics"])
+def test_corrupted_scale_back_is_caught(monkeypatch, module, name, corrupt, build, ring):
+    seen = []
     ws = fresh()
     inputs = ring_inputs(ws, Stream(37), ring)
     assert_coherent(build(ws, *inputs))
-    monkeypatch.setattr(module, name, corrupted)
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name), seen))
     with pytest.raises(CoherenceError):
         build(ws, *inputs)
     assert seen
+
+
+@pytest.mark.parametrize("ring", ["scalar", "x-carrying"])
+@pytest.mark.parametrize("left", [3, "x"])
+def test_registering_a_power_builds_no_moment_of_its_series(monkeypatch, left, ring):
+    # f^p stays lifted from the kernel through the coherence check
+    calls, quotient = [], series._quotient
+
+    def counted(x, s):
+        calls.append(x)
+        return quotient(x, s)
+    ws = fresh()
+    a = ring_inputs(ws, Stream(38), ring)[0]
+    monkeypatch.setattr(series, "_quotient", counted)
+    atom = dot(ws, left, a)
+    assert calls == []
+    assert atom.egf.moments() == list(atom.moments) and calls
 
 
 def test_integral_moments_give_exact_fractions():

@@ -721,3 +721,79 @@ def test_int_and_fraction_coefficients_are_one_value(terms, ms):
         assert a == b and hash(a) == hash(b)
         assert str(a) == str(b) and a.to_json() == b.to_json()
         assert type(a).from_json(a.to_json()) == b and type(b).from_json(b.to_json()) == a
+
+
+# -- a kernel's series holds its lift ---------------------------------------------------
+
+
+F = Series.from_moments([1, Fraction(1, 2), Fraction(-2, 3), 3, Fraction(5, 4), Fraction(7, 3)])
+FX = Series.from_moments([1, x + Fraction(1, 2), Fraction(-2, 3) * x, 3 + x * x,
+                          Fraction(5, 4) * y, x / 3])
+
+# every kernel that returns a lift, on both rings, and chained on a lift
+LIFTED = {
+    "pow_int": lambda: F.pow_int(3),
+    "pow_int_x": lambda: F.pow_int(x),
+    "pow_int_fx": lambda: FX.pow_int(-2),
+    "exp": lambda: (F - Series.one(5)).exp(),
+    "exp_fx": lambda: (FX - Series.one(5)).exp(),
+    "log": lambda: F.log(),
+    "log_fx": lambda: FX.log(),
+    "product": lambda: Series.product([F, FX, F]),
+    "chained": lambda: (F.pow_int(3) * FX.pow_int(x)).log().exp().pow_int(Fraction(1, 2)),
+}
+
+
+def fraction_oracle(s):
+    """The moments of s read off its lift by one ``Fraction`` per entry."""
+    d, planes = s._lift
+    return Series.from_moments([Poly({m: Fraction(p[k], d ** k) for m, p in planes.items()
+                                      if p[k]}) for k in range(s.order + 1)]).moments()
+
+
+@pytest.mark.parametrize("name", LIFTED)
+def test_a_lift_reads_back_as_its_fractions(name):
+    s = LIFTED[name]()
+    oracle = fraction_oracle(s)
+    assert s.moments() == oracle
+    assert [type(m) for m in s.moments()] == [type(m) for m in oracle]
+
+
+@pytest.mark.parametrize("name", LIFTED)
+def test_a_lifted_series_is_equal_to_its_moments(name):
+    canonical = Series.from_moments(LIFTED[name]().moments())
+    s = LIFTED[name]()
+    assert hash(s) == hash(canonical)
+    assert LIFTED[name]() == canonical and canonical == LIFTED[name]()
+
+
+def off_by_one(m):
+    """Moments that differ from m: in value, by a monomial m lacks, and,
+    for a nonzero m, by a term short."""
+    yield m + Fraction(1, 7)
+    yield Poly.coerce(m) + x ** 9
+    terms = list(Poly.coerce(m).terms.items())
+    if terms:
+        yield Poly(dict(terms[1:]))
+
+
+@pytest.mark.parametrize("name", LIFTED)
+def test_first_mismatch_compares_on_the_lift(monkeypatch, name):
+    moments, s = LIFTED[name]().moments(), LIFTED[name]()
+
+    def no_quotient(x, s):
+        raise AssertionError("a moment was built")
+    monkeypatch.setattr(series, "_quotient", no_quotient)
+    assert s.first_mismatch(moments) is None
+    assert s.first_mismatch([Poly.coerce(m) for m in moments]) is None
+    for k in (0, 1, 4, 5):
+        for bad in off_by_one(moments[k]):
+            assert s.first_mismatch(moments[:k] + [bad] + moments[k + 1:]) == k
+
+
+@pytest.mark.parametrize("p", [3, 5, 8])
+def test_pow_int_of_a_non_unital_series_is_the_product_of_its_copies(p):
+    f = Series.from_moments([2] + FX.moments()[1:])
+    power = f.pow_int(p)
+    assert power._lift is not None
+    assert power == Series.product([f] * p) == power_by_products(f, p)
