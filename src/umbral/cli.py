@@ -620,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("invert", help="Lagrange inversion with its claims checked")
     p.add_argument("--name", help="umbra name from the workspace")
-    p.add_argument("--series", help="delta series in t, e.g. 't*exp(-t)'")
+    p.add_argument("--series", help="delta series ('t*exp(-t)'); leading '-': --series=-2*t+t^2")
     p.set_defaults(fn=_cmd_invert)
 
     p = add("bell", help="Bell number")

@@ -9,10 +9,10 @@ reversion step).  A kernel lifts its operands to d^k M_k over one
 denominator d, one int list (plane) per monomial (:func:`_lift`), packed
 into one int per moment by Kronecker substitution when a monomial carries
 an indeterminate (:func:`_run`); each result moment is unpacked once, by
-halves (:func:`_unpack`).  ``product``, ``pow_int``, ``exp`` and ``log`` hold
-their result lift: the next kernel reads it, registration compares it on
-ints (:meth:`Series.first_mismatch`), and a coefficient is scaled back once,
-on first read, to an ``int`` unless a denominator is left, else a ``Fraction``.
+halves (:func:`_unpack`).  Every kernel holds its result as a lift (d,
+planes x, e), M_k = x_k / (e d^k): the next kernel reads it, registration
+compares it on ints (:meth:`Series.first_mismatch`), and a moment is scaled
+back once, on first read, to an ``int`` unless a denominator is left.
 The constructor takes ordinary coefficients, and ``coeffs``, ``str`` and JSON
 give them back.  Binary operations demand equal orders.  A series is
 *unital* when c_0 = 1 and *delta* when c_0 = 0.
@@ -243,17 +243,17 @@ def _quotient(x: int, s):
     return q.numerator if q.denominator == 1 else q
 
 
-def _matches(m, planes, k: int, s) -> bool:
+def _matches(m, planes, k: int, s: int) -> bool:
     """Whether m == x_k / s for planes x, by cross-multiplication: each term q
     of m has x_k q.denominator == q.numerator s, and no other x_k is nonzero."""
     row = {c: p[k] for c, p in planes.items() if p[k]}
     terms = m.terms if type(m) is Poly else {(): m} if m else {}
-    return row == terms if s == 1 else row.keys() == terms.keys() and all(
+    return row.keys() == terms.keys() and all(
         row[c] * q.denominator == q.numerator * s for c, q in terms.items())
 
 
-def _scaled_down(planes, d, e=1) -> tuple:
-    """The moments x_k / (e d^k) of the planes of :func:`_run`, in the
+def _scaled_down(d: int, planes: dict, e: int) -> tuple:
+    """The moments x_k / (e d^k) of a lift (see :func:`_held`), in the
     ``Series`` rule: one :func:`_quotient` per nonzero x."""
     scales = [e * d ** k for k in range(len(planes[()]))]
     if len(planes) == 1:
@@ -263,21 +263,19 @@ def _scaled_down(planes, d, e=1) -> tuple:
 
 
 def _held(d: int, planes: dict, e: int = 1) -> "Series":
-    """The series x_k / (e d^k) of planes x, held as that lift when e == 1:
-    d is then a common denominator of the M_k, not always the least."""
-    if e != 1:
-        return Series.from_moments(_scaled_down(planes, d, e))
+    """The series M_k = x_k / (e d^k) of planes x, held as that lift (d, planes,
+    e): e d^k is a common denominator of M_k, not always the least."""
     s = object.__new__(Series)
     object.__setattr__(s, "order", len(planes[()]) - 1)
-    object.__setattr__(s, "_lift", (d, planes))
+    object.__setattr__(s, "_lift", (d, planes, e))
     return s
 
 
 class Series:
     """A truncated power series by its moments M_k = k! c_k: all ``int`` or
     ``Fraction`` when all are rational, else all ``Poly``, so equal series
-    have equal moments.  A kernel's series holds its lift (d, planes of d^k
-    M_k) as kernels and :meth:`first_mismatch` read it, and builds M_k on first read."""
+    have equal moments.  A kernel's series holds its lift (d, planes of e d^k
+    M_k, e), which kernels and :meth:`first_mismatch` read; M_k is built on first read."""
 
     __slots__ = ("order", "_m", "_lift")
 
@@ -296,7 +294,7 @@ class Series:
 
     def __getattr__(self, name):  # only an unset slot: a held lift's moments, first read
         if name == "_m":
-            object.__setattr__(self, "_m", _scaled_down(self._lift[1], self._lift[0]))
+            object.__setattr__(self, "_m", _scaled_down(*self._lift))
         return object.__getattribute__(self, name)
 
     @staticmethod
@@ -352,13 +350,14 @@ class Series:
             raise OrderMismatch(f"orders differ: {self.order} != {other.order}")
 
     def _scaled(self):
-        """(d, the planes of d^k M_k) for an integral M_0: the lift the series
-        holds (see :func:`_held`), else d the lcm of every denominator."""
-        if self._lift:
+        """(d, the planes of e d^k M_k, e): the lift the series holds (see
+        :func:`_held`) when its e is 1, else d the lcm of every denominator and
+        e that of M_0, so e is 1 for a unital or delta series."""
+        if self._lift and self._lift[2] == 1:
             return self._lift
         planes = _planes(self._m)
-        d = _denominator(*planes.values())
-        return d, _lift(planes, d)
+        d, e = _denominator(*planes.values()), _denominator(*(p[:1] for p in planes.values()))
+        return d, _lift(planes, d, e), e
 
     def __add__(self, other):
         if not isinstance(other, Series):
@@ -378,29 +377,27 @@ class Series:
     @staticmethod
     def product(factors) -> "Series":
         """The product of one or more series of one order in one :func:`_run`:
-        :func:`convolve` folded over the packed lifts e_i d^k M_k of factor i (d
-        the lcm of all denominators, e_i that of its M_0, 1 for a factor that
-        holds its lift), the result held as a lift when every e_i is 1.
-        Bounds: the fold on 1-norms bounds each 1-norm.  Let A, B be
-        nondecreasing with A_j >= deg a_j, B_k >= deg b_k (prefix maxima).
-        By ``convolve``'s bound c = a b has deg c_m <= max_{j<=m} (A_j + B_(m-j))
-        = C_m, nondecreasing in m like each A_j + B_(m-j); so C, folded factor
-        by factor, bounds every degree of the product by its last entry.  B = 0
-        gives C = A: a factor of degree 0 is skipped."""
+        :func:`convolve` folded over the packed lifts e_i d^k M_k of factor i,
+        each read at its own (d_i, e_i) (the lift it holds, else
+        :meth:`_scaled`) and brought to d = lcm d_i, the result held at
+        (d, prod e_i).  Bounds: the fold on 1-norms bounds each 1-norm.  Let
+        A, B be nondecreasing with A_j >= deg a_j, B_k >= deg b_k (prefix
+        maxima).  By ``convolve``'s bound c = a b has deg c_m <= max_{j<=m}
+        (A_j + B_(m-j)) = C_m, nondecreasing in m like each A_j + B_(m-j); so
+        C, folded factor by factor, bounds every degree of the product by its
+        last entry.  B = 0 gives C = A: a factor of degree 0 is skipped."""
         first, *rest = factors = list(factors)
         for f in rest:
             first._same_order(f)
-        groups = [f._lift or (None, _planes(f._m)) for f in factors]  # (d_i, planes) if held
-        d = lcm(*(di or _denominator(*g.values()) for di, g in groups))
-        es = [1 if di else _denominator(*(p[:1] for p in g.values())) for di, g in groups]
+        ds, planes, es = zip(*(f._lift or f._scaled() for f in factors))  # at (d_i, e_i)
+        d = lcm(*ds)
 
         def degree(*degrees):  # the last factor gives C_N alone
             *bs, last = [list(accumulate(g, max)) for g in degrees if any(g)] or [[0]]
             c = reduce(lambda c, b: [max(map(add, c[:m + 1], b[m::-1])) for m in range(len(b))],
                        bs[1:], bs[0]) if bs else [0]
             return max(map(add, c, reversed(last)))
-        lifts = [(g if d == di else _lift(g, d // di)) if di else _lift(g, d, e)
-                 for (di, g), e in zip(groups, es)]
+        lifts = [g if d == di else _lift(g, d // di) for di, g in zip(ds, planes)]
         # a lambda, so the module's convolve is read per call
         return _held(d, _run(lambda *xs: reduce(convolve, xs), lifts, degree), prod(es))
 
@@ -421,7 +418,7 @@ class Series:
             squares = accumulate(range(p.bit_length() - 1), lambda f, _: f * f, initial=self)
             chosen = [f for i, f in enumerate(squares) if p >> i & 1]  # f^(2^i) for bit i
             return Series.product(chosen or [Series.one(self.order)])
-        c, (d, a), n = rational(p), self._scaled(), self.order
+        c, (d, a, _), n = rational(p), self._scaled(), self.order
         r = _planes([p if c is None else c])
         q = _denominator(*r.values())
 
@@ -435,47 +432,49 @@ class Series:
         """exp of a delta series."""
         if not self.is_delta():
             raise DomainError("exp requires constant term 0")
-        (d, a), n = self._scaled(), self.order
+        (d, a, _), n = self._scaled(), self.order
         return _held(d, _run(lambda a: miller(a, 1, 0), [a], lambda da: _slope(da, n)))
 
     def log(self) -> "Series":
         """log of a unital series; inverse of :meth:`exp` up to truncation."""
         if not self.is_unital():
             raise DomainError("log requires constant term 1")
-        (d, a), n = self._scaled(), self.order
+        (d, a, _), n = self._scaled(), self.order
         return _held(d, _run(lambda a: miller(a, 0, 1, log=True), [a], lambda da: _slope(da, n),
                              majorant=lambda a: miller(a, 0, -1, log=True)))
 
     def compose(self, inner: "Series") -> "Series":
         """self(inner(t)) for a delta inner series, by :func:`compose` on
         G_k = e M_k (e the lcm of self's denominators) and d^k H_k, every k!
-        put into one denominator N!."""
+        put into one denominator N!: the result is held at (d, e N!)."""
         self._same_order(inner)
         if not inner.is_delta():
             raise DomainError("composition requires a delta inner series")
-        n, (d, h), g = self.order, inner._scaled(), _planes(self._m)
+        n, (d, h, _), g = self.order, inner._scaled(), _planes(self._m)
         e = _denominator(*g.values())
         return _held(d, _run(compose, [_lift(g, 1, e), h], lambda dg, dh: max(dg) + _slope(dh, n)),
                      e * factorial(n))
 
     def revert(self) -> "Series":
-        """Compositional inverse of a delta series with invertible c_1:
-        :func:`revert` on k = f / c_1, lifted to d^(j-1) K_j; then w_m is
-        divided by d^(m-1) c_1^m at once, a scale that is no lift to hold."""
+        """Compositional inverse of a delta series with invertible c_1 = p/q:
+        :func:`revert` on k = f / c_1, lifted to d^(j-1) K_j, gives w_m with
+        M_m = w_m / (d^(m-1) c_1^m) = d (s q)^m w_m / (d |p|)^m, s the sign of
+        p: held as that lift over D = d |p|, so a held d stays positive."""
         if not self.is_delta():
             raise DomainError("reversion requires a delta series")
         if self.order < 1:
             raise NotInvertible("no linear coefficient at order 0")
-        c1 = rational(self._m[1])
+        c1 = Fraction(rational(self._m[1]) or 0)
         if not c1:
             raise NotInvertible("linear coefficient has no reciprocal")
-        c1 = Fraction(c1)
         n, k = self.order, _planes([m / c1 for m in self._m[1:]])
         d = _denominator(*k.values())
         k = {m: [0] + p for m, p in _lift(k, d).items()}
         planes = _run(revert, [k], lambda dk: _slope(dk[1:], n - 1),
                       majorant=lambda k: revert([0, 1] + [-c for c in k[2:]]))
-        return Series.from_moments(_scaled_down(planes, d * c1, Fraction(1, d)))
+        sq = c1.denominator if c1 > 0 else -c1.denominator
+        return _held(d * abs(c1.numerator),
+                     {m: [d * sq ** i * w for i, w in enumerate(p)] for m, p in planes.items()})
 
     def derivative(self) -> "Series":
         """Formal d/dt, a shift of the moments; the order drops by one."""
@@ -500,8 +499,9 @@ class Series:
         lift is compared as it is (:func:`_matches`), and builds no moment."""
         if self._lift is None:
             return next((k for k, (m, a) in enumerate(zip(moments, self._m)) if m != a), None)
-        d, planes = self._lift
-        return next((k for k, m in enumerate(moments) if not _matches(m, planes, k, d ** k)), None)
+        d, planes, e = self._lift
+        return next((k for k, m in enumerate(moments) if not _matches(m, planes, k, e * d ** k)),
+                    None)
 
     @property
     def coeffs(self) -> tuple:

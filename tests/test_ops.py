@@ -512,6 +512,8 @@ def test_corrupted_bell_triangle_is_caught(monkeypatch, build, ring):
 SCALE_BACK_BUILT = {
     "3.a": lambda ws, a, g, c: dot(ws, 3, a),
     "part(a)": lambda ws, a, g, c: partition_umbra(ws, a),
+    "g.a": lambda ws, a, g, c: dot(ws, g, a),
+    "comp(g,a)": lambda ws, a, g, c: composition_umbra(ws, g, a),
 }
 
 
@@ -527,7 +529,9 @@ def first_result_off(scale_back, seen):
 
 def first_lift_entry_off(matches, seen):
     def corrupted(m, planes, k, s):
-        if not seen:  # the lift's constant plane one off at the first compared k
+        # the lift's constant plane one off at the first compared k > 0: a
+        # kernel's is_delta and is_unital checks compare k = 0 alone
+        if k and not seen:
             seen.append(k)
             constant = list(planes[()])
             constant[k] += 1
@@ -552,19 +556,29 @@ def test_corrupted_scale_back_is_caught(monkeypatch, module, name, corrupt, buil
     assert seen
 
 
+HELD_BUILT = {
+    "3": lambda ws, a, g: dot(ws, 3, a),
+    "x": lambda ws, a, g: dot(ws, "x", a),
+    "g.a": lambda ws, a, g: dot(ws, g, a),
+    "comp(g,a)": lambda ws, a, g: composition_umbra(ws, g, a),
+    "(-2/3)*a": lambda ws, a, g: scale_atom(ws, Fraction(-2, 3), a),
+}
+
+
 @pytest.mark.parametrize("ring", ["scalar", "x-carrying"])
-@pytest.mark.parametrize("left", [3, "x"])
-def test_registering_a_power_builds_no_moment_of_its_series(monkeypatch, left, ring):
-    # f^p stays lifted from the kernel through the coherence check
+@pytest.mark.parametrize("build", HELD_BUILT.values(), ids=HELD_BUILT)
+def test_registering_a_power_builds_no_moment_of_its_series(monkeypatch, build, ring):
+    # f^p, and the compositions of dot(g, a), comp(g, a) and c*a, stay
+    # lifted from the kernel through the coherence check
     calls, quotient = [], series._quotient
 
     def counted(x, s):
         calls.append(x)
         return quotient(x, s)
     ws = fresh()
-    a = ring_inputs(ws, Stream(38), ring)[0]
+    a, g, _ = ring_inputs(ws, Stream(38), ring)
     monkeypatch.setattr(series, "_quotient", counted)
-    atom = dot(ws, left, a)
+    atom = build(ws, a, g)
     assert calls == []
     assert atom.egf.moments() == list(atom.moments) and calls
 

@@ -729,8 +729,11 @@ def test_int_and_fraction_coefficients_are_one_value(terms, ms):
 F = Series.from_moments([1, Fraction(1, 2), Fraction(-2, 3), 3, Fraction(5, 4), Fraction(7, 3)])
 FX = Series.from_moments([1, x + Fraction(1, 2), Fraction(-2, 3) * x, 3 + x * x,
                           Fraction(5, 4) * y, x / 3])
+HALF = Series.from_moments([Fraction(1, 2)] + FX.moments()[1:])  # M_0 = 1/2
 
-# every kernel that returns a lift, on both rings, and chained on a lift
+# every kernel, on both rings, and chained on a lift: compose holds the
+# scale e N!, revert d |p| for c_1 = p/q, and a product its factors' M_0
+# denominators
 LIFTED = {
     "pow_int": lambda: F.pow_int(3),
     "pow_int_x": lambda: F.pow_int(x),
@@ -740,14 +743,19 @@ LIFTED = {
     "log": lambda: F.log(),
     "log_fx": lambda: FX.log(),
     "product": lambda: Series.product([F, FX, F]),
+    "product_half": lambda: Series.product([HALF * HALF, F]),
+    "compose": lambda: F.compose(F - Series.one(5)),
+    "compose_fx": lambda: FX.compose(FX - Series.one(5)),
+    "revert_-2": lambda: Series.from_moments([0, -2] + FX.moments()[2:]).revert(),
+    "revert_1/3": lambda: Series.from_moments([0, Fraction(1, 3)] + F.moments()[2:]).revert(),
     "chained": lambda: (F.pow_int(3) * FX.pow_int(x)).log().exp().pow_int(Fraction(1, 2)),
 }
 
 
 def fraction_oracle(s):
     """The moments of s read off its lift by one ``Fraction`` per entry."""
-    d, planes = s._lift
-    return Series.from_moments([Poly({m: Fraction(p[k], d ** k) for m, p in planes.items()
+    d, planes, e = s._lift
+    return Series.from_moments([Poly({m: Fraction(p[k], e * d ** k) for m, p in planes.items()
                                       if p[k]}) for k in range(s.order + 1)]).moments()
 
 
@@ -792,8 +800,14 @@ def test_first_mismatch_compares_on_the_lift(monkeypatch, name):
 
 
 @pytest.mark.parametrize("p", [3, 5, 8])
-def test_pow_int_of_a_non_unital_series_is_the_product_of_its_copies(p):
-    f = Series.from_moments([2] + FX.moments()[1:])
-    power = f.pow_int(p)
-    assert power._lift is not None
-    assert power == Series.product([f] * p) == power_by_products(f, p)
+def test_pow_int_of_a_non_unital_series_is_the_product_of_its_copies(monkeypatch, p):
+    # with c_0 = 1/2 too: a square whose M_0 has a denominator stays held
+    def no_quotient(x, s):
+        raise AssertionError("a square was scaled back")
+    for c0 in (2, Fraction(1, 2)):
+        f = Series.from_moments([c0] + FX.moments()[1:])
+        with monkeypatch.context() as m:
+            m.setattr(series, "_quotient", no_quotient)
+            power = f.pow_int(p)
+        assert power._lift is not None
+        assert power == Series.product([f] * p) == power_by_products(f, p)
