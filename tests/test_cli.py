@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 import umbral
 import umbral.identities
@@ -19,7 +19,7 @@ import umbral.inversion
 from umbral import ops
 from umbral.cli import ExprContext, _tokenize, main, parse_series, render
 from umbral.core import Workspace
-from umbral.errors import ParseError, UnknownAtom
+from umbral.errors import OrderExceeded, ParseError, UnknownAtom
 from umbral.identities import check_all
 from umbral.series import Series
 
@@ -45,13 +45,17 @@ def _python(*args):
                           capture_output=True, text=True, timeout=120)
 
 
+def context(order=8):
+    ws = Workspace(order=order)
+    ws.define("a", [1] + [Fraction(k) for k in range(1, order + 1)])
+    ws.define("b", [1] + [Fraction(1, k) for k in range(1, order + 1)])
+    ws.define("g", [1] + [Fraction(2)] * order)
+    return ExprContext(ws)
+
+
 @pytest.fixture
 def ctx():
-    ws = Workspace(order=8)
-    ws.define("a", [1] + [Fraction(k) for k in range(1, 9)])
-    ws.define("b", [1] + [Fraction(1, k) for k in range(1, 9)])
-    ws.define("g", [1] + [Fraction(2)] * 8)
-    return ExprContext(ws)
+    return context()
 
 
 # transcriptions of the displayed umbral identities, one expression each
@@ -113,6 +117,52 @@ def test_a_power_of_a_power_round_trips(ctx):
             [ctx.ws.eval(tree, k) for k in range(2)]
     code, out, _ = run("eval", "E[(u^2)^3]")
     assert code == 0 and json.loads(out)["expr"] == "(u^2)^3"
+
+
+def expressions(depth):
+    """Strings in the grammar, nested ``depth`` deep: sums, '-', products,
+    powers, the n., x. and a. dots, point powers, inv, part, comp and E[...]."""
+    leaf = st.sampled_from(["a", "b", "g", "u", "x"])
+    if not depth:
+        return leaf
+    e, n = expressions(depth - 1), st.integers(0, 2)
+    return st.one_of(
+        leaf,
+        st.tuples(e, st.sampled_from([" + ", " - ", " * "]), e).map(
+            lambda t: f"({t[0]}){t[1]}({t[2]})"),
+        st.tuples(e, n).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(e, n).map(lambda t: f"({t[0]})^.{t[1]}"),
+        st.tuples(st.sampled_from(["0", "2", "3", "x", "a"]), e).map(lambda t: f"{t[0]}.({t[1]})"),
+        st.tuples(st.sampled_from(["inv", "part", "E"]), e).map(
+            lambda t: f"E[{t[1]}]" if t[0] == "E" else f"{t[0]}({t[1]})"),
+        st.tuples(e, e).map(lambda t: f"comp({t[0]}, {t[1]})"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=expressions(3))
+def test_a_generated_expression_round_trips(text):
+    # the rendering reparses in the same context, renders the same and has
+    # the same moments
+    ctx = context(order=6)
+    try:
+        tree = ctx.parse(text)
+    except OrderExceeded:
+        reject()  # a materialized operand needs moments past the order
+    rendered = render(tree)
+    again = ctx.parse(rendered)
+    assert render(again) == rendered
+    assert moments(ctx.ws, again) == moments(ctx.ws, tree)
+
+
+def moments(ws, tree) -> list:
+    """E[tree^k] for k <= 2, or the message of a moment past the order."""
+    out = []
+    for k in range(3):
+        try:
+            out.append(ws.eval(tree, k))
+        except OrderExceeded as exc:
+            out.append(str(exc))
+    return out
 
 
 def test_same_descriptor_resolves_to_one_atom(ctx):

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +33,7 @@ from umbral.poly import ONE, ZERO, Poly
 from umbral.prng import Stream
 from umbral.series import Series, factorial
 
+import faults
 from oracles import falling_factorial_moment, mul_t
 
 
@@ -320,74 +320,76 @@ def test_unit_scale_bell_is_bell():
     assert ws.similar(bell_umbra(ws, 1), bell_umbra(ws))
 
 
-# -- coherence across constructors -------------------------------------------------------------------
+# -- the route map: every fault a constructor reaches fails its registration ---------------------
 
 
 def test_every_constructor_produces_coherent_atoms():
-    ws = fresh()
-    s = Stream(18)
-    a = random_umbra(ws, s, "a", nonzero_first=True)
-    b = random_umbra(ws, s, "b")
-    for atom in (
-        dot(ws, 2, a), dot(ws, -1, a), dot(ws, "x", a), dot(ws, b, a),
-        point_power(ws, a, 3), inverse_umbra(ws, a), bell_umbra(ws),
-        bell_umbra(ws, "y"), partition_umbra(ws, a),
-        partition_umbra(ws, a, "x"), composition_umbra(ws, b, a),
-        alpha_bar(ws, a), scale_atom(ws, Fraction(1, 2), a),
-    ):
-        assert_coherent(atom)
+    # the matrix's clean runs: every atom a row registers, on either ring
+    for row, ring in faults.ROW_RINGS:
+        registered = faults.run_row(row, ring).registered
+        assert registered, (row, ring)
+        for atom in registered:
+            assert_coherent(atom)
 
 
-# -- the coherence check still bites -----------------------------------------------------------
+@pytest.mark.parametrize("row, ring", faults.ROW_RINGS,
+                         ids=[f"{row}-{ring}" for row, ring in faults.ROW_RINGS])
+def test_every_reached_fault_fails_registration(row, ring):
+    # each fault the clean build calls fires, and registration raises
+    cells = faults.run_row(row, ring).cells
+    assert {f: cell for f, cell in cells.items() if cell != faults.CAUGHT} == {}
 
 
-SCALAR_MULTIPLES = {
-    "3.a": lambda ws, a: dot(ws, 3, a),
-    "-2.a": lambda ws, a: dot(ws, -2, a),
-    "x.a": lambda ws, a: dot(ws, "x", a),
-    "inv(a)": lambda ws, a: inverse_umbra(ws, a),
-}
+def test_every_fault_is_reached():
+    reached = set().union(*(faults.run_row(*cell).reached for cell in faults.ROW_RINGS))
+    assert [f for f in faults.FAULTS if f not in reached] == []
+    assert all(hasattr(owner, name) for owner, name in faults.EXEMPT)
 
 
-@pytest.mark.parametrize("build", SCALAR_MULTIPLES.values(), ids=SCALAR_MULTIPLES)
-def test_corrupted_power_routine_is_caught(monkeypatch, build):
-    # one wrong coefficient on the generating-function route
-    power = Series.pow_int
+@pytest.mark.parametrize("ring", faults.RINGS)
+def test_the_routes_share_no_kernel(ring):
+    # the Bell and Stirling sums and the falling factorials reach no series
+    # fault, and Series' kernels no combinatorics or ops fault; compose takes
+    # full products, and bar(a) builds its series from the coefficients
+    o, n = faults.operands(ring), faults.ORDER
+    f, g, h = o.a.egf, o.g.egf, o.a2.egf - Series.one(n)
+    with faults.installed(faults.FAULTS) as moment_route:
+        combinatorics.bell_transform(ops.falling_factorials(o.c, n), o.a.moments[1:], n)
+        combinatorics.bell_moment(o.g.moments, o.a.moments[1:], n)
+        combinatorics.stirling_sum("first_signed", n, o.g.moments)
+    with faults.installed(faults.FAULTS) as series_route:
+        Series.product([f, g, f]), f.pow_int(o.c), h.exp(), f.log(), g.compose(h), h.revert()
+    assert {f.split(".")[0] for f in moment_route} == {"combinatorics", "ops"}
+    assert {f.split(".")[0] for f in series_route} == {"Series", "series"}
+    assert "series.convolve" in faults.run_row("comp(g,a)", ring).reached
+    assert faults.run_row("bar(a)", ring).reached == set()
 
-    def corrupted(self, p):
-        out = power(self, p)
-        coeffs = list(out.coeffs)
-        coeffs[2] = coeffs[2] + 1
-        return Series(out.order, coeffs)
 
-    ws = fresh()
-    a = random_umbra(ws, Stream(31), "a")
-    assert_coherent(build(ws, a))
-    monkeypatch.setattr(Series, "pow_int", corrupted)
-    with pytest.raises(CoherenceError):
-        build(ws, a)
-
-
-@pytest.mark.parametrize("build", SCALAR_MULTIPLES.values(), ids=SCALAR_MULTIPLES)
-def test_corrupted_falling_factorial_is_caught(monkeypatch, build):
-    # one wrong Bell-expansion weight on the moment route
-    falling = ops.falling_factorials
-
-    def corrupted(value, n):
-        out = falling(value, n)
-        out[2] = out[2] + 1
-        return out
-
-    ws = fresh()
-    a = random_umbra(ws, Stream(32), "a")
-    monkeypatch.setattr(ops, "falling_factorials", corrupted)
-    with pytest.raises(CoherenceError):
-        build(ws, a)
+# the seven hand-picked corruption tests the matrix replaced, kept by name:
+# each case is the cell (row, fault, ring) it corrupted
+MULTIPLES, SCALE_BACK = ["3.a", "-2.a", "x.a", "inv(a)"], ["3.a", "part(a)", "g.a", "comp(g,a)"]
+test_corrupted_power_routine_is_caught = faults.folded_test(
+    faults.grid("Series.pow_int", MULTIPLES, ["scalar"]))
+test_corrupted_falling_factorial_is_caught = faults.folded_test(
+    faults.grid("ops.falling_factorials", MULTIPLES, ["scalar"]))
+test_corrupted_exp_and_compose_are_caught = faults.folded_test(
+    faults.grid("Series.exp", ["bell(c)", "part(a)"])
+    + faults.grid("Series.compose", ["comp(g,a)", "g.a", "c*a"])
+    + faults.grid("series.convolve", [("mul:comp(g,a)", "comp(g,a)")])
+    + faults.grid("Series.revert", ["lag(a)"]))
+test_corrupted_bell_triangle_is_caught = faults.folded_test(faults.grid(
+    "combinatorics._comtet", ["bell", "3.a", "x.a", "g.a", "inv(a)", "part(a)",
+                              ("x.part(a)", "c.part(a)"), "bell(c)", "comp(g,a)", "lag(a)"]))
+test_corrupted_scale_back_is_caught = faults.folded_test(
+    faults.grid("series._matches", [(f"series-{row}", row) for row in SCALE_BACK])
+    + faults.grid("combinatorics._over", [(f"combinatorics-{row}", row) for row in SCALE_BACK]))
+test_corrupted_unpack_is_caught = faults.folded_test(faults.grid(
+    "series._unpack", ["x.a", "3.a", "part(a)", ("bell(x)", "bell(c)"), "comp(g,a)", "g.a"],
+    ["x-carrying"]))
 
 
 def ring_inputs(ws, stream, ring):
-    """Two atoms and a Bell scale, all rational or all carrying x, so each
-    corrupted kernel is caught on rational and on Poly coefficients."""
+    """Two atoms and a Bell scale, all rational or all carrying x."""
     if ring == "scalar":
         return random_umbra(ws, stream, "a"), random_umbra(ws, stream, "g"), None
     x = Poly.var("x")
@@ -395,165 +397,6 @@ def ring_inputs(ws, stream, ring):
                                  for _ in range(ws.order)])
     g = ws.define("gx", [ONE] + [stream.rational() * x for _ in range(ws.order)])
     return a, g, "x"
-
-
-def corrupt(method):
-    """``method`` with one wrong coefficient (t^2) in its result."""
-    def corrupted(self, *args):
-        out = method(self, *args)
-        coeffs = list(out.coeffs)
-        coeffs[2] = coeffs[2] + 1
-        return Series(out.order, coeffs)
-    return corrupted
-
-
-EXP_BUILT = {
-    "bell(c)": lambda ws, a, g, c: bell_umbra(ws, c),
-    "part(a)": lambda ws, a, g, c: partition_umbra(ws, a),
-}
-COMPOSE_BUILT = {
-    "comp(g,a)": lambda ws, a, g, c: composition_umbra(ws, g, a),
-    "g.a": lambda ws, a, g, c: dot(ws, g, a),
-    # the series of c*a is a's composed with ct; its moments never compose
-    "c*a": lambda ws, a, g, c: scale_atom(ws, Fraction(3, 2) if c is None else Poly.var(c), a),
-}
-
-
-def lag(ws, a, g, c):
-    """revert_umbral of a with its first moment set to 2, a nonzero rational:
-    on the x ring every moment of a carries x, and a_1 must be invertible."""
-    return revert_umbral(ws, ws.define("a2", (ONE, Poly.const(2)) + a.moments[2:]))
-
-
-# revert_umbral's series is the reversion of f - 1, its moments the Bell route
-REVERT_BUILT = {"lag(a)": lag}
-# compose forms the powers of f - 1 with series.convolve, the product kernel
-# behind Series.__mul__; the moment route's Bell triangle must not, or a wrong
-# product corrupts both routes alike.  The product is corrupted by doubling:
-# adding one would also set the t^2 moments of (f - 1)^k, k >= 3, which only
-# compose reads, and be caught through them whatever the triangle does.
-MUL_BUILT = {"mul:comp(g,a)": COMPOSE_BUILT["comp(g,a)"]}
-
-
-def corrupt_convolve(convolve):
-    """``convolve`` with its t^2 moment doubled."""
-    def corrupted(a, b):
-        out = convolve(a, b)
-        out[2] = out[2] * 2
-        return out
-    return corrupted
-
-
-@pytest.mark.parametrize("ring", ["scalar", "x-carrying"])
-@pytest.mark.parametrize("method, build", [("exp", b) for b in EXP_BUILT.values()]
-                         + [("compose", b) for b in COMPOSE_BUILT.values()]
-                         + [("convolve", b) for b in MUL_BUILT.values()]
-                         + [("revert", b) for b in REVERT_BUILT.values()],
-                         ids=list(EXP_BUILT) + list(COMPOSE_BUILT) + list(MUL_BUILT)
-                         + list(REVERT_BUILT))
-def test_corrupted_exp_and_compose_are_caught(monkeypatch, method, build, ring):
-    ws = fresh()
-    inputs = ring_inputs(ws, Stream(33), ring)
-    assert_coherent(build(ws, *inputs))
-    if method == "convolve":
-        monkeypatch.setattr(series, method, corrupt_convolve(series.convolve))
-    else:
-        monkeypatch.setattr(Series, method, corrupt(getattr(Series, method)))
-    # a triangle cached before the corruption would hide a shared kernel
-    combinatorics._bell_triangle_cached.cache_clear()
-    with pytest.raises(CoherenceError):
-        build(ws, *inputs)
-
-
-# every caller of the triangle's weighted sums, combinatorics.bell_transform
-# and bell_moment; the Bell umbra reads u's triangle unscaled and scaled by c,
-# and x.a and g.a weight it by x's falling factorials and by E[(g)_i]
-BELL_BUILT = {
-    "bell": lambda ws, a, g, c: bell_umbra(ws),
-    "3.a": lambda ws, a, g, c: dot(ws, 3, a),
-    "x.a": lambda ws, a, g, c: dot(ws, "x", a),
-    "g.a": lambda ws, a, g, c: dot(ws, g, a),
-    "inv(a)": lambda ws, a, g, c: inverse_umbra(ws, a),
-    "part(a)": lambda ws, a, g, c: partition_umbra(ws, a),
-    "x.part(a)": lambda ws, a, g, c: partition_umbra(ws, a, "x"),
-    "bell(c)": lambda ws, a, g, c: bell_umbra(ws, c or Fraction(3, 2)),
-    "comp(g,a)": lambda ws, a, g, c: composition_umbra(ws, g, a),
-    "lag(a)": lag,
-}
-
-
-@pytest.mark.parametrize("ring", ["scalar", "x-carrying"])
-@pytest.mark.parametrize("build", BELL_BUILT.values(), ids=BELL_BUILT)
-def test_corrupted_bell_triangle_is_caught(monkeypatch, build, ring):
-    # one wrong entry of the one int Comtet loop, which runs the cached
-    # triangle and the packed weighted sums, on the moment route
-    comtet = combinatorics._comtet
-
-    def corrupted(a):
-        rows = [list(r) for r in comtet(a)]
-        rows[3][2] = rows[3][2] + 1
-        return rows
-
-    ws = fresh()
-    inputs = ring_inputs(ws, Stream(34), ring)
-    assert_coherent(build(ws, *inputs))
-    monkeypatch.setattr(combinatorics, "_comtet", corrupted)
-    # a cache of its own, so no corrupted triangle outlives the test
-    monkeypatch.setattr(combinatorics, "_bell_triangle_cached",
-                        lru_cache(maxsize=8)(combinatorics._bell_triangle_cached.__wrapped__))
-    with pytest.raises(CoherenceError):
-        build(ws, *inputs)
-
-
-# each route hands its kernels' int results to registration through a private
-# step of its own: combinatorics' scales them back on the moment route, and
-# series' compares the lift a kernel's series holds with the moments, so one
-# value one off at that step is caught on either
-SCALE_BACK_BUILT = {
-    "3.a": lambda ws, a, g, c: dot(ws, 3, a),
-    "part(a)": lambda ws, a, g, c: partition_umbra(ws, a),
-    "g.a": lambda ws, a, g, c: dot(ws, g, a),
-    "comp(g,a)": lambda ws, a, g, c: composition_umbra(ws, g, a),
-}
-
-
-def first_result_off(scale_back, seen):
-    def corrupted(v, s):
-        q = scale_back(v, s)
-        if type(q) is int and not seen:  # the first integral result, one off
-            seen.append(q)
-            return q + 1
-        return q
-    return corrupted
-
-
-def first_lift_entry_off(matches, seen):
-    def corrupted(m, planes, k, s):
-        # the lift's constant plane one off at the first compared k > 0: a
-        # kernel's is_delta and is_unital checks compare k = 0 alone
-        if k and not seen:
-            seen.append(k)
-            constant = list(planes[()])
-            constant[k] += 1
-            planes = {**planes, (): constant}
-        return matches(m, planes, k, s)
-    return corrupted
-
-
-@pytest.mark.parametrize("ring", ["scalar", "x-carrying"])
-@pytest.mark.parametrize("build", SCALE_BACK_BUILT.values(), ids=SCALE_BACK_BUILT)
-@pytest.mark.parametrize("module, name, corrupt", [(series, "_matches", first_lift_entry_off),
-                                                   (combinatorics, "_over", first_result_off)],
-                         ids=["series", "combinatorics"])
-def test_corrupted_scale_back_is_caught(monkeypatch, module, name, corrupt, build, ring):
-    seen = []
-    ws = fresh()
-    inputs = ring_inputs(ws, Stream(37), ring)
-    assert_coherent(build(ws, *inputs))
-    monkeypatch.setattr(module, name, corrupt(getattr(module, name), seen))
-    with pytest.raises(CoherenceError):
-        build(ws, *inputs)
-    assert seen
 
 
 HELD_BUILT = {
@@ -621,39 +464,6 @@ def test_alpha_bar_reads_the_series(ring):
 @pytest.mark.parametrize("ring", ["scalar", "x-carrying"])
 def test_scale_atom_reads_the_series(ring):
     assert_reads_the_series(ring, lambda ws, a: scale_atom(ws, Fraction(3, 2), a))
-
-
-# the packed series kernels read every x-carrying result back through
-# series._unpack, which the moment route never calls
-UNPACK_BUILT = {
-    "x.a": lambda ws, a, g, c: dot(ws, "x", a),
-    "3.a": lambda ws, a, g, c: dot(ws, 3, a),
-    "part(a)": lambda ws, a, g, c: partition_umbra(ws, a),
-    "bell(x)": lambda ws, a, g, c: bell_umbra(ws, "x"),
-    "comp(g,a)": lambda ws, a, g, c: composition_umbra(ws, g, a),
-    "g.a": lambda ws, a, g, c: dot(ws, g, a),
-}
-
-
-def corrupt_unpack(unpack):
-    """``unpack`` with digit 2 of each value off by one; a zero value keeps its
-    digits, so log's M_0 = 0 stays zero and compose still takes the delta series."""
-    def corrupted(xs, b, n):
-        for x, digits in zip(xs, unpack(xs, b, n)):
-            if x:
-                digits[2] += 1
-            yield digits
-    return corrupted
-
-
-@pytest.mark.parametrize("build", UNPACK_BUILT.values(), ids=UNPACK_BUILT)
-def test_corrupted_unpack_is_caught(monkeypatch, build):
-    ws = fresh()
-    inputs = ring_inputs(ws, Stream(36), "x-carrying")
-    assert_coherent(build(ws, *inputs))
-    monkeypatch.setattr(series, "_unpack", corrupt_unpack(series._unpack))
-    with pytest.raises(CoherenceError):
-        build(ws, *inputs)
 
 
 # -- one value type per ring ----------------------------------------------------------

@@ -2,15 +2,13 @@ import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbral import combinatorics
 from umbral.combinatorics import bell_number, bell_triangle
-from umbral.errors import CoherenceError, InvalidDistribution
+from umbral.errors import InvalidDistribution
 from umbral.poisson import (
     BLOCK,
     BUCKET_BITS,
@@ -34,8 +32,8 @@ from umbral.poisson import (
 )
 from umbral.poly import Poly
 from umbral.prng import GOLDEN, MASK, MIX1, MIX2, Stream
-from umbral.series import Series
 
+from faults import BENCH_JUMPS, BENCH_MODELS, folded_test, grid
 from oracles import masked_poisson_counts, uniform_block
 
 HALF = Fraction(1, 2)
@@ -88,13 +86,6 @@ def _hand_bell_sum(model, max_order):
             for k in orders]
 
 
-# the four models of the Monte Carlo benchmark
-BENCH_JUMPS = DiscreteDist((1, 2), (HALF, HALF))
-BENCH_MODELS = [PoissonModel(1), CompoundModel(1, BENCH_JUMPS),
-                RandomizedModel(BENCH_JUMPS),
-                RandomizedCompoundModel(BENCH_JUMPS, BENCH_JUMPS)]
-
-
 @pytest.mark.parametrize("model", BENCH_MODELS, ids=lambda m: m.describe())
 def test_exact_moments_match_hand_bell_sum(model):
     got = exact_moments(model, 6)
@@ -102,39 +93,12 @@ def test_exact_moments_match_hand_bell_sum(model):
     assert all(type(v) is Fraction for v in got)
 
 
-def corrupt_compose(monkeypatch):
-    """A wrong t^1 coefficient in every composition: the series route of
-    L.part(J), L's series composed with the log of part(J)'s."""
-    compose = Series.compose
-    monkeypatch.setattr(Series, "compose",
-                        lambda self, inner: compose(self, inner) + Series.t(self.order))
-
-
-def corrupt_comtet(monkeypatch):
-    """One wrong entry of the Comtet loop behind every Bell triangle: the
-    moment route of part(J) and of L.part(J)."""
-    comtet = combinatorics._comtet
-
-    def corrupted(a):
-        rows = [list(r) for r in comtet(a)]
-        rows[3][2] = rows[3][2] + 1
-        return rows
-
-    monkeypatch.setattr(combinatorics, "_comtet", corrupted)
-    # a cache of its own, so no triangle built before or during the test is read
-    monkeypatch.setattr(combinatorics, "_bell_triangle_cached",
-                        lru_cache(maxsize=8)(combinatorics._bell_triangle_cached.__wrapped__))
-
-
-@pytest.mark.parametrize("corrupt", [corrupt_compose, corrupt_comtet],
-                         ids=["compose", "comtet"])
-@pytest.mark.parametrize("model", BENCH_MODELS, ids=lambda m: m.describe())
-def test_a_faulty_kernel_fails_the_prediction(monkeypatch, corrupt, model):
-    # the prediction is the engine's registered umbra L.part(J), so a wrong
-    # kernel on either route raises, not just skews the rows a z-gate reads
-    corrupt(monkeypatch)
-    with pytest.raises(CoherenceError):
-        compare(model, 1000, 1)
+# the prediction is the engine's registered umbra L.part(J), so a wrong kernel
+# on either route raises, not just skews the rows a z-gate reads: the route
+# map's cells of exact_moments, kept under this test's name
+test_a_faulty_kernel_fails_the_prediction = folded_test([case for tag, fault in [
+    ("compose", "Series.compose"), ("comtet", "combinatorics._comtet")] for case in grid(
+        fault, [(f"{m.describe()}-{tag}", m.describe()) for m in BENCH_MODELS], ["scalar"])])
 
 
 def test_exact_predictions():

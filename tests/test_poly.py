@@ -1,9 +1,12 @@
 import doctest
+import importlib
+import inspect
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
-from umbral import poly
+import umbral
 from umbral.poly import ONE, ZERO, Poly, rational
 
 x = Poly.var("x")
@@ -121,5 +124,11 @@ def test_hash_consistency():
 
 
 def test_module_docstring_examples():
-    result = doctest.testmod(poly)
-    assert result.attempted and not result.failed
+    # every umbral module that holds a >>> example runs it
+    modules = [importlib.import_module(f"umbral.{m.name}")
+               for m in pkgutil.iter_modules(umbral.__path__)]
+    with_examples = [m for m in modules if ">>>" in inspect.getsource(m)]
+    assert {m.__name__ for m in with_examples} >= {"umbral.poly", "umbral.series"}
+    for m in with_examples:
+        result = doctest.testmod(m)
+        assert result.attempted and not result.failed, m.__name__
