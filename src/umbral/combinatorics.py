@@ -3,13 +3,13 @@ complete Bell polynomials, exponential polynomials and Bernoulli numbers.
 
 Partial Bell polynomials come from Comtet's recurrence on ints, which reads
 no series (so the moment route of :mod:`umbral.ops` shares no kernel with the
-generating-function route); values that carry an indeterminate run as their
-Kronecker images, a pack of this module's own.  Each closed-form
-moment reads one row: ``bell_moment`` sums sum_i w_i B_{n,i}(a) over row n
-of the triangle (``bell_transform`` over rows 0..n), and ``stirling_sum``
-sums sum_k S(n,k) v_k or sum_k s(n,k) v_k over the one Stirling row loop.
-Recursion stays shallow: the digit split halves its input.  Memoization
-uses ``lru_cache``, which is safe under concurrent readers.
+generating-function route).  Every Bell sum sum_i w_i B_{n,i}(a) over one a
+reads one cached triangle: int rows, or Kronecker images (a pack of this
+module's own) held at the widest layout asked of it.  ``stirling_sum`` sums
+sum_k S(n,k) v_k or sum_k s(n,k) v_k over the one Stirling row loop.
+Recursion stays shallow: the digit split halves its input.  Memoization uses
+``lru_cache``, and a wider pack replaces the held one as one object, so both
+are safe under concurrent readers.
 """
 
 from __future__ import annotations
@@ -119,30 +119,24 @@ def _norm(v) -> int:
     return sum(map(abs, v.terms.values())) if type(v) is Poly else abs(v)
 
 
-def _variables(values) -> list:
-    """The indeterminates of int and ``Poly`` values, sorted by name."""
-    return sorted({x for v in values if type(v) is Poly for m in v.terms for x, _ in m})
+def _degrees(values) -> dict:
+    """Each indeterminate of int and ``Poly`` values with its largest degree."""
+    ms = [dict(m) for v in values if type(v) is Poly for m in v.terms]
+    return {x: max(m.get(x, 0) for m in ms) for x in set().union(*ms)}
 
 
-def _kronecker(a, w, bound: int) -> tuple:
-    """(pack, unpack) for B_{k,i}(a), k <= len(a), and sum_i w_i B_{k,i}(a) on
-    ints or int-coefficient ``Poly`` values.  ``pack``, v_j -> 2^(b s_j), is a
-    ring homomorphism into Z, so Comtet's loop on images gives the images of
-    its results.  v_j (a's variables inner) gets R_j = max_i deg w_i +
-    floor(len(a) max_i deg a_i / i) + 1 digits, s_j = R_1 ... R_(j-1), as
-    B_{k,i}(a) sums products a_(i_1) ... a_(i_m), i_1 + ... + i_m = k, of
-    degree at most k max_i deg a_i / i.  b is one bit past ``bound``, which
-    majorizes each result's 1-norm, so every |c| < h = 2^(b-1).  ``unpack``
-    adds h at n digits to split them by halves; a top digit t != 0 gives
+def _kronecker(layout) -> tuple:
+    """(pack, unpack) at ``layout`` = (b, ((v_1, R_1), (v_2, R_2), ...)).  ``pack``,
+    v_j -> 2^(b s_j), s_j = R_1 ... R_(j-1), is a ring homomorphism into Z, so
+    Comtet's loop and a weighted row sum on images give the images of their
+    results, exact at any layout.  ``unpack`` reads a value back when each |c| <
+    h = 2^(b-1) and each degree in v_j is below R_j, so a wider layout decodes it
+    too.  It adds h at n digits to split them by halves; a top digit t != 0 gives
     |v| > 2^(bt-2) for b >= 2, so n = (bit length of |v| + 1) // b + 1."""
-    variables = list(dict.fromkeys(_variables(a) + _variables(w)))
-    radix = [max((dict(m).get(x, 0) for v in w if type(v) is Poly for m in v.terms), default=0)
-             + max((len(a) * dict(m).get(x, 0) // i for i, v in enumerate(a, 1)
-                    if type(v) is Poly for m in v.terms), default=0) + 1 for x in variables]
+    b, (variables, radix) = layout[0], zip(*layout[1])
     slot = {x: prod(radix[:j]) for j, x in enumerate(variables)}
     monomials = [tuple(sorted((x, e) for x, e in zip(variables, reversed(es)) if e))
                  for es in product(*map(range, reversed(radix)))]
-    b = bound.bit_length() + 1
     h, mask = 1 << b - 1, (1 << b) - 1
 
     def pack(v) -> int:
@@ -163,17 +157,36 @@ def _kronecker(a, w, bound: int) -> tuple:
 
 
 @lru_cache(maxsize=1024)  # keyed by moment tuples: bounded for long sessions
-def _bell_triangle_cached(a: tuple) -> tuple:
-    """(rows, D) with B_{n,k}(a) = rows[n][k] / D^n, 0 <= k <= n <= len(a), by
-    :func:`_comtet` on D^i a_i, D the lcm of all denominators (B_{n,k} has
-    weight n): ints for rational a, else on their :func:`_kronecker` images,
-    bound by the loop on 1-norms, each entry unpacked once.  Row n reads only
+def _bell_triangle_cached(a: tuple) -> list:
+    """[D, N, A, degrees, (layout, rows)], the one triangle every Bell sum over a
+    reads: B_{n,k}(a) = rows[n][k] / D^n, 0 <= k <= n <= len(a), by :func:`_comtet`
+    on A = (D^i a_i), D the lcm of all denominators (B_{n,k} has weight n).  For
+    rational a, rows are ints, their own images at any layout, and N = rows.  Else
+    N is the loop on 1-norms, and degrees maps v to floor(len(a) max_i deg_v a_i /
+    i), which bounds deg_v of each product a_(i_1) ... a_(i_m) with i_1 + ... +
+    i_m = n, so of B_{n,k}(a); :func:`_packed` packs the rows.  Row n reads only
     a_1..a_n, so one triangle per sequence serves every n."""
     d, a = _lifted(a, True)
     if all(type(v) is int for v in a):
-        return tuple(_comtet(a)), d
-    pack, unpack = _kronecker(a, (), max(map(max, _comtet(list(map(_norm, a))))))
-    return tuple(tuple(Poly(unpack(v)) for v in row) for row in _comtet(list(map(pack, a)))), d
+        return [d, rows := _comtet(a), (), {}, ((0, ()), rows)]
+    return [d, _comtet(list(map(_norm, a))), a, {x: max(len(a) * _degrees([v]).get(x, 0) // i
+            for i, v in enumerate(a, 1)) for x in _degrees(a)}, ((0, ()), None)]
+
+
+def _packed(entry, bound: int, weights=()) -> tuple:
+    """(rows, pack, unpack) of a's triangle ``entry`` at the least layout that covers
+    the held one and a sum of 1-norm <= ``bound`` over ``weights``; a layout wider
+    than the held one packs x-carrying a's rows once, swapped in as one object."""
+    held, rows = entry[-1]
+    wd, radix = _degrees(weights), dict(held[1])
+    for x in set(wd).union(entry[3]):
+        radix[x] = max(radix.get(x, 0), wd.get(x, 0) + entry[3].get(x, 0) + 1)
+    layout = max(held[0], bound.bit_length() + 1), tuple(  # a's variables inner
+        sorted(radix.items(), key=lambda p: (p[0] not in entry[3], p[0])))
+    pack, unpack = _kronecker(layout)
+    if layout != held and entry[2]:
+        entry[-1] = layout, rows = layout, _comtet(list(map(pack, entry[2])))
+    return rows, pack, unpack
 
 
 def _over(v, s):
@@ -187,47 +200,44 @@ def _over(v, s):
     return q.numerator if q.denominator == 1 else q
 
 
-def _weighted(weights, a, ks):
-    """Yield sum_i w_i B_{k,i}(a) for each k in ``ks``.  With w_i = u_i / E,
-    it is sum_i u_i P_{k,i} over E D^k, P row k of a's triangle over D^k,
-    scaled back by :func:`_over`: a rational for int rows, else a ``Poly``.
-    Rational weights read a's cached triangle.
-    Weights with an indeterminate pack (:func:`_kronecker`) with a_1..a_K,
-    K = max ks, if a has one too, else read a's cached int rows, their own
-    images; the bound is sum_i |u_i| |P_{k,i}|, and each sum unpacks once."""
-    e, weights = _lifted(weights, False)
-    packed = not all(type(w) is int for w in weights)
-    if packed and _variables(a):
-        d, a = _lifted(a[:max(ks)], True)
-        rows, norms = None, _comtet(list(map(_norm, a)))
-    else:
-        rows, d = _bell_triangle_cached(tuple(a))
-        norms, a = rows, ()
-    if packed:
-        uw = list(map(_norm, weights))
-        pack, unpack = _kronecker(a, weights, max(sum(x * abs(y) for x, y in zip(uw, norms[k]))
-                                                  for k in ks))
-        rows, weights = rows or _comtet(list(map(pack, a))), list(map(pack, weights))
-    for k in ks:
-        acc, s = sum(w * p for w, p in zip(weights, rows[k]) if w and p), e * d ** k
-        yield Poly({m: _over(c, s) for m, c in unpack(acc)}) if packed else _over(acc, s)
+def bell_sums(groups, a):
+    """Yield sum_i w_i B_{k,i}(a_1, a_2, ...) for each (w, ks) in ``groups`` and
+    each k in ks, from one lookup of a's triangle; a lists a_1..a_(max k) at least.
+    With w_i = u_i / E it is sum_i u_i rows[k][i] / (E D^k), scaled back once; on
+    images (:func:`_packed`, bound max_k sum_i |u_i| |N_{k,i}|) it unpacks once."""
+    d, norms, _, degrees, (_, rows) = entry = _bell_triangle_cached(tuple(a))
+    groups = [(*_lifted(w, False), ks) for w, ks in groups]
+    if packed := degrees or any(type(u) is Poly for _, w, _ in groups for u in w):
+        rows, pack, unpack = _packed(entry, max((
+            sum(u * abs(p) for u, p in zip(uw, norms[k]) if u)
+            for _, w, ks in groups for uw in [list(map(_norm, w))] for k in ks), default=0),
+            [u for _, w, _ in groups for u in w])
+    for e, w, ks in groups:
+        w = list(map(pack, w)) if packed else w
+        for k in ks:
+            acc, s = sum(u * p for u, p in zip(w, rows[k]) if u and p), e * d ** k
+            yield Poly({m: _over(c, s) for m, c in unpack(acc)}) if packed else _over(acc, s)
 
 
 def bell_transform(weights, a, n: int) -> list:
     """m_k = sum_{i<=k} w_i B_{k,i}(a_1, a_2, ...) for k = 0..n, the
     :func:`bell_moment` of each row 0..n; a lists a_1..a_n at least."""
-    return list(_weighted(weights, a, range(n + 1)))
+    return list(bell_sums([(weights, range(n + 1))], a))
 
 
 def bell_moment(weights, a, n: int):
     """m_n = sum_{i<=n} w_i B_{n,i}(a_1, a_2, ...) alone, from row n of a's
     triangle; a lists a_1..a_n at least."""
-    return next(_weighted(weights, a, (n,)))
+    return next(bell_sums([(weights, (n,))], a))
 
 
 def bell_triangle(a, max_n: int) -> tuple:
-    """Every B_{n,k}(a_1,..) up to n = max_n, a cut or zero-padded to max_n."""
-    rows, d = _bell_triangle_cached(_padded(a, max_n))
+    """Every B_{n,k}(a_1,..) up to n = max_n, a cut or zero-padded to max_n; packed
+    rows unpack at a layout that bounds every entry."""
+    d, norms, _, degrees, (_, rows) = entry = _bell_triangle_cached(_padded(a, max_n))
+    if degrees:
+        rows, _, unpack = _packed(entry, max(map(max, norms)))
+        rows = [[Poly(unpack(v)) for v in row] for row in rows]
     return tuple(tuple(Poly.coerce(_over(b, d ** n)) for b in row)
                  for n, row in enumerate(rows))
 

@@ -6,8 +6,8 @@
 
 where bar is the shifted-moment umbra of alpha (:func:`umbral.ops.alpha_bar`)
 and the expectation is the falling-factorial Bell expansion of bar's
-moments (one row of bar's triangle); registration checks gamma against
-1 + (f - 1)^{<-1>}, the series ``revert_oracle`` registers alone.
+moments (row k - 1 of bar's triangle, one lookup for every k); registration
+checks gamma against 1 + (f - 1)^{<-1>}, the series ``revert_oracle`` registers.
 ``cross_check`` judges the identities behind the formula (:func:`claims`)
 through the claim harness of :mod:`umbral.core`, as the identity catalog's
 ``thm8_lagrange`` does, and reports the first false claim as the witness.
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .combinatorics import bell_moment
+from .combinatorics import bell_moment, bell_sums
 from .core import Atom, IntPower, Product, Sum, Workspace, verdict
 from .ops import a1_reciprocal, alpha_bar, composition_umbra, dot, falling_factorials
 from .poly import Poly, rational
@@ -28,7 +28,7 @@ from .series import Series
 def dot_moment_formula(bar: Atom, mult: int, m: int):
     """E[(mult.bar)^m] (mult may be negative) through the falling-factorial
     Bell expansion of bar's moments, row m of its triangle: the moment route
-    of :func:`revert_umbral`."""
+    of :func:`revert_umbral` one moment at a time."""
     return bell_moment(falling_factorials(mult, m), bar.moments[1:], m)
 
 
@@ -38,9 +38,9 @@ def _reversion(alpha: Atom) -> Series:
 
 
 def _lagrange(ws: Workspace, alpha: Atom, bar: Atom) -> Atom:
-    inv_a1 = a1_reciprocal(alpha)
-    moments = [1] + [dot_moment_formula(bar, -k, k - 1) * inv_a1 ** k
-                     for k in range(1, ws.order + 1)]
+    inv_a1, ks = a1_reciprocal(alpha), range(1, ws.order + 1)
+    sums = bell_sums([(falling_factorials(-k, k - 1), (k - 1,)) for k in ks], bar.moments[1:])
+    moments = [1] + [m * inv_a1 ** k for k, m in zip(ks, sums)]
     return ws._register(f"lag({alpha.name})", moments, _reversion(alpha))
 
 

@@ -275,7 +275,8 @@ class Series:
     """A truncated power series by its moments M_k = k! c_k: all ``int`` or
     ``Fraction`` when all are rational, else all ``Poly``, so equal series
     have equal moments.  A kernel's series holds its lift (d, planes of e d^k
-    M_k, e), which kernels and :meth:`first_mismatch` read; M_k is built on first read."""
+    M_k, e), which kernels and :meth:`first_mismatch` read, and so does its sum
+    with an int constant c (x_0 + c e); M_k is built on first read."""
 
     __slots__ = ("order", "_m", "_lift")
 
@@ -363,6 +364,10 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._same_order(other)
+        f, c = (other, self) if other._lift else (self, other)
+        if f._lift and c._lift is None and type(c._m[0]) is int and not any(c._m[1:]):
+            d, planes, e = f._lift
+            return _held(d, {**planes, (): [planes[()][0] + c._m[0] * e, *planes[()][1:]]}, e)
         return Series.from_moments([a + b for a, b in zip(self._m, other._m)])
 
     def __sub__(self, other):

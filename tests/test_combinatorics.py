@@ -1,3 +1,5 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb, prod
 
@@ -8,6 +10,7 @@ from umbral.combinatorics import (
     _bell_triangle_cached,
     bell_moment,
     bell_number,
+    bell_sums,
     bell_transform,
     bell_triangle,
     bernoulli_number,
@@ -201,6 +204,76 @@ def test_packed_bell_sums_match_partition_oracle(w_ring, a_ring, n, data):
         assert m[k] == sum((w[i] * weighted_partition_sum(k, i, a)
                             for i in range(k + 1)), ZERO) == bell_moment(w, a, k)
     assert canonical_coefficients(m)
+
+
+y = Poly.var("y")
+# weight vectors of one triangle's sums, from narrow to wide: rational;
+# zero-heavy (3)_i; ints near 2^70 (a wider digit); (x)_i (a larger radix in
+# x); y^i (a variable more over x-carrying a)
+WEIGHTS = {
+    "rational": lambda n, draw: draw(st.lists(rationals, min_size=n + 1, max_size=n + 1)),
+    "(3)_i": lambda n, draw: ops.falling_factorials(3, n),
+    "near 2^70": lambda n, draw: draw(st.lists(st.integers(2 ** 70 - 9, 2 ** 70 + 9),
+                                               min_size=n + 1, max_size=n + 1)),
+    "(x)_i": lambda n, draw: ops.falling_factorials(x, n),
+    "y^i": lambda n, draw: [y ** i for i in range(n + 1)],
+}
+A_RINGS = {"rational": rationals,
+           "x-carrying": st.builds(lambda r, s, e: r + s * x ** e,
+                                   rationals, rationals.filter(bool), st.integers(1, 2))}
+
+
+@pytest.mark.parametrize("ring", A_RINGS)
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_one_cached_triangle_serves_every_layout_in_any_order(ring, n, data):
+    # one triangle, read by weight vectors in a drawn order without clearing the
+    # cache, so each sum meets whatever layout the sums before it left held
+    a = data.draw(st.lists(A_RINGS[ring], min_size=n, max_size=n))
+    oracle = [[weighted_partition_sum(k, i, a) for i in range(k + 1)] for k in range(n + 1)]
+
+    def summed(w, k):
+        return sum((c * b for c, b in zip(w, oracle[k])), ZERO)
+    _bell_triangle_cached.cache_clear()
+    narrow = bell_triangle(a, n)
+    assert narrow == tuple(map(tuple, oracle))
+    weights = {name: make(n, data.draw) for name, make in WEIGHTS.items()}
+    for name in data.draw(st.permutations(list(WEIGHTS))):
+        w = weights[name]
+        assert bell_transform(w, a, n) == [summed(w, k) for k in range(n + 1)]
+        assert bell_moment(w, a, n) == summed(w, n)
+    assert bell_triangle(a, n) == narrow
+    groups = [(w, range(n, -1, -1)) for w in weights.values()]
+    assert list(bell_sums(groups, a)) == [summed(w, k) for w, ks in groups for k in ks]
+    assert _bell_triangle_cached.cache_info().misses == 1
+
+
+def test_concurrent_narrow_and_wide_sums_on_one_triangle():
+    # four threads alternate narrow and wide sums on one fresh triangle, so the
+    # held layout is widened under them; each sum must equal the serial one
+    n, stream = 8, Stream(71)
+    a = tuple(stream.rational() + stream.rational() * x for _ in range(n))
+    weights = [[stream.rational() for _ in range(n + 1)], ops.falling_factorials(x, n),
+               ops.falling_factorials(3, n), [2 ** 70 + i for i in range(n + 1)],
+               [y ** i for i in range(n + 1)]]
+    serial = [bell_transform(w, a, n) for w in weights]
+    triangle = bell_triangle(a, n)
+
+    def alternate(t):
+        return [bell_triangle(a, n) if j % 2 else bell_transform(weights[(t + j) % 5], a, n)
+                for j in range(10)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            _bell_triangle_cached.cache_clear()
+            with ThreadPoolExecutor(4) as pool:
+                runs = [pool.submit(alternate, t) for t in range(4)]
+                for t, run in enumerate(runs):
+                    assert run.result(timeout=60) == [
+                        triangle if j % 2 else serial[(t + j) % 5] for j in range(10)]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_complete_bell():

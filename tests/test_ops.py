@@ -405,14 +405,17 @@ HELD_BUILT = {
     "g.a": lambda ws, a, g: dot(ws, g, a),
     "comp(g,a)": lambda ws, a, g: composition_umbra(ws, g, a),
     "(-2/3)*a": lambda ws, a, g: scale_atom(ws, Fraction(-2, 3), a),
+    # a_1 = 2, so the x-carrying ring reverts too
+    "lag(a)": lambda ws, a, g: revert_umbral(ws, ws.define("a2", [1, 2, *a.moments[2:]])),
 }
 
 
 @pytest.mark.parametrize("ring", ["scalar", "x-carrying"])
 @pytest.mark.parametrize("build", HELD_BUILT.values(), ids=HELD_BUILT)
 def test_registering_a_power_builds_no_moment_of_its_series(monkeypatch, build, ring):
-    # f^p, and the compositions of dot(g, a), comp(g, a) and c*a, stay
-    # lifted from the kernel through the coherence check
+    # f^p, the compositions of dot(g, a), comp(g, a) and c*a, and the
+    # reversion plus one of lag(a), stay lifted from the kernel through the
+    # coherence check
     calls, quotient = [], series._quotient
 
     def counted(x, s):
