@@ -20,7 +20,8 @@ follow from that, for atom-disjoint X and Y:
 * the parts of a sum or a product fall into groups linked through shared
   atoms.  Groups are uncorrelated: a product's multiply pointwise,
   E[(XY)^k] = E[X^k] E[Y^k], and a sum's gfs multiply, so their moments
-  convolve, E[(X+Y)^k] = sum_i C(k,i) E[X^i] E[Y^(k-i)];
+  convolve, E[(X+Y)^k] = sum_i C(k,i) E[X^i] E[Y^(k-i)], an atom's by the
+  series of its moments (never its ``egf``), lifted once for every sum;
 * a group of several parts is expanded into its normal form, a
   :class:`~umbral.poly.Poly` in that ring, *before* moments are substituted
   into each of its powers: within a monomial, powers of distinct atoms
@@ -102,16 +103,18 @@ class Expr:
 
 class Atom(Expr):
     """A registered umbra: unique symbol, moments (by the ``Series`` rule),
-    generating function.  An atom is its own symbol, so equality is
-    identity: a clone has equal moments but is a different umbra."""
+    their series (what a sum reads), generating function.  An atom is its
+    own symbol, so equality is identity: a clone has equal moments but is a
+    different umbra."""
 
-    __slots__ = ("uid", "name", "moments", "egf")
+    __slots__ = ("uid", "name", "moments", "egf", "_series")
 
-    def __init__(self, uid: int, name: str, moments, egf: Series):
+    def __init__(self, uid: int, name: str, moments, egf: Series, series: Series = None):
         object.__setattr__(self, "uid", uid)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "moments", tuple(moments))
         object.__setattr__(self, "egf", egf)
+        object.__setattr__(self, "_series", series or Series.from_moments(moments))
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -297,7 +300,8 @@ class Workspace:
     def _register(self, name: str, moments, egf: Series) -> Atom:
         """A fresh atom, once ``moments`` equal ``egf``'s: on ints, by
         :meth:`Series.first_mismatch`, when ``egf`` holds a kernel's lift."""
-        moments = Series.from_moments(moments).moments()  # the series' rule
+        series = Series.from_moments(moments)  # the series' rule, and what a sum reads
+        moments = series.moments()
         if len(moments) != self.order + 1:
             raise ValueError(
                 f"need {self.order + 1} moments at order {self.order}, got {len(moments)}")
@@ -306,7 +310,7 @@ class Workspace:
         k = egf.first_mismatch(moments)
         if k is not None:
             raise CoherenceError(name, k, moments[k], egf.egf_moment(k), self.order)
-        atom = Atom(next(self._uids), name, moments, egf)
+        atom = Atom(next(self._uids), name, moments, egf, series)
         self._atoms[_symbol(atom.uid)] = atom
         return atom
 
@@ -374,7 +378,8 @@ class Workspace:
         return total
 
     def _moments(self, e: Expr, n: int) -> list:
-        """E[e^j] for j = 0..n by the tree rules (see the module docstring)."""
+        """E[e^j] for j = 0..n by the tree rules (see the module docstring);
+        a sum's atom enters as its moments' series, sliced at n < order."""
         if not e.degrees:
             return list(accumulate(repeat(_expand(e), n), mul, initial=ONE))
         if isinstance(e, Atom):
@@ -383,13 +388,15 @@ class Workspace:
             return self._moments(Product((ScalarMul(e.coeff, ONE_EXPR), e.child)), n)
         if isinstance(e, IntPower):
             return self._moments(e.child, n * e.power)[:: e.power]
+        groups = _groups(e.parts)
         seqs = [self._moments(group[0], n) if len(group) == 1 else
                 list(map(self._apply, accumulate(repeat(_expand(type(e)(group)), n),
                                                  _nf_mul, initial=ONE)))
-                for group in _groups(e.parts)]
+                for group in groups]
         if isinstance(e, Product):
             return [reduce(mul, column) for column in zip(*seqs)]
-        return Series.product(map(Series.from_moments, seqs)).moments()
+        return Series.product(g[0]._series.truncate(n) if len(g) == 1 and isinstance(g[0], Atom)
+                              else Series.from_moments(s) for g, s in zip(groups, seqs)).moments()
 
     def _checked(self, expr, ks) -> list:
         """E[expr^j] for j = 0..ks[-1], after the one order test (see the

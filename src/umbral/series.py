@@ -3,16 +3,18 @@
 A ``Series`` of order N is sum_k c_k t^k, held by its EGF moments M_k = k! c_k
 (see :class:`Series`).  Every kernel is a recurrence on ints with integer
 binomial weights: :func:`convolve` for products (folded over every factor of
-:meth:`Series.product` at once), :func:`miller` for exp, log and powers,
+:meth:`Series.product` at once, its rational factors first, whose product's
+exact norms then bound the packed run), :func:`miller` for exp, log and powers,
 :func:`compose` and :func:`revert` on full products h^k (one exact ``//`` per
 reversion step).  A kernel lifts its operands to d^k M_k over one
 denominator d, one int list (plane) per monomial (:func:`_lift`), packed
 into one int per moment by Kronecker substitution when a monomial carries
 an indeterminate (:func:`_run`); each result moment is unpacked once, by
 halves (:func:`_unpack`).  Every kernel holds its result as a lift (d,
-planes x, e), M_k = x_k / (e d^k): the next kernel reads it, registration
-compares it on ints (:meth:`Series.first_mismatch`), and a moment is scaled
-back once, on first read, to an ``int`` unless a denominator is left.
+planes x, e), M_k = x_k / (e d^k), and a series of moments keeps the first
+lift taken of it at e = 1: the next kernel reads it, registration compares
+it on ints (:meth:`Series.first_mismatch`), and a moment is scaled back
+once, on first read, to an ``int`` unless a denominator is left.
 The constructor takes ordinary coefficients, and ``coeffs``, ``str`` and JSON
 give them back.  Binary operations demand equal orders.  A series is
 *unital* when c_0 = 1 and *delta* when c_0 = 0.
@@ -145,11 +147,11 @@ def revert(k) -> list:
 
 def _planes(ms) -> dict:
     """The moments as one rational moment list per monomial, so moment k is
-    the sum of plane[k] times its monomial: the constant plane alone for
-    rational moments (a ``Series`` never mixes the two)."""
+    the sum of plane[k] times its monomial: the constant plane always, and
+    alone for rational moments (a ``Series`` never mixes the two)."""
     if type(ms[0]) is not Poly:
         return {(): ms}
-    planes: dict = {}
+    planes: dict = {(): [0] * len(ms)}
     for k, q in enumerate(ms):
         for m, c in q.terms.items():
             planes.setdefault(m, [0] * len(ms))[k] = c
@@ -353,12 +355,15 @@ class Series:
     def _scaled(self):
         """(d, the planes of e d^k M_k, e): the lift the series holds (see
         :func:`_held`) when its e is 1, else d the lcm of every denominator and
-        e that of M_0, so e is 1 for a unital or delta series."""
+        e that of M_0, so e is 1 for a unital or delta series: kept if so."""
         if self._lift and self._lift[2] == 1:
             return self._lift
         planes = _planes(self._m)
         d, e = _denominator(*planes.values()), _denominator(*(p[:1] for p in planes.values()))
-        return d, _lift(planes, d, e), e
+        lift = d, _lift(planes, d, e), e
+        if e == 1 and self._lift is None:
+            object.__setattr__(self, "_lift", lift)
+        return lift
 
     def __add__(self, other):
         if not isinstance(other, Series):
@@ -385,7 +390,9 @@ class Series:
         :func:`convolve` folded over the packed lifts e_i d^k M_k of factor i,
         each read at its own (d_i, e_i) (the lift it holds, else
         :meth:`_scaled`) and brought to d = lcm d_i, the result held at
-        (d, prod e_i).  Bounds: the fold on 1-norms bounds each 1-norm.  Let
+        (d, prod e_i); rational factors beside one with an indeterminate are
+        multiplied first, unpacked.  Bounds: the fold on 1-norms bounds each
+        1-norm, on their product's exact norms too (|r s| <= |r| |s|).  Let
         A, B be nondecreasing with A_j >= deg a_j, B_k >= deg b_k (prefix
         maxima).  By ``convolve``'s bound c = a b has deg c_m <= max_{j<=m}
         (A_j + B_(m-j)) = C_m, nondecreasing in m like each A_j + B_(m-j); so
@@ -394,7 +401,11 @@ class Series:
         first, *rest = factors = list(factors)
         for f in rest:
             first._same_order(f)
-        ds, planes, es = zip(*(f._lift or f._scaled() for f in factors))  # at (d_i, e_i)
+        lifts = [f._lift or f._scaled() for f in factors]  # at (d_i, e_i)
+        rational = [f for f, (_, g, _) in zip(factors, lifts) if len(g) == 1]
+        if 1 < len(rational) < len(factors):
+            lifts = [Series.product(rational)._lift] + [l for l in lifts if len(l[1]) > 1]
+        ds, planes, es = zip(*lifts)
         d = lcm(*ds)
 
         def degree(*degrees):  # the last factor gives C_N alone
@@ -486,9 +497,12 @@ class Series:
         return Series.from_moments(self._m[1:] or (0,))
 
     def truncate(self, order: int) -> "Series":
+        """Held: the lift sliced to order + 1 moments, all-zero planes dropped."""
         if order > self.order:
             raise OrderExceeded(f"cannot extend order {self.order} to {order}")
-        return Series.from_moments(self._m[: order + 1])
+        d, planes, e = self._lift or self._scaled()
+        return _held(d, {m: p[:order + 1] for m, p in planes.items()
+                         if not m or any(p[:order + 1])}, e)
 
     def egf_moment(self, k: int):
         """The k-th moment M_k = k! c_k."""

@@ -4,7 +4,7 @@ plain definition, for the library's fast routes to be checked against."""
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from umbral.combinatorics import stirling_sum
 from umbral.core import Atom
@@ -20,6 +20,16 @@ ENUMERATION_CAP = 12
 def mul_t(f: Series) -> Series:
     """f times t at fixed order (the top coefficient falls off)."""
     return Series.from_moments([0] + [a * k for k, a in enumerate(f.moments()[:-1], 1)])
+
+
+def binomial_product(factors) -> list:
+    """The moments of a product of series, by the binomial convolution of their
+    moments two at a time, c_n = sum_k C(n,k) a_k b_(n-k), each a ``Poly``:
+    the reference for ``Series.product``."""
+    def convolve(a, b):
+        return [sum((math.comb(n, k) * a[k] * b[n - k] for k in range(n + 1)), ZERO)
+                for n in range(len(a))]
+    return reduce(convolve, [list(map(Poly.coerce, f.moments())) for f in factors])
 
 
 def dot_moment(bar: Atom, mult: int, m: int):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import umbral
-from umbral import core
+from umbral import core, series
 from umbral.core import (
     Atom,
     IntPower,
@@ -21,6 +21,9 @@ from umbral.errors import BadZerothMoment, CoherenceError, OrderExceeded
 from umbral.poly import ONE, Poly
 from umbral.prng import Stream
 from umbral.series import Series
+
+import faults
+from oracles import binomial_product
 
 
 def fresh(order=8, indets=("x", "y")):
@@ -460,3 +463,49 @@ def test_blockwise_evaluation_matches_full_expansion(moments, terms):
             assert str(exc.value) == want
         else:
             assert ws.eval(e, k) == want
+
+
+# -- the read path: a sum of atoms reads each atom's series of its moments
+
+
+def read_path_atoms(ws):
+    """Defined atoms a, c (rational) and b (carrying x), and clones a' and b'."""
+    s, x = Stream(45), Poly.var("x")
+    a, c = random_umbra(ws, s, "a"), random_umbra(ws, s, "c")
+    b = ws.define("b", [ONE] + [Poly.const(s.rational()) + x * s.rational()
+                                for _ in range(ws.order)])
+    return a, ws.clone(a), b, ws.clone(b), c
+
+
+def test_a_second_evaluation_lifts_no_atom_again(monkeypatch):
+    # each atom part keeps the lift of its moments, read again whole or
+    # sliced (eval at k < order); only the part that is no atom, a'' * b'',
+    # is lifted on each evaluation
+    ws = fresh()
+    atoms = read_path_atoms(ws)
+    a2, b2 = ws.clone(atoms[0]), ws.clone(atoms[2])
+    expr = Sum(atoms + (a2 * b2,))
+    first, low = ws.moments_of(expr), ws.eval(expr, 5)
+    calls, planes = [], series._planes
+
+    def counted(ms):
+        calls.append(ms)
+        return planes(ms)
+    monkeypatch.setattr(series, "_planes", counted)
+    assert ws.moments_of(expr) == first and ws.eval(expr, 5) == low == first[5]
+    assert len(calls) == 2
+    pointwise = Series.from_moments([p * q for p, q in zip(a2.moments, b2.moments)])
+    assert first == binomial_product([Series.from_moments(t.moments) for t in atoms]
+                                     + [pointwise])
+
+
+def test_a_faulted_convolve_reaches_a_sum_of_atoms():
+    # two rational atoms and one carrying x: the rational fold and the
+    # packed one both read the module's convolve
+    ws = fresh()
+    a, _, b, _, c = read_path_atoms(ws)
+    expected = binomial_product([Series.from_moments(t.moments) for t in (a, c, b)])
+    assert ws.moments_of(a + c + b) == expected
+    with faults.installed(["series.convolve"], corrupting=True) as fired:
+        assert ws.moments_of(a + c + b) != expected
+    assert fired == {"series.convolve"}

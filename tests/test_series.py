@@ -17,7 +17,7 @@ from umbral.poly import Poly
 from umbral.prng import Stream
 from umbral.series import Series, factorial
 
-from oracles import mul_t
+from oracles import binomial_product, mul_t
 
 rationals = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=4)
@@ -649,6 +649,54 @@ def test_a_degree_bound_one_short_breaks_the_product(monkeypatch, count):
     expected = product_oracle(factors)
     monkeypatch.setattr(series, "_run", short)
     assert Series.product(factors) != expected
+
+
+def product_factor(ring):
+    """A factor of the ring: drawn moments, the same with M_0 = 1/2, a held
+    ``compose`` result (e != 1) or a held ``pow_int(1/2)``, whose d is not
+    the least; on the x ring, one that carries x."""
+    base = series_strategy(6) if ring == "scalar" else x_series_strategy(6)
+    return st.one_of(
+        base,
+        base.map(lambda f: Series.from_moments([Fraction(1, 2)] + f.moments()[1:])),
+        st.tuples(base, base).map(lambda fg: fg[0].compose(delta(fg[1]))),
+        base.map(lambda f: unital(f).pow_int(Fraction(1, 2))),
+    ).filter(lambda f: (ring == "scalar") != (type(f.moments()[0]) is Poly))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(product_factor("scalar"), min_size=2, max_size=3),
+       st.lists(product_factor("x"), min_size=1, max_size=2), st.data())
+def test_rational_factors_are_multiplied_first(rational, carrying, data):
+    # r rational factors fold on their own ring (r - 1 convolutions), then
+    # enter the packed fold and its bound as one factor: 2 per x-carrying one
+    factors = data.draw(st.permutations(rational + carrying))
+    calls, convolve = [], series.convolve
+
+    def counted(a, b):
+        calls.append(a)
+        return convolve(a, b)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(series, "convolve", counted)
+        out = Series.product(factors)
+    assert out.moments() == Series.from_moments(binomial_product(factors)).moments()
+    assert len(calls) == len(rational) - 1 + 2 * len(carrying)
+
+
+def test_a_lift_without_constant_terms_keeps_its_constant_plane():
+    # f's moments have no constant term, yet its kept lift has the (zero)
+    # constant plane: the product does not take f for a rational factor, and
+    # a slice or a sum with an int constant reads that plane
+    f, q = Series.from_moments([0, x, 0, 2 * x, 0, 0, x * y]), Series.exp_t(6)
+    assert Series.product([q, q, f]).moments() == \
+        Series.from_moments(binomial_product([q, q, f])).moments()
+    assert f._lift[1].keys() == {(), (("x", 1),), (("x", 1), ("y", 1))}
+    assert f.truncate(3) == Series.from_moments(f.moments()[:4])
+    assert f.truncate(2) == Series.from_moments([0, x, 0])
+    # a slice drops the planes it leaves all zero, so f to order 0 is rational
+    assert f.truncate(3)._lift[1].keys() == {(), (("x", 1),)}
+    assert f.truncate(0)._lift[1].keys() == {()}
+    assert f + Series.one(6) == Series.from_moments([1] + f.moments()[1:])
 
 
 # -- no float anywhere -----------------------------------------------------------------------
