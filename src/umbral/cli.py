@@ -109,10 +109,6 @@ _FUNCS = {"inv": "inverse_umbra", "bell": "bell_umbra", "part": "partition_umbra
           "comp": "composition_umbra", "bar": "alpha_bar"}
 
 
-def _clone(ws: Workspace, base: Atom, primes: int) -> Atom:
-    return ws._register(base.name + "'" * primes, base.moments, base.egf)
-
-
 class ExprContext:
     """A workspace plus the construction cache that keeps repeated
     occurrences of one descriptor (``2.a``, ``inv(b)``, ``a'``) bound to one
@@ -251,7 +247,7 @@ class _Parser(_Cursor):
             primes += 1
         atom = self._resolve(name)
         if atom is not None:
-            return self.ctx.build(_clone, atom, primes) if primes else atom
+            return self.ctx.build(Workspace.clone, atom, primes) if primes else atom
         if name in ws.indeterminates:
             if primes:
                 raise ParseError("indeterminates cannot be cloned", tok[2])

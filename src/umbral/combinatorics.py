@@ -53,7 +53,7 @@ def stirling_sum(kind: str, n: int, values):
     values' type: rational values give a rational."""
     if n < 0:
         raise IndexError("stirling_sum needs n >= 0")
-    return sum(v * s for s, v in zip(_stirling_row(kind, n), values) if s)
+    return sum(v * s for s, v in zip(_stirling_row(kind, n), values))
 
 
 # -- Bell numbers --------------------------------------------------------------
@@ -80,8 +80,6 @@ def _lifted(values, graded: bool) -> tuple:
     the lcm of every coefficient denominator: ints when every value is
     rational (an all-int list as it is, D = 1), else int-coefficient ``Poly``
     values; an ``int`` is its own numerator over 1."""
-    if all(type(v) is int for v in values):
-        return 1, list(values)
     q = rationals(values)
     values = values if q is None else q
     d = lcm(*(c.denominator for v in values
@@ -106,9 +104,7 @@ def _comtet(a) -> list:
         for k in range(1, n + 1):
             acc = 0
             for i in range(n - k + 1):
-                b = rows[n - 1 - i][k - 1]
-                if ca[i] and b:
-                    acc += ca[i] * b
+                acc += ca[i] * rows[n - 1 - i][k - 1]
             row.append(acc)
         rows.append(tuple(row))
     return rows
@@ -215,7 +211,7 @@ def bell_sums(groups, a):
     for e, w, ks in groups:
         w = list(map(pack, w)) if packed else w
         for k in ks:
-            acc, s = sum(u * p for u, p in zip(w, rows[k]) if u and p), e * d ** k
+            acc, s = sum(u * p for u, p in zip(w, rows[k])), e * d ** k
             yield Poly({m: _over(c, s) for m, c in unpack(acc)}) if packed else _over(acc, s)
 
 

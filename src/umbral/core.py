@@ -338,9 +338,10 @@ class Workspace:
             self._defined.append(name)
         return atom
 
-    def clone(self, atom: Atom) -> Atom:
-        """A fresh atom with the same moments, uncorrelated with the source."""
-        return self._register(atom.name + "'", atom.moments, atom.egf)
+    def clone(self, atom: Atom, primes: int = 1) -> Atom:
+        """A fresh atom with the same moments, uncorrelated with the source,
+        named by ``primes`` primes after the source's name."""
+        return self._register(atom.name + "'" * primes, atom.moments, atom.egf)
 
     def atom_of(self, expr, name: str = None) -> Atom:
         """Materialize an expression as a fresh atom (its own symbol, with
@@ -372,8 +373,6 @@ class Workspace:
                     val = val * Poly({mono[i:]: 1})
                     break
                 val = self._atoms[v].moments[p] * val
-                if not val:
-                    break
             total = total + val
         return total
 

@@ -445,10 +445,10 @@ def _chk_thm6(params):
 
 def _bell_sums(ws, weights, a, target, statement, trial):
     """Claims that moment n of ``target`` is sum_k w_k B_{n,k}(a), n = 0..N,
-    summed over the Bell triangle's nonzero cells."""
+    summed over row n of the Bell triangle."""
     tri = bell_triangle(a.moments[1:], ws.order)
     for n in range(ws.order + 1):
-        total = sum((w * b for w, b in zip(weights, tri[n]) if w and b), ZERO)
+        total = sum((w * b for w, b in zip(weights, tri[n])), ZERO)
         yield statement, total, target.moments[n], {"trial": trial, "n": n}
 
 

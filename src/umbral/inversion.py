@@ -18,18 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .combinatorics import bell_moment, bell_sums
+from .combinatorics import bell_sums
 from .core import Atom, IntPower, Product, Sum, Workspace, verdict
 from .ops import a1_reciprocal, alpha_bar, composition_umbra, dot, falling_factorials
 from .poly import Poly, rational
 from .series import Series
-
-
-def dot_moment_formula(bar: Atom, mult: int, m: int):
-    """E[(mult.bar)^m] (mult may be negative) through the falling-factorial
-    Bell expansion of bar's moments, row m of its triangle: the moment route
-    of :func:`revert_umbral` one moment at a time."""
-    return bell_moment(falling_factorials(mult, m), bar.moments[1:], m)
 
 
 def _reversion(alpha: Atom) -> Series:

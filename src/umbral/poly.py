@@ -4,7 +4,7 @@ This is the coefficient ring for umbra moments, identity-check values and
 the coefficients of series that carry an indeterminate; a series whose
 coefficients are all rational holds plain rationals instead (see
 :mod:`umbral.series`).  ``Poly`` arithmetic mixes freely with ``int`` and
-``Fraction`` operands, and a constant operand costs one operation per term.
+``Fraction`` operands, and a rational operand costs one operation per term.
 
 A polynomial is a dict mapping a monomial to a nonzero ``int`` or
 ``Fraction``; ``const``, ``var`` and ``from_json`` keep an integral value an
@@ -36,10 +36,6 @@ Rat = (int, Fraction)
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
     exps = dict(m1)
     for v, e in m2:
         exps[v] = exps.get(v, 0) + e
@@ -119,31 +115,20 @@ class Poly:
         return Poly.coerce(other) + (-self)
 
     def __mul__(self, other):
-        # a constant factor q (rational or constant Poly) scales termwise
         if type(other) is Poly:
-            a, b = self.terms, other.terms
-            if len(b) == 1 and () in b:
-                q = b[()]
-            elif len(a) == 1 and () in a:
-                a, q = b, a[()]
-            else:
-                terms: dict = {}
-                for m1, c1 in a.items():
-                    for m2, c2 in b.items():
-                        m = _mono_mul(m1, m2)
-                        s = terms.get(m, 0) + c1 * c2
-                        if s:
-                            terms[m] = s
-                        else:
-                            del terms[m]
-                return _poly(terms)
-        elif isinstance(other, Rat):
-            if not other:
-                return _poly({})
-            a, q = self.terms, other
-        else:
-            return NotImplemented
-        return _poly({m: c * q for m, c in a.items()})
+            terms: dict = {}
+            for m1, c1 in self.terms.items():
+                for m2, c2 in other.terms.items():
+                    m = _mono_mul(m1, m2)
+                    s = terms.get(m, 0) + c1 * c2
+                    if s:
+                        terms[m] = s
+                    else:
+                        del terms[m]
+            return _poly(terms)
+        if isinstance(other, Rat):  # a rational factor scales termwise
+            return _poly({m: c * other for m, c in self.terms.items()} if other else {})
+        return NotImplemented
 
     __rmul__ = __mul__
 

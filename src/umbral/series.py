@@ -6,7 +6,8 @@ binomial weights: :func:`convolve` for products (folded over every factor of
 :meth:`Series.product` at once, its rational factors first, whose product's
 exact norms then bound the packed run), :func:`miller` for exp, log and powers,
 :func:`compose` and :func:`revert` on full products h^k (one exact ``//`` per
-reversion step).  A kernel lifts its operands to d^k M_k over one
+reversion step); only :func:`convolve` skips terms, a sparse factor's
+zeros.  A kernel lifts its operands to d^k M_k over one
 denominator d, one int list (plane) per monomial (:func:`_lift`), packed
 into one int per moment by Kronecker substitution when a monomial carries
 an indeterminate (:func:`_run`); each result moment is unpacked once, by
@@ -55,9 +56,11 @@ def _ring(values) -> tuple:
 
 def convolve(a, b) -> list:
     """The moments of a product, c_n = sum_k C(n,k) a_k b_{n-k} for
-    n < len(a).  Bounds: the weights are nonnegative and the 1-norm is
-    submultiplicative, so ``convolve`` on 1-norms bounds each 1-norm; c_n
-    has degree at most max_{j+k<=n} (deg a_j + deg b_k)."""
+    n < len(a), summed over the nonzero a_k with n - k at least b's
+    valuation, so a sparse factor costs less.  Bounds: the weights are
+    nonnegative and the 1-norm is submultiplicative, so ``convolve`` on
+    1-norms bounds each 1-norm; c_n has degree at most max_{j+k<=n}
+    (deg a_j + deg b_k)."""
     n, ka = len(a) - 1, [k for k, c in enumerate(a) if c]
     vb = next((k for k, c in enumerate(b) if c), n + 1)
     out = [0] * min((ka[0] if ka else n + 1) + vb, n + 1)
@@ -66,8 +69,7 @@ def convolve(a, b) -> list:
         for k in ka:
             if k > m - vb:
                 break
-            if b[m - k]:
-                s += comb(m, k) * a[k] * b[m - k]
+            s += comb(m, k) * a[k] * b[m - k]
         out.append(s)
     return out
 
@@ -87,8 +89,7 @@ def miller(a, r, q=1, log=False) -> list:
     for m in range(1, len(a)):
         row, s = [comb(m - 1, k) for k in range(m + 1)], 0
         for k in range(1, m + 1):
-            if a[k] and x[m - k] and (w := r * row[k - 1] - q * row[k]):
-                s += w * a[k] * x[m - k]
+            s += (r * row[k - 1] - q * row[k]) * a[k] * x[m - k]
         x.append(a[m] + s if log else s)
     return x
 
@@ -105,11 +106,9 @@ def compose(g, h) -> list:
     out, power = [g[0] * nf] + [0] * n, [1] + [0] * n
     for k in range(1, n + 1):
         power = convolve(h, power)
-        if g[k]:
-            c = g[k] * (nf // factorial(k))
-            for m in range(k, n + 1):
-                if power[m]:
-                    out[m] += c * power[m]
+        c = g[k] * (nf // factorial(k))
+        for m in range(k, n + 1):
+            out[m] += c * power[m]
     return out
 
 
@@ -133,11 +132,9 @@ def revert(k) -> list:
         for j in range(2, m + 1):
             prev, entry = powers[j - 1], 0
             for i in range(1, m - j + 2):
-                if w[i] and prev[m - i]:
-                    entry += row[i] * w[i] * prev[m - i]
+                entry += row[i] * w[i] * prev[m - i]
             powers[j][m] = entry
-            if k[j] and entry:
-                acc += k[j] * (fm // factorial(j)) * entry
+            acc += k[j] * (fm // factorial(j)) * entry
         w[m] = -acc // fm
     return w
 
@@ -187,8 +184,8 @@ def _slope(degrees, n: int) -> int:
 def _unpack(xs, b: int, n: int):
     """The n balanced base-2^b digits of each x in xs, each in [-2^(b-1), 2^(b-1)),
     lowest first, one list per x.  With h = 2^(b-1), x + h (2^(bn) - 1) / (2^b - 1)
-    has x's digits plus h, no borrow; it splits by halves, and an upper half
-    equal to the offset's top digits, h in each, holds zeros alone."""
+    has x's digits plus h, no borrow; it splits by halves down to blocks of 16
+    digits, so a digit is read off its block, not off the whole of x."""
     h, mask = 1 << b - 1, (1 << b) - 1
     offset = ((1 << b * n) - 1) // mask << b - 1
 
@@ -196,9 +193,7 @@ def _unpack(xs, b: int, n: int):
         if k <= 16:
             return [(u >> b * j & mask) - h for j in range(k)]
         m = k // 2
-        hi = u >> b * m
-        return digits(u & (1 << b * m) - 1, m) + (
-            [0] * (k - m) if hi == offset >> b * (n - k + m) else digits(hi, k - m))
+        return digits(u & (1 << b * m) - 1, m) + digits(u >> b * m, k - m)
     for x in xs:
         yield digits(x + offset, n)
 

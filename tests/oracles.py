@@ -6,9 +6,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from umbral.combinatorics import stirling_sum
+from umbral.combinatorics import bell_moment, stirling_sum
 from umbral.core import Atom
 from umbral.errors import TooLarge
+from umbral.ops import falling_factorials
 from umbral.poisson import POISSON_PART, _mix53, _poisson_cdf
 from umbral.poly import ZERO, Poly
 from umbral.prng import GOLDEN, MASK, Stream
@@ -32,11 +33,78 @@ def binomial_product(factors) -> list:
     return reduce(convolve, [list(map(Poly.coerce, f.moments())) for f in factors])
 
 
+# -- the int kernels of ``series`` and ``combinatorics``, each by the plain
+# recurrence its docstring states: every index summed, no term skipped
+
+
+def convolve(a, b) -> list:
+    """c_n = sum_k C(n,k) a_k b_(n-k) for n < len(a)."""
+    return [sum(math.comb(n, k) * a[k] * b[n - k] for k in range(n + 1)) for n in range(len(a))]
+
+
+def miller(a, r, q=1, log=False) -> list:
+    """X_0 = 1 (0 with ``log``), X_m = sum_{k=1..m} (r C(m-1,k-1) - q C(m-1,k))
+    a_k X_(m-k), plus a_m with ``log``."""
+    x = [0 if log else 1]
+    for m in range(1, len(a)):
+        x.append((a[m] if log else 0) + sum(
+            (r * math.comb(m - 1, k - 1) - q * math.comb(m - 1, k)) * a[k] * x[m - k]
+            for k in range(1, m + 1)))
+    return x
+
+
+def compose(g, h) -> list:
+    """sum_k g_k (N! / k!) H_k[m], H_0 = (1, 0, 0, ...) and H_k = h H_(k-1) by
+    :func:`convolve`, N = len(g) - 1."""
+    n, power, out = len(g) - 1, [1] + [0] * (len(g) - 1), [0] * len(g)
+    for k in range(n + 1):
+        out = [o + g[k] * (math.factorial(n) // math.factorial(k)) * p
+               for o, p in zip(out, power)]
+        power = convolve(h, power)
+    return out
+
+
+def revert(k) -> list:
+    """w_0 = 0, w_1 = 1 and sum_{j=1..m} K_j P[j][m] / j! = 0 for m >= 2, P[j]
+    the moments of w^j by :func:`convolve`: w_m = P[1][m] is the only term
+    that reads w_m, as K_1 = 1."""
+    w = [0, 1] + [0] * (len(k) - 2)
+    for m in range(2, len(k)):
+        powers = [w]
+        for _ in range(2, m + 1):
+            powers.append(convolve(w, powers[-1]))
+        w[m] = -sum(Fraction(k[j] * p[m], math.factorial(j))
+                    for j, p in enumerate(powers[1:], 2))
+        assert w[m].denominator == 1
+        w[m] = w[m].numerator
+    return w
+
+
+def comtet(a) -> list:
+    """Rows 0..len(a) of B_(n,k)(a_1, a_2, ...), a_i = a[i - 1]: B_(0,0) = 1,
+    B_(n,0) = 0 for n >= 1, and B_(n,k) = sum_{i=1..n-k+1} C(n-1,i-1) a_i
+    B_(n-i,k-1)."""
+    rows = [(1,)]
+    for n in range(1, len(a) + 1):
+        rows.append((0,) + tuple(
+            sum(math.comb(n - 1, i - 1) * a[i - 1] * rows[n - i][k - 1]
+                for i in range(1, n - k + 2))
+            for k in range(1, n + 1)))
+    return rows
+
+
 def dot_moment(bar: Atom, mult: int, m: int):
     """E[(mult.bar)^m] via the generating-function route: m! times the t^m
     coefficient of [gf(bar)]^mult (mult may be negative), with gf(bar)
     truncated at t^m first; the reference for the Bell route."""
     return bar.egf.truncate(m).pow_int(mult).egf_moment(m)
+
+
+def dot_moment_formula(bar: Atom, mult: int, m: int):
+    """E[(mult.bar)^m] (mult may be negative) through the falling-factorial
+    Bell expansion of bar's moments, row m of its triangle: the moment route
+    of ``inversion.revert_umbral`` one moment at a time."""
+    return bell_moment(falling_factorials(mult, m), bar.moments[1:], m)
 
 
 def falling_factorial_moment(beta: Atom, i: int) -> Poly:

@@ -658,7 +658,7 @@ def workflow(tmp_path_factory):
 
 def test_workflow_pins_match(workflow):
     checks, _ = workflow
-    assert len(checks) == 43 + 4
+    assert len(checks) == 44 + 4
     assert [(c, want) for c, want, got in checks if got != want] == []
 
 

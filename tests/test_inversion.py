@@ -10,7 +10,6 @@ from umbral import inversion
 from umbral.errors import CoherenceError, NonUnitLinearMoment
 from umbral.inversion import (
     cross_check,
-    dot_moment_formula,
     revert_oracle,
     revert_umbral,
 )
@@ -19,7 +18,7 @@ from umbral.poly import ONE, Poly
 from umbral.prng import Stream
 from umbral.series import Series, factorial
 
-from oracles import dot_moment, mul_t
+from oracles import dot_moment, dot_moment_formula, mul_t
 
 
 def fresh(order=10):

@@ -5,7 +5,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbral import series
+from umbral import combinatorics, series
 from umbral.errors import (
     DomainError,
     NegativePowerOfDeltaSeries,
@@ -17,6 +17,7 @@ from umbral.poly import Poly
 from umbral.prng import Stream
 from umbral.series import Series, factorial
 
+import oracles
 from oracles import binomial_product, mul_t
 
 rationals = st.fractions(
@@ -579,6 +580,52 @@ def test_unpack_gives_back_balanced_digits(b, n):
                       + [sign] + [0] * (n - top - 1) for sign in (1, -1, -h, h - 1)]
     values = [sum(dig << b * j for j, dig in enumerate(digits)) for digits in cases]
     assert list(series._unpack(values, b, n)) == cases
+
+
+# -- every int kernel against its plain recurrence ----------------------------------------
+
+
+@st.composite
+def sparse_ints(draw, n):
+    """n ints in one of four shapes: zero runs between values, the same with
+    valuation >= 2, a single nonzero entry, all zeros; a value is small or
+    wide, as a packed moment is."""
+    shape = draw(st.sampled_from(["runs", "valuation", "single", "zeros"]))
+    value = st.integers(-9, 9) | st.integers(-2 ** 80, 2 ** 80)
+    if shape in ("runs", "valuation"):
+        out = [v for zeros, c in draw(st.lists(st.tuples(st.integers(0, 4), value),
+                                                min_size=n, max_size=n))
+               for v in [0] * zeros + [c]][:n]
+        return [0] * min(n, 2) + out[2:] if shape == "valuation" else out
+    out = [0] * n
+    if shape == "single":
+        out[draw(st.integers(0, n - 1))] = draw(value.filter(bool))
+    return out
+
+
+KERNEL_CASES = {
+    "convolve": lambda d, n: ((d.draw(sparse_ints(n)), d.draw(sparse_ints(n))), {}),
+    "miller": lambda d, n: ((d.draw(sparse_ints(n)), d.draw(st.integers(-4, 4)),
+                             d.draw(st.integers(-3, 3))), {}),
+    "miller-exp": lambda d, n: ((d.draw(sparse_ints(n)), 1, 0), {}),
+    "miller-log": lambda d, n: ((d.draw(sparse_ints(n)), 0, 1), {"log": True}),
+    "compose": lambda d, n: ((d.draw(sparse_ints(n)), [0] + d.draw(sparse_ints(n))[1:]), {}),
+    "revert": lambda d, n: (([0, 1] + d.draw(sparse_ints(n))[2:],), {}),
+    "comtet": lambda d, n: ((d.draw(sparse_ints(n)),), {}),
+}
+KERNELS = {"convolve": series.convolve, "miller": series.miller, "compose": series.compose,
+           "revert": series.revert, "comtet": combinatorics._comtet}
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_each_kernel_equals_its_plain_recurrence(case, n, data):
+    # the kernels skip zero terms; the oracles sum every term, so inputs
+    # full of zeros check each skip
+    args, kw = KERNEL_CASES[case](data, n)
+    name = case.split("-")[0]
+    assert KERNELS[name](*args, **kw) == getattr(oracles, name)(*args, **kw)
 
 
 # -- the product of many factors in one run ---------------------------------------------------
