@@ -508,8 +508,7 @@ def _cmd_invert(args) -> int:
             h = h - Series.one(order)
         if not h.is_delta():
             raise UmbralError("series must be a delta series (or unital f)")
-        f = Series.one(order) + h
-        alpha = ws._register("f", f.moments(), f)
+        alpha = ws._register("f", (Series.one(order) + h).moments())
     else:
         ws = _load_workspace(args)
         alpha = ws.lookup(args.name or "")

@@ -15,8 +15,7 @@ are safe under concurrent readers.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import cache, lru_cache
 from math import comb, lcm, prod
 
 from .poly import Poly, rationals
@@ -131,9 +130,11 @@ def _kronecker(layout) -> tuple:
     |v| > 2^(bt-2) for b >= 2, so n = (bit length of |v| + 1) // b + 1."""
     b, (variables, radix) = layout[0], zip(*layout[1])
     slot = {x: prod(radix[:j]) for j, x in enumerate(variables)}
-    monomials = [tuple(sorted((x, e) for x, e in zip(variables, reversed(es)) if e))
-                 for es in product(*map(range, reversed(radix)))]
     h, mask = 1 << b - 1, (1 << b) - 1
+
+    @cache  # once per nonzero digit read, not per monomial of the grid
+    def monomial(i: int) -> tuple:  # digit i's: i's mixed-radix digits, v_1's lowest
+        return tuple(sorted((x, e) for x, r in zip(variables, radix) if (e := i // slot[x] % r)))
 
     def pack(v) -> int:
         return sum(c << b * sum(e * slot[x] for x, e in m)
@@ -145,9 +146,9 @@ def _kronecker(layout) -> tuple:
                 else digits(u & (1 << b * m) - 1, m) + digits(u >> b * m, n - m))
 
     def unpack(v: int) -> list:
-        n = min(len(monomials), (abs(v).bit_length() + 1) // b + 1)
+        n = min(prod(radix), (abs(v).bit_length() + 1) // b + 1)
         u = v + h * ((1 << b * n) - 1) // mask
-        return [(m, c - h) for m, c in zip(monomials, digits(u, n)) if c != h]
+        return [(monomial(i), c - h) for i, c in enumerate(digits(u, n)) if c != h]
 
     return pack, unpack
 

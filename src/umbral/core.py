@@ -4,9 +4,10 @@ An :class:`Atom` is a named symbol carrying a finite moment sequence
 m_0..m_N (m_0 = 1) and its generating function, a
 :class:`~umbral.series.Series`, whose rule the moments follow: all ``int`` or
 ``Fraction`` when all are rational, else all :class:`~umbral.poly.Poly`.  The
-two are kept coherent (k! * c_k = m_k) by every registration path.  An atom is
-itself an expression, the leaf of the tree, so ``a + b``, ``a * b ** 2`` and
-``Sum((a, b))`` all work directly.
+two are coherent (k! * c_k = m_k): registration compares them when a second
+route built the generating function, else it is the moments' series.  An atom
+is itself an expression, the leaf of the tree, so ``a + b``, ``a * b ** 2``
+and ``Sum((a, b))`` all work directly.
 
 An expression is a polynomial in one ring, over the declared indeterminates
 and one symbol per atom, and E acts on that ring linearly with distinct
@@ -21,7 +22,7 @@ follow from that, for atom-disjoint X and Y:
   atoms.  Groups are uncorrelated: a product's multiply pointwise,
   E[(XY)^k] = E[X^k] E[Y^k], and a sum's gfs multiply, so their moments
   convolve, E[(X+Y)^k] = sum_i C(k,i) E[X^i] E[Y^(k-i)], an atom's by the
-  series of its moments (never its ``egf``), lifted once for every sum;
+  series of its moments (never a second route's ``egf``), lifted once;
 * a group of several parts is expanded into its normal form, a
   :class:`~umbral.poly.Poly` in that ring, *before* moments are substituted
   into each of its powers: within a monomial, powers of distinct atoms
@@ -290,35 +291,41 @@ class Workspace:
         self._by_name: dict = {}
         self._defined: list = []  # user-defined names, for serialization
         n = order + 1
-        self.eps = self._register("eps", [1] + [0] * (n - 1), Series.one(order))
-        self.u = self._register("u", [1] * n, Series.exp_t(order))
+        self.eps = self._register("eps", [1] + [0] * (n - 1))
+        self.u = self._register("u", [1] * n)
         self._by_name["eps"] = self.eps
         self._by_name["u"] = self.u
 
     # -- registration ---------------------------------------------------------
 
-    def _register(self, name: str, moments, egf: Series) -> Atom:
-        """A fresh atom, once ``moments`` equal ``egf``'s: on ints, by
-        :meth:`Series.first_mismatch`, when ``egf`` holds a kernel's lift."""
-        series = Series.from_moments(moments)  # the series' rule, and what a sum reads
-        moments = series.moments()
+    def _atom(self, name: str, moments, egf: Series, series: Series) -> Atom:
+        """A fresh atom (the next uid, an entry in ``_atoms``) of full moments."""
         if len(moments) != self.order + 1:
             raise ValueError(
                 f"need {self.order + 1} moments at order {self.order}, got {len(moments)}")
-        if egf.order != self.order:
-            raise ValueError("generating function order disagrees with workspace")
-        k = egf.first_mismatch(moments)
-        if k is not None:
-            raise CoherenceError(name, k, moments[k], egf.egf_moment(k), self.order)
         atom = Atom(next(self._uids), name, moments, egf, series)
         self._atoms[_symbol(atom.uid)] = atom
         return atom
 
+    def _register(self, name: str, moments, egf: Series = None) -> Atom:
+        """A fresh atom of ``moments`` by the series rule, once they equal
+        ``egf``, a generating function a second route built: on ints, by
+        :meth:`Series.first_mismatch`, when ``egf`` holds a kernel's lift.
+        With no ``egf``, the moments' series (what a sum reads) is the egf."""
+        series = Series.from_moments(moments)
+        moments = series.moments()
+        if egf is not None:
+            if egf.order != self.order:
+                raise ValueError("generating function order disagrees with workspace")
+            k = egf.first_mismatch(moments)
+            if k is not None:
+                raise CoherenceError(name, k, moments[k], egf.egf_moment(k), self.order)
+        return self._atom(name, moments, series if egf is None else egf, series)
+
     def define(self, name: str, moments) -> Atom:
-        """Register a named umbra from its moment sequence (m_0 must be 1,
-        and every variable a declared indeterminate); its series is built
-        from them, so registration compares them with themselves.  The name
-        must be an identifier an expression reads as this umbra."""
+        """Register a named umbra from its moment sequence alone (m_0 must be
+        1, and every variable a declared indeterminate).  The name must be an
+        identifier an expression reads as this umbra."""
         if not (isinstance(name, str) and name.isidentifier()):
             raise ValueError(f"umbra name {name!r} is not an identifier")
         if name in self.indeterminates + ("u", "eps", "bell"):
@@ -326,30 +333,27 @@ class Workspace:
         moments = list(moments)
         if not moments or moments[0] != 1:
             raise BadZerothMoment("an umbra's zeroth moment must be 1")
-        egf = Series.from_moments(moments)
-        undeclared = set().union(*(m.variables() for m in egf.moments() if type(m) is Poly))
+        undeclared = set().union(*(m.variables() for m in moments if type(m) is Poly))
         undeclared -= set(self.indeterminates)
         if undeclared:
             raise UndeclaredIndeterminate(
                 f"indeterminate {min(undeclared)!r} not declared")
-        atom = self._register(name, egf.moments(), egf)
+        atom = self._register(name, moments)
         self._by_name[name] = atom
         if name not in self._defined:
             self._defined.append(name)
         return atom
 
     def clone(self, atom: Atom, primes: int = 1) -> Atom:
-        """A fresh atom with the same moments, uncorrelated with the source,
-        named by ``primes`` primes after the source's name."""
-        return self._register(atom.name + "'" * primes, atom.moments, atom.egf)
+        """The source's moments, ``egf`` and series under a fresh symbol,
+        uncorrelated with it, named by ``primes`` primes after its name."""
+        return self._atom(atom.name + "'" * primes, atom.moments, atom.egf, atom._series)
 
     def atom_of(self, expr, name: str = None) -> Atom:
-        """Materialize an expression as a fresh atom (its own symbol, with
-        the expression's moments); correlation with the inputs is severed.
-        The series is built from the moments, so registration compares the
-        sequence with itself."""
-        egf = self.gf_of(expr)
-        return self._register(name or f"<{as_expr(expr)!r}>", egf.moments(), egf)
+        """Materialize an expression as a fresh atom of its moments alone;
+        correlation with the inputs is severed."""
+        return self._register(name or f"<{as_expr(expr)!r}>",
+                              self._checked(expr, range(self.order + 1)))
 
     def lookup(self, name: str):
         return self._by_name.get(name)

@@ -520,8 +520,7 @@ def _chk_thm8(params):
     stream = Stream(params["seed"])
     ws = _ws(params, indets=())
     # the classical test case f - 1 = t e^{-t}, whose k-th moment is k (-1)^(k-1)
-    f = Series.from_moments([1] + [k * (-1) ** (k - 1) for k in range(1, ws.order + 1)])
-    tree = ws._register("tree", f.moments(), f)
+    tree = ws._register("tree", [1] + [k * (-1) ** (k - 1) for k in range(1, ws.order + 1)])
     bar, gamma, chi = invert(ws, tree)
     yield ("tree-function inversion failed", list(gamma.moments[1:]),
            [Fraction(k ** (k - 1)) for k in range(1, ws.order + 1)], {})

@@ -50,11 +50,9 @@ def revert_umbral(ws: Workspace, alpha: Atom) -> Atom:
 
 def revert_oracle(ws: Workspace, alpha: Atom) -> Atom:
     """The same umbra by brute series reversion of f - 1 (no moment
-    formula involved).  The moments are read off the series, so
-    registration compares the sequence with itself."""
+    formula involved): it registers the moments read off the series alone."""
     a1_reciprocal(alpha)
-    g = _reversion(alpha)
-    return ws._register(f"lagrev({alpha.name})", g.moments(), g)
+    return ws._register(f"lagrev({alpha.name})", _reversion(alpha).moments())
 
 
 def invert(ws: Workspace, alpha: Atom) -> tuple:

@@ -113,8 +113,8 @@ def _scalar_multiple(ws: Workspace, p, alpha: Atom, name: str) -> Atom:
 
 def point_power(ws: Workspace, alpha: Atom, n: int) -> Atom:
     """The umbra whose k-th moment is a_k^n (componentwise moment power).
-    No series route differs from the moment formula, so registration
-    compares the sequence with itself."""
+    No series route differs from the moment formula, so it registers its
+    moments alone."""
     if n >= 0:
         moments = [m ** n for m in alpha.moments]
     else:
@@ -125,8 +125,7 @@ def point_power(ws: Workspace, alpha: Atom, n: int) -> Atom:
                 raise ZeroMomentReciprocal(
                     f"moment {k} of {alpha.name} has no reciprocal")
             moments.append(Fraction(q) ** n)
-    return ws._register(f"{wrap_name(alpha.name)}^.{n}", moments,
-                        Series.from_moments(moments))
+    return ws._register(f"{wrap_name(alpha.name)}^.{n}", moments)
 
 
 # -- inverse ----------------------------------------------------------------------

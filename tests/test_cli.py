@@ -623,18 +623,18 @@ def workflow(tmp_path_factory):
     is a fresh directory and a shell variable is set by its own line's
     ``python -c`` code."""
     temp, env, saved, checks, names = tmp_path_factory.mktemp("runner"), {}, {}, [], []
-    register = Workspace._register
+    make = Workspace._atom
 
-    def recording(self, name, moments, egf):
+    def recording(self, name, *args):
         names.append(name)
-        return register(self, name, moments, egf)
+        return make(self, name, *args)
 
     def umbral_cli(command: str) -> str:
         argv = [re.sub(r"\$(\w+)", lambda m: env[m[1]], a) for a in shlex.split(command)]
         return run(*argv)[1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Workspace, "_register", recording)
+        mp.setattr(Workspace, "_atom", recording)
         for line in WORKFLOW.read_text().splitlines():
             line = line.strip()
             if m := PIN.fullmatch(line):
@@ -658,7 +658,7 @@ def workflow(tmp_path_factory):
 
 def test_workflow_pins_match(workflow):
     checks, _ = workflow
-    assert len(checks) == 44 + 4
+    assert len(checks) == 46 + 4
     assert [(c, want) for c, want, got in checks if got != want] == []
 
 
@@ -677,13 +677,13 @@ def test_one_naming_rule_agrees_with_the_tokenizer(ctx, workflow, monkeypatch):
     # stands bare; on every name the engine and the CLI make, it agrees with
     # the tokenizer
     names = list(ctx.ws._by_name)
-    register = Workspace._register
+    make = Workspace._atom
 
-    def recording(self, name, moments, egf):
+    def recording(self, name, *args):
         names.append(name)
-        return register(self, name, moments, egf)
+        return make(self, name, *args)
 
-    monkeypatch.setattr(Workspace, "_register", recording)
+    monkeypatch.setattr(Workspace, "_atom", recording)
     for text in CORPUS:
         ctx.parse(text)
     check_all()

@@ -18,6 +18,7 @@ from umbral.core import (
     _expand,
 )
 from umbral.errors import BadZerothMoment, CoherenceError, OrderExceeded
+from umbral.ops import dot
 from umbral.poly import ONE, Poly
 from umbral.prng import Stream
 from umbral.series import Series
@@ -292,6 +293,26 @@ def test_an_atom_is_its_own_symbol():
     assert c != a and not c == a and a == a
     assert Sum((a, c)) != Sum((a, a))
     assert len({a, c, a}) == 2
+
+
+def test_a_clone_is_its_source_under_a_new_symbol(monkeypatch):
+    # a clone shares its source's moments, egf (here a kernel's lift) and
+    # moment series, so a sum with it lifts nothing the source's sum lifted
+    ws = fresh()
+    b = dot(ws, 3, random_umbra(ws, Stream(47), "a"))
+    c = ws.clone(b)
+    assert c != b and c.moments is b.moments
+    assert c.egf is b.egf and c._series is b._series and c.egf is not c._series
+    ws.moments_of(b + ws.u)
+    calls, planes = [], series._planes
+    monkeypatch.setattr(series, "_planes", lambda ms: calls.append(ms) or planes(ms))
+    assert ws.moments_of(c + ws.u) == ws.moments_of(b + ws.u) and calls == []
+
+
+def test_a_clone_needs_its_workspace_order():
+    ws = fresh(order=4)
+    with pytest.raises(ValueError, match="^need 5 moments at order 4, got 9$"):
+        ws.clone(fresh(order=8).u)
 
 
 def test_package_exports_resolve():

@@ -12,6 +12,7 @@ from umbral.errors import UnknownIdentity, UsageError
 from umbral.identities import (_dobinski_bracket, _recover_from_int_dot, check, check_all,
                                list_identities)
 from umbral.ops import dot
+from umbral.series import Series
 
 from oracles import dobinski_bracket
 
@@ -201,21 +202,36 @@ def test_catalog_output_matches_committed_digests(seed):
 
 def test_catalog_registrations_match_committed_digest(monkeypatch):
     # a passing case renders no draws, so the digests above cannot see the
-    # order of the random umbrae; this pins every atom `check all` registers,
-    # by name and moments, in registration order
+    # order of the random umbrae; this pins every atom `check all` makes,
+    # clones included, by name and moments, in the order they are made
     seen = []
-    register = Workspace._register
+    make = Workspace._atom
 
-    def recording(self, name, moments, egf):
-        atom = register(self, name, moments, egf)
+    def recording(self, name, *args):
+        atom = make(self, name, *args)
         seen.append(name + "\t" + ",".join(map(str, atom.moments)))
         return atom
 
-    monkeypatch.setattr(Workspace, "_register", recording)
+    monkeypatch.setattr(Workspace, "_atom", recording)
     assert all(c.passed for c in check_all())
     assert len(seen) == 1760
     digest = hashlib.sha256("\n".join(seen).encode()).hexdigest()
     assert digest[:16] == "08e193d984135e3c"
+
+
+def test_registration_compares_only_what_a_second_route_built(monkeypatch):
+    # of the 1,760 atoms above, 902 come with a generating function their
+    # moments did not build; the rest (eps and u, defined umbrae, point
+    # powers, clones, materialized expressions, thm8's tree) have one route
+    lengths, first_mismatch = [], Series.first_mismatch
+
+    def counting(self, moments):
+        lengths.append(len(moments))
+        return first_mismatch(self, moments)
+
+    monkeypatch.setattr(Series, "first_mismatch", counting)
+    assert all(c.passed for c in check_all())
+    assert sum(n > 1 for n in lengths) == 902  # not is_unital's or is_delta's one moment
 
 
 # entries whose constructors register through pow_int or exp, neither of

@@ -365,6 +365,29 @@ def test_the_routes_share_no_kernel(ring):
     assert faults.run_row("bar(a)", ring).reached == set()
 
 
+ONE_ROUTE = {  # an atom of each exempt constructor, from the rows' operands
+    "define": lambda o: o.a,
+    "clone": lambda o: o.ws.clone(o.a),
+    "atom_of": lambda o: o.ws.atom_of(o.a * o.g + o.c * o.a),
+    "point_power": lambda o: point_power(o.ws, o.a, 2),
+    "revert_oracle": lambda o: revert_oracle(o.ws, o.a2),
+}
+
+
+@pytest.mark.parametrize("ring", faults.RINGS)
+def test_only_a_second_route_gives_an_atom_its_own_egf(ring):
+    # an exempt constructor's atom holds its moment series as its egf; a
+    # row's atom holds the series its constructor built apart
+    assert sorted(ONE_ROUTE) == sorted(name for _, name in faults.EXEMPT)
+    for name, build in ONE_ROUTE.items():
+        atom = build(faults.operands(ring))
+        assert atom.egf is atom._series, name
+    for row, row_ring in faults.ROW_RINGS:
+        if row_ring == ring:
+            atom = faults.run_row(row, ring).registered[-1]
+            assert atom.egf is not atom._series and atom.egf == atom._series, row
+
+
 # the seven hand-picked corruption tests the matrix replaced, kept by name:
 # each case is the cell (row, fault, ring) it corrupted
 MULTIPLES, SCALE_BACK = ["3.a", "-2.a", "x.a", "inv(a)"], ["3.a", "part(a)", "g.a", "comp(g,a)"]
