@@ -1,25 +1,26 @@
 """Exact combinatorial kernels: Stirling numbers, Bell numbers, partial and
 complete Bell polynomials, exponential polynomials and Bernoulli numbers.
 
-Partial Bell polynomials come from Comtet's recurrence on ints, which reads
-no series (so the moment route of :mod:`umbral.ops` shares no kernel with the
-generating-function route).  Every Bell sum sum_i w_i B_{n,i}(a) over one a
-reads one cached triangle: int rows, or Kronecker images (a pack of this
-module's own) held at the widest layout asked of it.  ``stirling_sum`` sums
-sum_k S(n,k) v_k or sum_k s(n,k) v_k over the one Stirling row loop.
-Recursion stays shallow: the digit split halves its input.  Memoization uses
-``lru_cache``, and a wider pack replaces the held one as one object, so both
-are safe under concurrent readers.
+This module reads no series, so the moment route of :mod:`umbral.ops` shares
+no kernel with the generating-function route.  Partial Bell polynomials come
+from Comtet's recurrence on ints.  Every Bell sum sum_i w_i B_{n,i}(a) over
+one a reads one cached triangle: int rows, or Kronecker images (a pack of
+this module's own) held at the widest layout asked of it.  ``stirling_sum``
+sums sum_k S(n,k) v_k or sum_k s(n,k) v_k over the one Stirling row loop, and
+Bell numbers, exponential polynomials and Bernoulli numbers are each one
+pass over a row.  Recursion stays shallow: the digit split halves its input.
+Two ``lru_cache``s hold what is kept, one per kernel: ``_stirling_row``, and
+``_bell_triangle_cached``, whose wider pack replaces the held one as one
+object, so both are safe under concurrent readers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import comb, lcm, prod
+from math import comb, factorial, lcm, prod
 
 from .poly import Poly, rationals
-from .series import Series
 
 
 # -- Stirling numbers ---------------------------------------------------------
@@ -58,9 +59,8 @@ def stirling_sum(kind: str, n: int, values):
 # -- Bell numbers --------------------------------------------------------------
 
 
-@lru_cache(maxsize=128)
 def bell_number(n: int) -> int:
-    """n-th Bell number B_n = sum_k S(n,k)."""
+    """n-th Bell number B_n = sum_k S(n,k), one sum over the cached row."""
     if n < 0:
         raise IndexError("bell_number needs n >= 0")
     return sum(_stirling_row("second", n))
@@ -257,27 +257,22 @@ def complete_bell(n: int, a) -> Poly:
     return Poly.coerce(bell_moment([1] * (n + 1), a[:n], n))
 
 
-@lru_cache(maxsize=128)
 def exponential_poly(n: int) -> Poly:
-    """The n-th exponential polynomial: sum_k S(n,k) x^k, one Stirling row."""
+    """The n-th exponential polynomial sum_k S(n,k) x^k: one term per nonzero
+    entry of the cached Stirling row."""
     if n < 0:
         raise IndexError("exponential_poly needs n >= 0")
-    x = Poly.var("x")
-    return stirling_sum("second", n, [x ** k for k in range(n + 1)])
+    return Poly({((("x", k),) if k else ()): s
+                 for k, s in enumerate(_stirling_row("second", n)) if s})
 
 
 # -- Bernoulli numbers ------------------------------------------------------------
 
 
-@lru_cache(maxsize=128)
-def _bernoulli_egf(order: int) -> Series:
-    # reciprocal of (e^t - 1)/t, whose moments are 1/(k+1)
-    base = Series.from_moments([Fraction(1, k + 1) for k in range(order + 1)])
-    return base.pow_int(-1)
-
-
 def bernoulli_number(n: int) -> Fraction:
-    """n-th Bernoulli number, read off as the n-th EGF moment of t/(e^t - 1)."""
+    """n-th Bernoulli number, the n-th EGF moment of t/(e^t - 1), B_1 = -1/2:
+    B_n = sum_k (-1)^k k! S(n,k) / (k+1) over the cached Stirling row."""
     if n < 0:
         raise IndexError("bernoulli_number needs n >= 0")
-    return Fraction(_bernoulli_egf(n).egf_moment(n))
+    return sum(Fraction((-1) ** k * factorial(k) * s, k + 1)
+               for k, s in enumerate(_stirling_row("second", n)))

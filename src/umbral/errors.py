@@ -26,7 +26,7 @@ class NotInvertible(UmbralError):
 
 
 class TooLarge(UmbralError):
-    """Set-partition enumeration requested beyond the supported cap."""
+    """Set-partition enumeration past its cap; only the tests' oracles raise it."""
 
 
 class BadZerothMoment(UmbralError):

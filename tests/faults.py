@@ -6,7 +6,7 @@ Registration compares a row's moments, built by ``combinatorics`` and
 the row reaches.  A fault stands in for its target in every ``umbral``
 module and class namespace that holds it, as ``perfbench/tracer.py``
 installs its wrappers, and records when it changes a value; each build
-starts from an empty Bell-triangle cache.
+starts from empty ``umbral`` caches, so no cached value outlives a fault.
 """
 
 import sys
@@ -50,6 +50,14 @@ def term_off(out, args, fire):
     return pack, lambda v: first_off(unpack(v), args, fire)
 
 
+def always_true(out, args, fire):
+    """``Workspace.similar`` answered true: umbrae collapse, which no kernel
+    fault makes them do."""
+    if not out:
+        fire()
+    return True
+
+
 def answer_off(out, args, fire):
     """``_matches``' answer negated at k >= 1: is_delta and is_unital compare k = 0."""
     if not args[2]:
@@ -75,7 +83,14 @@ FAULTS = {
     "combinatorics.bell_sums": lambda out, args, fire: (one_up(v, args, fire) for v in out),
     **dict.fromkeys(["combinatorics._over", "combinatorics.stirling_sum"], one_up),
 }
-_OWNERS = {"Series": Series, "series": series, "combinatorics": combinatorics, "ops": ops}
+# kernels that only the catalog's claims read, beside the registering rows
+CLAIM_FAULTS = {
+    "combinatorics._stirling_row": entry_off(1),
+    "combinatorics.bell_number": one_up,
+    "Workspace.similar": always_true,
+}
+_OWNERS = {"Series": Series, "series": series, "combinatorics": combinatorics, "ops": ops,
+           "Workspace": core.Workspace}
 
 
 def _swap(pairs):
@@ -103,7 +118,7 @@ def swapped(pairs):
 def installed(faults, corrupting=False):
     """The named faults' targets wrapped; yields the set of the names called,
     or, ``corrupting``, of the faults that fired."""
-    hits = set()
+    hits, table = set(), {**FAULTS, **CLAIM_FAULTS}
 
     def wrapped(name):
         owner, attr = name.split(".")
@@ -112,16 +127,25 @@ def installed(faults, corrupting=False):
         def wrapper(*args, **kw):
             out = fn(*args, **kw)
             if corrupting:
-                return FAULTS[name](out, args, lambda: hits.add(name))
+                return table[name](out, args, lambda: hits.add(name))
             hits.add(name)
             return out
         return fn, wrapper
-    combinatorics._bell_triangle_cached.cache_clear()
+    clear_caches()
     try:
         with swapped(list(map(wrapped, faults))):
             yield hits
     finally:
-        combinatorics._bell_triangle_cached.cache_clear()
+        clear_caches()
+
+
+def clear_caches():
+    """Every ``lru_cache`` of an ``umbral`` module emptied."""
+    for name, m in list(sys.modules.items()):
+        if name.split(".")[0] == "umbral":
+            for v in list(vars(m).values()):
+                if hasattr(v, "cache_clear"):
+                    v.cache_clear()
 
 
 def operands(ring: str):

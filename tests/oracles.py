@@ -23,6 +23,14 @@ def mul_t(f: Series) -> Series:
     return Series.from_moments([0] + [a * k for k, a in enumerate(f.moments()[:-1], 1)])
 
 
+def bernoulli_number(n: int) -> Fraction:
+    """B_n by the series route, the reference for ``combinatorics.bernoulli_number``:
+    the n-th EGF moment of t/(e^t - 1), the reciprocal of (e^t - 1)/t, whose
+    moments are 1/(k+1)."""
+    base = Series.from_moments([Fraction(1, k + 1) for k in range(n + 1)])
+    return Fraction(base.pow_int(-1).egf_moment(n))
+
+
 def binomial_product(factors) -> list:
     """The moments of a product of series, by the binomial convolution of their
     moments two at a time, c_n = sum_k C(n,k) a_k b_(n-k), each a ``Poly``:

@@ -1,7 +1,9 @@
+import ast
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,12 +20,14 @@ from umbral.combinatorics import (
     exponential_poly,
     partial_bell,
     stirling,
+    stirling_sum,
 )
 from umbral import combinatorics, core, identities, inversion, ops, poly, series
 from umbral.errors import TooLarge
 from umbral.poly import ONE, ZERO, Poly
 from umbral.prng import Stream
 
+import oracles
 from oracles import enumerate_partitions, weighted_partition_sum
 
 x = Poly.var("x")
@@ -302,6 +306,26 @@ def test_exponential_polynomials():
         assert exponential_poly(n + 1) == rhs
 
 
+def test_exponential_polynomials_are_the_stirling_sum_of_powers():
+    for n in range(41):
+        assert exponential_poly(n).terms == stirling_sum(
+            "second", n, [x ** k for k in range(n + 1)]).terms
+
+
+def test_bernoulli_numbers_match_the_series_route():
+    for n in range(41):
+        b = bernoulli_number(n)
+        assert b == oracles.bernoulli_number(n) and type(b) is Fraction
+
+
+def test_the_moment_route_module_reads_no_series():
+    # Stirling rows, Bell sums and Bernoulli numbers stay off the series route
+    tree = ast.parse(Path(combinatorics.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert imported == {"poly"}
+
+
 def test_bernoulli_numbers():
     assert bernoulli_number(0) == 1
     assert bernoulli_number(1) == Fraction(-1, 2)
@@ -332,19 +356,14 @@ def test_bell_triangle_shape():
             assert tri[n][k] == stirling("second", n, k)
 
 
-# caches keyed by integers alone, bounded by the orders a session asks for
-KEYED_BY_INTEGERS = {"factorial", "_stirling2", "_stirling1_signed"}
-
-
 def test_bell_triangle_cache_is_bounded():
     # keyed by moment tuples, so an unbounded cache grows with every new umbra;
     # so would any other cache keyed by moments or series
     assert _bell_triangle_cached.cache_info().maxsize is not None
-    seen = set()
     for module in (poly, series, combinatorics, core, ops, inversion, identities):
         for name, value in vars(module).items():
             if hasattr(value, "cache_info"):
-                seen.add(name)
-                if name not in KEYED_BY_INTEGERS:
-                    assert value.cache_info().maxsize is not None, name
-    assert "_bell_triangle_cached" in seen
+                assert value.cache_info().maxsize is not None, name
+    # one cache per kernel: what else the module computes is a pass over these
+    assert {name for name, value in vars(combinatorics).items()
+            if hasattr(value, "cache_info")} == {"_stirling_row", "_bell_triangle_cached"}

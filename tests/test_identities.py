@@ -8,12 +8,13 @@ import pytest
 import umbral.identities
 from umbral import series
 from umbral.core import Workspace, verdict
-from umbral.errors import UnknownIdentity, UsageError
+from umbral.errors import UmbralError, UnknownIdentity, UsageError
 from umbral.identities import (_dobinski_bracket, _recover_from_int_dot, check, check_all,
                                list_identities)
 from umbral.ops import dot
 from umbral.series import Series
 
+import faults
 from oracles import dobinski_bracket
 
 EXPECTED_IDS = [
@@ -261,3 +262,54 @@ def test_a_wrong_product_fails_the_restated_claims(monkeypatch, entry, statement
     monkeypatch.setattr(series, "convolve", corrupted)
     case = check(entry)
     assert not case.passed and case.witness["statement"] == statement
+
+
+# -- every catalog statement can fail ----------------------------------------------
+
+
+# statements that no fault in the audit makes fail, each with why
+CANNOT_FAIL = {
+    ("eq10_point_power", "moments of a^.n are not a_k^n"):
+        "point_power builds a_k^n by the expression the claim recomputes",
+    ("eq10_point_power", "a^.0 not similar to the unity umbra"):
+        "m^0 = 1 holds for every moment, faulted or not",
+    ("eq10_point_power", "a^.{-1} moments are not reciprocals"):
+        "it multiplies back by the reciprocal that built the moments",
+    ("dobinski_scalar", "tail bound wider than 1e-6 relative"):
+        "the bracket reads no kernel, and a target one off leaves its width far below 1e-6",
+    ("dobinski_polynomial", "tail bound wider than 1e-6 relative"):
+        "the bracket reads no kernel, and a target one off leaves its width far below 1e-6",
+}
+
+
+def _claim_outcomes(params):
+    """Each catalog statement, keyed (entry id, statement), with the truth of
+    its claims in order, up to any error its entry raises."""
+    out = {}
+    for entry in list_identities():
+        try:
+            for statement, lhs, rhs, _ in umbral.identities._BY_ID[entry["id"]]["fn"](
+                    {**entry["defaults"], **params}):
+                out.setdefault((entry["id"], statement), []).append(lhs == rhs)
+        except UmbralError:  # a faulted value can leave a later claim nothing to read
+            pass
+    return out
+
+
+def test_every_catalog_statement_can_fail():
+    # with registration's comparison off, the claims alone must catch a fault:
+    # a claim that compares a value with the computation that built it cannot
+    def unchecked(self, name, moments, egf=None):  # the second route's egf kept
+        own = Series.from_moments(moments)
+        return self._atom(name, own.moments(), own if egf is None else egf, own)
+
+    failed = set()
+    with faults.swapped([(Workspace._register, unchecked)]):
+        faults.clear_caches()
+        clean = _claim_outcomes({"trials": 2})
+        for fault in {**faults.FAULTS, **faults.CLAIM_FAULTS}:
+            with faults.installed([fault], corrupting=True):
+                failed |= {key for key, held in _claim_outcomes({"trials": 2}).items()
+                           if any(a != b for a, b in zip(held, clean[key]))}
+    assert len(clean) == 56
+    assert set(clean) - failed == set(CANNOT_FAIL)
